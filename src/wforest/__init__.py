@@ -52,6 +52,7 @@ from .ends import (
     find_furcation_vertices,
     maximal_disjoint_furcations,
     quotient,
+    visibility,
     visibility_mass,
     visibility_set,
 )

@@ -16,14 +16,20 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
-from .ends import ProxyParams, collapsed_maximal_subforest, qualifying_side_counts
+from .ends import (
+    ProxyParams,
+    collapsed_maximal_subforest,
+    maximal_disjoint_furcations,
+    qualifying_side_counts,
+    quotient,
+    visibility,
+)
 from .errors import BadParams, InvariantViolation, WForestError
 from .forest import check_cut_witnesses, maximal_subforest, maximal_subforest_oracle
 from .generators import build_family
-from .graph import Graph, from_json, to_json
+from .graph import Graph, components, from_json, to_json
 from .percolation import records_to_jsonl, summary_csv, sweep
-from .weights import EdgeOrder, cocycle_from_potential, level_potential, unit_potential
-from . import percolation as perc
+from .weights import EdgeOrder, exact_potential, level_potential, unit_potential
 
 
 def _sha256(data: bytes) -> str:
@@ -167,10 +173,6 @@ def cmd_collapse(args, argv) -> int:
 
 
 def cmd_analyze(args, argv) -> int:
-    from .graph import components
-    from .ends import maximal_disjoint_furcations, quotient
-    from .weights import potential_from_cocycle
-
     g = load_graph(args.graph)
     potential = load_weights(args.weights, g)
     params = _proxy_params(args)
@@ -188,17 +190,12 @@ def cmd_analyze(args, argv) -> int:
         })
     family = maximal_disjoint_furcations(g, potential, params, s_max=args.smax)
     quot = quotient(g, potential, family.blocks)
-    coc = cocycle_from_potential(g, potential)
+    exact = exact_potential(g, potential)
     verts = list(g.vertices)
     if len(verts) > args.max_basepoints:
         stride = len(verts) / args.max_basepoints
         verts = [verts[int(i * stride)] for i in range(args.max_basepoints)]
-    masses = []
-    for x in verts:
-        pot_x = potential_from_cocycle(g, coc, x)
-        vis = _bounded_visibility(g, pot_x, x)
-        masses.append(float(sum(pot_x[y] for y in vis)))
-    masses.sort()
+    masses = sorted(float(sum(visibility(g, exact, x).values())) for x in verts)
     quantiles = {}
     for q in (0.0, 0.25, 0.5, 0.75, 1.0):
         idx = min(len(masses) - 1, int(q * (len(masses) - 1) + 0.5))
@@ -219,27 +216,19 @@ def cmd_analyze(args, argv) -> int:
     return 0
 
 
-def _bounded_visibility(g, pot_x, x):
-    seen = {x}
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        for y in g.adjacency[v]:
-            if y not in seen and pot_x[y] <= 1:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
 def cmd_percolate(args, argv) -> int:
     g = load_graph(args.graph)
     potential = load_weights(args.weights, g)
     params = _proxy_params(args)
     p_grid = [float(p) for p in args.p_grid.split(",") if p != ""]
-    workers = int(os.environ.get("WFOREST_WORKERS", "1"))
+    workers = min(int(os.environ.get("WFOREST_WORKERS", "1")),
+                  len(p_grid) * args.trials)
     if workers > 1:
-        records = _parallel_sweep(g, potential, p_grid, args.trials, args.seed,
-                                  params, workers)
+        # imported here: the pool machinery would add to every command's start-up
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = sweep(g, potential, p_grid, args.trials, args.seed, params,
+                            executor=pool)
     else:
         records = sweep(g, potential, p_grid, args.trials, args.seed, params)
     outputs = {args.output: records_to_jsonl(records)}
@@ -248,22 +237,6 @@ def cmd_percolate(args, argv) -> int:
     _write_with_manifest("percolate", argv, [args.graph, args.weights],
                          outputs, args.seed)
     return 0
-
-
-def _parallel_sweep(g, potential, p_grid, trials, seed, params, workers):
-    from concurrent.futures import ProcessPoolExecutor
-    from .rng import subseed
-
-    jobs = [(pi, p, t) for pi, p in enumerate(p_grid) for t in range(trials)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futs = [
-            pool.submit(perc._run_once, g, potential, float(p), t,
-                        subseed(seed, "run", pi, t), params, 8)
-            for pi, p, t in jobs
-        ]
-        results = [f.result() for f in futs]
-    # records are keyed by submission order, which is the deterministic order
-    return results
 
 
 def cmd_rerun(args, argv) -> int:

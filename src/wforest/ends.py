@@ -37,7 +37,6 @@ FINITE = "finite"
 class ProxyParams:
     nonvanish_delta: Fraction = Fraction(1)
     heavy_tau: Fraction = Fraction(4)
-    infinite_proxy: bool = True
 
     def __post_init__(self):
         if self.nonvanish_delta <= 0 or self.heavy_tau <= 0:
@@ -54,7 +53,7 @@ def classify_side(g: Graph, potential: Mapping[int, object], side,
                  for v in verts)
     if nonvan:
         return NONVANISHING
-    if params.infinite_proxy and any(v in flagged for v in verts):
+    if any(v in flagged for v in verts):
         return INFINITE
     return FINITE
 
@@ -282,22 +281,41 @@ def collapsed_maximal_subforest(g: Graph, potential: Mapping[int, object],
     return CollapseResult(forest=forest, family=family, quot=quot, qforest=qforest)
 
 
+def visibility(g: Graph, potential: Mapping[int, object], x: int) -> dict[int, Fraction]:
+    """Vertices reachable from x along paths whose every vertex has weight
+    at most 1 relative to x (x itself always belongs), each mapped to its
+    relative weight potential[y] / potential[x].
+
+    Only x's component is read, and only the vertices visited are divided.
+    """
+    if x not in g.adjacency:
+        raise UnknownId(f"vertex {x} not in graph")
+    top = Fraction(potential[x])
+    rel = {x: Fraction(1)}
+    stack = [x]
+    while stack:
+        v = stack.pop()
+        for y in g.adjacency[v]:
+            if y not in rel and potential[y] <= top:
+                rel[y] = potential[y] / top
+                stack.append(y)
+    return rel
+
+
+def _is_heavy(params: ProxyParams, mass, rel: Mapping[int, Fraction],
+              flagged: frozenset[int]) -> bool:
+    """heavy: mass >= heavy_tau, or a flagged vertex at relative weight
+    >= nonvanish_delta."""
+    return mass >= params.heavy_tau or any(
+        v in flagged and w >= params.nonvanish_delta for v, w in rel.items())
+
+
 def visibility_set(g: Graph, c: Cocycle, x: int) -> tuple[int, ...]:
     """Vertices reachable from x along paths whose every vertex has weight
     at most 1 relative to x (x itself always belongs)."""
     if x not in g.adjacency:
         raise UnknownId(f"vertex {x} not in graph")
-    pot = potential_from_cocycle(g, c, x)
-    one = Fraction(1) if c.mode == "exact" else 1.0
-    seen = {x}
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        for y in g.adjacency[v]:
-            if y not in seen and pot[y] <= one:
-                seen.add(y)
-                stack.append(y)
-    return tuple(sorted(seen))
+    return tuple(sorted(visibility(g, potential_from_cocycle(g, c, x).values, x)))
 
 
 def visibility_mass(g: Graph, c: Cocycle, x: int, params: ProxyParams):
@@ -306,13 +324,10 @@ def visibility_mass(g: Graph, c: Cocycle, x: int, params: ProxyParams):
     heavy: mass >= heavy_tau, or the set reaches the truncation boundary at
     relative weight >= nonvanish_delta.
     """
-    pot = potential_from_cocycle(g, c, x)
-    vis = visibility_set(g, c, x)
-    mass = sum(pot[y] for y in vis)
-    flagged = g.boundary_vertices()
-    touches = any(y in flagged and pot[y] >= params.nonvanish_delta for y in vis)
-    cls = "heavy" if (mass >= params.heavy_tau or touches) else "light"
-    return mass, cls
+    rel = visibility(g, potential_from_cocycle(g, c, x).values, x)
+    mass = sum(rel.values())
+    heavy = _is_heavy(params, mass, rel, g.boundary_vertices())
+    return mass, "heavy" if heavy else "light"
 
 
 # Per-vertex side counts at scale: block-cut tree plus subtree counts,

@@ -9,6 +9,7 @@ configurations across p, and records are byte-reproducible.
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import repeat
 from typing import Mapping
 
 from .errors import (
@@ -18,12 +19,15 @@ from .errors import (
     NotWeightPreserving,
     UnknownEdge,
 )
-from .ends import ProxyParams, qualifying_side_counts
+from .ends import ProxyParams, _is_heavy, qualifying_side_counts, visibility
 from .forest import ForestResult, check_cut_witnesses, maximal_subforest
 from .graph import Edge, Graph, components, edge, spanned_subgraph
 from .rng import subseed, threshold, u64
 from .unionfind import UnionFind
-from .weights import EdgeOrder, cocycle_from_potential, potential_from_cocycle
+from .weights import EdgeOrder, exact_potential
+
+# Clusters per sweep run whose heaviest vertex is a visibility basepoint.
+VISIBILITY_BASEPOINTS = 8
 
 
 @dataclass(frozen=True)
@@ -99,13 +103,44 @@ def assign_labels(g: Graph, seed: int) -> LabelAssignment:
     return LabelAssignment(labels=labels, collisions=tuple(collisions))
 
 
+@dataclass(frozen=True)
+class _OpenRun:
+    """The open subgraph of one configuration, with what every stage of a
+    sweep run reads from it; built once per run."""
+    sub: Graph
+    flagged: frozenset[int]
+    potential: dict[int, Fraction]
+    clusters: list[tuple[int, ...]]
+    relpot: dict[int, Fraction]       # potential / max over the vertex's cluster
+
+    def qualifies(self, params: ProxyParams):
+        """Flagged vertices at relative weight >= nonvanish_delta."""
+        return lambda v: v in self.flagged and self.relpot[v] >= params.nonvanish_delta
+
+
+def _open_run(cfg: PercolationConfig, potential: Mapping[int, object]) -> _OpenRun:
+    sub = spanned_subgraph(cfg.host, cfg.open_edges)
+    pot = exact_potential(sub, potential)
+    clusters = components(sub)
+    relpot: dict[int, Fraction] = {}
+    for comp in clusters:
+        top = max(pot[v] for v in comp)
+        for v in comp:
+            relpot[v] = pot[v] / top
+    return _OpenRun(sub=sub, flagged=sub.boundary_vertices(), potential=pot,
+                    clusters=clusters, relpot=relpot)
+
+
+def _forest(run: _OpenRun, labels: LabelAssignment) -> tuple[EdgeOrder, ForestResult]:
+    order = EdgeOrder(run.sub, run.potential, labels.ranks(run.sub.edges))
+    return order, maximal_subforest(run.sub, order)
+
+
 def fwmsf(cfg: PercolationConfig, potential: Mapping[int, object],
           labels: LabelAssignment) -> ForestResult:
     """Weighted maximal subforest of the open subgraph under the random
     tiebreak; the weighted generalization of the free minimal forest."""
-    sub = spanned_subgraph(cfg.host, cfg.open_edges)
-    order = EdgeOrder(sub, potential, labels.ranks(sub.edges))
-    return maximal_subforest(sub, order)
+    return _forest(_open_run(cfg, potential), labels)[1]
 
 
 @dataclass(frozen=True)
@@ -127,25 +162,17 @@ def cluster_report(cfg: PercolationConfig, potential: Mapping[int, object],
     """Clusters of the open subgraph with masses relative to each cluster's
     heaviest vertex, heavy/light proxy classes, and (optionally) the max
     number of nonvanishing-proxy sides over single-vertex furcations."""
-    sub = spanned_subgraph(cfg.host, cfg.open_edges)
-    flagged = cfg.host.boundary_vertices()
-    side_max: dict[int, int] = {}
-    if side_counts:
-        relpot_all: dict[int, Fraction] = {}
-        for comp in components(sub):
-            top = max(Fraction(potential[v]) for v in comp)
-            for v in comp:
-                relpot_all[v] = Fraction(potential[v]) / top
-        qual = lambda v: v in flagged and relpot_all[v] >= params.nonvanish_delta
-        side_max = qualifying_side_counts(sub, qual)
+    return _cluster_report(_open_run(cfg, potential), params, side_counts)
+
+
+def _cluster_report(run: _OpenRun, params: ProxyParams, side_counts: bool) -> ClusterReport:
+    side_max = qualifying_side_counts(run.sub, run.qualifies(params)) if side_counts else {}
     infos = []
     n_heavy = 0
-    for comp in components(sub):
-        top = max(Fraction(potential[v]) for v in comp)
-        rel = {v: Fraction(potential[v]) / top for v in comp}
+    for comp in run.clusters:
+        rel = {v: run.relpot[v] for v in comp}
         mass = sum(rel.values())
-        touches = any(v in flagged and rel[v] >= params.nonvanish_delta for v in comp)
-        cls = "heavy" if (mass >= params.heavy_tau or touches) else "light"
+        cls = "heavy" if _is_heavy(params, mass, rel, run.flagged) else "light"
         n_heavy += cls == "heavy"
         infos.append(ClusterInfo(
             vertices=comp,
@@ -213,81 +240,61 @@ def _fraction_str(x: Fraction) -> str:
 
 
 def sweep(g: Graph, potential: Mapping[int, object], p_grid, trials: int,
-          seed: int, params: ProxyParams, n_basepoints: int = 8) -> list[dict]:
+          seed: int, params: ProxyParams, executor=None) -> list[dict]:
     """One record per (p, trial): configuration stats, forest stats, and a
     visibility summary at deterministic basepoints.  Each run re-derives its
     own seed from (seed, p index, trial), so records are independent of
-    execution order and reproducible byte-for-byte."""
+    execution order and reproducible byte-for-byte.
+
+    Runs go through ``executor.map`` when an executor (e.g. a process pool)
+    is given, else the built-in ``map``; records keep submission order.
+    """
     if trials < 1:
         raise BadProbability("trials must be >= 1")
-    records = []
-    for pi, p in enumerate(p_grid):
-        for t in range(trials):
-            run_seed = subseed(seed, "run", pi, t)
-            records.append(_run_once(g, potential, float(p), t, run_seed, params,
-                                     n_basepoints))
-    return records
+    jobs = [(float(p), t, subseed(seed, "run", pi, t))
+            for pi, p in enumerate(p_grid) for t in range(trials)]
+    mapper = map if executor is None else executor.map
+    return list(mapper(_run_once, repeat(g), repeat(potential), repeat(params), jobs))
 
 
-def _run_once(g: Graph, potential, p: float, trial: int, run_seed: int,
-              params: ProxyParams, n_basepoints: int) -> dict:
+def _run_once(g: Graph, potential, params: ProxyParams,
+              job: tuple[float, int, int]) -> dict:
+    p, trial, run_seed = job
     cfg = bernoulli_sample(g, p, run_seed)
     labels = assign_labels(g, run_seed)
-    forest = fwmsf(cfg, potential, labels)
-    report = cluster_report(cfg, potential, params)
-    sub = spanned_subgraph(g, cfg.open_edges)
+    run = _open_run(cfg, potential)
+    order, forest = _forest(run, labels)
+    # kept is acyclic, so it has |V| - |kept| trees; they are exactly the
+    # clusters iff the counts agree, and the tree stages below rely on it
+    trees = len(g.vertices) - len(forest.kept)
+    if trees != len(run.clusters):
+        raise InvariantViolation(
+            f"forest has {trees} trees but the open subgraph has "
+            f"{len(run.clusters)} clusters (p={p}, seed={run_seed}, trial={trial})")
+    report = _cluster_report(run, params, side_counts=True)
 
-    # forest trees coincide with clusters on a finite host; count the trees
-    # whose internal structure shows >= 3 nonvanishing-proxy directions
-    kept_sub = spanned_subgraph(g, forest.kept)
-    flagged = g.boundary_vertices()
-    relpot: dict[int, Fraction] = {}
-    for comp in components(kept_sub):
-        top = max(Fraction(potential[v]) for v in comp)
-        for v in comp:
-            relpot[v] = Fraction(potential[v]) / top
-    qual = lambda v: v in flagged and relpot[v] >= params.nonvanish_delta
-    tree_side = qualifying_side_counts(kept_sub, qual)
-    tree_max: dict[int, int] = {}
-    tree_of: dict[int, int] = {}
-    for comp in components(kept_sub):
-        for v in comp:
-            tree_of[v] = comp[0]
-        tree_max[comp[0]] = max(tree_side[v] for v in comp)
-    trees_3plus = sum(1 for m in tree_max.values() if m >= 3)
+    # count the trees whose internal structure shows >= 3 nonvanishing-proxy
+    # directions; a tree's vertices and relative weights are its cluster's
+    tree_side = qualifying_side_counts(spanned_subgraph(g, forest.kept),
+                                       run.qualifies(params))
+    trees_3plus = sum(1 for comp in run.clusters
+                      if max(tree_side[v] for v in comp) >= 3)
 
-    _assert_heavy_split_witnesses(g, forest, report, potential, tree_of)
-    sub_order = EdgeOrder(sub, potential, labels.ranks(sub.edges))
-    witness_report = check_cut_witnesses(sub, forest, sub_order)
+    witness_report = check_cut_witnesses(run.sub, forest, order)
     if not witness_report.ok:
         raise InvariantViolation(
             f"cut-witness violation in sweep run (p={p}, seed={run_seed})")
 
-    coc = cocycle_from_potential(sub, potential)
-    baseclusters = sorted(report.clusters,
-                          key=lambda c: (-len(c.vertices), c.vertices[0]))
-    basepoints = []
-    for c in baseclusters[:n_basepoints]:
-        top = max(c.vertices, key=lambda v: (Fraction(potential[v]), -v))
-        basepoints.append(top)
+    baseclusters = sorted(run.clusters, key=lambda c: (-len(c), c[0]))
+    basepoints = [max(c, key=lambda v: (run.potential[v], -v))
+                  for c in baseclusters[:VISIBILITY_BASEPOINTS]]
     masses = []
     vis_heavy = 0
     for x in basepoints:
-        pot_x = potential_from_cocycle(sub, coc, x)
-        seen = {x}
-        stack = [x]
-        while stack:
-            v = stack.pop()
-            for y in sub.adjacency[v]:
-                if y not in seen and pot_x[y] <= 1:
-                    seen.add(y)
-                    stack.append(y)
-        mass = sum(pot_x[y] for y in seen)
-        touches = any(y in flagged and pot_x[y] >= params.nonvanish_delta
-                      for y in seen)
-        cls_heavy = mass >= params.heavy_tau or touches
-        vis_heavy += cls_heavy
-        masses.append(_fraction_str(Fraction(mass)))
+        rel = visibility(run.sub, run.potential, x)
+        mass = sum(rel.values())
+        vis_heavy += _is_heavy(params, mass, rel, run.flagged)
+        masses.append(_fraction_str(mass))
 
     return {
         "p": p,
@@ -307,7 +314,7 @@ def _run_once(g: Graph, potential, p: float, trial: int, run_seed: int,
         "forest": {
             "kept": len(forest.kept),
             "deleted": len(forest.deleted),
-            "trees": len(tree_max),
+            "trees": trees,
             "trees_with_3plus_nonvanishing_dirs": trees_3plus,
             "witness_violations": 0,
         },
@@ -319,34 +326,6 @@ def _run_once(g: Graph, potential, p: float, trial: int, run_seed: int,
         "open": len(cfg.open_edges),
         "label_collisions": len(labels.collisions),
     }
-
-
-def _assert_heavy_split_witnesses(g, forest: ForestResult, report: ClusterReport,
-                                  potential, tree_of) -> None:
-    """Finite shadow of heavy-splits-into-heavy: a forest tree inside a
-    split heavy cluster must hold a vertex at least as heavy as its least
-    deleted boundary edge."""
-    for cluster in report.clusters:
-        if cluster.cls != "heavy":
-            continue
-        members = set(cluster.vertices)
-        roots = {tree_of[v] for v in members}
-        if len(roots) <= 1:
-            continue  # the forest spans this cluster; nothing was split off
-        for root in sorted(roots):
-            tree_vs = {v for v in members if tree_of[v] == root}
-            boundary = [
-                e for e in forest.deleted
-                if (e[0] in tree_vs) != (e[1] in tree_vs)
-                and e[0] in members and e[1] in members
-            ]
-            if not boundary:
-                continue
-            least = min(min(Fraction(potential[e[0]]), Fraction(potential[e[1]]))
-                        for e in boundary)
-            if not any(Fraction(potential[v]) >= least for v in tree_vs):
-                raise InvariantViolation(
-                    "split heavy cluster lost its weight witness")
 
 
 def records_to_jsonl(records: list[dict]) -> str:

@@ -1,10 +1,9 @@
 """Relative weight functions (cocycles), basepoint potentials, and the
 strict total order on edges that drives the cycle-cutting algorithm.
 
-Exact rational arithmetic is the default: the generated families only ever
+All arithmetic is exact (``Fraction``): the generated families only ever
 produce ratios that are powers of small integers, and the edge order must be
-deterministic — float ties would corrupt the forest.  A log-float mode with
-tolerance 1e-9 exists as a fallback for user-supplied weights.
+deterministic — float ties would corrupt the forest.
 """
 
 import math
@@ -20,19 +19,18 @@ from .errors import (
 )
 from .graph import Edge, Graph, components, edge
 
-EXACT = "exact"
-LOG_FLOAT = "log-float"
-DEFAULT_LOG_TOL = 1e-9
 
-
-def _as_weight(x, mode: str):
-    if mode == EXACT:
-        val = Fraction(x)
-    else:
-        val = float(x)
-    if val <= 0:
-        raise NonPositiveWeight(f"weight {x!r} is not positive")
-    return val
+def exact_potential(g: Graph, potential: Mapping[int, object]) -> dict[int, Fraction]:
+    """The potential on every vertex of g as exact positive Fractions."""
+    out = {}
+    for v in g.vertices:
+        if v not in potential:
+            raise MissingVertex(f"potential missing vertex {v}")
+        val = Fraction(potential[v])
+        if val <= 0:
+            raise NonPositiveWeight(f"weight {potential[v]!r} is not positive")
+        out[v] = val
+    return out
 
 
 @dataclass(frozen=True)
@@ -41,8 +39,7 @@ class Cocycle:
 
     ``ratio(x, y)`` is the weight of x relative to y, for adjacent x, y.
     """
-    ratios: dict[tuple[int, int], Fraction | float]
-    mode: str = EXACT
+    ratios: dict[tuple[int, int], Fraction]
 
     def ratio(self, x: int, y: int):
         try:
@@ -51,28 +48,23 @@ class Cocycle:
             raise MissingVertex(f"no ratio stored for directed edge ({x}, {y})") from None
 
 
-def cocycle_from_potential(g: Graph, potential: Mapping[int, object],
-                           mode: str = EXACT) -> Cocycle:
+def cocycle_from_potential(g: Graph, potential: Mapping[int, object]) -> Cocycle:
     """ratio(x, y) := potential(x) / potential(y) on every edge."""
-    vals = {}
-    for v in g.vertices:
-        if v not in potential:
-            raise MissingVertex(f"potential missing vertex {v}")
-        vals[v] = _as_weight(potential[v], mode)
-    ratios: dict[tuple[int, int], Fraction | float] = {}
+    vals = exact_potential(g, potential)
+    ratios: dict[tuple[int, int], Fraction] = {}
     for u, v in g.edges:
         ratios[(u, v)] = vals[u] / vals[v]
         ratios[(v, u)] = vals[v] / vals[u]
-    return Cocycle(ratios=ratios, mode=mode)
+    return Cocycle(ratios=ratios)
 
 
 class CocycleReport(NamedTuple):
     ok: bool
-    worst_defect: float            # |log of cycle product|, 0.0 when exact
+    worst_defect: float            # |log of cycle product|, 0.0 when consistent
     worst_cycle: tuple[int, ...]   # vertex sequence of the worst cycle, or ()
 
 
-def validate_cocycle(g: Graph, c: Cocycle, tol: float = DEFAULT_LOG_TOL) -> CocycleReport:
+def validate_cocycle(g: Graph, c: Cocycle) -> CocycleReport:
     """Check the cocycle identity on every fundamental cycle of a BFS forest.
 
     Sufficient because every cycle is a symmetric difference of fundamental
@@ -82,9 +74,7 @@ def validate_cocycle(g: Graph, c: Cocycle, tol: float = DEFAULT_LOG_TOL) -> Cocy
     worst_cycle: tuple[int, ...] = ()
 
     def defect_of(product) -> float:
-        if c.mode == EXACT:
-            return 0.0 if product == 1 else abs(math.log(float(product)))
-        return abs(math.log(product))
+        return 0.0 if product == 1 else abs(math.log(float(product)))
 
     for u, v in sorted(g.edges):
         d = defect_of(c.ratio(u, v) * c.ratio(v, u))
@@ -92,11 +82,11 @@ def validate_cocycle(g: Graph, c: Cocycle, tol: float = DEFAULT_LOG_TOL) -> Cocy
             worst, worst_cycle = d, (u, v, u)
 
     parent: dict[int, int | None] = {}
-    value: dict[int, Fraction | float] = {}
+    value: dict[int, Fraction] = {}
     for comp in components(g):
         root = comp[0]
         parent[root] = None
-        value[root] = Fraction(1) if c.mode == EXACT else 1.0
+        value[root] = Fraction(1)
         queue = [root]
         qi = 0
         while qi < len(queue):
@@ -118,8 +108,7 @@ def validate_cocycle(g: Graph, c: Cocycle, tol: float = DEFAULT_LOG_TOL) -> Cocy
         d = defect_of(prod)
         if d > worst:
             worst, worst_cycle = d, _tree_cycle(parent, u, v)
-    ok = worst == 0.0 if c.mode == EXACT else worst <= tol
-    return CocycleReport(ok=ok, worst_defect=worst, worst_cycle=worst_cycle)
+    return CocycleReport(ok=worst == 0.0, worst_defect=worst, worst_cycle=worst_cycle)
 
 
 def _tree_cycle(parent, u, v):
@@ -140,7 +129,7 @@ def _tree_cycle(parent, u, v):
 class Potential:
     """Absolute weights on one component obtained by fixing a basepoint."""
     base: int
-    values: dict[int, Fraction | float]
+    values: dict[int, Fraction]
 
     def __getitem__(self, v: int):
         try:
@@ -149,16 +138,14 @@ class Potential:
             raise MissingVertex(f"vertex {v} outside the potential's component") from None
 
 
-def potential_from_cocycle(g: Graph, c: Cocycle, base: int,
-                           tol: float = DEFAULT_LOG_TOL) -> Potential:
+def potential_from_cocycle(g: Graph, c: Cocycle, base: int) -> Potential:
     """value(x) = product of ratios along any path from x to base; value(base)=1.
 
-    Raises InvalidCocycle if two paths disagree (beyond tol in float mode).
+    Raises InvalidCocycle if two paths disagree.
     """
     if base not in g.adjacency:
         raise MissingVertex(f"basepoint {base} not in graph")
-    one = Fraction(1) if c.mode == EXACT else 1.0
-    values: dict[int, Fraction | float] = {base: one}
+    values: dict[int, Fraction] = {base: Fraction(1)}
     queue = [base]
     qi = 0
     while qi < len(queue):
@@ -167,11 +154,7 @@ def potential_from_cocycle(g: Graph, c: Cocycle, base: int,
         for y in g.adjacency[x]:
             w = c.ratio(y, x) * values[x]
             if y in values:
-                if c.mode == EXACT:
-                    bad = values[y] != w
-                else:
-                    bad = abs(math.log(values[y] / w)) > tol
-                if bad:
+                if values[y] != w:
                     raise InvalidCocycle(
                         f"path-dependent value at vertex {y}: {values[y]} vs {w}")
             else:
@@ -189,14 +172,9 @@ class EdgeOrder:
     """
 
     def __init__(self, g: Graph, potential: Mapping[int, object],
-                 tiebreak: Sequence[Edge] | Mapping[Edge, int] | None = None,
-                 mode: str = EXACT):
+                 tiebreak: Sequence[Edge] | Mapping[Edge, int] | None = None):
         self.graph = g
-        self.potential = {}
-        for v in g.vertices:
-            if v not in potential:
-                raise MissingVertex(f"potential missing vertex {v}")
-            self.potential[v] = _as_weight(potential[v], mode)
+        self.potential = exact_potential(g, potential)
         if tiebreak is None:
             tiebreak = g.sorted_edges()
         if isinstance(tiebreak, Mapping):

@@ -146,11 +146,17 @@ def test_structured_error_output(tmp_path, capsys):
 def test_percolate_worker_env_parity(tmp_path, monkeypatch):
     run(tmp_path, "gen", "--family", "lattice_box", "--w", "4", "--h", "4",
         "-o", "b.json")
+    run(tmp_path, "gen", "--family", "gp", "--k", "2", "--up", "1", "--down", "2",
+        "-o", "gp.json")
     (tmp_path / "unit.json").write_text('{"unit":true}')
-    args = ("percolate", "b.json", "unit.json", "--p-grid", "0.4,0.6",
-            "--trials", "2", "--seed", "8")
-    assert run(tmp_path, *args, "-o", "serial.jsonl") == 0
-    monkeypatch.setenv("WFOREST_WORKERS", "2")
-    assert run(tmp_path, *args, "-o", "parallel.jsonl") == 0
-    assert (tmp_path / "serial.jsonl").read_text() == \
-        (tmp_path / "parallel.jsonl").read_text()
+    (tmp_path / "levels.json").write_text('{"levels_from_meta":true}')
+    # the GP instance sends non-unit Fraction potentials through the pool
+    for graph, weights in (("b.json", "unit.json"), ("gp.json", "levels.json")):
+        args = ("percolate", graph, weights, "--p-grid", "0.4,0.6",
+                "--trials", "2", "--seed", "8")
+        monkeypatch.delenv("WFOREST_WORKERS", raising=False)
+        assert run(tmp_path, *args, "-o", "serial.jsonl") == 0
+        monkeypatch.setenv("WFOREST_WORKERS", "2")
+        assert run(tmp_path, *args, "-o", "parallel.jsonl") == 0
+        assert (tmp_path / "serial.jsonl").read_text() == \
+            (tmp_path / "parallel.jsonl").read_text()

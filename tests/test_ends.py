@@ -15,6 +15,7 @@ from wforest.ends import (
     maximal_disjoint_furcations,
     qualifying_side_counts,
     quotient,
+    visibility,
     visibility_mass,
     visibility_set,
 )
@@ -317,6 +318,16 @@ def test_visibility_against_brute_force(rand):
         x = rand.choice(g.vertices)
         pot_x = potential_from_cocycle(g, c, x)
         assert set(visibility_set(g, c, x)) == brute_visibility(g, pot_x, x)
+    # open subgraphs are disconnected: only x's component may be read
+    for _ in range(60):
+        host = random_connected_graph(rand, rand.randint(2, 9))
+        g = spanned_subgraph(host, [e for e in host.sorted_edges() if rand.random() < 0.5])
+        potential = random_potential(rand, g)
+        x = rand.choice(g.vertices)
+        pot_x = potential_from_cocycle(g, cocycle_from_potential(g, potential), x)
+        vis = visibility(g, potential, x)
+        assert set(vis) == brute_visibility(g, pot_x, x)
+        assert vis == {y: pot_x[y] for y in vis}
 
 
 def test_side_count_dp_matches_naive(rand):

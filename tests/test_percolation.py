@@ -3,8 +3,14 @@ from fractions import Fraction as F
 import pytest
 
 from wforest.ends import ProxyParams
-from wforest.errors import BadProbability, NotAutomorphism, NotWeightPreserving, UnknownEdge
-from wforest.forest import fmsf, is_acyclic
+from wforest.errors import (
+    BadProbability,
+    InvariantViolation,
+    NotAutomorphism,
+    NotWeightPreserving,
+    UnknownEdge,
+)
+from wforest.forest import ForestResult, fmsf, is_acyclic
 from wforest.generators import cycle, free_product, gp_graph, lattice_box, windmill
 from wforest.graph import build_graph, components, spanned_subgraph
 from wforest.percolation import (
@@ -21,6 +27,7 @@ from wforest.percolation import (
     summary_csv,
     sweep,
 )
+from wforest.rng import subseed
 from wforest.weights import level_potential, unit_potential
 
 from conftest import random_connected_graph, random_potential
@@ -240,9 +247,26 @@ def test_largest_cluster_fraction_monotone_small():
 
 
 def test_sweep_runs_witness_checks(rand):
-    # the sweep itself asserts cut witnesses and the heavy-split shadow on
-    # every run; reaching here means no violation was raised
+    # the sweep itself asserts cut witnesses and trees == clusters on every
+    # run; reaching here means no violation was raised
     fp = free_product([{"family": "gp", "k": 2, "up": 1, "down": 1},
                        {"family": "lattice_box", "w": 2, "h": 2}], max_word=2)
     recs = sweep(fp, level_potential(fp, F(1, 2)), [0.4, 0.8], 3, 9, ProxyParams())
     assert all(r["forest"]["witness_violations"] == 0 for r in recs)
+
+
+def test_sweep_raises_when_forest_trees_differ_from_clusters(monkeypatch):
+    import wforest.percolation as perc
+    real = perc.maximal_subforest
+
+    def drop_one_kept_edge(g, order, *args, **kwargs):
+        r = real(g, order, *args, **kwargs)
+        return ForestResult(kept=r.kept - {min(r.kept)}, deleted=r.deleted,
+                            fixed=r.fixed)
+
+    monkeypatch.setattr(perc, "maximal_subforest", drop_one_kept_edge)
+    g = lattice_box(4, 4)
+    run_seed = subseed(5, "run", 0, 0)
+    with pytest.raises(InvariantViolation,
+                       match=rf"p=0\.6, seed={run_seed}, trial=0"):
+        sweep(g, unit_potential(g), [0.6], 1, 5, ProxyParams())

@@ -161,19 +161,3 @@ def test_strict_total_order_exhaustive(rand):
                 if compare_edges(o, e1, e2) == -1 and compare_edges(o, e2, e3) == -1:
                     assert compare_edges(o, e1, e3) == -1
 
-
-def test_log_float_mode_fallback():
-    import math
-    from wforest.weights import LOG_FLOAT, Cocycle
-    g = build_graph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-    c = cocycle_from_potential(g, {1: 1.0, 2: 2.0, 3: 4.0}, mode=LOG_FLOAT)
-    assert validate_cocycle(g, c).ok
-    p = potential_from_cocycle(g, c, 1)
-    assert math.isclose(p[3], 4.0)
-    # a small inconsistency passes the tolerance, a large one fails it
-    wiggle = dict(c.ratios)
-    wiggle[(1, 2)] = wiggle[(1, 2)] * (1 + 1e-12)
-    assert validate_cocycle(g, Cocycle(ratios=wiggle, mode=LOG_FLOAT)).ok
-    broken = dict(c.ratios)
-    broken[(1, 2)] = broken[(1, 2)] * 1.5
-    assert not validate_cocycle(g, Cocycle(ratios=broken, mode=LOG_FLOAT)).ok
