@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -24,10 +25,10 @@ from .ends import (
     quotient,
     visibility,
 )
-from .errors import BadParams, InvariantViolation, WForestError
+from .errors import BadParams, InputDrift, InvariantViolation, MalformedDocument, WForestError
 from .forest import check_cut_witnesses, maximal_subforest, maximal_subforest_oracle
 from .generators import build_family
-from .graph import Graph, components, from_json, to_json
+from .graph import Edge, Graph, components, from_json, id_pair, to_json
 from .percolation import records_to_jsonl, summary_csv, sweep
 from .weights import EdgeOrder, exact_potential, level_potential, unit_potential
 
@@ -36,11 +37,26 @@ def _sha256(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return _sha256(fh.read())
+
+
 def _atomic_write(path: str, data: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    """Write via a fresh temp file beside `path`, so concurrent writers of
+    one path never share a temp name; the temp file goes on failure."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp makes 0600; keep open()'s mode
+        with os.fdopen(fd, "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_with_manifest(command: str, argv: list[str], inputs: list[str],
@@ -52,7 +68,7 @@ def _write_with_manifest(command: str, argv: list[str], inputs: list[str],
         "version": __version__,
         "command": command,
         "argv": argv,
-        "inputs": {p: _sha256(open(p, "rb").read()) for p in inputs},
+        "inputs": {p: _file_sha256(p) for p in inputs},
         "outputs": {p: _sha256(d.encode()) for p, d in outputs.items()},
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -67,17 +83,45 @@ def load_graph(path: str) -> Graph:
         return from_json(fh.read())
 
 
+def _fraction(value, what: str) -> Fraction:
+    """An exact rational from a JSON number or a string such as "3/2"."""
+    if type(value) not in (int, float, str):
+        raise MalformedDocument(f"{what} {value!r} is not a number or fraction string")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise MalformedDocument(f"{what} {value!r} is not a finite rational") from None
+
+
 def load_weights(path: str, g: Graph) -> dict[int, Fraction]:
     """Weight JSON: explicit potential, level-derived, or unit."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise MalformedDocument(f"weight file {path} is not a JSON object")
+    for flag in ("unit", "levels_from_meta"):
+        if type(doc.get(flag, False)) is not bool:
+            raise MalformedDocument(f"weight file {path}: {flag!r} is not true/false")
     if doc.get("unit"):
         return unit_potential(g)
     if doc.get("levels_from_meta"):
-        return level_potential(g, Fraction(doc.get("base_ratio", "1/2")))
+        return level_potential(g, _fraction(doc.get("base_ratio", "1/2"), "base_ratio"))
     if "potential" in doc:
-        return {int(k): Fraction(v) for k, v in doc["potential"].items()}
+        if not isinstance(doc["potential"], dict):
+            raise MalformedDocument(f"weight file {path}: 'potential' is not a JSON object")
+        return {int(k): _fraction(v, f"potential of vertex {k}")
+                for k, v in doc["potential"].items()}
     raise BadParams(f"weight file {path} has no potential/levels_from_meta/unit key")
+
+
+def load_fixed(path: str) -> list[Edge]:
+    """Fixed-edge JSON: a list of [u, v] pairs, or an object with one under "edges"."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    edges = doc.get("edges") if isinstance(doc, dict) else doc
+    if not isinstance(edges, list):
+        raise MalformedDocument(f"fixed-edge file {path} holds no list of edges")
+    return [id_pair(e, "fixed edge") for e in edges]
 
 
 def _tiebreak(g: Graph, choice: str):
@@ -133,9 +177,7 @@ def cmd_forest(args, argv) -> int:
     fixed = ()
     inputs = [args.graph, args.weights]
     if args.fixed:
-        with open(args.fixed) as fh:
-            doc = json.load(fh)
-        fixed = [tuple(e) for e in (doc["edges"] if isinstance(doc, dict) else doc)]
+        fixed = load_fixed(args.fixed)
         inputs.append(args.fixed)
     engine = maximal_subforest_oracle if args.oracle else maximal_subforest
     result = engine(g, order, fixed)
@@ -239,17 +281,29 @@ def cmd_percolate(args, argv) -> int:
     return 0
 
 
-def cmd_rerun(args, argv) -> int:
-    with open(args.manifest) as fh:
+def _load_manifest(path: str) -> dict:
+    """A manifest as `_write_with_manifest` writes it; its argv must name a
+    command that writes one, so a manifest can never rerun `rerun`."""
+    with open(path) as fh:
         manifest = json.load(fh)
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)
+            and argv[:1] in (["gen"], ["forest"], ["collapse"], ["analyze"], ["percolate"])
+            and isinstance(manifest.get("inputs"), dict)
+            and isinstance(manifest.get("outputs"), dict)):
+        raise MalformedDocument(f"{path} is not a wforest manifest")
+    return manifest
+
+
+def cmd_rerun(args, argv) -> int:
+    manifest = _load_manifest(args.manifest)
+    drifted = [p for p, digest in manifest["inputs"].items() if _file_sha256(p) != digest]
+    if drifted:
+        raise InputDrift(f"inputs changed since the manifest was written: {drifted}")
     rc = main(manifest["argv"])
     if rc != 0:
         return rc
-    mismatched = []
-    for path, digest in manifest["outputs"].items():
-        with open(path, "rb") as fh:
-            if _sha256(fh.read()) != digest:
-                mismatched.append(path)
+    mismatched = [p for p, digest in manifest["outputs"].items() if _file_sha256(p) != digest]
     if mismatched:
         raise InvariantViolation(
             f"rerun outputs differ from the manifest: {mismatched}")

@@ -9,6 +9,16 @@ class InvariantViolation(WForestError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
+# input documents
+
+class MalformedDocument(WForestError):
+    """A graph, weight, fixed-edge or manifest JSON document has the wrong shape."""
+
+
+class InputDrift(WForestError):
+    """An input file changed since the manifest recorded its hash."""
+
+
 # graph construction / queries
 
 class SelfLoop(WForestError):

@@ -38,7 +38,6 @@ class ForestResult:
     kept: frozenset[Edge]
     deleted: frozenset[Edge]
     fixed: frozenset[Edge]
-    witness: dict[Edge, tuple[Edge, ...]] | None = None
 
     def __post_init__(self):
         if self.kept & self.deleted:
@@ -57,8 +56,7 @@ def _check_fixed(g: Graph, fixed: frozenset[Edge]) -> None:
             raise FixedSetCyclic(f"fixed edge set closes a cycle at {(u, v)}")
 
 
-def maximal_subforest(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = (),
-                      with_witnesses: bool = False) -> ForestResult:
+def maximal_subforest(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = ()) -> ForestResult:
     """Delete from each simple cycle its order-least edge outside `fixed`.
 
     Greedy realization: insert fixed edges, then the remaining edges in
@@ -78,44 +76,7 @@ def maximal_subforest(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = (),
             kept.add(e)
         else:
             deleted.append(e)
-    witness = None
-    if with_witnesses:
-        witness = {e: _fundamental_cycle(g, kept, e) for e in deleted}
-    return ForestResult(kept=frozenset(kept), deleted=frozenset(deleted),
-                        fixed=h, witness=witness)
-
-
-def _kept_path(g: Graph, kept: frozenset[Edge], u: int, v: int) -> list[Edge] | None:
-    """Unique path between u and v inside the kept forest, as edges."""
-    adj: dict[int, list[int]] = {x: [] for x in g.vertices}
-    for a, b in kept:
-        adj[a].append(b)
-        adj[b].append(a)
-    prev = {u: u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        if x == v:
-            break
-        for y in adj[x]:
-            if y not in prev:
-                prev[y] = x
-                stack.append(y)
-    if v not in prev:
-        return None
-    path = []
-    x = v
-    while x != u:
-        path.append(tuple(sorted((x, prev[x]))))
-        x = prev[x]
-    return path[::-1]
-
-
-def _fundamental_cycle(g: Graph, kept, e: Edge) -> tuple[Edge, ...]:
-    path = _kept_path(g, frozenset(kept), *e)
-    if path is None:
-        return (e,)
-    return tuple([e] + path)
+    return ForestResult(kept=frozenset(kept), deleted=frozenset(deleted), fixed=h)
 
 
 def maximal_subforest_oracle(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = (),
@@ -179,6 +140,55 @@ class CutWitnessReport(NamedTuple):
         return not self.violations
 
 
+def _root_forest(g: Graph, kept: frozenset[Edge]):
+    """Root every tree of the kept forest at its least vertex, by one BFS.
+
+    Returns (up, depth, root): `up[y]` is y's parent and the kept edge to it
+    (absent at roots).  A kept set with a cycle cannot come from any
+    producer and raises `InvariantViolation`.
+    """
+    adj: dict[int, list[int]] = {x: [] for x in g.vertices}
+    for a, b in kept:
+        adj[a].append(b)
+        adj[b].append(a)
+    up: dict[int, tuple[int, Edge]] = {}
+    depth: dict[int, int] = {}
+    root: dict[int, int] = {}
+    for r in g.vertices:
+        if r in root:
+            continue
+        depth[r], root[r] = 0, r
+        queue = [r]
+        for x in queue:
+            for y in adj[x]:
+                if y not in root:
+                    up[y] = (x, (x, y) if x < y else (y, x))
+                    depth[y], root[y] = depth[x] + 1, r
+                    queue.append(y)
+    if len(up) != len(kept):
+        raise InvariantViolation("kept edges close a cycle")
+    return up, depth, root
+
+
+def _tree_path(up, depth, u: int, v: int) -> list[Edge]:
+    """The kept path from u to v (same tree), in walk order: climb from
+    both ends to where they meet."""
+    head: list[Edge] = []
+    tail: list[Edge] = []
+    while depth[u] > depth[v]:
+        u, f = up[u]
+        head.append(f)
+    while depth[v] > depth[u]:
+        v, f = up[v]
+        tail.append(f)
+    while u != v:
+        u, f = up[u]
+        head.append(f)
+        v, f = up[v]
+        tail.append(f)
+    return head + tail[::-1]
+
+
 def check_cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder) -> CutWitnessReport:
     """Verify the finite step of the increasing-sequence argument.
 
@@ -187,49 +197,34 @@ def check_cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder) -> Cut
     fundamental cycle witnesses the deletion, and cutting any such greater
     edge leaves e crossing a cut with a greater partner).  If the endpoints
     lie in distinct kept components, some other non-fixed boundary edge of
-    the component must be order-greater.  Report-only.
+    the component must be order-greater.  Report-only, except that a kept
+    set with a cycle raises `InvariantViolation`.  The kept forest is rooted
+    once; each path is a walk up the parents.
     """
     violations: list[tuple[Edge, str]] = []
     witnesses: dict[Edge, Edge] = {}
-    kept = result.kept
+    up, depth, root = _root_forest(g, result.kept)
+    loose_key = {f: order.key(f) for f in result.kept if f not in result.fixed}
     for e in sorted(result.deleted):
-        path = _kept_path(g, kept, *e)
-        if path is not None:
-            loose = [f for f in path if f not in result.fixed]
-            bad = [f for f in loose if order.key(f) < order.key(e)]
+        u, v = e
+        key = order.key(e)
+        if root[u] == root[v]:
+            loose = [f for f in _tree_path(up, depth, u, v) if f in loose_key]
+            bad = [f for f in loose if loose_key[f] < key]
             if bad:
                 violations.append((e, f"kept-path edge {bad[0]} is below the deleted edge"))
             elif loose:
-                witnesses[e] = max(loose, key=order.key)
+                witnesses[e] = max(loose, key=loose_key.__getitem__)
             continue
-        comp = _kept_component(g, kept, e[0])
-        partners = [
-            f for f in g.edges
-            if f != e and f not in result.fixed
-            and (f[0] in comp) != (f[1] in comp)
-            and order.key(f) > order.key(e)
-        ]
+        r = root[u]
+        # no kept (so no fixed) edge crosses the cut, and e is not above itself
+        partners = [f for f in g.edges
+                    if (root[f[0]] == r) != (root[f[1]] == r) and order.key(f) > key]
         if partners:
             witnesses[e] = min(partners, key=order.key)
         else:
             violations.append((e, "no greater boundary partner for a cut edge"))
     return CutWitnessReport(violations=tuple(violations), witnesses=witnesses)
-
-
-def _kept_component(g: Graph, kept, start: int) -> set[int]:
-    adj: dict[int, list[int]] = {x: [] for x in g.vertices}
-    for a, b in kept:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
 
 
 def restrict_forest(g: Graph, result: ForestResult, order: EdgeOrder,

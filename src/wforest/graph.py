@@ -17,6 +17,7 @@ from .errors import (
     CycleLimitExceeded,
     DanglingEndpoint,
     DuplicateVertexId,
+    MalformedDocument,
     NotConnected,
     SelfLoop,
     SpansComponents,
@@ -309,25 +310,64 @@ def _jsonable(v):
     return v
 
 
+def _json_int(x, what: str) -> int:
+    """A JSON integer, and not a bool (JSON true is not vertex 1)."""
+    if type(x) is not int:
+        raise MalformedDocument(f"{what} {x!r} is not an integer")
+    return x
+
+
+def id_pair(x, what: str) -> tuple[int, int]:
+    """A JSON edge: a list of exactly two integer ids, in the given order."""
+    if not isinstance(x, list) or len(x) != 2:
+        raise MalformedDocument(f"{what} {x!r} is not a pair of ids")
+    return _json_int(x[0], what), _json_int(x[1], what)
+
+
+def _json_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise MalformedDocument(f"{what} is not a JSON list")
+    return x
+
+
 def from_json(text: str) -> Graph:
+    """Parse and validate the graph JSON document; any deviation from the
+    format raises a `WForestError`, never a `TypeError`."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise MalformedDocument("graph document is not a JSON object")
     vertices = []
     levels = {}
     boundary = set()
-    for rec in doc["vertices"]:
-        v = rec["id"]
+    for rec in _json_list(doc.get("vertices"), "graph 'vertices'"):
+        if not isinstance(rec, dict):
+            raise MalformedDocument(f"vertex record {rec!r} is not a JSON object")
+        v = _json_int(rec.get("id"), "vertex record id")
         vertices.append(v)
         if "level" in rec:
-            levels[v] = rec["level"]
-        if rec.get("boundary"):
+            levels[v] = _json_int(rec["level"], f"level of vertex {v}")
+        flag = rec.get("boundary", False)
+        if type(flag) is not bool:
+            raise MalformedDocument(f"boundary flag of vertex {v} is not true/false")
+        if flag:
             boundary.add(v)
-    meta = dict(doc.get("meta", {}))
+    edges = [id_pair(e, "graph edge") for e in _json_list(doc.get("edges"), "graph 'edges'")]
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise MalformedDocument("graph 'meta' is not a JSON object")
+    if "levels" in meta or "boundary" in meta:
+        raise MalformedDocument("levels and boundary flags belong on the vertex records")
+    meta = dict(meta)
     if "tiebreak" in meta:
-        meta["tiebreak"] = [edge(u, v) for u, v in meta["tiebreak"]]
+        meta["tiebreak"] = [edge(*id_pair(e, "tiebreak edge"))
+                            for e in _json_list(meta["tiebreak"], "meta 'tiebreak'")]
     if "edge_factors" in meta:
-        meta["edge_factors"] = [[u, v, f] for u, v, f in meta["edge_factors"]]
+        factors = _json_list(meta["edge_factors"], "meta 'edge_factors'")
+        if not all(isinstance(t, list) and len(t) == 3 for t in factors):
+            raise MalformedDocument("meta 'edge_factors' entries are not [u, v, factor]")
+        meta["edge_factors"] = [list(t) for t in factors]
     if levels:
         meta["levels"] = levels
     if boundary:
         meta["boundary"] = frozenset(boundary)
-    return build_graph(vertices, [tuple(e) for e in doc["edges"]], meta=meta)
+    return build_graph(vertices, edges, meta=meta)

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own machinery: cycle
 enumeration by permutation scan, spanning forests by BFS connectivity,
-visibility by exhaustive simple-path search.
+visibility by exhaustive simple-path search, cut witnesses by one kept-forest
+search per deleted edge.
 """
 
 import itertools
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from wforest.forest import CutWitnessReport
 from wforest.graph import Graph, build_graph, edge
 from wforest.weights import EdgeOrder
 
@@ -108,6 +110,80 @@ def greedy_max_forest(g: Graph, order: EdgeOrder, fixed=frozenset()) -> frozense
         if not connected(*e):
             kept.add(e)
     return frozenset(kept)
+
+
+def _kept_adjacency(g: Graph, kept) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {x: [] for x in g.vertices}
+    for a, b in kept:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _kept_path(g: Graph, kept, u: int, v: int):
+    """Path between u and v inside the kept forest, as edges, by a fresh DFS."""
+    adj = _kept_adjacency(g, kept)
+    prev = {u: u}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        if x == v:
+            break
+        for y in adj[x]:
+            if y not in prev:
+                prev[y] = x
+                stack.append(y)
+    if v not in prev:
+        return None
+    path = []
+    x = v
+    while x != u:
+        path.append(tuple(sorted((x, prev[x]))))
+        x = prev[x]
+    return path[::-1]
+
+
+def _kept_component(g: Graph, kept, start: int) -> set[int]:
+    adj = _kept_adjacency(g, kept)
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def cut_witnesses_oracle(g: Graph, result, order: EdgeOrder) -> CutWitnessReport:
+    """Literal cut-witness check: rebuild and search the kept forest for every
+    deleted edge.  Reference for `forest.check_cut_witnesses`."""
+    violations = []
+    witnesses = {}
+    kept = result.kept
+    for e in sorted(result.deleted):
+        path = _kept_path(g, kept, *e)
+        if path is not None:
+            loose = [f for f in path if f not in result.fixed]
+            bad = [f for f in loose if order.key(f) < order.key(e)]
+            if bad:
+                violations.append((e, f"kept-path edge {bad[0]} is below the deleted edge"))
+            elif loose:
+                witnesses[e] = max(loose, key=order.key)
+            continue
+        comp = _kept_component(g, kept, e[0])
+        partners = [
+            f for f in g.edges
+            if f != e and f not in result.fixed
+            and (f[0] in comp) != (f[1] in comp)
+            and order.key(f) > order.key(e)
+        ]
+        if partners:
+            witnesses[e] = min(partners, key=order.key)
+        else:
+            violations.append((e, "no greater boundary partner for a cut edge"))
+    return CutWitnessReport(violations=tuple(violations), witnesses=witnesses)
 
 
 def brute_visibility(g: Graph, pot_x, x: int) -> set[int]:

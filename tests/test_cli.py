@@ -1,5 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import tempfile
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wforest.cli import main
 from wforest.graph import from_json, to_json
@@ -160,3 +168,196 @@ def test_percolate_worker_env_parity(tmp_path, monkeypatch):
         assert run(tmp_path, *args, "-o", "parallel.jsonl") == 0
         assert (tmp_path / "serial.jsonl").read_text() == \
             (tmp_path / "parallel.jsonl").read_text()
+
+
+def test_rerun_rejects_drifted_input_with_unchanged_output(tmp_path, capsys):
+    run(tmp_path, "gen", "--family", "cycle", "--n", "4", "-o", "c.json")
+    (tmp_path / "unit.json").write_text('{"unit":true}')
+    assert run(tmp_path, "forest", "c.json", "unit.json", "-o", "f.json") == 0
+    before = (tmp_path / "f.json").read_bytes()
+    # an extra key leaves the forest bytes unchanged
+    (tmp_path / "unit.json").write_text('{"unit":true,"note":"edited"}')
+    assert run(tmp_path, "rerun", "f.json.manifest.json") == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "InputDrift" and "unit.json" in doc["message"]
+    assert (tmp_path / "f.json").read_bytes() == before
+
+
+def test_rerun_rejects_drifted_input_before_rewriting_output(tmp_path, capsys):
+    run(tmp_path, "gen", "--family", "cycle", "--n", "4", "-o", "c.json")
+    (tmp_path / "w.json").write_text('{"potential":{"0":"1","1":"2","2":"3","3":"4"}}')
+    assert run(tmp_path, "forest", "c.json", "w.json", "-o", "f.json") == 0
+    before = (tmp_path / "f.json").read_bytes()
+    (tmp_path / "w.json").write_text('{"potential":{"0":"4","1":"3","2":"2","3":"1"}}')
+    assert run(tmp_path, "rerun", "f.json.manifest.json") == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "InputDrift"
+    assert (tmp_path / "f.json").read_bytes() == before
+
+
+def test_rerun_rejects_malformed_manifests(tmp_path, capsys):
+    bad = ['[]', '{"argv":["gen"],"inputs":{}}', '{"argv":"gen","inputs":{},"outputs":{}}',
+           '{"argv":["rerun","m.json"],"inputs":{},"outputs":{}}']
+    for text in bad:
+        (tmp_path / "m.json").write_text(text)
+        assert run(tmp_path, "rerun", "m.json") == 2, text
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "MalformedDocument"
+
+
+def test_atomic_write_ignores_a_stale_tmp_path(tmp_path):
+    run(tmp_path, "gen", "--family", "cycle", "--n", "4", "-o", "c.json")
+    (tmp_path / "unit.json").write_text('{"unit":true}')
+    (tmp_path / "f.json.tmp").mkdir()
+    assert run(tmp_path, "forest", "c.json", "unit.json", "-o", "f.json") == 0
+    assert json.loads((tmp_path / "f.json").read_text())["kept"]
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")) \
+        == ["f.json.tmp"]
+
+
+def test_atomic_write_removes_its_temp_file_on_failure(tmp_path):
+    run(tmp_path, "gen", "--family", "cycle", "--n", "4", "-o", "c.json")
+    (tmp_path / "unit.json").write_text('{"unit":true}')
+    (tmp_path / "out").mkdir()  # os.replace cannot put a file over a directory
+    assert run(tmp_path, "forest", "c.json", "unit.json", "-o", "out") == 2
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_outputs_keep_the_default_file_mode(tmp_path):
+    run(tmp_path, "gen", "--family", "cycle", "--n", "4", "-o", "c.json")
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (tmp_path / "c.json").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+MALFORMED = [
+    ('{"vertices":[{"id":"a"},{"id":1}],"edges":[["a",1]]}', '{"unit":true}'),
+    ('{"vertices":[0],"edges":[]}', '{"unit":true}'),
+    ('{"vertices":[{"id":true},{"id":2}],"edges":[[true,2]]}', '{"unit":true}'),
+    ('{"vertices":[{"id":0},{"id":1}],"edges":[[0,1]]}', '[{"unit":true}]'),
+    ('{"vertices":[{"id":0},{"id":1}],"edges":[[0,1,2]]}', '{"unit":true}'),
+    ('{"vertices":[{"id":0},{"id":1}],"edges":[[0,1]]}', '{"potential":{"0":null,"1":1}}'),
+    ('{"vertices":[{"id":0},{"id":1}],"edges":[[0,1]]}', '{"potential":{"0":"1/0","1":1}}'),
+]
+
+
+def test_malformed_documents_exit_2(tmp_path, capsys):
+    for graph, weights in MALFORMED:
+        (tmp_path / "g.json").write_text(graph)
+        (tmp_path / "w.json").write_text(weights)
+        assert run(tmp_path, "forest", "g.json", "w.json", "-o", "f.json") == 2, graph
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert not (tmp_path / "f.json").exists()
+
+
+# --- fuzzing: a valid forest run whose documents get one malformation each
+
+VALID_GRAPH = {
+    "vertices": [{"id": 0, "level": 0, "boundary": True}, {"id": 1, "level": 1},
+                 {"id": 2, "level": 1}, {"id": 3, "level": 2, "boundary": False}],
+    "edges": [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]],
+    "meta": {"generator": "hand", "tiebreak": [[1, 2], [0, 1], [0, 2], [1, 3], [2, 3]]},
+}
+VALID_WEIGHTS = [
+    {"unit": True},
+    {"levels_from_meta": True, "base_ratio": "1/2"},
+    {"potential": {"0": "3/2", "1": 2, "2": 0.5, "3": "1"}},
+]
+VALID_FIXED = [{"edges": [[0, 1], [2, 3]]}, [[1, 3]]]
+
+
+def _is_fraction(x):
+    try:
+        return type(x) in (int, float, str) and Fraction(x) is not None
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return False
+
+
+# Each slot kind: the values the format accepts there.  A replacement drawn
+# outside that set must be rejected.
+ACCEPTS = {
+    "object": lambda x: isinstance(x, dict),
+    "list": lambda x: isinstance(x, list),
+    "id": lambda x: type(x) is int,
+    "bool": lambda x: type(x) is bool,
+    "pair": lambda x: isinstance(x, list) and len(x) == 2
+    and all(type(v) is int for v in x),
+    "rational": _is_fraction,
+    "fixed": lambda x: isinstance(x, list) or (isinstance(x, dict) and "edges" in x),
+}
+
+
+def _slots(graph, weights, fixed):
+    """(container, key, kind, required) for every place a malformation can go;
+    a required key's removal is itself a malformation."""
+    out = [(graph, "vertices", "list", True), (graph, "edges", "list", True),
+           (graph, "meta", "object", False), (graph["meta"], "tiebreak", "list", True)]
+    for i, rec in enumerate(graph["vertices"]):
+        out += [(graph["vertices"], i, "object", False), (rec, "id", "id", True)]
+        out += [(rec, k, kind, False) for k, kind in
+                (("level", "id"), ("boundary", "bool")) if k in rec]
+    for pairs in (graph["edges"], graph["meta"]["tiebreak"],
+                  fixed["edges"] if isinstance(fixed, dict) else fixed):
+        for i, pair in enumerate(pairs):
+            out += [(pairs, i, "pair", False), (pair, 0, "id", False),
+                    (pair, 1, "id", False)]
+    if isinstance(fixed, dict):
+        out.append((fixed, "edges", "list", True))
+    for key in ("unit", "levels_from_meta"):
+        if key in weights:
+            out.append((weights, key, "bool", True))
+    if "base_ratio" in weights:
+        out.append((weights, "base_ratio", "rational", False))
+    if "potential" in weights:
+        out.append((weights, "potential", "object", True))
+        out += [(weights["potential"], k, "rational", True) for k in weights["potential"]]
+    return out
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                               max_size=2),
+    max_leaves=4)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzz_malformed_documents_exit_2(data):
+    graph = copy.deepcopy(VALID_GRAPH)
+    weights = copy.deepcopy(data.draw(st.sampled_from(VALID_WEIGHTS)))
+    fixed = copy.deepcopy(data.draw(st.sampled_from(VALID_FIXED)))
+    target = data.draw(st.sampled_from(["graph", "weights", "fixed", "slot"]))
+    if target == "slot":
+        container, key, kind, required = data.draw(st.sampled_from(_slots(graph, weights, fixed)))
+        if required and data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(json_values.filter(lambda x: not ACCEPTS[kind](x)))
+    else:  # replace a whole document
+        kind = "fixed" if target == "fixed" else "object"
+        bad = data.draw(json_values.filter(lambda x: not ACCEPTS[kind](x)))
+        graph, weights, fixed = (bad if target == name else doc for name, doc in
+                                 (("graph", graph), ("weights", weights), ("fixed", fixed)))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in (("g.json", graph), ("w.json", weights), ("h.json", fixed)):
+            with open(os.path.join(tmp, name), "w") as fh:
+                json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run(tmp, "forest", "g.json", "w.json", "--fixed", "h.json",
+                     "--tiebreak", "meta", "--check-witnesses", "-o", "f.json")
+        assert rc == 2, (graph, weights, fixed)
+        assert "error" in json.loads(err.getvalue().strip().splitlines()[-1])
+        assert not os.path.exists(os.path.join(tmp, "f.json"))
+
+
+def test_fuzz_baseline_documents_are_valid(tmp_path):
+    for weights in VALID_WEIGHTS:
+        for fixed in VALID_FIXED:
+            (tmp_path / "g.json").write_text(json.dumps(VALID_GRAPH))
+            (tmp_path / "w.json").write_text(json.dumps(weights))
+            (tmp_path / "h.json").write_text(json.dumps(fixed))
+            assert run(tmp_path, "forest", "g.json", "w.json", "--fixed", "h.json",
+                       "--tiebreak", "meta", "--check-witnesses", "-o", "f.json") == 0

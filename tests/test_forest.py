@@ -2,8 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from wforest.errors import DuplicateLabel, FixedSetCyclic, NotCycleInvariant
+from wforest.errors import (
+    DuplicateLabel,
+    FixedSetCyclic,
+    InvariantViolation,
+    NotCycleInvariant,
+)
 from wforest.forest import (
+    ForestResult,
     check_cut_witnesses,
     fmsf,
     is_acyclic,
@@ -12,10 +18,12 @@ from wforest.forest import (
     restrict_forest,
 )
 from wforest.graph import build_graph, components, induced_subgraph
+from wforest.unionfind import UnionFind
 from wforest.weights import EdgeOrder, unit_potential
 from wforest.ends import _biconnected_blocks
 
 from conftest import (
+    cut_witnesses_oracle,
     greedy_max_forest,
     random_connected_graph,
     random_order,
@@ -172,7 +180,6 @@ def test_cut_witness_property(rand):
 
 def test_cut_witness_flags_planted_violation():
     g, o = triangle_order()
-    from wforest.forest import ForestResult
     fake = ForestResult(kept=frozenset({(2, 3), (1, 3)}),
                         deleted=frozenset({(1, 2)}), fixed=frozenset())
     rep = check_cut_witnesses(g, fake, o)
@@ -244,21 +251,65 @@ def test_restriction_property_on_block_unions(rand):
         done += 1
 
 
-def test_witness_flag_returns_fundamental_cycles(rand):
-    for _ in range(20):
-        g = random_connected_graph(rand, rand.randint(3, 8))
+def random_fixed(rand, g):
+    """A random acyclic subset of g's edges."""
+    uf = UnionFind(g.vertices)
+    return frozenset(e for e in random_tiebreak(rand, g)
+                     if rand.random() < 0.3 and uf.union(*e))
+
+
+def test_cut_witnesses_equal_oracle(rand):
+    """The rooted-index check equals the per-edge search on spanning results,
+    non-spanning results (kept edges moved to deleted) and planted
+    violations (the forest of a second order), all with random fixed sets."""
+    cut_branch = violated = 0
+    for case in range(3000):
+        g = random_connected_graph(rand, rand.randint(2, 10))
         o = random_order(rand, g)
-        r = maximal_subforest(g, o, with_witnesses=True)
-        assert set(r.witness) == set(r.deleted)
-        for e, cyc in r.witness.items():
-            assert cyc[0] == e
-            assert set(cyc[1:]) <= r.kept
-            # the cycle closes: every vertex appears exactly twice
-            from collections import Counter
-            degs = Counter(v for f in cyc for v in f)
-            assert set(degs.values()) == {2}
-            # and e is order-least among its non-fixed edges
-            assert all(o.key(f) > o.key(e) for f in cyc[1:] if f not in r.fixed)
+        fixed = random_fixed(rand, g) if case % 2 else frozenset()
+        producer = random_order(rand, g) if case % 3 == 2 else o
+        r = maximal_subforest(g, producer, fixed)
+        if case % 5 >= 2:
+            moved = frozenset(e for e in r.kept - fixed if rand.random() < 0.3)
+            r = ForestResult(kept=r.kept - moved, deleted=r.deleted | moved, fixed=fixed)
+        rep = check_cut_witnesses(g, r, o)
+        assert rep == cut_witnesses_oracle(g, r, o)
+        # a deleted edge that closes no kept cycle takes the cut branch
+        cut_branch += any(is_acyclic(g, r.kept | {e}) for e in r.deleted)
+        violated += not rep.ok
+    assert cut_branch >= 500 and violated >= 500
+
+
+def cut_branch_case():
+    """Kept trees {0,1}, {3,4}, {2}; every deleted edge leaves {0,1}.  The
+    tiebreak alone orders the edges: (1,2) < (1,4) < (3,4) < (0,3) < (0,1)."""
+    g = build_graph(range(5), [(0, 1), (1, 2), (0, 3), (1, 4), (3, 4)])
+    o = EdgeOrder(g, unit_potential(g), [(1, 2), (1, 4), (3, 4), (0, 3), (0, 1)])
+    r = ForestResult(kept=frozenset({(0, 1), (3, 4)}),
+                     deleted=frozenset({(1, 2), (1, 4), (0, 3)}), fixed=frozenset())
+    return g, o, r
+
+
+def test_cut_edge_witness_is_least_greater_partner():
+    g, o, r = cut_branch_case()
+    rep = check_cut_witnesses(g, r, o)
+    # (1,2) has two greater boundary partners, (1,4) and (0,3)
+    assert rep.witnesses == {(1, 2): (1, 4), (1, 4): (0, 3)}
+    assert rep == cut_witnesses_oracle(g, r, o)
+
+
+def test_cut_edge_without_greater_partner_is_a_violation():
+    g, o, r = cut_branch_case()
+    rep = check_cut_witnesses(g, r, o)
+    assert rep.violations == (((0, 3), "no greater boundary partner for a cut edge"),)
+    assert rep == cut_witnesses_oracle(g, r, o)
+
+
+def test_cut_witnesses_reject_cyclic_kept_set():
+    g, o = triangle_order()
+    r = ForestResult(kept=g.edges, deleted=frozenset(), fixed=frozenset())
+    with pytest.raises(InvariantViolation):
+        check_cut_witnesses(g, r, o)
 
 
 from hypothesis import given, settings
