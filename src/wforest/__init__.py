@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .graph import (
     Edge,
     Graph,
-    Side,
     build_graph,
     components,
     edge,
@@ -51,6 +50,7 @@ from .ends import (
     collapsed_maximal_subforest,
     find_furcation_vertices,
     maximal_disjoint_furcations,
+    qualifier,
     quotient,
     visibility,
     visibility_mass,

@@ -21,11 +21,19 @@ from .ends import (
     ProxyParams,
     collapsed_maximal_subforest,
     maximal_disjoint_furcations,
+    qualifier,
     qualifying_side_counts,
     quotient,
     visibility,
 )
-from .errors import BadParams, InputDrift, InvariantViolation, MalformedDocument, WForestError
+from .errors import (
+    BadParams,
+    InputDrift,
+    InvariantViolation,
+    MalformedDocument,
+    UsageError,
+    WForestError,
+)
 from .forest import check_cut_witnesses, maximal_subforest, maximal_subforest_oracle
 from .generators import build_family
 from .graph import Edge, Graph, components, from_json, id_pair, to_json
@@ -218,9 +226,7 @@ def cmd_analyze(args, argv) -> int:
     g = load_graph(args.graph)
     potential = load_weights(args.weights, g)
     params = _proxy_params(args)
-    flagged = g.boundary_vertices()
-    qual = lambda v: v in flagged and potential[v] >= params.nonvanish_delta
-    counts = qualifying_side_counts(g, qual)
+    counts = qualifying_side_counts(g, qualifier(g, potential, params))
     comps = []
     for comp in components(g):
         comps.append({
@@ -311,8 +317,16 @@ def cmd_rerun(args, argv) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as `UsageError`, so `main` reports it like any
+    other bad input; the subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="wforest")
+    ap = _Parser(prog="wforest")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -18,7 +18,7 @@ from .forest import ForestResult, maximal_subforest
 from .graph import (
     Edge,
     Graph,
-    Side,
+    _biconnected_blocks,
     build_graph,
     components,
     edge,
@@ -43,55 +43,56 @@ class ProxyParams:
             raise BadParams("proxy thresholds must be strictly positive")
 
 
-def classify_side(g: Graph, potential: Mapping[int, object], side,
+def qualifier(g: Graph, potential: Mapping[int, object], params: ProxyParams,
+              kind: str = NONVANISHING) -> Callable[[int], bool]:
+    """The vertex rule behind every side count: a side is of `kind` when it
+    contains a vertex the rule accepts.
+
+    NONVANISHING: flagged with potential >= nonvanish_delta; INFINITE:
+    flagged.
+    """
+    flagged = g.boundary_vertices()
+    if kind == NONVANISHING:
+        delta = params.nonvanish_delta
+        return lambda v: v in flagged and potential[v] >= delta
+    if kind == INFINITE:
+        return flagged.__contains__
+    raise ValueError(f"unknown side kind {kind!r}")
+
+
+def classify_side(g: Graph, potential: Mapping[int, object], side: Iterable[int],
                   params: ProxyParams) -> str:
     """nonvanishing: contains a flagged vertex with potential >= delta;
     infinite: contains any flagged vertex; finite otherwise."""
-    verts = side.vertices if isinstance(side, Side) else tuple(side)
-    flagged = g.boundary_vertices()
-    nonvan = any(v in flagged and potential[v] >= params.nonvanish_delta
-                 for v in verts)
-    if nonvan:
-        return NONVANISHING
-    if any(v in flagged for v in verts):
-        return INFINITE
+    verts = tuple(side)
+    for kind in (NONVANISHING, INFINITE):
+        if any(map(qualifier(g, potential, params, kind), verts)):
+            return kind
     return FINITE
-
-
-def _qualifies(kind: str, classification: str) -> bool:
-    if kind == NONVANISHING:
-        return classification == NONVANISHING
-    if kind == INFINITE:
-        return classification in (NONVANISHING, INFINITE)
-    raise ValueError(f"unknown side kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class Furcation:
     F: tuple[int, ...]
-    sides: tuple[tuple[Side, str], ...]
     order: int
 
 
 def furcation_at(g: Graph, potential: Mapping[int, object], F: Iterable[int],
                  params: ProxyParams, kind: str = NONVANISHING) -> Furcation:
+    """F with its order: the number of its sides that contain a qualifying
+    vertex."""
     fset = tuple(sorted(set(F)))
-    tagged = tuple(
-        (s, classify_side(g, potential, s, params)) for s in sides(g, fset)
-    )
-    order = sum(1 for _, cls in tagged if _qualifies(kind, cls))
-    return Furcation(F=fset, sides=tagged, order=order)
+    qualifies = qualifier(g, potential, params, kind)
+    order = sum(1 for side in sides(g, fset) if any(map(qualifies, side)))
+    return Furcation(F=fset, order=order)
 
 
 def find_furcation_vertices(g: Graph, potential: Mapping[int, object], n: int,
                             params: ProxyParams,
                             kind: str = NONVANISHING) -> tuple[int, ...]:
     """Vertices x whose singleton {x} has at least n qualifying sides."""
-    out = []
-    for x in g.vertices:
-        if furcation_at(g, potential, (x,), params, kind).order >= n:
-            out.append(x)
-    return tuple(out)
+    counts = qualifying_side_counts(g, qualifier(g, potential, params, kind))
+    return tuple(x for x in g.vertices if counts[x] >= n)
 
 
 def connected_subsets(g: Graph, s_max: int) -> list[tuple[int, ...]]:
@@ -302,12 +303,10 @@ def visibility(g: Graph, potential: Mapping[int, object], x: int) -> dict[int, F
     return rel
 
 
-def _is_heavy(params: ProxyParams, mass, rel: Mapping[int, Fraction],
-              flagged: frozenset[int]) -> bool:
+def _is_heavy(g: Graph, params: ProxyParams, mass, rel: Mapping[int, Fraction]) -> bool:
     """heavy: mass >= heavy_tau, or a flagged vertex at relative weight
     >= nonvanish_delta."""
-    return mass >= params.heavy_tau or any(
-        v in flagged and w >= params.nonvanish_delta for v, w in rel.items())
+    return mass >= params.heavy_tau or any(map(qualifier(g, rel, params), rel))
 
 
 def visibility_set(g: Graph, c: Cocycle, x: int) -> tuple[int, ...]:
@@ -326,7 +325,7 @@ def visibility_mass(g: Graph, c: Cocycle, x: int, params: ProxyParams):
     """
     rel = visibility(g, potential_from_cocycle(g, c, x).values, x)
     mass = sum(rel.values())
-    heavy = _is_heavy(params, mass, rel, g.boundary_vertices())
+    heavy = _is_heavy(g, params, mass, rel)
     return mass, "heavy" if heavy else "light"
 
 
@@ -405,59 +404,3 @@ def _tree_order(tree_adj, root):
                 parent[nb] = n
                 order.append(nb)
     return order, parent
-
-
-def _biconnected_blocks(g: Graph, comp: tuple[int, ...]):
-    """Biconnected components (as vertex sets) and articulation points of
-    one connected component, via iterative Hopcroft-Tarjan."""
-    adj = g.adjacency
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    timer = 0
-    blocks: list[set[int]] = []
-    cut: set[int] = set()
-    estack: list[Edge] = []
-    root = comp[0]
-    stack: list[tuple[int, int | None, int]] = [(root, None, 0)]
-    root_children = 0
-    while stack:
-        v, par, idx = stack.pop()
-        if idx == 0:
-            disc[v] = low[v] = timer
-            timer += 1
-        ns = adj[v]
-        advanced = False
-        for i in range(idx, len(ns)):
-            w = ns[i]
-            if w == par and i == idx:
-                # skip the tree edge back to the parent once
-                continue
-            if w not in disc:
-                estack.append((v, w))
-                stack.append((v, par, i + 1))
-                stack.append((w, v, 0))
-                if v == root:
-                    root_children += 1
-                advanced = True
-                break
-            if disc[w] < disc[v] and w != par:
-                estack.append((v, w))
-                low[v] = min(low[v], disc[w])
-        if advanced:
-            continue
-        if par is not None:
-            low[par] = min(low[par], low[v])
-            if low[v] >= disc[par]:
-                block: set[int] = set()
-                while estack:
-                    a, b = estack.pop()
-                    block.add(a)
-                    block.add(b)
-                    if (a, b) == (par, v):
-                        break
-                blocks.append(block)
-                if par != root:
-                    cut.add(par)
-    if root_children >= 2:
-        cut.add(root)
-    return blocks, cut

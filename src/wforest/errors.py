@@ -19,6 +19,10 @@ class InputDrift(WForestError):
     """An input file changed since the manifest recorded its hash."""
 
 
+class UsageError(WForestError):
+    """The command line does not parse."""
+
+
 # graph construction / queries
 
 class SelfLoop(WForestError):

@@ -11,7 +11,7 @@ cutting off an infinite graph.
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import (
     CycleLimitExceeded,
@@ -130,12 +130,6 @@ def _reach(adjacency, start, blocked=frozenset(), allowed=None):
     return seen
 
 
-def component_of(g: Graph, v: int) -> frozenset[int]:
-    if v not in g.adjacency:
-        raise UnknownId(f"vertex {v} not in graph")
-    return frozenset(_reach(g.adjacency, v))
-
-
 def is_connected_set(g: Graph, A: Iterable[int]) -> bool:
     """True iff the induced subgraph on A is connected (and A nonempty)."""
     aset = set(A)
@@ -148,42 +142,30 @@ def is_connected_set(g: Graph, A: Iterable[int]) -> bool:
     return _reach(g.adjacency, start, allowed=aset) == aset
 
 
-class Side(NamedTuple):
-    """One component of (component of F) minus F.
-
-    ``contact`` lists the side's vertices adjacent to F (its inner boundary
-    toward F).
-    """
-    vertices: tuple[int, ...]
-    contact: tuple[int, ...]
-
-
-def sides(g: Graph, F: Iterable[int]) -> list[Side]:
-    """Components of the complement of F within F's own component.
+def sides(g: Graph, F: Iterable[int]) -> list[tuple[int, ...]]:
+    """Components of the complement of F within F's own component, as sorted
+    vertex tuples ordered by least vertex.
 
     F must be nonempty, connected, and contained in a single component.
+    F's component is connected, so every side touches F: the sides are the
+    searches from F's neighbours that avoid F, and nothing else is read.
     """
     fset = set(F)
     if not fset:
         raise NotConnected("F is empty")
-    for v in fset:
-        if v not in g.adjacency:
-            raise UnknownId(f"vertex {v} not in graph")
-    comp = _reach(g.adjacency, min(fset))
-    if not fset <= comp:
-        raise SpansComponents("F spans more than one component")
     if not is_connected_set(g, fset):
+        if not fset <= _reach(g.adjacency, min(fset)):
+            raise SpansComponents("F spans more than one component")
         raise NotConnected(f"F={sorted(fset)} is not connected")
-    rest = comp - fset
     out = []
-    seen: set[int] = set()
-    for v in sorted(rest):
-        if v in seen:
-            continue
-        piece = _reach(g.adjacency, v, blocked=fset)
-        seen |= piece
-        contact = tuple(sorted(x for x in piece if any(y in fset for y in g.adjacency[x])))
-        out.append(Side(tuple(sorted(piece)), contact))
+    seen = set(fset)
+    for x in fset:
+        for y in g.adjacency[x]:
+            if y not in seen:
+                piece = _reach(g.adjacency, y, blocked=fset)
+                seen |= piece
+                out.append(tuple(sorted(piece)))
+    out.sort()
     return out
 
 
@@ -240,16 +222,78 @@ def simple_cycles(g: Graph, limit: int = 100_000) -> list[list[Edge]]:
     return out
 
 
-def is_cycle_invariant(g: Graph, Y: Iterable[int], limit: int = 100_000) -> bool:
-    """True iff every simple cycle with an edge inside Y lies entirely in Y."""
+def is_cycle_invariant(g: Graph, Y: Iterable[int]) -> bool:
+    """True iff every simple cycle with an edge inside Y lies entirely in Y.
+
+    Every simple cycle lies in one biconnected block, and any two edges of a
+    block with >= 3 vertices share a simple cycle, so this holds iff every
+    such block with an edge inside Y lies wholly in Y.  Linear time.
+    """
     yset = set(Y)
-    for cyc in simple_cycles(g, limit=limit):
-        verts = {v for e in cyc for v in e}
-        if verts <= yset:
-            continue
-        if any(u in yset and v in yset for u, v in cyc):
-            return False
+    adj = g.adjacency
+    for comp in components(g):
+        for block in _biconnected_blocks(g, comp)[0]:
+            inside = block & yset
+            if len(block) >= 3 and inside != block and any(
+                    w in inside for v in inside for w in adj[v]):
+                return False
     return True
+
+
+def _biconnected_blocks(g: Graph, comp: tuple[int, ...]):
+    """Biconnected components (as vertex sets) and articulation points of
+    one connected component, via iterative Hopcroft-Tarjan."""
+    adj = g.adjacency
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    timer = 0
+    blocks: list[set[int]] = []
+    cut: set[int] = set()
+    estack: list[Edge] = []
+    root = comp[0]
+    stack: list[tuple[int, int | None, int]] = [(root, None, 0)]
+    root_children = 0
+    while stack:
+        v, par, idx = stack.pop()
+        if idx == 0:
+            disc[v] = low[v] = timer
+            timer += 1
+        ns = adj[v]
+        advanced = False
+        for i in range(idx, len(ns)):
+            w = ns[i]
+            if w == par and i == idx:
+                # skip the tree edge back to the parent once
+                continue
+            if w not in disc:
+                estack.append((v, w))
+                stack.append((v, par, i + 1))
+                stack.append((w, v, 0))
+                if v == root:
+                    root_children += 1
+                advanced = True
+                break
+            if disc[w] < disc[v] and w != par:
+                estack.append((v, w))
+                low[v] = min(low[v], disc[w])
+        if advanced:
+            continue
+        if par is not None:
+            low[par] = min(low[par], low[v])
+            if low[v] >= disc[par]:
+                block: set[int] = set()
+                while estack:
+                    a, b = estack.pop()
+                    block.add(a)
+                    block.add(b)
+                    if (a, b) == (par, v):
+                        break
+                blocks.append(block)
+                if par != root:
+                    cut.add(par)
+    if root_children >= 2:
+        cut.add(root)
+    return blocks, cut
 
 
 def _restrict_meta(meta: dict, keep: set[int]) -> dict:

@@ -19,7 +19,7 @@ from .errors import (
     NotWeightPreserving,
     UnknownEdge,
 )
-from .ends import ProxyParams, _is_heavy, qualifying_side_counts, visibility
+from .ends import ProxyParams, _is_heavy, qualifier, qualifying_side_counts, visibility
 from .forest import ForestResult, check_cut_witnesses, maximal_subforest
 from .graph import Edge, Graph, components, edge, spanned_subgraph
 from .rng import subseed, threshold, u64
@@ -108,14 +108,9 @@ class _OpenRun:
     """The open subgraph of one configuration, with what every stage of a
     sweep run reads from it; built once per run."""
     sub: Graph
-    flagged: frozenset[int]
     potential: dict[int, Fraction]
     clusters: list[tuple[int, ...]]
     relpot: dict[int, Fraction]       # potential / max over the vertex's cluster
-
-    def qualifies(self, params: ProxyParams):
-        """Flagged vertices at relative weight >= nonvanish_delta."""
-        return lambda v: v in self.flagged and self.relpot[v] >= params.nonvanish_delta
 
 
 def _open_run(cfg: PercolationConfig, potential: Mapping[int, object]) -> _OpenRun:
@@ -127,7 +122,7 @@ def _open_run(cfg: PercolationConfig, potential: Mapping[int, object]) -> _OpenR
         top = max(pot[v] for v in comp)
         for v in comp:
             relpot[v] = pot[v] / top
-    return _OpenRun(sub=sub, flagged=sub.boundary_vertices(), potential=pot,
+    return _OpenRun(sub=sub, potential=pot,
                     clusters=clusters, relpot=relpot)
 
 
@@ -166,13 +161,14 @@ def cluster_report(cfg: PercolationConfig, potential: Mapping[int, object],
 
 
 def _cluster_report(run: _OpenRun, params: ProxyParams, side_counts: bool) -> ClusterReport:
-    side_max = qualifying_side_counts(run.sub, run.qualifies(params)) if side_counts else {}
+    side_max = (qualifying_side_counts(run.sub, qualifier(run.sub, run.relpot, params))
+                if side_counts else {})
     infos = []
     n_heavy = 0
     for comp in run.clusters:
         rel = {v: run.relpot[v] for v in comp}
         mass = sum(rel.values())
-        cls = "heavy" if _is_heavy(params, mass, rel, run.flagged) else "light"
+        cls = "heavy" if _is_heavy(run.sub, params, mass, rel) else "light"
         n_heavy += cls == "heavy"
         infos.append(ClusterInfo(
             vertices=comp,
@@ -276,7 +272,7 @@ def _run_once(g: Graph, potential, params: ProxyParams,
     # count the trees whose internal structure shows >= 3 nonvanishing-proxy
     # directions; a tree's vertices and relative weights are its cluster's
     tree_side = qualifying_side_counts(spanned_subgraph(g, forest.kept),
-                                       run.qualifies(params))
+                                       qualifier(run.sub, run.relpot, params))
     trees_3plus = sum(1 for comp in run.clusters
                       if max(tree_side[v] for v in comp) >= 3)
 
@@ -293,7 +289,7 @@ def _run_once(g: Graph, potential, params: ProxyParams,
     for x in basepoints:
         rel = visibility(run.sub, run.potential, x)
         mass = sum(rel.values())
-        vis_heavy += _is_heavy(params, mass, rel, run.flagged)
+        vis_heavy += _is_heavy(run.sub, params, mass, rel)
         masses.append(_fraction_str(mass))
 
     return {

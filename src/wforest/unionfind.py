@@ -5,7 +5,6 @@ class UnionFind:
     def __init__(self, items=()):
         self.parent = {}
         self.size = {}
-        self.n_sets = 0
         for x in items:
             self.add(x)
 
@@ -13,7 +12,6 @@ class UnionFind:
         if x not in self.parent:
             self.parent[x] = x
             self.size[x] = 1
-            self.n_sets += 1
 
     def find(self, x):
         p = self.parent
@@ -31,15 +29,4 @@ class UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
-        self.n_sets -= 1
         return True
-
-    def joined(self, a, b):
-        return self.find(a) == self.find(b)
-
-    def groups(self):
-        """Sets as a list of sorted tuples, ordered by least member."""
-        by_root = {}
-        for x in self.parent:
-            by_root.setdefault(self.find(x), []).append(x)
-        return sorted((tuple(sorted(g)) for g in by_root.values()), key=lambda t: t[0])

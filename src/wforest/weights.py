@@ -17,7 +17,7 @@ from .errors import (
     MissingVertex,
     NonPositiveWeight,
 )
-from .graph import Edge, Graph, components, edge
+from .graph import Edge, Graph, _reach, components, edge
 
 
 def exact_potential(g: Graph, potential: Mapping[int, object]) -> dict[int, Fraction]:
@@ -186,19 +186,12 @@ class EdgeOrder:
                 raise ValueError(f"tiebreak missing edge {e}")
         if len(set(self.rank[e] for e in g.edges)) != len(g.edges):
             raise ValueError("tiebreak ranks are not injective")
-        self._component: dict[int, int] = {}
-        for comp in components(g):
-            for v in comp:
-                self._component[v] = comp[0]
 
     def weight(self, e: Edge):
         return min(self.potential[e[0]], self.potential[e[1]])
 
     def key(self, e: Edge):
         return (self.weight(e), self.rank[e])
-
-    def same_component(self, e1: Edge, e2: Edge) -> bool:
-        return self._component[e1[0]] == self._component[e2[0]]
 
     def restrict(self, sub: Graph) -> "EdgeOrder":
         """The same order on a subgraph (weights and ranks carried over)."""
@@ -211,7 +204,7 @@ def compare_edges(o: EdgeOrder, e1: Edge, e2: Edge) -> int:
     e1, e2 = edge(*e1), edge(*e2)
     if e1 == e2:
         raise ValueError("compare_edges requires distinct edges")
-    if not o.same_component(e1, e2):
+    if e2[0] not in _reach(o.graph.adjacency, e1[0]):
         raise CrossComponent(f"{e1} and {e2} lie in different components")
     return -1 if o.key(e1) < o.key(e2) else 1
 

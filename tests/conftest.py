@@ -3,17 +3,20 @@
 The oracles here deliberately avoid the library's own machinery: cycle
 enumeration by permutation scan, spanning forests by BFS connectivity,
 visibility by exhaustive simple-path search, cut witnesses by one kept-forest
-search per deleted edge.
+search per deleted edge, sides by a search of F's whole component,
+cycle-invariance by cycle enumeration.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
+from wforest.errors import NotConnected, SpansComponents, UnknownId
 from wforest.forest import CutWitnessReport
-from wforest.graph import Graph, build_graph, edge
+from wforest.graph import Graph, build_graph, edge, simple_cycles
 from wforest.weights import EdgeOrder
 
 
@@ -184,6 +187,70 @@ def cut_witnesses_oracle(g: Graph, result, order: EdgeOrder) -> CutWitnessReport
         else:
             violations.append((e, "no greater boundary partner for a cut edge"))
     return CutWitnessReport(violations=tuple(violations), witnesses=witnesses)
+
+
+def _reach(adjacency, start, blocked=frozenset(), allowed=None):
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adjacency[x]:
+            if y in seen or y in blocked:
+                continue
+            if allowed is not None and y not in allowed:
+                continue
+            seen.add(y)
+            stack.append(y)
+    return seen
+
+
+class Side(NamedTuple):
+    """One component of (component of F) minus F, with its vertices adjacent
+    to F."""
+    vertices: tuple[int, ...]
+    contact: tuple[int, ...]
+
+
+def sides_oracle(g: Graph, F) -> list[Side]:
+    """Literal sides: search F's whole component, then split what F leaves
+    of it into pieces.  Reference for `graph.sides`, same errors in the same
+    order."""
+    fset = set(F)
+    if not fset:
+        raise NotConnected("F is empty")
+    for v in fset:
+        if v not in g.adjacency:
+            raise UnknownId(f"vertex {v} not in graph")
+    comp = _reach(g.adjacency, min(fset))
+    if not fset <= comp:
+        raise SpansComponents("F spans more than one component")
+    if _reach(g.adjacency, min(fset), allowed=fset) != fset:
+        raise NotConnected(f"F={sorted(fset)} is not connected")
+    rest = comp - fset
+    out = []
+    seen: set[int] = set()
+    for v in sorted(rest):
+        if v in seen:
+            continue
+        piece = _reach(g.adjacency, v, blocked=fset)
+        seen |= piece
+        contact = tuple(sorted(x for x in piece if any(y in fset for y in g.adjacency[x])))
+        out.append(Side(tuple(sorted(piece)), contact))
+    return out
+
+
+def cycle_invariant_oracle(g: Graph, Y) -> bool:
+    """Every simple cycle with an edge inside Y lies entirely in Y, read off
+    the enumeration of all simple cycles.  Reference for
+    `graph.is_cycle_invariant`."""
+    yset = set(Y)
+    for cyc in simple_cycles(g):
+        verts = {v for e in cyc for v in e}
+        if verts <= yset:
+            continue
+        if any(u in yset and v in yset for u, v in cyc):
+            return False
+    return True
 
 
 def brute_visibility(g: Graph, pot_x, x: int) -> set[int]:

@@ -6,6 +6,7 @@ import os
 import tempfile
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -248,6 +249,21 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
         assert run(tmp_path, "forest", "g.json", "w.json", "-o", "f.json") == 2, graph
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert not (tmp_path / "f.json").exists()
+
+
+def test_usage_errors_exit_2_with_json(tmp_path, capsys):
+    for argv in (["forest", "only_one.json"], ["frobnicate"],
+                 ["forest", "g.json", "w.json", "--tiebreak", "random", "-o", "f.json"],
+                 ["percolate", "g.json", "w.json", "--p-grid", "0.5", "--trials", "x",
+                  "-o", "r.jsonl"]):
+        assert run(tmp_path, *argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1, argv
+        assert json.loads(out.err)["error"] == "UsageError", argv
+    for argv in (["--help"], ["forest", "--help"], ["--version"]):
+        with pytest.raises(SystemExit) as info:
+            run(tmp_path, *argv)
+        assert info.value.code == 0, argv
 
 
 # --- fuzzing: a valid forest run whose documents get one malformation each

@@ -13,6 +13,7 @@ from wforest.ends import (
     find_furcation_vertices,
     furcation_at,
     maximal_disjoint_furcations,
+    qualifier,
     qualifying_side_counts,
     quotient,
     visibility,
@@ -51,7 +52,7 @@ def test_classify_side_gp_directions():
     lv = g.meta["levels"]
     par = next(v for v in g.adjacency[root] if lv[v] == lv[root] - 1)
     params = ProxyParams(nonvanish_delta=F(1))
-    tagged = {s.vertices: classify_side(g, pot, s, params)
+    tagged = {s: classify_side(g, pot, s, params)
               for s in sides(g, [root, par])}
     up_sides = [vs for vs in tagged if any(lv[v] < 0 for v in vs)]
     down_sides = [vs for vs in tagged if vs not in up_sides]
@@ -336,13 +337,24 @@ def test_side_count_dp_matches_naive(rand):
         flagged = frozenset(v for v in g.vertices if rand.random() < 0.4)
         g = build_graph(g.vertices, g.edges, meta={"boundary": flagged})
         pot = random_potential(rand, g)
-        delta = F(1, 2)
-        qual = lambda v: v in flagged and pot[v] >= delta
-        dp = qualifying_side_counts(g, qual)
-        params = ProxyParams(nonvanish_delta=delta)
-        for x in g.vertices:
-            naive = furcation_at(g, pot, (x,), params).order
-            assert dp[x] == naive, (sorted(g.edges), x)
+        params = ProxyParams(nonvanish_delta=F(1, 2))
+        for kind in (NONVANISHING, INFINITE):
+            dp = qualifying_side_counts(g, qualifier(g, pot, params, kind))
+            naive = {x: furcation_at(g, pot, (x,), params, kind).order for x in g.vertices}
+            assert dp == naive, (kind, sorted(g.edges))
+            for n in (1, 2, 3):
+                assert find_furcation_vertices(g, pot, n, params, kind) == \
+                    tuple(x for x in g.vertices if naive[x] >= n)
+
+
+def test_qualifier_rule():
+    g = build_graph(range(3), [(0, 1), (1, 2)], meta={"boundary": frozenset({0, 2})})
+    pot = {0: F(1), 1: F(5), 2: F(1, 3)}
+    params = ProxyParams(nonvanish_delta=F(1, 2))
+    assert [qualifier(g, pot, params)(v) for v in g.vertices] == [True, False, False]
+    assert [qualifier(g, pot, params, INFINITE)(v) for v in g.vertices] == [True, False, True]
+    with pytest.raises(ValueError):
+        qualifier(g, pot, params, FINITE)
 
 
 def test_connected_subsets_against_brute_force(rand):

@@ -17,10 +17,10 @@ from wforest.forest import (
     maximal_subforest_oracle,
     restrict_forest,
 )
-from wforest.graph import build_graph, components, induced_subgraph
+from wforest.generators import lattice_box
+from wforest.graph import _biconnected_blocks, build_graph, components, induced_subgraph
 from wforest.unionfind import UnionFind
 from wforest.weights import EdgeOrder, unit_potential
-from wforest.ends import _biconnected_blocks
 
 from conftest import (
     cut_witnesses_oracle,
@@ -196,11 +196,19 @@ def test_restrict_identity_and_side(rand):
     # a side of the articulation vertex 2 plus the vertex itself
     from wforest.graph import sides
     for side in sides(g, [2]):
-        y = set(side.vertices) | {2}
+        y = set(side) | {2}
         restricted = restrict_forest(g, r, o, y)
         sub = induced_subgraph(g, y)
         again = maximal_subforest(sub, o.restrict(sub))
         assert restricted.kept == again.kept
+
+
+def test_restrict_whole_box(rand):
+    # the box has far too many simple cycles to enumerate
+    g = lattice_box(6, 6)
+    o = random_order(rand, g)
+    r = maximal_subforest(g, o)
+    assert restrict_forest(g, r, o, g.vertices) == r
 
 
 def test_restrict_rejects_non_invariant():

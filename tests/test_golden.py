@@ -1,4 +1,4 @@
-"""Byte-level pins of the sweep records and the analyze report.
+"""Byte-level pins of the sweep records and the analyze and collapse outputs.
 
 Any change to the edge order, the potentials, the visibility basepoints or
 the record layout shows up here as a digest mismatch.  Update a digest only
@@ -54,3 +54,25 @@ def test_analyze_report(tmp_path, graph, weights, digest):
     finally:
         os.chdir(cwd)
     assert sha256((tmp_path / "rep.json").read_text()) == digest
+
+
+@pytest.mark.parametrize("graph, weights, tiebreak, forest_digest, family_digest", [
+    (windmill(4, 3), '{"unit":true}', "meta",
+     "f6a070c63dcc51136d932c5c4e5fa95b1005bd25b8e935c78b4ec8e2bfffb606",
+     "e5e18a32d608de00e474d557f84b901cb16e23dcb79d0bbe7b650520a786ba39"),
+    (gp_graph(2, 2, 3), '{"levels_from_meta":true}', "canonical",
+     "4e537eb7527fa7a96d9424e897fe121bc06ab9d75615041bab27e776d4452bb0",
+     "0c13d6aec61d9faf77dc53b9d4b7db1ce0daf05dd76d8e46018c7e1c0a98aa8f"),
+], ids=["windmill-4-3-unit-meta", "gp-2-2-3-levels"])
+def test_collapse_outputs(tmp_path, graph, weights, tiebreak, forest_digest, family_digest):
+    (tmp_path / "g.json").write_text(to_json(graph))
+    (tmp_path / "w.json").write_text(weights)
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        assert main(["collapse", "g.json", "w.json", "--tiebreak", tiebreak,
+                     "-o", "f.json", "--family-out", "fam.json"]) == 0
+    finally:
+        os.chdir(cwd)
+    assert sha256((tmp_path / "f.json").read_text()) == forest_digest
+    assert sha256((tmp_path / "fam.json").read_text()) == family_digest

@@ -9,6 +9,7 @@ from wforest.errors import (
     NotConnected,
     SelfLoop,
     SpansComponents,
+    UnknownId,
 )
 from wforest.graph import (
     build_graph,
@@ -25,7 +26,13 @@ from wforest.graph import (
     to_json,
 )
 
-from conftest import canonical_cycle_vertices, cycles_by_permutation, random_connected_graph
+from conftest import (
+    canonical_cycle_vertices,
+    cycle_invariant_oracle,
+    cycles_by_permutation,
+    random_connected_graph,
+    sides_oracle,
+)
 
 
 def path_graph(n):
@@ -65,11 +72,60 @@ def test_components():
 
 def test_sides_star_path_triangle():
     star = build_graph([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
-    assert [s.vertices for s in sides(star, [0])] == [(1,), (2,), (3,)]
+    assert sides(star, [0]) == [(1,), (2,), (3,)]
     p = path_graph(5)
-    assert [s.vertices for s in sides(p, [3])] == [(1, 2), (4, 5)]
-    assert [s.contact for s in sides(p, [3])] == [(2,), (4,)]
-    assert [s.vertices for s in sides(triangle(), [1])] == [(2, 3)]
+    assert sides(p, [3]) == [(1, 2), (4, 5)]
+    assert sides(triangle(), [1]) == [(2, 3)]
+
+
+def random_graph(rand):
+    """A random graph on up to 9 vertices, disconnected about half the time."""
+    g = random_connected_graph(rand, rand.randint(1, 9))
+    if rand.random() < 0.5:
+        g = spanned_subgraph(g, [e for e in g.sorted_edges() if rand.random() < 0.6])
+    return g
+
+
+def test_sides_equal_oracle(rand):
+    for _ in range(600):
+        g = random_graph(rand)
+        F = {rand.choice(g.vertices)}
+        for _ in range(rand.randint(0, 2)):
+            grow = sorted({y for x in F for y in g.adjacency[x]} - F)
+            if grow:
+                F.add(rand.choice(grow))
+        pieces = sides_oracle(g, F)
+        # the new routine searches only from F's neighbours
+        assert all(s.contact for s in pieces)
+        assert sides(g, F) == [s.vertices for s in pieces]
+
+
+def test_sides_errors_equal_oracle(rand):
+    def error_of(f, g, F):
+        with pytest.raises(Exception) as info:
+            f(g, F)
+        return type(info.value)
+
+    cases = 0
+    for _ in range(300):
+        g = random_graph(rand)
+        F = set(rand.sample(g.vertices, rand.randint(0, min(3, len(g.vertices)))))
+        if rand.random() < 0.2:
+            F.add(100)
+        try:
+            sides_oracle(g, F)
+            continue
+        except (NotConnected, SpansComponents, UnknownId):
+            pass
+        assert error_of(sides, g, F) is error_of(sides_oracle, g, F)
+        cases += 1
+    assert cases > 100
+    two = build_graph([1, 2, 3, 4], [(1, 2), (3, 4)])
+    for F, exc in (([], NotConnected), ([1, 9], UnknownId),
+                   ([2, 3], SpansComponents)):
+        assert error_of(sides, two, F) is error_of(sides_oracle, two, F) is exc
+    p = path_graph(5)
+    assert error_of(sides, p, [1, 3]) is error_of(sides_oracle, p, [1, 3]) is NotConnected
 
 
 def test_sides_preconditions():
@@ -137,7 +193,19 @@ def test_cycle_invariance():
     g = build_graph(range(6), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (3, 5)])
     for x in g.vertices:
         for side in sides(g, [x]):
-            assert is_cycle_invariant(g, set(side.vertices) | {x})
+            assert is_cycle_invariant(g, set(side) | {x})
+
+
+def test_cycle_invariance_equal_oracle(rand):
+    outcomes = {True: 0, False: 0}
+    for _ in range(4000):
+        g = random_graph(rand)
+        keep = rand.random()
+        Y = {v for v in g.vertices if rand.random() < keep}
+        got = is_cycle_invariant(g, Y)
+        assert got == cycle_invariant_oracle(g, Y), (sorted(g.edges), sorted(Y))
+        outcomes[got] += 1
+    assert min(outcomes.values()) > 500
 
 
 def test_subgraphs():
@@ -169,7 +237,7 @@ def test_sides_partition_component(rand):
         g = random_connected_graph(rand, rand.randint(3, 9))
         x = rand.choice(g.vertices)
         pieces = sides(g, [x])
-        got = sorted(v for s in pieces for v in s.vertices) + [x]
+        got = sorted(v for s in pieces for v in s) + [x]
         assert sorted(got) == list(g.vertices)
 
 
