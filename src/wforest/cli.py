@@ -195,9 +195,16 @@ def cmd_forest(args, argv) -> int:
     return 0
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type of --delta and --tau: an exact rational such as "3/2"."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite rational") from None
+
+
 def _proxy_params(args) -> ProxyParams:
-    return ProxyParams(nonvanish_delta=Fraction(args.delta),
-                       heavy_tau=Fraction(args.tau))
+    return ProxyParams(nonvanish_delta=args.delta, heavy_tau=args.tau)
 
 
 def cmd_collapse(args, argv) -> int:
@@ -226,6 +233,8 @@ def cmd_analyze(args, argv) -> int:
     g = load_graph(args.graph)
     potential = load_weights(args.weights, g)
     params = _proxy_params(args)
+    if args.max_basepoints < 1:
+        raise BadParams(f"--max-basepoints must be >= 1, got {args.max_basepoints}")
     counts = qualifying_side_counts(g, qualifier(g, potential, params))
     comps = []
     for comp in components(g):
@@ -269,6 +278,8 @@ def cmd_percolate(args, argv) -> int:
     potential = load_weights(args.weights, g)
     params = _proxy_params(args)
     p_grid = [float(p) for p in args.p_grid.split(",") if p != ""]
+    if not p_grid:
+        raise BadParams("--p-grid names no probability")
     workers = min(int(os.environ.get("WFOREST_WORKERS", "1")),
                   len(p_grid) * args.trials)
     if workers > 1:
@@ -352,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("collapse", help="furcation collapse pipeline")
     c.add_argument("graph")
     c.add_argument("weights")
-    c.add_argument("--delta", default="1")
-    c.add_argument("--tau", default="4")
+    c.add_argument("--delta", default="1", type=_rational)
+    c.add_argument("--tau", default="4", type=_rational)
     c.add_argument("--smax", type=int, default=3)
     c.add_argument("--tiebreak", default="canonical", choices=["canonical", "meta"])
     c.add_argument("-o", "--output", required=True)
@@ -363,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="furcation/visibility report")
     a.add_argument("graph")
     a.add_argument("weights")
-    a.add_argument("--delta", default="1")
-    a.add_argument("--tau", default="4")
+    a.add_argument("--delta", default="1", type=_rational)
+    a.add_argument("--tau", default="4", type=_rational)
     a.add_argument("--smax", type=int, default=3)
     a.add_argument("--max-basepoints", type=int, default=512, dest="max_basepoints")
     a.add_argument("-o", "--output", required=True)
@@ -376,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-grid", required=True, dest="p_grid")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", default="1")
-    p.add_argument("--tau", default="4")
+    p.add_argument("--delta", default="1", type=_rational)
+    p.add_argument("--tau", default="4", type=_rational)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--summary")
     p.set_defaults(func=cmd_percolate)

@@ -19,18 +19,20 @@ from .graph import (
     Edge,
     Graph,
     _biconnected_blocks,
+    _check_connected_set,
+    _reach,
     build_graph,
     components,
     edge,
     induced_subgraph,
     is_connected_set,
-    sides,
 )
 from .weights import Cocycle, EdgeOrder, potential_from_cocycle
 
 NONVANISHING = "nonvanishing"
 INFINITE = "infinite"
 FINITE = "finite"
+_KINDS = (NONVANISHING, INFINITE)  # the order of every per-kind count
 
 
 @dataclass(frozen=True)
@@ -81,10 +83,104 @@ def furcation_at(g: Graph, potential: Mapping[int, object], F: Iterable[int],
                  params: ProxyParams, kind: str = NONVANISHING) -> Furcation:
     """F with its order: the number of its sides that contain a qualifying
     vertex."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown side kind {kind!r}")
     fset = tuple(sorted(set(F)))
-    qualifies = qualifier(g, potential, params, kind)
-    order = sum(1 for side in sides(g, fset) if any(map(qualifies, side)))
-    return Furcation(F=fset, order=order)
+    _check_connected_set(g, set(fset))
+    comp = _reach(g.adjacency, fset[0])
+    marks = _qualifying_marks(g, potential, params, comp)
+    orders = _side_orders(g.adjacency, fset, marks, _mark_totals(marks, comp))
+    return Furcation(F=fset, order=orders[_KINDS.index(kind)])
+
+
+def _qualifying_marks(g: Graph, potential: Mapping[int, object], params: ProxyParams,
+                      vertices: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """Each vertex that qualifies for some kind, mapped to its 0/1 flag per
+    kind, so `qualifier` runs once per vertex and never per visit."""
+    rules = [qualifier(g, potential, params, kind) for kind in _KINDS]
+    marks = {}
+    for v in vertices:
+        flags = tuple(int(rule(v)) for rule in rules)
+        if any(flags):
+            marks[v] = flags
+    return marks
+
+
+def _mark_totals(marks: Mapping[int, tuple[int, ...]], vertices: Iterable[int]) -> list[int]:
+    """Per kind, the number of qualifying vertices among `vertices`."""
+    total = [0] * len(_KINDS)
+    for v in vertices:
+        for k, flag in enumerate(marks.get(v, ())):
+            total[k] += flag
+    return total
+
+
+def _side_orders(adj: Mapping[int, tuple[int, ...]], F: Iterable[int],
+                 marks: Mapping[int, tuple[int, ...]], total: list[int]) -> list[int]:
+    """Per kind, the number of sides of the connected set F that hold a
+    qualifying vertex; `total` counts the qualifying vertices of F's component.
+
+    One F-avoiding search starts at each neighbour of F.  The searches still
+    growing take one vertex each in turn; two that meet merge (union-find over
+    search ids, joining frontiers and counts), and one whose frontier empties
+    is a finished side.  Every side touches F, so once at most one search
+    grows it holds all of the component that F and the finished sides leave,
+    and its counts follow by subtraction.  The work is that of the smaller
+    sides, as in Even and Shiloach's decremental connectivity (1981).
+    """
+    fset = set(F)
+    zero = (0,) * len(total)
+    owner: dict[int, int] = {}
+    parent: list[int] = []
+    frontier: list[list[int]] = []
+    counts: list[list[int]] = []
+    for x in fset:
+        for y in adj[x]:
+            if y not in fset and y not in owner:
+                owner[y] = len(parent)
+                parent.append(len(parent))
+                frontier.append([y])
+                counts.append(list(marks.get(y, zero)))
+
+    def find(s: int) -> int:
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    growing = list(range(len(parent)))
+    while len(growing) > 1:
+        for s in growing:
+            if parent[s] != s or not frontier[s]:
+                continue  # absorbed or finished earlier in this round
+            for z in adj[frontier[s].pop()]:
+                if z in fset:
+                    continue
+                o = owner.get(z)
+                if o is None:
+                    owner[z] = s
+                    frontier[s].append(z)
+                    if z in marks:
+                        counts[s] = [a + b for a, b in zip(counts[s], marks[z])]
+                    continue
+                r = find(o)
+                if r != s:
+                    parent[r] = s  # the growing search stays the root
+                    big, small = frontier[s], frontier[r]
+                    if len(big) < len(small):
+                        big, small = small, big
+                    big.extend(small)
+                    frontier[s], frontier[r] = big, []
+                    counts[s] = [a + b for a, b in zip(counts[s], counts[r])]
+        growing = [s for s in growing if parent[s] == s and frontier[s]]
+
+    finished = [counts[s] for s in range(len(parent)) if parent[s] == s and not frontier[s]]
+    own = _mark_totals(marks, fset)
+    orders = []
+    for k in range(len(total)):
+        rest = total[k] - own[k] - sum(c[k] for c in finished)
+        orders.append(sum(1 for c in finished if c[k]) + (rest > 0))
+    return orders
 
 
 def find_furcation_vertices(g: Graph, potential: Mapping[int, object], n: int,
@@ -101,6 +197,8 @@ def connected_subsets(g: Graph, s_max: int) -> list[tuple[int, ...]]:
     Enumeration with a fixed minimum vertex and exclusive-neighbor
     extensions, so each set appears exactly once.
     """
+    if s_max < 1:
+        raise BadParams(f"s_max must be >= 1, got {s_max}")
     adj = g.adjacency
     found: list[tuple[int, ...]] = []
 
@@ -141,15 +239,26 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
     scan within each phase.
     """
     candidates = connected_subsets(g, s_max)
+    marks = _qualifying_marks(g, potential, params, g.vertices)
+    total_of: dict[int, list[int]] = {}
+    for comp in components(g):
+        total = _mark_totals(marks, comp)
+        total_of.update(dict.fromkeys(comp, total))
+    # used only grows, so every candidate a phase reads was free in phase 1
+    # and is evaluated there, once, for both kinds
+    orders: dict[tuple[int, ...], list[int]] = {}
     used: set[int] = set()
     blocks: list[tuple[int, ...]] = []
     phases: list[int] = []
     spec = ((1, NONVANISHING, 3), (2, NONVANISHING, 2), (3, INFINITE, 2))
     for phase, kind, need in spec:
+        k = _KINDS.index(kind)
         for cand in candidates:
             if any(v in used for v in cand):
                 continue
-            if furcation_at(g, potential, cand, params, kind).order >= need:
+            if cand not in orders:
+                orders[cand] = _side_orders(g.adjacency, cand, marks, total_of[cand[0]])
+            if orders[cand][k] >= need:
                 blocks.append(cand)
                 phases.append(phase)
                 used.update(cand)

@@ -142,6 +142,17 @@ def is_connected_set(g: Graph, A: Iterable[int]) -> bool:
     return _reach(g.adjacency, start, allowed=aset) == aset
 
 
+def _check_connected_set(g: Graph, fset: set[int]) -> None:
+    """Raise unless F is nonempty, connected, and inside one component: the
+    precondition of every side computation."""
+    if not fset:
+        raise NotConnected("F is empty")
+    if not is_connected_set(g, fset):
+        if not fset <= _reach(g.adjacency, min(fset)):
+            raise SpansComponents("F spans more than one component")
+        raise NotConnected(f"F={sorted(fset)} is not connected")
+
+
 def sides(g: Graph, F: Iterable[int]) -> list[tuple[int, ...]]:
     """Components of the complement of F within F's own component, as sorted
     vertex tuples ordered by least vertex.
@@ -151,12 +162,7 @@ def sides(g: Graph, F: Iterable[int]) -> list[tuple[int, ...]]:
     searches from F's neighbours that avoid F, and nothing else is read.
     """
     fset = set(F)
-    if not fset:
-        raise NotConnected("F is empty")
-    if not is_connected_set(g, fset):
-        if not fset <= _reach(g.adjacency, min(fset)):
-            raise SpansComponents("F spans more than one component")
-        raise NotConnected(f"F={sorted(fset)} is not connected")
+    _check_connected_set(g, fset)
     out = []
     seen = set(fset)
     for x in fset:

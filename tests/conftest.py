@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own machinery: cycle
 enumeration by permutation scan, spanning forests by BFS connectivity,
 visibility by exhaustive simple-path search, cut witnesses by one kept-forest
 search per deleted edge, sides by a search of F's whole component,
-cycle-invariance by cycle enumeration.
+cycle-invariance by cycle enumeration, the furcation family by one side
+search per candidate per phase.
 """
 
 import itertools
@@ -14,9 +15,17 @@ from typing import NamedTuple
 
 import pytest
 
+from wforest.ends import (
+    INFINITE,
+    NONVANISHING,
+    FurcationFamily,
+    ProxyParams,
+    connected_subsets,
+    qualifier,
+)
 from wforest.errors import NotConnected, SpansComponents, UnknownId
 from wforest.forest import CutWitnessReport
-from wforest.graph import Graph, build_graph, edge, simple_cycles
+from wforest.graph import Graph, build_graph, edge, sides, simple_cycles
 from wforest.weights import EdgeOrder
 
 
@@ -251,6 +260,32 @@ def cycle_invariant_oracle(g: Graph, Y) -> bool:
         if any(u in yset and v in yset for u, v in cyc):
             return False
     return True
+
+
+def sides_order(g: Graph, potential, F, params: ProxyParams, kind: str) -> int:
+    """The number of `graph.sides` of F holding a vertex `qualifier` accepts."""
+    qualifies = qualifier(g, potential, params, kind)
+    return sum(1 for side in sides(g, F) if any(map(qualifies, side)))
+
+
+def furcation_family_oracle(g: Graph, potential, params: ProxyParams,
+                            s_max: int = 3) -> FurcationFamily:
+    """The greedy three-phase family with a fresh `sides_order` per candidate
+    per phase.  Reference for `ends.maximal_disjoint_furcations`."""
+    candidates = connected_subsets(g, s_max)
+    used: set[int] = set()
+    blocks: list[tuple[int, ...]] = []
+    phases: list[int] = []
+    spec = ((1, NONVANISHING, 3), (2, NONVANISHING, 2), (3, INFINITE, 2))
+    for phase, kind, need in spec:
+        for cand in candidates:
+            if any(v in used for v in cand):
+                continue
+            if sides_order(g, potential, cand, params, kind) >= need:
+                blocks.append(cand)
+                phases.append(phase)
+                used.update(cand)
+    return FurcationFamily(blocks=tuple(blocks), phases=tuple(phases))
 
 
 def brute_visibility(g: Graph, pot_x, x: int) -> set[int]:

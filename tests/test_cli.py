@@ -266,6 +266,39 @@ def test_usage_errors_exit_2_with_json(tmp_path, capsys):
         assert info.value.code == 0, argv
 
 
+COMMAND_ARGS = {
+    "collapse": ("collapse", "g.json", "unit.json", "-o", "out.json",
+                 "--family-out", "fam.json"),
+    "analyze": ("analyze", "g.json", "unit.json", "-o", "out.json"),
+    "percolate": ("percolate", "g.json", "unit.json", "--p-grid", "0.5", "-o", "out.json"),
+}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("collapse", ("--smax", "0")),
+    ("collapse", ("--smax", "-1")),
+    ("analyze", ("--smax", "0")),
+    ("analyze", ("--smax", "-1")),
+    ("analyze", ("--max-basepoints", "0")),
+    ("analyze", ("--max-basepoints", "-3")),
+    ("collapse", ("--delta", "1/0")),
+    ("collapse", ("--tau", "1/0")),
+    ("analyze", ("--delta", "1/0")),
+    ("analyze", ("--tau", "1/0")),
+    ("percolate", ("--delta", "1/0")),
+    ("percolate", ("--tau", "1/0")),
+    ("percolate", ("--p-grid", "")),
+], ids=lambda v: v if isinstance(v, str) else "=".join(v))
+def test_out_of_range_flags_exit_2_with_json(tmp_path, capsys, command, flags):
+    (tmp_path / "g.json").write_text(to_json(gp_graph(2, 1, 2)))
+    (tmp_path / "unit.json").write_text('{"unit":true}')
+    assert run(tmp_path, *COMMAND_ARGS[command], *flags) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert json.loads(out.err)["error"] in ("BadParams", "UsageError")
+    assert not (tmp_path / "out.json").exists()
+
+
 # --- fuzzing: a valid forest run whose documents get one malformation each
 
 VALID_GRAPH = {

@@ -31,7 +31,13 @@ from wforest.weights import (
     unit_potential,
 )
 
-from conftest import brute_visibility, random_connected_graph, random_potential
+from conftest import (
+    brute_visibility,
+    furcation_family_oracle,
+    random_connected_graph,
+    random_potential,
+    sides_order,
+)
 
 
 def test_proxy_params_positive():
@@ -340,7 +346,7 @@ def test_side_count_dp_matches_naive(rand):
         params = ProxyParams(nonvanish_delta=F(1, 2))
         for kind in (NONVANISHING, INFINITE):
             dp = qualifying_side_counts(g, qualifier(g, pot, params, kind))
-            naive = {x: furcation_at(g, pot, (x,), params, kind).order for x in g.vertices}
+            naive = {x: sides_order(g, pot, (x,), params, kind) for x in g.vertices}
             assert dp == naive, (kind, sorted(g.edges))
             for n in (1, 2, 3):
                 assert find_furcation_vertices(g, pot, n, params, kind) == \
@@ -369,3 +375,64 @@ def test_connected_subsets_against_brute_force(rand):
                     brute.append(combo)
         brute.sort(key=lambda t: (len(t), t))
         assert connected_subsets(g, 3) == brute
+
+
+def _random_flagged_graph(rand):
+    """A random graph on 1-10 vertices, half the time with about a third
+    of its edges dropped (often disconnected), with random boundary flags."""
+    g = random_connected_graph(rand, rand.randint(1, 10))
+    edges = g.edges
+    if rand.random() < 0.5:
+        edges = [e for e in g.sorted_edges() if rand.random() < 0.7]
+    share = rand.random()
+    return build_graph(g.vertices, edges, meta={
+        "boundary": frozenset(v for v in g.vertices if rand.random() < share)})
+
+
+def _random_params(rand):
+    return ProxyParams(nonvanish_delta=F(rand.randint(1, 6), rand.randint(1, 6)))
+
+
+def _family_cases():
+    w = windmill(4, 3)
+    gp = gp_graph(2, 2, 4)
+    box = lattice_box(5, 5)
+    fp = free_product([{"family": "gp", "k": 2, "up": 1, "down": 1},
+                       {"family": "lattice_box", "w": 3, "h": 3}], max_word=1)
+    return [(w, unit_potential(w)), (gp, level_potential(gp, F(1, 2))),
+            (box, unit_potential(box)), (fp, level_potential(fp, F(1, 2)))]
+
+
+def test_family_equals_sides_oracle(rand):
+    cases = [(g, pot, params) for g, pot in _family_cases()
+             for params in (ProxyParams(), ProxyParams(nonvanish_delta=F(1, 2)))]
+    for _ in range(400):
+        g = _random_flagged_graph(rand)
+        cases.append((g, random_potential(rand, g), _random_params(rand)))
+    assert sum(1 for g, _, _ in cases if len(components(g)) > 1) > 60
+    for g, pot, params in cases:
+        for s_max in (1, 2, 3):
+            got = maximal_disjoint_furcations(g, pot, params, s_max=s_max)
+            want = furcation_family_oracle(g, pot, params, s_max=s_max)
+            assert got == want, (s_max, sorted(g.edges), g.boundary_vertices())
+
+
+def test_furcation_order_equals_sides_count(rand):
+    graphs = [(g, pot, ProxyParams()) for g, pot in _family_cases()[2:]]
+    for _ in range(100):
+        g = _random_flagged_graph(rand)
+        graphs.append((g, random_potential(rand, g), _random_params(rand)))
+    for g, pot, params in graphs:
+        for cand in connected_subsets(g, 3):
+            for kind in (NONVANISHING, INFINITE):
+                assert furcation_at(g, pot, cand, params, kind).order == \
+                    sides_order(g, pot, cand, params, kind), (cand, kind, sorted(g.edges))
+
+
+def test_smax_below_one_is_rejected():
+    g = windmill(3, 2)
+    for s_max in (0, -1):
+        with pytest.raises(BadParams):
+            connected_subsets(g, s_max)
+        with pytest.raises(BadParams):
+            maximal_disjoint_furcations(g, unit_potential(g), ProxyParams(), s_max=s_max)
