@@ -54,6 +54,7 @@ from .ends import (
     quotient,
     visibility,
     visibility_mass,
+    visibility_masses,
     visibility_set,
 )
 from .generators import (

@@ -24,7 +24,7 @@ from .ends import (
     qualifier,
     qualifying_side_counts,
     quotient,
-    visibility,
+    visibility_masses,
 )
 from .errors import (
     BadParams,
@@ -163,15 +163,33 @@ def _forest_json(result, witness_report=None) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+# The integer fields of a FamilySpec, each also a `gen` flag.
+_SIZE_FIELDS = ("k", "up", "down", "d", "radius", "w", "h", "n", "m",
+                "seed", "blades", "max_word")
+
+
+def _check_factors(factors) -> list[dict]:
+    """A free-product factor list: JSON objects whose size fields are JSON
+    integers (bools excluded), nested factor lists included."""
+    if not (isinstance(factors, list) and all(isinstance(f, dict) for f in factors)):
+        raise MalformedDocument(f"factors {factors!r} is not a list of JSON objects")
+    for spec in factors:
+        for key in _SIZE_FIELDS:
+            if key in spec and type(spec[key]) is not int:
+                raise MalformedDocument(f"factor field {key!r}={spec[key]!r} is not an integer")
+        if "factors" in spec:
+            _check_factors(spec["factors"])
+    return factors
+
+
 def cmd_gen(args, argv) -> int:
     spec = {"family": args.family}
-    for key in ("k", "up", "down", "d", "radius", "w", "h", "n", "m",
-                "seed", "blades", "max_word"):
+    for key in _SIZE_FIELDS:
         val = getattr(args, key, None)
         if val is not None:
             spec[key] = val
     if args.factors:
-        spec["factors"] = json.loads(args.factors)
+        spec["factors"] = _check_factors(json.loads(args.factors))
     g = build_family(spec)
     _write_with_manifest("gen", argv, [], {args.output: to_json(g)},
                          getattr(args, "seed", None))
@@ -231,7 +249,7 @@ def cmd_collapse(args, argv) -> int:
 
 def cmd_analyze(args, argv) -> int:
     g = load_graph(args.graph)
-    potential = load_weights(args.weights, g)
+    potential = exact_potential(g, load_weights(args.weights, g))
     params = _proxy_params(args)
     if args.max_basepoints < 1:
         raise BadParams(f"--max-basepoints must be >= 1, got {args.max_basepoints}")
@@ -247,12 +265,12 @@ def cmd_analyze(args, argv) -> int:
         })
     family = maximal_disjoint_furcations(g, potential, params, s_max=args.smax)
     quot = quotient(g, potential, family.blocks)
-    exact = exact_potential(g, potential)
     verts = list(g.vertices)
     if len(verts) > args.max_basepoints:
         stride = len(verts) / args.max_basepoints
         verts = [verts[int(i * stride)] for i in range(args.max_basepoints)]
-    masses = sorted(float(sum(visibility(g, exact, x).values())) for x in verts)
+    mass_of = visibility_masses(g, potential)
+    masses = sorted(float(mass_of[x]) for x in verts)
     quantiles = {}
     for q in (0.0, 0.25, 0.5, 0.75, 1.0):
         idx = min(len(masses) - 1, int(q * (len(masses) - 1) + 0.5))
@@ -343,9 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a graph family")
     g.add_argument("--family", required=True)
-    for flag in ("k", "up", "down", "d", "radius", "w", "h", "n", "m",
-                 "seed", "blades", "max-word"):
-        g.add_argument(f"--{flag}", type=int, dest=flag.replace("-", "_"))
+    for key in _SIZE_FIELDS:
+        g.add_argument("--" + key.replace("_", "-"), type=int, dest=key)
     g.add_argument("--factors", help="JSON list of factor FamilySpecs")
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=cmd_gen)

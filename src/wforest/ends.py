@@ -27,6 +27,7 @@ from .graph import (
     induced_subgraph,
     is_connected_set,
 )
+from .unionfind import UnionFind
 from .weights import Cocycle, EdgeOrder, potential_from_cocycle
 
 NONVANISHING = "nonvanishing"
@@ -410,6 +411,35 @@ def visibility(g: Graph, potential: Mapping[int, object], x: int) -> dict[int, F
                 rel[y] = potential[y] / top
                 stack.append(y)
     return rel
+
+
+def visibility_masses(g: Graph, potential: Mapping[int, object]) -> dict[int, Fraction]:
+    """Every vertex x's visibility mass, sum(visibility(g, potential, x).values()),
+    from one pass.
+
+    The visible set of x is x's component in the subgraph induced by
+    {y : potential[y] <= potential[x]}.  The vertices join one union-find in
+    increasing potential, each set carrying its potential sum; once a whole
+    equal-potential group and its edges down are in, the mass of each x in
+    the group is its set's sum over potential[x].  This is the component
+    tree of Najman and Couprie (2006) on Tarjan's union-find (1975).
+    """
+    groups: dict[Fraction, list[int]] = {}
+    for v in g.vertices:
+        groups.setdefault(Fraction(potential[v]), []).append(v)
+    uf = UnionFind()
+    masses = {}
+    for level in sorted(groups):
+        group = groups[level]
+        for v in group:
+            uf.add(v, level)
+        for v in group:
+            for y in g.adjacency[v]:
+                if y in uf.parent:
+                    uf.union(v, y)
+        for v in group:
+            masses[v] = uf.total[uf.find(v)] / level
+    return masses
 
 
 def _is_heavy(g: Graph, params: ProxyParams, mass, rel: Mapping[int, Fraction]) -> bool:

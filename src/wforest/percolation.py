@@ -19,7 +19,7 @@ from .errors import (
     NotWeightPreserving,
     UnknownEdge,
 )
-from .ends import ProxyParams, _is_heavy, qualifier, qualifying_side_counts, visibility
+from .ends import ProxyParams, _is_heavy, qualifier, qualifying_side_counts
 from .forest import ForestResult, check_cut_witnesses, maximal_subforest
 from .graph import Edge, Graph, components, edge, spanned_subgraph
 from .rng import subseed, threshold, u64
@@ -281,16 +281,12 @@ def _run_once(g: Graph, potential, params: ProxyParams,
         raise InvariantViolation(
             f"cut-witness violation in sweep run (p={p}, seed={run_seed})")
 
-    baseclusters = sorted(run.clusters, key=lambda c: (-len(c), c[0]))
-    basepoints = [max(c, key=lambda v: (run.potential[v], -v))
-                  for c in baseclusters[:VISIBILITY_BASEPOINTS]]
-    masses = []
-    vis_heavy = 0
-    for x in basepoints:
-        rel = visibility(run.sub, run.potential, x)
-        mass = sum(rel.values())
-        vis_heavy += _is_heavy(run.sub, params, mass, rel)
-        masses.append(_fraction_str(mass))
+    # a cluster's heaviest vertex sees its whole cluster, at the cluster's
+    # relative weights, so its mass and class are the cluster report's
+    by_size = sorted(report.clusters, key=lambda c: (-len(c.vertices), c.vertices[0]))
+    baseclusters = by_size[:VISIBILITY_BASEPOINTS]
+    basepoints = [max(c.vertices, key=lambda v: (run.potential[v], -v))
+                  for c in baseclusters]
 
     return {
         "p": p,
@@ -316,8 +312,8 @@ def _run_once(g: Graph, potential, params: ProxyParams,
         },
         "visibility": {
             "basepoints": basepoints,
-            "masses": masses,
-            "heavy": vis_heavy,
+            "masses": [_fraction_str(c.mass) for c in baseclusters],
+            "heavy": sum(1 for c in baseclusters if c.cls == "heavy"),
         },
         "open": len(cfg.open_edges),
         "label_collisions": len(labels.collisions),

@@ -152,6 +152,36 @@ def test_structured_error_output(tmp_path, capsys):
     assert doc["error"] == "BadParams"
 
 
+def test_missing_potential_vertex_is_reported_by_every_command(tmp_path, capsys):
+    (tmp_path / "g.json").write_text(to_json(cycle(6)))
+    (tmp_path / "w.json").write_text('{"potential":{"0":1,"1":1,"2":1,"3":1,"4":1}}')
+    for argv in (["forest", "g.json", "w.json", "-o", "out.json"],
+                 ["collapse", "g.json", "w.json", "-o", "out.json", "--family-out", "f.json"],
+                 ["analyze", "g.json", "w.json", "-o", "out.json"],
+                 ["percolate", "g.json", "w.json", "--p-grid", "0.5", "-o", "out.json"]):
+        assert run(tmp_path, *argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1, argv
+        assert json.loads(out.err)["error"] == "MissingVertex", argv
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("factors", [
+    "[1,2]",
+    '[{"family":"cycle","n":"3"},{"family":"cycle","n":3}]',
+    '[{"family":"cycle","n":true},{"family":"cycle","n":3}]',
+    '{"family":"cycle","n":3}',
+    '[{"family":"cycle","n":3},{"family":"free_product","max_word":1,"factors":[2]}]',
+])
+def test_malformed_factors_exit_2(tmp_path, capsys, factors):
+    assert run(tmp_path, "gen", "--family", "free_product", "--max-word", "2",
+               "--factors", factors, "-o", "fp.json") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert json.loads(out.err)["error"] == "MalformedDocument"
+    assert not (tmp_path / "fp.json").exists()
+
+
 def test_percolate_worker_env_parity(tmp_path, monkeypatch):
     run(tmp_path, "gen", "--family", "lattice_box", "--w", "4", "--h", "4",
         "-o", "b.json")

@@ -18,6 +18,7 @@ from wforest.ends import (
     quotient,
     visibility,
     visibility_mass,
+    visibility_masses,
     visibility_set,
 )
 from wforest.errors import BadParams, OverlappingBlocks
@@ -335,6 +336,23 @@ def test_visibility_against_brute_force(rand):
         vis = visibility(g, potential, x)
         assert set(vis) == brute_visibility(g, pot_x, x)
         assert vis == {y: pot_x[y] for y in vis}
+
+
+def test_visibility_masses_equal_bfs(rand):
+    cases = []
+    for _ in range(300):
+        g = random_connected_graph(rand, rand.randint(1, 10))
+        if rand.random() < 0.5:
+            g = spanned_subgraph(g, [e for e in g.sorted_edges() if rand.random() < 0.6])
+        values = rand.sample([F(1, 2), F(1), F(3, 2), F(2)], rand.randint(2, 3))
+        cases.append((g, {v: rand.choice(values) for v in g.vertices}))
+    assert sum(1 for g, _ in cases if len(components(g)) > 1) > 50
+    gp, w = gp_graph(2, 3, 5), windmill(6, 6)
+    cases += [(gp, level_potential(gp, F(1, 2))), (w, unit_potential(w))]
+    for g, pot in cases:
+        masses = visibility_masses(g, pot)
+        assert masses == {x: sum(visibility(g, pot, x).values()) for x in g.vertices}, \
+            (sorted(g.edges), pot)
 
 
 def test_side_count_dp_matches_naive(rand):

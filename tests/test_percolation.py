@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from wforest.ends import ProxyParams
+from wforest.ends import ProxyParams, _is_heavy, visibility
 from wforest.errors import (
     BadProbability,
     InvariantViolation,
@@ -234,6 +234,36 @@ def test_sweep_gp_z2_reports_trifurcation_clusters():
     # measured (10/10 runs, per-run counts 3,6,6,3,5,3,3,4,7,2); a majority
     # is the reported claim, not a theorem
     assert hits == 10
+
+
+def test_sweep_basepoints_equal_visibility(rand):
+    """Each record's basepoint masses and heavy count are those of one
+    visibility BFS per basepoint on the run's open subgraph."""
+    gp, box = gp_graph(2, 2, 3), lattice_box(6, 6)
+    cases = [(gp, level_potential(gp, F(1, 2)), ProxyParams(nonvanish_delta=F(1, 2))),
+             (box, unit_potential(box), ProxyParams(heavy_tau=F(9)))]
+    for _ in range(40):
+        g = random_connected_graph(rand, rand.randint(2, 12))
+        flagged = frozenset(v for v in g.vertices if rand.random() < 0.3)
+        g = build_graph(g.vertices, g.edges, meta={"boundary": flagged})
+        params = ProxyParams(nonvanish_delta=F(rand.randint(1, 4), 4),
+                             heavy_tau=F(rand.randint(1, 6)))
+        cases.append((g, random_potential(rand, g), params))
+    seen = heavy_seen = 0
+    for g, pot, params in cases:
+        for rec in sweep(g, pot, [0.3, 0.7], 2, rand.randrange(1000), params):
+            sub = spanned_subgraph(g, bernoulli_sample(g, rec["p"], rec["seed"]).open_edges)
+            masses, heavy = [], 0
+            for x in rec["visibility"]["basepoints"]:
+                rel = visibility(sub, pot, x)
+                mass = sum(rel.values())
+                heavy += _is_heavy(sub, params, mass, rel)
+                masses.append(f"{mass.numerator}/{mass.denominator}")
+            assert rec["visibility"]["masses"] == masses, (sorted(g.edges), rec)
+            assert rec["visibility"]["heavy"] == heavy, (sorted(g.edges), rec)
+            seen += len(masses)
+            heavy_seen += heavy
+    assert 0 < heavy_seen < seen
 
 
 def test_largest_cluster_fraction_monotone_small():
