@@ -34,7 +34,7 @@ from .errors import (
     UsageError,
     WForestError,
 )
-from .forest import check_cut_witnesses, maximal_subforest, maximal_subforest_oracle
+from .forest import check_cut_witnesses, maximal_subforest
 from .generators import build_family
 from .graph import Edge, Graph, components, from_json, id_pair, to_json
 from .percolation import records_to_jsonl, summary_csv, sweep
@@ -205,8 +205,7 @@ def cmd_forest(args, argv) -> int:
     if args.fixed:
         fixed = load_fixed(args.fixed)
         inputs.append(args.fixed)
-    engine = maximal_subforest_oracle if args.oracle else maximal_subforest
-    result = engine(g, order, fixed)
+    result = maximal_subforest(g, order, fixed)
     report = check_cut_witnesses(g, result, order) if args.check_witnesses else None
     _write_with_manifest("forest", argv, inputs,
                          {args.output: _forest_json(result, report)}, None)
@@ -371,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("graph")
     f.add_argument("weights")
     f.add_argument("--fixed")
-    f.add_argument("--oracle", action="store_true")
     f.add_argument("--check-witnesses", action="store_true", dest="check_witnesses")
     f.add_argument("--tiebreak", default="canonical", choices=["canonical", "meta"])
     f.add_argument("-o", "--output", required=True)

@@ -18,8 +18,8 @@ from .forest import ForestResult, maximal_subforest
 from .graph import (
     Edge,
     Graph,
-    _biconnected_blocks,
     _check_connected_set,
+    _lowlink,
     _reach,
     build_graph,
     components,
@@ -468,78 +468,32 @@ def visibility_mass(g: Graph, c: Cocycle, x: int, params: ProxyParams):
     return mass, "heavy" if heavy else "light"
 
 
-# Per-vertex side counts at scale: block-cut tree plus subtree counts,
-# avoiding one complement-BFS per vertex.
-
 def qualifying_side_counts(g: Graph, qualifies: Callable[[int], bool]) -> dict[int, int]:
     """For every vertex x, the number of components of (component minus x)
     containing at least one vertex with qualifies(v) True.
 
+    One low-link DFS per component, with qualifying counts summed up the DFS
+    tree: a child c of x with low[c] >= disc[x] holds one side of its own,
+    and everything else outside x is one more side, counted by subtraction.
     Linear in the component size; used for nonvanishing-proxy side counts on
     percolation clusters and forest trees.
     """
     counts: dict[int, int] = {}
-    for comp in components(g):
-        if len(comp) == 1:
-            counts[comp[0]] = 0
+    for root in g.vertices:
+        if root in counts:
             continue
-        blocks, cut_vertices = _biconnected_blocks(g, comp)
-        q_total = sum(1 for v in comp if qualifies(v))
-        # block-cut tree: nodes are ("b", idx) and ("c", vertex)
-        nodes: list[tuple] = [("b", i) for i in range(len(blocks))]
-        nodes += [("c", v) for v in sorted(cut_vertices)]
-        tree_adj: dict[tuple, list[tuple]] = {n: [] for n in nodes}
-        for i, bl in enumerate(blocks):
-            for v in bl:
-                if v in cut_vertices:
-                    tree_adj[("b", i)].append(("c", v))
-                    tree_adj[("c", v)].append(("b", i))
-
-        def node_count(n: tuple) -> int:
-            if n[0] == "c":
-                return 1 if qualifies(n[1]) else 0
-            return sum(1 for v in blocks[n[1]] if v not in cut_vertices and qualifies(v))
-
-        root = nodes[0]
-        order, parent = _tree_order(tree_adj, root)
-        down = {n: node_count(n) for n in nodes}
-        for n in reversed(order):
-            p = parent[n]
-            if p is not None:
-                down[p] += down[n]
-
-        block_of_noncut: dict[int, int] = {}
-        for i, bl in enumerate(blocks):
-            for v in bl:
-                if v not in cut_vertices:
-                    block_of_noncut[v] = i
-        for v in comp:
-            if v in cut_vertices:
-                n = ("c", v)
-                c = 0
-                for nb in tree_adj[n]:
-                    if parent.get(nb) == n:
-                        if down[nb] > 0:
-                            c += 1
-                    # the branch through v's own parent holds everything else
-                if parent[n] is not None and q_total - down[n] > 0:
-                    c += 1
-                counts[v] = c
-            else:
-                others = q_total - (1 if qualifies(v) else 0)
-                counts[v] = 1 if others > 0 else 0
+        order, parent, disc, low = _lowlink(g.adjacency, root)
+        own = {v: int(qualifies(v)) for v in order}
+        below = dict(own)  # qualifying vertices in v's DFS subtree
+        apart = dict.fromkeys(order, 0)  # ... in the child subtrees v cuts off
+        sides = dict.fromkeys(order, 0)  # those child subtrees that qualify
+        for v in reversed(order[1:]):
+            p = parent[v]
+            below[p] += below[v]
+            if low[v] >= disc[p]:
+                apart[p] += below[v]
+                sides[p] += below[v] > 0
+        total = below[root]
+        for v in order:
+            counts[v] = sides[v] + (total - own[v] - apart[v] > 0)
     return counts
-
-
-def _tree_order(tree_adj, root):
-    order = [root]
-    parent = {root: None}
-    qi = 0
-    while qi < len(order):
-        n = order[qi]
-        qi += 1
-        for nb in tree_adj[n]:
-            if nb not in parent:
-                parent[nb] = n
-                order.append(nb)
-    return order, parent

@@ -232,74 +232,73 @@ def is_cycle_invariant(g: Graph, Y: Iterable[int]) -> bool:
     """True iff every simple cycle with an edge inside Y lies entirely in Y.
 
     Every simple cycle lies in one biconnected block, and any two edges of a
-    block with >= 3 vertices share a simple cycle, so this holds iff every
-    such block with an edge inside Y lies wholly in Y.  Linear time.
+    block share a simple cycle, so this holds iff no block has both an edge
+    inside Y and an edge that is not.  Linear time.
     """
     yset = set(Y)
-    adj = g.adjacency
-    for comp in components(g):
-        for block in _biconnected_blocks(g, comp)[0]:
-            inside = block & yset
-            if len(block) >= 3 and inside != block and any(
-                    w in inside for v in inside for w in adj[v]):
-                return False
-    return True
+    inside, outside = set(), set()
+    for (u, v), block in _edge_blocks(g).items():
+        (inside if u in yset and v in yset else outside).add(block)
+    return not inside & outside
 
 
-def _biconnected_blocks(g: Graph, comp: tuple[int, ...]):
-    """Biconnected components (as vertex sets) and articulation points of
-    one connected component, via iterative Hopcroft-Tarjan."""
-    adj = g.adjacency
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    timer = 0
-    blocks: list[set[int]] = []
-    cut: set[int] = set()
-    estack: list[Edge] = []
-    root = comp[0]
-    stack: list[tuple[int, int | None, int]] = [(root, None, 0)]
-    root_children = 0
+def _lowlink(adj, root: int):
+    """One iterative depth-first search of root's component.
+
+    Returns the preorder, each vertex's DFS parent (None at the root), its
+    preorder index `disc`, and its low-link `low`: the least `disc` of v and
+    of the neighbours of v's DFS subtree.  Every edge of a DFS joins an
+    ancestor to a descendant, so x cuts the subtree of its child c off from
+    the rest of the component exactly when low[c] >= disc[x] (Tarjan 1972).
+    """
+    order = [root]
+    parent: dict[int, int | None] = {root: None}
+    disc = {root: 0}
+    low = {root: 0}
+    stack = [(root, iter(adj[root]))]
     while stack:
-        v, par, idx = stack.pop()
-        if idx == 0:
-            disc[v] = low[v] = timer
-            timer += 1
-        ns = adj[v]
-        advanced = False
-        for i in range(idx, len(ns)):
-            w = ns[i]
-            if w == par and i == idx:
-                # skip the tree edge back to the parent once
-                continue
+        v, pending = stack[-1]
+        for w in pending:
             if w not in disc:
-                estack.append((v, w))
-                stack.append((v, par, i + 1))
-                stack.append((w, v, 0))
-                if v == root:
-                    root_children += 1
-                advanced = True
+                parent[w] = v
+                disc[w] = low[w] = len(order)
+                order.append(w)
+                stack.append((w, iter(adj[w])))
                 break
-            if disc[w] < disc[v] and w != par:
-                estack.append((v, w))
-                low[v] = min(low[v], disc[w])
-        if advanced:
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            p = parent[v]
+            if p is not None and low[v] < low[p]:
+                low[p] = low[v]
+    return order, parent, disc, low
+
+
+def _edge_blocks(g: Graph) -> dict[Edge, int]:
+    """Each edge mapped to its biconnected block, named by the vertex whose
+    DFS tree edge opens the block.
+
+    The tree edge into v opens a block when low[v] >= disc[parent], and
+    otherwise continues its parent's block; a back edge joins the block of
+    the tree edge into its lower end.
+    """
+    adj = g.adjacency
+    blocks: dict[Edge, int] = {}
+    seen: set[int] = set()
+    for root in g.vertices:
+        if root in seen:
             continue
-        if par is not None:
-            low[par] = min(low[par], low[v])
-            if low[v] >= disc[par]:
-                block: set[int] = set()
-                while estack:
-                    a, b = estack.pop()
-                    block.add(a)
-                    block.add(b)
-                    if (a, b) == (par, v):
-                        break
-                blocks.append(block)
-                if par != root:
-                    cut.add(par)
-    if root_children >= 2:
-        cut.add(root)
-    return blocks, cut
+        order, parent, disc, low = _lowlink(adj, root)
+        seen.update(order)
+        opened: dict[int, int] = {}
+        for v in order[1:]:
+            p = parent[v]
+            opened[v] = v if low[v] >= disc[p] else opened[p]
+            for w in adj[v]:
+                if disc[w] < disc[v]:
+                    blocks[edge(v, w)] = opened[v]
+    return blocks
 
 
 def _restrict_meta(meta: dict, keep: set[int]) -> dict:

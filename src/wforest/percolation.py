@@ -153,16 +153,15 @@ class ClusterReport:
 
 
 def cluster_report(cfg: PercolationConfig, potential: Mapping[int, object],
-                   params: ProxyParams, side_counts: bool = True) -> ClusterReport:
+                   params: ProxyParams) -> ClusterReport:
     """Clusters of the open subgraph with masses relative to each cluster's
-    heaviest vertex, heavy/light proxy classes, and (optionally) the max
-    number of nonvanishing-proxy sides over single-vertex furcations."""
-    return _cluster_report(_open_run(cfg, potential), params, side_counts)
+    heaviest vertex, heavy/light proxy classes, and the max number of
+    nonvanishing-proxy sides over single-vertex furcations."""
+    return _cluster_report(_open_run(cfg, potential), params)
 
 
-def _cluster_report(run: _OpenRun, params: ProxyParams, side_counts: bool) -> ClusterReport:
-    side_max = (qualifying_side_counts(run.sub, qualifier(run.sub, run.relpot, params))
-                if side_counts else {})
+def _cluster_report(run: _OpenRun, params: ProxyParams) -> ClusterReport:
+    side_max = qualifying_side_counts(run.sub, qualifier(run.sub, run.relpot, params))
     infos = []
     n_heavy = 0
     for comp in run.clusters:
@@ -174,8 +173,7 @@ def _cluster_report(run: _OpenRun, params: ProxyParams, side_counts: bool) -> Cl
             vertices=comp,
             mass=mass,
             cls=cls,
-            nonvanishing_side_count_max=max((side_max.get(v, 0) for v in comp),
-                                            default=0),
+            nonvanishing_side_count_max=max(side_max[v] for v in comp),
         ))
     counts = {
         "count": len(infos),
@@ -267,7 +265,7 @@ def _run_once(g: Graph, potential, params: ProxyParams,
         raise InvariantViolation(
             f"forest has {trees} trees but the open subgraph has "
             f"{len(run.clusters)} clusters (p={p}, seed={run_seed}, trial={trial})")
-    report = _cluster_report(run, params, side_counts=True)
+    report = _cluster_report(run, params)
 
     # count the trees whose internal structure shows >= 3 nonvanishing-proxy
     # directions; a tree's vertices and relative weights are its cluster's
@@ -297,7 +295,8 @@ def _run_once(g: Graph, potential, params: ProxyParams,
             "count": report.counts["count"],
             "heavy": report.counts["heavy"],
             "light": report.counts["light"],
-            "largest_fraction": report.counts["largest"] / len(g.vertices),
+            "largest_fraction": (report.counts["largest"] / len(g.vertices)
+                                 if g.vertices else 0.0),
             "max_nonvanishing_sides": max(
                 (c.nonvanishing_side_count_max for c in report.clusters), default=0),
             "clusters_with_3plus_sides": sum(

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wforest.cli import main
+from wforest.forest import maximal_subforest_oracle
 from wforest.graph import from_json, to_json
 from wforest.generators import cycle, gp_graph
+from wforest.weights import EdgeOrder, unit_potential
 
 
 def run(tmp_path, *argv):
@@ -37,6 +39,15 @@ def test_gen_gp_matches_library(tmp_path):
     assert (tmp_path / "gp.json").read_text() == to_json(gp_graph(2, 1, 2))
 
 
+def _oracle_json(graph_file, potential) -> dict:
+    """The kept and deleted edges of the cycle-enumeration oracle, as the CLI
+    writes them."""
+    g = from_json(graph_file.read_text())
+    result = maximal_subforest_oracle(g, EdgeOrder(g, potential(g)))
+    return {"kept": sorted(map(list, result.kept)),
+            "deleted": sorted(map(list, result.deleted))}
+
+
 def test_forest_triangle_and_oracle_parity(tmp_path):
     run(tmp_path, "gen", "--family", "cycle", "--n", "3", "-o", "tri.json")
     (tmp_path / "w.json").write_text('{"potential":{"0":"3","1":"2","2":"1"}}')
@@ -45,10 +56,9 @@ def test_forest_triangle_and_oracle_parity(tmp_path):
     doc = json.loads((tmp_path / "f1.json").read_text())
     assert len(doc["deleted"]) == 1
     assert doc["cut_witnesses"]["ok"]
-    assert run(tmp_path, "forest", "tri.json", "w.json", "--oracle",
-               "-o", "f2.json") == 0
-    doc2 = json.loads((tmp_path / "f2.json").read_text())
-    assert doc["kept"] == doc2["kept"] and doc["deleted"] == doc2["deleted"]
+    slow = _oracle_json(tmp_path / "tri.json",
+                        lambda g: {0: Fraction(3), 1: Fraction(2), 2: Fraction(1)})
+    assert doc["kept"] == slow["kept"] and doc["deleted"] == slow["deleted"]
 
 
 def test_oracle_parity_on_fixtures(tmp_path):
@@ -62,11 +72,9 @@ def test_oracle_parity_on_fixtures(tmp_path):
         run(tmp_path, *argv, "-o", f"g{i}.json")
         assert run(tmp_path, "forest", f"g{i}.json", "unit.json",
                    "-o", f"fast{i}.json") == 0
-        assert run(tmp_path, "forest", f"g{i}.json", "unit.json", "--oracle",
-                   "-o", f"slow{i}.json") == 0
         fast = json.loads((tmp_path / f"fast{i}.json").read_text())
-        slow = json.loads((tmp_path / f"slow{i}.json").read_text())
-        assert fast["kept"] == slow["kept"]
+        slow = _oracle_json(tmp_path / f"g{i}.json", unit_potential)
+        assert fast["kept"] == slow["kept"] and fast["deleted"] == slow["deleted"]
 
 
 def test_forest_fixed_flag(tmp_path):
@@ -103,6 +111,18 @@ def test_percolate_degenerate_grid(tmp_path):
     first, second = (json.loads(s) for s in lines)
     assert first["open"] == 0 and second["open"] == 5
     assert (tmp_path / "s.csv").read_text().startswith("p,statistic,value")
+
+
+def test_every_command_accepts_a_graph_with_no_vertices(tmp_path):
+    (tmp_path / "g.json").write_text('{"vertices":[],"edges":[]}')
+    (tmp_path / "unit.json").write_text('{"unit":true}')
+    for argv in (["forest", "g.json", "unit.json", "-o", "f.json"],
+                 ["collapse", "g.json", "unit.json", "-o", "c.json", "--family-out", "fam.json"],
+                 ["analyze", "g.json", "unit.json", "-o", "a.json"],
+                 ["percolate", "g.json", "unit.json", "--p-grid", "0.5", "-o", "r.jsonl"]):
+        assert run(tmp_path, *argv) == 0, argv
+    record = json.loads((tmp_path / "r.jsonl").read_text())
+    assert record["clusters"]["largest_fraction"] == 0.0
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -285,7 +305,8 @@ def test_usage_errors_exit_2_with_json(tmp_path, capsys):
     for argv in (["forest", "only_one.json"], ["frobnicate"],
                  ["forest", "g.json", "w.json", "--tiebreak", "random", "-o", "f.json"],
                  ["percolate", "g.json", "w.json", "--p-grid", "0.5", "--trials", "x",
-                  "-o", "r.jsonl"]):
+                  "-o", "r.jsonl"],
+                 ["forest", "g.json", "w.json", "--oracle", "-o", "f.json"]):
         assert run(tmp_path, *argv) == 2, argv
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1, argv

@@ -356,12 +356,16 @@ def test_visibility_masses_equal_bfs(rand):
 
 
 def test_side_count_dp_matches_naive(rand):
-    for _ in range(40):
-        g = random_connected_graph(rand, rand.randint(2, 10))
-        flagged = frozenset(v for v in g.vertices if rand.random() < 0.4)
-        g = build_graph(g.vertices, g.edges, meta={"boundary": flagged})
+    cases = [(g, pot, ProxyParams(nonvanish_delta=F(1, 2))) for g, pot in _family_cases()]
+    for _ in range(300):
+        g = _random_flagged_graph(rand)
         pot = random_potential(rand, g)
-        params = ProxyParams(nonvanish_delta=F(1, 2))
+        if rand.random() < 0.4:  # the sweep counts sides on its kept forest
+            g = spanned_subgraph(g, maximal_subforest(g, EdgeOrder(g, pot)).kept)
+        cases.append((g, pot, _random_params(rand)))
+    assert sum(1 for g, _, _ in cases if len(components(g)) > 1) > 40
+    assert sum(1 for g, _, _ in cases if is_acyclic(g, g.edges) and len(g.edges) > 3) > 50
+    for g, pot, params in cases:
         for kind in (NONVANISHING, INFINITE):
             dp = qualifying_side_counts(g, qualifier(g, pot, params, kind))
             naive = {x: sides_order(g, pot, (x,), params, kind) for x in g.vertices}

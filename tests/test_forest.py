@@ -18,7 +18,7 @@ from wforest.forest import (
     restrict_forest,
 )
 from wforest.generators import lattice_box
-from wforest.graph import _biconnected_blocks, build_graph, components, induced_subgraph
+from wforest.graph import _edge_blocks, build_graph, components, induced_subgraph
 from wforest.unionfind import UnionFind
 from wforest.weights import EdgeOrder, unit_potential
 
@@ -222,7 +222,11 @@ def test_restrict_rejects_non_invariant():
 def sample_block_union(rand, g):
     """Random connected union of biconnected blocks: always cycle-invariant."""
     comp = components(g)[0]
-    blocks, cuts = _biconnected_blocks(g, comp)
+    by_id: dict[int, set[int]] = {}
+    for e, block in sorted(_edge_blocks(g).items()):
+        if e[0] in comp:
+            by_id.setdefault(block, set()).update(e)
+    blocks = list(by_id.values())
     if not blocks:
         return set(comp)
     adj = {i: set() for i in range(len(blocks))}

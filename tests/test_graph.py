@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +12,12 @@ from wforest.errors import (
     SpansComponents,
     UnknownId,
 )
+from wforest.generators import free_product, gp_graph, lattice_box, windmill
 from wforest.graph import (
+    _edge_blocks,
     build_graph,
     components,
+    edge,
     edge_boundary,
     from_json,
     induced_subgraph,
@@ -206,6 +210,30 @@ def test_cycle_invariance_equal_oracle(rand):
         assert got == cycle_invariant_oracle(g, Y), (sorted(g.edges), sorted(Y))
         outcomes[got] += 1
     assert min(outcomes.values()) > 500
+
+
+def test_edge_blocks_equal_networkx(rand):
+    graphs = [lattice_box(6, 5), gp_graph(2, 2, 4), windmill(4, 3),
+              free_product([{"family": "gp", "k": 2, "up": 1, "down": 1},
+                            {"family": "lattice_box", "w": 3, "h": 3}], max_word=1)]
+    for _ in range(1500):
+        g = random_graph(rand)
+        isolated = range(100, 100 + rand.randint(0, 2))
+        graphs.append(build_graph([*g.vertices, *isolated], g.edges))
+    assert sum(1 for g in graphs if len(components(g)) > 1) > 500
+    for g in graphs:
+        blocks = _edge_blocks(g)
+        assert set(blocks) == g.edges
+        by_block = {}
+        for e, block in blocks.items():
+            by_block.setdefault(block, []).append(e)
+        nxg = nx.Graph(list(g.edges))
+        want_edges = [sorted(edge(*e) for e in es) for es in nx.biconnected_component_edges(nxg)]
+        want_vertices = [sorted(vs) for vs in nx.biconnected_components(nxg)]
+        assert sorted(sorted(es) for es in by_block.values()) == sorted(want_edges), \
+            sorted(g.edges)
+        assert sorted(sorted({v for e in es for v in e}) for es in by_block.values()) == \
+            sorted(want_vertices)
 
 
 def test_subgraphs():

@@ -70,10 +70,9 @@ def test_insert_delete():
 def test_delete_cut_edge_splits_cluster():
     g = build_graph(range(4), [(0, 1), (1, 2), (2, 3)])
     cfg = full_config(g)
-    before = cluster_report(cfg, unit_potential(g), ProxyParams(), side_counts=False)
+    before = cluster_report(cfg, unit_potential(g), ProxyParams())
     assert before.counts["count"] == 1
-    after = cluster_report(delete_edge(cfg, (1, 2)), unit_potential(g),
-                           ProxyParams(), side_counts=False)
+    after = cluster_report(delete_edge(cfg, (1, 2)), unit_potential(g), ProxyParams())
     assert after.counts["count"] == 2
 
 
