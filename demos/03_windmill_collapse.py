@@ -6,10 +6,11 @@ Run: python demos/03_windmill_collapse.py
 
 from wforest import (
     ProxyParams,
+    check_cut_witnesses,
     collapsed_maximal_subforest,
     find_furcation_vertices,
     maximal_disjoint_furcations,
-    maximal_subforest_oracle,
+    maximal_subforest,
     windmill,
 )
 from wforest.forest import is_acyclic
@@ -29,9 +30,12 @@ print(f"  trifurcation-proxy vertices: "
 print("\n== The emitted dotted/solid order ==")
 tiebreak = g.meta["tiebreak"]
 order = EdgeOrder(g, pot, tiebreak)
-result = maximal_subforest_oracle(g, order)
-print(f"  cycle-deletion oracle keeps {len(result.kept)} edges, "
+result = maximal_subforest(g, order)
+print(f"  the cycle-cutting forest keeps {len(result.kept)} edges, "
       f"deletes {len(result.deleted)}")
+report = check_cut_witnesses(g, result, order)
+print(f"  cut witnesses clean: {report.ok}; each of the {len(report.witnesses)} "
+      "deleted edges is least on the cycle its witness closes")
 for hub in range(1, B - 1):
     incident = sorted(e for e in result.kept if hub in e)
     print(f"  hub {hub} keeps exactly {len(incident)} directions: {incident}")

@@ -17,7 +17,6 @@ from .graph import (
     is_cycle_invariant,
     outer_boundary,
     sides,
-    simple_cycles,
     spanned_subgraph,
     to_json,
 )
@@ -35,9 +34,7 @@ from .weights import (
 from .forest import (
     ForestResult,
     check_cut_witnesses,
-    fmsf,
     maximal_subforest,
-    maximal_subforest_oracle,
     restrict_forest,
 )
 from .ends import (

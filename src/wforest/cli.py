@@ -36,7 +36,7 @@ from .errors import (
 )
 from .forest import check_cut_witnesses, maximal_subforest
 from .generators import build_family
-from .graph import Edge, Graph, components, from_json, id_pair, to_json
+from .graph import Edge, Graph, components, from_doc, id_pair, parse_json, to_json
 from .percolation import records_to_jsonl, summary_csv, sweep
 from .weights import EdgeOrder, exact_potential, level_potential, unit_potential
 
@@ -68,27 +68,45 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def _write_with_manifest(command: str, argv: list[str], inputs: list[str],
-                         outputs: dict[str, str], seed) -> None:
-    for path, data in outputs.items():
+                         outputs: list[tuple[str, str]], seed) -> None:
+    """Write each (path, data) output and a manifest beside the first.
+
+    The inputs are hashed before anything is written, and nothing is
+    written when two outputs, an output and an input, or an output and the
+    manifest name the same file, which would lose data."""
+    input_hashes = {p: _file_sha256(p) for p in inputs}
+    manifest_path = outputs[0][0] + ".manifest.json"
+    targets = [p for p, _ in outputs] + [manifest_path]
+    claimed = {os.path.realpath(p): "input" for p in inputs}
+    for path in targets:
+        real = os.path.realpath(path)
+        if real in claimed:
+            raise BadParams(f"output {path} is the same file as an {claimed[real]}")
+        claimed[real] = "output"
+    for path, data in outputs:
         _atomic_write(path, data)
     manifest = {
         "tool": "wforest",
         "version": __version__,
         "command": command,
         "argv": argv,
-        "inputs": {p: _file_sha256(p) for p in inputs},
-        "outputs": {p: _sha256(d.encode()) for p, d in outputs.items()},
+        "inputs": input_hashes,
+        "outputs": {p: _sha256(d.encode()) for p, d in outputs},
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    primary = next(iter(outputs))
-    _atomic_write(primary + ".manifest.json",
-                  json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+def _read_json(path: str):
+    """The document in a JSON input file: graph, weights, fixed edges or
+    manifest."""
+    with open(path) as fh:
+        return parse_json(fh.read(), path)
 
 
 def load_graph(path: str) -> Graph:
-    with open(path) as fh:
-        return from_json(fh.read())
+    return from_doc(_read_json(path))
 
 
 def _fraction(value, what: str) -> Fraction:
@@ -103,8 +121,7 @@ def _fraction(value, what: str) -> Fraction:
 
 def load_weights(path: str, g: Graph) -> dict[int, Fraction]:
     """Weight JSON: explicit potential, level-derived, or unit."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise MalformedDocument(f"weight file {path} is not a JSON object")
     for flag in ("unit", "levels_from_meta"):
@@ -124,8 +141,7 @@ def load_weights(path: str, g: Graph) -> dict[int, Fraction]:
 
 def load_fixed(path: str) -> list[Edge]:
     """Fixed-edge JSON: a list of [u, v] pairs, or an object with one under "edges"."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     edges = doc.get("edges") if isinstance(doc, dict) else doc
     if not isinstance(edges, list):
         raise MalformedDocument(f"fixed-edge file {path} holds no list of edges")
@@ -189,9 +205,9 @@ def cmd_gen(args, argv) -> int:
         if val is not None:
             spec[key] = val
     if args.factors:
-        spec["factors"] = _check_factors(json.loads(args.factors))
+        spec["factors"] = _check_factors(parse_json(args.factors, "--factors"))
     g = build_family(spec)
-    _write_with_manifest("gen", argv, [], {args.output: to_json(g)},
+    _write_with_manifest("gen", argv, [], [(args.output, to_json(g))],
                          getattr(args, "seed", None))
     return 0
 
@@ -208,7 +224,7 @@ def cmd_forest(args, argv) -> int:
     result = maximal_subforest(g, order, fixed)
     report = check_cut_witnesses(g, result, order) if args.check_witnesses else None
     _write_with_manifest("forest", argv, inputs,
-                         {args.output: _forest_json(result, report)}, None)
+                         [(args.output, _forest_json(result, report))], None)
     return 0
 
 
@@ -238,11 +254,11 @@ def cmd_collapse(args, argv) -> int:
         "proxy_params": {"nonvanish_delta": str(params.nonvanish_delta),
                          "heavy_tau": str(params.heavy_tau)},
     }
-    _write_with_manifest("collapse", argv, [args.graph, args.weights], {
-        args.output: _forest_json(res.forest),
-        args.family_out: json.dumps(family_doc, sort_keys=True,
-                                    separators=(",", ":")) + "\n",
-    }, None)
+    _write_with_manifest("collapse", argv, [args.graph, args.weights], [
+        (args.output, _forest_json(res.forest)),
+        (args.family_out, json.dumps(family_doc, sort_keys=True,
+                                     separators=(",", ":")) + "\n"),
+    ], None)
     return 0
 
 
@@ -284,9 +300,9 @@ def cmd_analyze(args, argv) -> int:
         "proxy_params": {"nonvanish_delta": str(params.nonvanish_delta),
                          "heavy_tau": str(params.heavy_tau)},
     }
-    _write_with_manifest("analyze", argv, [args.graph, args.weights], {
-        args.output: json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n",
-    }, None)
+    _write_with_manifest("analyze", argv, [args.graph, args.weights], [
+        (args.output, json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"),
+    ], None)
     return 0
 
 
@@ -307,9 +323,9 @@ def cmd_percolate(args, argv) -> int:
                             executor=pool)
     else:
         records = sweep(g, potential, p_grid, args.trials, args.seed, params)
-    outputs = {args.output: records_to_jsonl(records)}
+    outputs = [(args.output, records_to_jsonl(records))]
     if args.summary:
-        outputs[args.summary] = summary_csv(records)
+        outputs.append((args.summary, summary_csv(records)))
     _write_with_manifest("percolate", argv, [args.graph, args.weights],
                          outputs, args.seed)
     return 0
@@ -318,8 +334,7 @@ def cmd_percolate(args, argv) -> int:
 def _load_manifest(path: str) -> dict:
     """A manifest as `_write_with_manifest` writes it; its argv must name a
     command that writes one, so a manifest can never rerun `rerun`."""
-    with open(path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(path)
     argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)
             and argv[:1] in (["gen"], ["forest"], ["collapse"], ["analyze"], ["percolate"])

@@ -11,7 +11,7 @@ ProxyParams so results stay honest about the approximation.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import BadParams, NotConnected, OverlappingBlocks, UnknownId
 from .forest import ForestResult, maximal_subforest
@@ -24,7 +24,6 @@ from .graph import (
     build_graph,
     components,
     edge,
-    induced_subgraph,
     is_connected_set,
 )
 from .unionfind import UnionFind
@@ -192,34 +191,76 @@ def find_furcation_vertices(g: Graph, potential: Mapping[int, object], n: int,
     return tuple(x for x in g.vertices if counts[x] >= n)
 
 
-def connected_subsets(g: Graph, s_max: int) -> list[tuple[int, ...]]:
-    """All connected vertex sets of size <= s_max, sorted by (size, ids).
+def connected_subsets(g: Graph, s_max: int) -> Iterator[tuple[int, ...]]:
+    """All connected vertex sets of size <= s_max, yielded in (size, ids) order.
 
-    Enumeration with a fixed minimum vertex and exclusive-neighbor
-    extensions, so each set appears exactly once.
+    The sets are built one (size, least vertex) group at a time and sorted
+    within the group, so memory holds one group, never the whole family.
+    A bad `s_max` raises here, before any set is built.
     """
+    _check_s_max(s_max)
+    return _subsets_by_size(g.adjacency, g.vertices, s_max)
+
+
+def _check_s_max(s_max: int) -> None:
     if s_max < 1:
         raise BadParams(f"s_max must be >= 1, got {s_max}")
-    adj = g.adjacency
-    found: list[tuple[int, ...]] = []
 
-    def extend(root: int, sub: list[int], ext: list[int], forbidden: set[int]):
-        found.append(tuple(sorted(sub)))
-        if len(sub) == s_max:
+
+def _subsets_by_size(adj: Mapping[int, tuple[int, ...]], roots: Iterable[int],
+                     s_max: int) -> Iterator[tuple[int, ...]]:
+    """The connected sets of size <= s_max whose least vertex is one of
+    `roots`, in (size, ids) order.  A root with no set of some size has
+    none larger (drop a non-cut vertex other than the root), so it leaves
+    the scan."""
+    live = list(roots)
+    for size in range(1, s_max + 1):
+        if not live:
             return
-        remaining = list(ext)
-        while remaining:
-            w = remaining.pop(0)
-            new_forbidden = forbidden | {w}
-            fresh = [u for u in adj[w]
-                     if u > root and u not in new_forbidden and u not in sub]
-            extend(root, sub + [w], remaining + fresh, new_forbidden | set(fresh))
-        return
+        rest = []
+        for root in live:
+            group = _sets_of_size(adj, root, size)
+            if group:
+                rest.append(root)
+                group.sort()
+                yield from group
+        live = rest
 
-    for v in g.vertices:
-        ext0 = [u for u in adj[v] if u > v]
-        extend(v, [v], ext0, {v} | set(ext0))
-    found.sort(key=lambda t: (len(t), t))
+
+def _sets_of_size(adj: Mapping[int, tuple[int, ...]], root: int,
+                  size: int) -> list[tuple[int, ...]]:
+    """The connected sets of exactly `size` vertices with least vertex root,
+    unsorted: exclusive-neighbour extension (Wernicke's ESU, 2006), each set
+    built once, on an explicit stack, so no recursion limit bounds `size`.
+    `seen` holds the chosen vertices and every extension offered on the
+    current path; a frame is [its extensions, the next branch, the vertices
+    it offered], and those leave `seen` with the frame.
+    """
+    if size == 1:
+        return [(root,)]
+    found = []
+    chosen = [root]
+    ext = [u for u in adj[root] if u > root]
+    seen = {root, *ext}
+    stack = [[ext, 0, ()]]
+    while stack:
+        frame = stack[-1]
+        ext, i, offered = frame
+        if i == len(ext):
+            stack.pop()
+            seen.difference_update(offered)
+            chosen.pop()
+            continue
+        frame[1] = i + 1
+        w = ext[i]
+        chosen.append(w)
+        if len(chosen) == size:
+            found.append(tuple(sorted(chosen)))
+            chosen.pop()
+            continue
+        fresh = [u for u in adj[w] if u > root and u not in seen]
+        seen.update(fresh)
+        stack.append([ext[i + 1:] + fresh, 0, fresh])
     return found
 
 
@@ -238,28 +279,39 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
     Candidates are scanned in the deterministic (size, ids) order, capped at
     s_max vertices; the result is pairwise disjoint and maximal under the
     scan within each phase.
+
+    One pass over the candidate stream runs phase 1, evaluating each free
+    candidate once for both kinds, and keeps the untaken ones with >= 2
+    infinite sides; phases 2 and 3 scan only those.  This is exact: `used`
+    only grows, and a nonvanishing side is also infinite.  A component with
+    fewer than 2 flagged vertices has no such candidate and is not enumerated.
     """
-    candidates = connected_subsets(g, s_max)
+    _check_s_max(s_max)
     marks = _qualifying_marks(g, potential, params, g.vertices)
+    nv, inf = _KINDS.index(NONVANISHING), _KINDS.index(INFINITE)
     total_of: dict[int, list[int]] = {}
     for comp in components(g):
         total = _mark_totals(marks, comp)
-        total_of.update(dict.fromkeys(comp, total))
-    # used only grows, so every candidate a phase reads was free in phase 1
-    # and is evaluated there, once, for both kinds
-    orders: dict[tuple[int, ...], list[int]] = {}
+        if total[inf] >= 2:
+            total_of.update(dict.fromkeys(comp, total))
+    candidates = _subsets_by_size(g.adjacency, sorted(total_of), s_max)
     used: set[int] = set()
     blocks: list[tuple[int, ...]] = []
     phases: list[int] = []
-    spec = ((1, NONVANISHING, 3), (2, NONVANISHING, 2), (3, INFINITE, 2))
-    for phase, kind, need in spec:
-        k = _KINDS.index(kind)
-        for cand in candidates:
-            if any(v in used for v in cand):
-                continue
-            if cand not in orders:
-                orders[cand] = _side_orders(g.adjacency, cand, marks, total_of[cand[0]])
-            if orders[cand][k] >= need:
+    later: list[tuple[tuple[int, ...], bool]] = []  # (candidate, >= 2 nonvanishing sides)
+    for cand in candidates:
+        if any(v in used for v in cand):
+            continue
+        orders = _side_orders(g.adjacency, cand, marks, total_of[cand[0]])
+        if orders[nv] >= 3:
+            blocks.append(cand)
+            phases.append(1)
+            used.update(cand)
+        elif orders[inf] >= 2:
+            later.append((cand, orders[nv] >= 2))
+    for phase in (2, 3):
+        for cand, weighted in later:
+            if (weighted or phase == 3) and not any(v in used for v in cand):
                 blocks.append(cand)
                 phases.append(phase)
                 used.update(cand)
@@ -317,10 +369,7 @@ def quotient(g: Graph, potential: Mapping[int, object],
     lift = {qe: pick(cands) for qe, cands in host_by_qedge.items()}
     qpotential = {bid: max(potential[v] for v in members)
                   for bid, members in all_blocks.items()}
-    inner_trees = {}
-    for b in fam:
-        sub = induced_subgraph(g, b)
-        inner_trees[b[0]] = _bfs_tree(sub, b[0])
+    inner_trees = {b[0]: _bfs_tree(g, b) for b in fam}
 
     qboundary = frozenset(
         bid for bid, members in all_blocks.items()
@@ -339,16 +388,17 @@ def quotient(g: Graph, potential: Mapping[int, object],
     )
 
 
-def _bfs_tree(g: Graph, root: int) -> frozenset[Edge]:
-    seen = {root}
-    queue = [root]
-    qi = 0
+def _bfs_tree(g: Graph, block: tuple[int, ...]) -> frozenset[Edge]:
+    """The BFS tree of a connected block from its least vertex, read off the
+    host adjacency restricted to the block.  The adjacency is sorted, so the
+    tree is the one the induced subgraph would give."""
+    inside = set(block)
+    seen = {block[0]}
+    queue = [block[0]]
     tree = []
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
+    for x in queue:
         for y in g.adjacency[x]:
-            if y not in seen:
+            if y in inside and y not in seen:
                 seen.add(y)
                 tree.append(edge(x, y))
                 queue.append(y)

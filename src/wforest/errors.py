@@ -49,10 +49,6 @@ class SpansComponents(WForestError):
     pass
 
 
-class CycleLimitExceeded(WForestError):
-    pass
-
-
 # weights
 
 class NonPositiveWeight(WForestError):
@@ -74,10 +70,6 @@ class CrossComponent(WForestError):
 # forest
 
 class FixedSetCyclic(WForestError):
-    pass
-
-
-class DuplicateLabel(WForestError):
     pass
 
 

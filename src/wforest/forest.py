@@ -5,16 +5,17 @@ iff some simple cycle through e has e as its order-least non-H edge;
 equivalently e is kept iff its endpoints are not connected by H together
 with the strictly greater edges.  On a finite graph with a strict total
 order this is exactly the maximum spanning forest constrained to contain H,
-which the fast implementation computes greedily; the literal
-cycle-enumeration reading lives in `maximal_subforest_oracle` and the two
-are held equal by the test suite.
+which `maximal_subforest` computes greedily.  `check_cut_witnesses` is its
+polynomial certificate: each deleted edge is shown least on one cycle, or
+below a partner across a cut.  The literal cycle-enumeration reading and
+the classical free minimal spanning forest are exponential or quadratic, so
+they live with the test suite, which holds the greedy equal to both.
 """
 
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import (
-    DuplicateLabel,
     FixedSetCyclic,
     InvariantViolation,
     NotConnected,
@@ -27,7 +28,6 @@ from .graph import (
     induced_subgraph,
     is_connected_set,
     is_cycle_invariant,
-    simple_cycles,
 )
 from .unionfind import UnionFind
 from .weights import EdgeOrder
@@ -77,58 +77,6 @@ def maximal_subforest(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = ()) ->
         else:
             deleted.append(e)
     return ForestResult(kept=frozenset(kept), deleted=frozenset(deleted), fixed=h)
-
-
-def maximal_subforest_oracle(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = (),
-                             limit: int = 100_000) -> ForestResult:
-    """Literal reading: enumerate every simple cycle, mark its order-least
-    non-fixed edge, delete all marked edges simultaneously.
-
-    Exponential; for cross-checking the greedy on small graphs.
-    """
-    h = frozenset(fixed)
-    _check_fixed(g, h)
-    marked: set[Edge] = set()
-    for cyc in simple_cycles(g, limit=limit):
-        candidates = [e for e in cyc if e not in h]
-        # nonempty: a cycle inside the acyclic fixed set is impossible
-        marked.add(min(candidates, key=order.key))
-    kept = frozenset(g.edges - marked)
-    return ForestResult(kept=kept, deleted=frozenset(marked), fixed=h)
-
-
-def fmsf(g: Graph, labels: dict[Edge, object]) -> frozenset[Edge]:
-    """Classical free minimal spanning forest: delete the largest-label edge
-    of each cycle.
-
-    Implemented independently of the greedy (per-edge connectivity search on
-    the smaller-label subgraph) so it can serve as a cross-check.
-    """
-    for e in g.edges:
-        if e not in labels:
-            raise UnknownId(f"label missing for edge {e}")
-    vals = [labels[e] for e in g.edges]
-    if len(set(vals)) != len(vals):
-        raise DuplicateLabel("edge labels are not injective")
-    kept = set()
-    for e in sorted(g.edges):
-        below = [f for f in g.edges if f != e and labels[f] < labels[e]]
-        adj: dict[int, list[int]] = {x: [] for x in g.vertices}
-        for a, b in below:
-            adj[a].append(b)
-            adj[b].append(a)
-        u, v = e
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if v not in seen:
-            kept.add(e)
-    return frozenset(kept)
 
 
 class CutWitnessReport(NamedTuple):

@@ -1,5 +1,5 @@
-"""Immutable finite graphs with the connectivity, boundary, side, and cycle
-primitives every other module builds on.
+"""Immutable finite graphs with the connectivity, boundary, side, and
+cycle-invariance primitives every other module builds on.
 
 Vertices are opaque integer ids; edges are canonical pairs ``(u, v)`` with
 ``u < v``.  Determinism everywhere comes from sorting on ids, never from
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import (
-    CycleLimitExceeded,
     DanglingEndpoint,
     DuplicateVertexId,
     MalformedDocument,
@@ -195,39 +194,6 @@ def outer_boundary(g: Graph, A: Iterable[int]) -> frozenset[int]:
     )
 
 
-def simple_cycles(g: Graph, limit: int = 100_000) -> list[list[Edge]]:
-    """All simple cycles (length >= 3), each exactly once, as edge lists.
-
-    Canonical form: the vertex sequence starts at the cycle's least vertex
-    and proceeds toward the smaller of its two cycle-neighbors.  Exponential;
-    gated by `limit` and meant for oracle use on small graphs only.
-    """
-    cycles: list[tuple[int, ...]] = []
-    adj = g.adjacency
-    for s in g.vertices:
-        # DFS over paths s, v1, ..., vk with every vi > s; a cycle is closed
-        # when vk is adjacent to s; reflections deduped by v1 < vk.
-        stack: list[tuple[int, list[int]]] = [(s, [s])]
-        while stack:
-            last, path = stack.pop()
-            on_path = set(path)
-            for y in adj[last]:
-                if y == s and len(path) >= 3 and path[1] < path[-1]:
-                    cycles.append(tuple(path))
-                    if len(cycles) > limit:
-                        raise CycleLimitExceeded(
-                            f"more than {limit} simple cycles")
-                elif y > s and y not in on_path:
-                    stack.append((y, path + [y]))
-    cycles.sort(key=lambda seq: (len(seq), seq))
-    out = []
-    for seq in cycles:
-        es = [edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
-        es.append(edge(seq[-1], seq[0]))
-        out.append(es)
-    return out
-
-
 def is_cycle_invariant(g: Graph, Y: Iterable[int]) -> bool:
     """True iff every simple cycle with an edge inside Y lies entirely in Y.
 
@@ -379,10 +345,23 @@ def _json_list(x, what: str) -> list:
     return x
 
 
+def parse_json(text: str, what: str):
+    """`json.loads`, except that a document nested past the parser's
+    recursion limit raises `MalformedDocument`, not `RecursionError`."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise MalformedDocument(f"{what} is nested too deeply to parse") from None
+
+
 def from_json(text: str) -> Graph:
     """Parse and validate the graph JSON document; any deviation from the
     format raises a `WForestError`, never a `TypeError`."""
-    doc = json.loads(text)
+    return from_doc(parse_json(text, "graph document"))
+
+
+def from_doc(doc) -> Graph:
+    """Validate a parsed graph JSON document into a Graph."""
     if not isinstance(doc, dict):
         raise MalformedDocument("graph document is not a JSON object")
     vertices = []

@@ -1,11 +1,15 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The oracles here deliberately avoid the library's own machinery: cycle
-enumeration by permutation scan, spanning forests by BFS connectivity,
-visibility by exhaustive simple-path search, cut witnesses by one kept-forest
-search per deleted edge, sides by a search of F's whole component,
-cycle-invariance by cycle enumeration, the furcation family by one side
-search per candidate per phase.
+The oracles here deliberately avoid the library's own machinery: simple
+cycles by path search (and by permutation scan, to check that search), the
+cycle-cutting forest by marking each cycle's least edge, the classical free
+minimal spanning forest by one connectivity search per edge, spanning
+forests by BFS connectivity, visibility by exhaustive simple-path search,
+cut witnesses by one kept-forest search per deleted edge, sides by a search
+of F's whole component, cycle-invariance by cycle enumeration, the
+furcation family by one side search per candidate per phase.  Most are
+exponential or quadratic, which is why they live here and not in the
+library.
 """
 
 import itertools
@@ -24,8 +28,8 @@ from wforest.ends import (
     qualifier,
 )
 from wforest.errors import NotConnected, SpansComponents, UnknownId
-from wforest.forest import CutWitnessReport
-from wforest.graph import Graph, build_graph, edge, sides, simple_cycles
+from wforest.forest import CutWitnessReport, ForestResult
+from wforest.graph import Edge, Graph, build_graph, edge, sides
 from wforest.weights import EdgeOrder
 
 
@@ -57,6 +61,73 @@ def random_tiebreak(rand: random.Random, g: Graph) -> list:
 
 def random_order(rand: random.Random, g: Graph) -> EdgeOrder:
     return EdgeOrder(g, random_potential(rand, g), random_tiebreak(rand, g))
+
+
+class CycleLimitExceeded(Exception):
+    """`simple_cycles` found more cycles than its limit allows."""
+
+
+def simple_cycles(g: Graph, limit: int = 100_000) -> list[list[Edge]]:
+    """All simple cycles (length >= 3), each exactly once, as edge lists.
+
+    Canonical form: the vertex sequence starts at the cycle's least vertex
+    and proceeds toward the smaller of its two cycle-neighbors.  Exponential,
+    so it stops with `CycleLimitExceeded` past `limit` cycles.
+    """
+    cycles: list[tuple[int, ...]] = []
+    adj = g.adjacency
+    for s in g.vertices:
+        # DFS over paths s, v1, ..., vk with every vi > s; a cycle is closed
+        # when vk is adjacent to s; reflections deduped by v1 < vk.
+        stack: list[tuple[int, list[int]]] = [(s, [s])]
+        while stack:
+            last, path = stack.pop()
+            on_path = set(path)
+            for y in adj[last]:
+                if y == s and len(path) >= 3 and path[1] < path[-1]:
+                    cycles.append(tuple(path))
+                    if len(cycles) > limit:
+                        raise CycleLimitExceeded(f"more than {limit} simple cycles")
+                elif y > s and y not in on_path:
+                    stack.append((y, path + [y]))
+    cycles.sort(key=lambda seq: (len(seq), seq))
+    out = []
+    for seq in cycles:
+        es = [edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
+        es.append(edge(seq[-1], seq[0]))
+        out.append(es)
+    return out
+
+
+def maximal_subforest_oracle(g: Graph, order: EdgeOrder, fixed=()) -> ForestResult:
+    """Literal reading of the cycle-cutting forest: enumerate every simple
+    cycle, mark its order-least non-fixed edge, delete all marked edges
+    simultaneously.  Reference for `forest.maximal_subforest`; `fixed` must
+    be an acyclic edge set of g."""
+    h = frozenset(fixed)
+    marked: set[Edge] = set()
+    for cyc in simple_cycles(g):
+        marked.add(min((e for e in cyc if e not in h), key=order.key))
+    return ForestResult(kept=frozenset(g.edges - marked), deleted=frozenset(marked), fixed=h)
+
+
+def fmsf(g: Graph, labels: dict) -> frozenset:
+    """Classical free minimal spanning forest: delete the largest-label edge
+    of each cycle, by one connectivity search per edge on the smaller-label
+    subgraph.  Labels must be injective."""
+    vals = [labels[e] for e in g.edges]
+    if len(set(vals)) != len(vals):
+        raise ValueError("edge labels are not injective")
+    kept = set()
+    for e in sorted(g.edges):
+        below = [f for f in g.edges if f != e and labels[f] < labels[e]]
+        adj: dict[int, list[int]] = {x: [] for x in g.vertices}
+        for a, b in below:
+            adj[a].append(b)
+            adj[b].append(a)
+        if e[1] not in _reach(adj, e[0]):
+            kept.add(e)
+    return frozenset(kept)
 
 
 def cycles_by_permutation(g: Graph) -> set[tuple[int, ...]]:
@@ -272,7 +343,7 @@ def furcation_family_oracle(g: Graph, potential, params: ProxyParams,
                             s_max: int = 3) -> FurcationFamily:
     """The greedy three-phase family with a fresh `sides_order` per candidate
     per phase.  Reference for `ends.maximal_disjoint_furcations`."""
-    candidates = connected_subsets(g, s_max)
+    candidates = list(connected_subsets(g, s_max))
     used: set[int] = set()
     blocks: list[tuple[int, ...]] = []
     phases: list[int] = []

@@ -16,10 +16,8 @@ from wforest.cli import main as cli_main
 from wforest.ends import ProxyParams, collapsed_maximal_subforest
 from wforest.forest import (
     check_cut_witnesses,
-    fmsf,
     is_acyclic,
     maximal_subforest,
-    maximal_subforest_oracle,
     restrict_forest,
 )
 from wforest.generators import cycle, free_product, gp_graph, lattice_box, windmill
@@ -42,7 +40,9 @@ from wforest.weights import (
 
 from conftest import (
     brute_visibility,
+    fmsf,
     greedy_max_forest,
+    maximal_subforest_oracle,
     random_connected_graph,
     random_potential,
     random_tiebreak,

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wforest.cli import main
-from wforest.forest import maximal_subforest_oracle
 from wforest.graph import from_json, to_json
 from wforest.generators import cycle, gp_graph
 from wforest.weights import EdgeOrder, unit_potential
+
+from conftest import maximal_subforest_oracle
 
 
 def run(tmp_path, *argv):
@@ -281,6 +282,8 @@ def test_outputs_keep_the_default_file_mode(tmp_path):
     assert (tmp_path / "c.json").stat().st_mode & 0o777 == 0o666 & ~umask
 
 
+DEEP = "[" * 100_000  # past the JSON parser's recursion limit
+
 MALFORMED = [
     ('{"vertices":[{"id":"a"},{"id":1}],"edges":[["a",1]]}', '{"unit":true}'),
     ('{"vertices":[0],"edges":[]}', '{"unit":true}'),
@@ -289,6 +292,8 @@ MALFORMED = [
     ('{"vertices":[{"id":0},{"id":1}],"edges":[[0,1,2]]}', '{"unit":true}'),
     ('{"vertices":[{"id":0},{"id":1}],"edges":[[0,1]]}', '{"potential":{"0":null,"1":1}}'),
     ('{"vertices":[{"id":0},{"id":1}],"edges":[[0,1]]}', '{"potential":{"0":"1/0","1":1}}'),
+    (DEEP, '{"unit":true}'),
+    ('{"vertices":[{"id":0},{"id":1}],"edges":[[0,1]]}', DEEP),
 ]
 
 
@@ -296,9 +301,49 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
     for graph, weights in MALFORMED:
         (tmp_path / "g.json").write_text(graph)
         (tmp_path / "w.json").write_text(weights)
-        assert run(tmp_path, "forest", "g.json", "w.json", "-o", "f.json") == 2, graph
+        assert run(tmp_path, "forest", "g.json", "w.json", "-o", "f.json") == 2, graph[:50]
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    # a document nested too deeply to parse, as fixed edges, manifest or factors
+    (tmp_path / "g.json").write_text(to_json(cycle(3)))
+    (tmp_path / "w.json").write_text('{"unit":true}')
+    (tmp_path / "deep.json").write_text(DEEP)
+    for argv in (["forest", "g.json", "w.json", "--fixed", "deep.json", "-o", "f.json"],
+                 ["rerun", "deep.json"],
+                 ["gen", "--family", "free_product", "--max-word", "1", "--factors", DEEP,
+                  "-o", "f.json"]):
+        assert run(tmp_path, *argv) == 2, argv[0]
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1, argv[0]
+        assert json.loads(out.err)["error"] == "MalformedDocument", argv[0]
     assert not (tmp_path / "f.json").exists()
+
+
+def test_colliding_output_paths_exit_2_and_write_nothing(tmp_path, capsys):
+    run(tmp_path, "gen", "--family", "windmill", "--blades", "3", "--radius", "2",
+        "-o", "wm.json")
+    (tmp_path / "unit.json").write_text('{"unit":true}')
+    (tmp_path / "u.manifest.json").write_text('{"unit":true}')
+    (tmp_path / "link.json").symlink_to("wm.json")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for argv in (
+        ["collapse", "wm.json", "unit.json", "--tiebreak", "meta", "-o", "same.json",
+         "--family-out", "same.json"],
+        ["percolate", "wm.json", "unit.json", "--p-grid", "0.5", "-o", "r.jsonl",
+         "--summary", "r.jsonl"],
+        ["forest", "wm.json", "unit.json", "-o", "wm.json"],
+        ["forest", "wm.json", "unit.json", "-o", "link.json"],
+        ["forest", "link.json", "unit.json", "-o", "./wm.json"],
+        ["analyze", "wm.json", "unit.json", "-o", "unit.json"],
+        ["collapse", "wm.json", "unit.json", "-o", "c.json",
+         "--family-out", "c.json.manifest.json"],
+        ["forest", "wm.json", "u.manifest.json", "-o", "u"],  # the manifest is an input
+    ):
+        assert run(tmp_path, *argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1, argv
+        assert json.loads(out.err)["error"] == "BadParams", argv
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before, argv
+    assert run(tmp_path, "rerun", "wm.json.manifest.json") == 0
 
 
 def test_usage_errors_exit_2_with_json(tmp_path, capsys):

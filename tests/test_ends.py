@@ -133,7 +133,7 @@ def test_furcation_monotonicity(rand):
 
 def test_connected_subsets_enumeration():
     g = build_graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
-    subs = connected_subsets(g, 3)
+    subs = list(connected_subsets(g, 3))
     assert len([s for s in subs if len(s) == 1]) == 4
     assert len([s for s in subs if len(s) == 2]) == 4
     assert len([s for s in subs if len(s) == 3]) == 4
@@ -391,12 +391,48 @@ def test_connected_subsets_against_brute_force(rand):
         g = random_connected_graph(rand, rand.randint(3, 8))
         from wforest.graph import is_connected_set
         brute = []
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4, 5):
             for combo in itertools.combinations(g.vertices, k):
                 if is_connected_set(g, combo):
                     brute.append(combo)
         brute.sort(key=lambda t: (len(t), t))
-        assert connected_subsets(g, 3) == brute
+        for s_max in (3, 4, 5):
+            assert list(connected_subsets(g, s_max)) == \
+                [t for t in brute if len(t) <= s_max]
+
+
+def test_connected_subsets_do_not_recurse():
+    """Sets larger than the recursion limit allows are built without
+    recursion: the limit is set 60 frames above the current depth."""
+    import sys
+    g = build_graph(range(120), [(v, v + 1) for v in range(119)])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        subs = list(connected_subsets(g, 110))
+    finally:
+        sys.setrecursionlimit(limit)
+    # every path segment of at most 110 vertices, shortest first
+    assert subs == [tuple(range(v, v + k)) for k in range(1, 111) for v in range(121 - k)]
+
+
+def test_family_memory_stays_small():
+    """The family holds one candidate group at a time, not every candidate:
+    at windmill(6,6) and s_max 4 the whole candidate list took about 1.1 MB
+    of traced memory, one group at a time takes about 0.06 MB."""
+    import tracemalloc
+    g = windmill(6, 6)
+    pot = unit_potential(g)
+    tracemalloc.start()
+    try:
+        maximal_disjoint_furcations(g, pot, ProxyParams(), s_max=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000
 
 
 def _random_flagged_graph(rand):
@@ -426,14 +462,16 @@ def _family_cases():
 
 
 def test_family_equals_sides_oracle(rand):
-    cases = [(g, pot, params) for g, pot in _family_cases()
+    # (graph, potential, params, largest s_max); s_max 4 and 5 stream several
+    # size groups, and run on the small random graphs, where the oracle is fast
+    cases = [(g, pot, params, 3) for g, pot in _family_cases()
              for params in (ProxyParams(), ProxyParams(nonvanish_delta=F(1, 2)))]
     for _ in range(400):
         g = _random_flagged_graph(rand)
-        cases.append((g, random_potential(rand, g), _random_params(rand)))
-    assert sum(1 for g, _, _ in cases if len(components(g)) > 1) > 60
-    for g, pot, params in cases:
-        for s_max in (1, 2, 3):
+        cases.append((g, random_potential(rand, g), _random_params(rand), 5))
+    assert sum(1 for g, *_ in cases if len(components(g)) > 1) > 60
+    for g, pot, params, top in cases:
+        for s_max in range(1, top + 1):
             got = maximal_disjoint_furcations(g, pot, params, s_max=s_max)
             want = furcation_family_oracle(g, pot, params, s_max=s_max)
             assert got == want, (s_max, sorted(g.edges), g.boundary_vertices())

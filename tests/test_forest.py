@@ -3,7 +3,6 @@ from fractions import Fraction as F
 import pytest
 
 from wforest.errors import (
-    DuplicateLabel,
     FixedSetCyclic,
     InvariantViolation,
     NotCycleInvariant,
@@ -11,10 +10,8 @@ from wforest.errors import (
 from wforest.forest import (
     ForestResult,
     check_cut_witnesses,
-    fmsf,
     is_acyclic,
     maximal_subforest,
-    maximal_subforest_oracle,
     restrict_forest,
 )
 from wforest.generators import lattice_box
@@ -24,10 +21,13 @@ from wforest.weights import EdgeOrder, unit_potential
 
 from conftest import (
     cut_witnesses_oracle,
+    fmsf,
     greedy_max_forest,
+    maximal_subforest_oracle,
     random_connected_graph,
     random_order,
     random_tiebreak,
+    simple_cycles,
 )
 
 
@@ -88,16 +88,11 @@ def test_oracle_two_triangles_sharing_edge():
     g = build_graph(range(4), [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     # s = (1,2) shared; order: s least, then (0,1) < (0,2) < (1,3) < (2,3)
     o = EdgeOrder(g, unit_potential(g), [(1, 2), (0, 1), (0, 2), (1, 3), (2, 3)])
-    assert len(simple_cycles_count(g)) == 3
+    assert len(simple_cycles(g)) == 3
     r = maximal_subforest_oracle(g, o)
     assert r.deleted == frozenset({(1, 2), (0, 1)})
     fast = maximal_subforest(g, o)
     assert fast.kept == r.kept
-
-
-def simple_cycles_count(g):
-    from wforest.graph import simple_cycles
-    return simple_cycles(g)
 
 
 def test_oracle_equivalence_random(rand):
@@ -143,7 +138,7 @@ def g_edges_minus(g, removed):
 
 def test_fmsf_rejects_duplicate_labels():
     g = build_graph([0, 1, 2], [(0, 1), (1, 2)])
-    with pytest.raises(DuplicateLabel):
+    with pytest.raises(ValueError):
         fmsf(g, {(0, 1): 1, (1, 2): 1})
 
 

@@ -188,8 +188,10 @@ def test_windmill_emitted_order_shape():
 
 
 def test_windmill_forest_three_rays_at_hubs():
-    from wforest.forest import maximal_subforest, maximal_subforest_oracle
+    from wforest.forest import maximal_subforest
     from wforest.weights import EdgeOrder
+
+    from conftest import maximal_subforest_oracle
     w = windmill(3, 3)
     o = EdgeOrder(w, unit_potential(w), w.meta["tiebreak"])
     r = maximal_subforest_oracle(w, o)

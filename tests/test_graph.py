@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wforest.errors import (
-    CycleLimitExceeded,
     DanglingEndpoint,
     DuplicateVertexId,
     NotConnected,
@@ -25,17 +24,18 @@ from wforest.graph import (
     is_cycle_invariant,
     outer_boundary,
     sides,
-    simple_cycles,
     spanned_subgraph,
     to_json,
 )
 
 from conftest import (
+    CycleLimitExceeded,
     canonical_cycle_vertices,
     cycle_invariant_oracle,
     cycles_by_permutation,
     random_connected_graph,
     sides_oracle,
+    simple_cycles,
 )
 
 

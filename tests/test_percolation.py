@@ -10,7 +10,7 @@ from wforest.errors import (
     NotWeightPreserving,
     UnknownEdge,
 )
-from wforest.forest import ForestResult, fmsf, is_acyclic
+from wforest.forest import ForestResult, is_acyclic
 from wforest.generators import cycle, free_product, gp_graph, lattice_box, windmill
 from wforest.graph import build_graph, components, spanned_subgraph
 from wforest.percolation import (
@@ -30,7 +30,7 @@ from wforest.percolation import (
 from wforest.rng import subseed
 from wforest.weights import level_potential, unit_potential
 
-from conftest import random_connected_graph, random_potential
+from conftest import fmsf, random_connected_graph, random_potential
 
 
 def test_bernoulli_degenerate_and_deterministic():
