@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# Byte identity of wforest outputs between two source trees.
+#
+#   .github/byte_identity.sh BASE_TREE [HEAD_TREE]
+#
+# Runs the same commands once per tree, with that tree's src on PYTHONPATH
+# and in a fresh directory, then compares every output file with cmp.
+# Manifests are not compared: they record paths and input hashes, not
+# results.  HEAD_TREE defaults to the current directory.  Exits nonzero on
+# the first difference or failed command.
+set -euo pipefail
+
+base=$(cd "$1" && pwd)
+head=$(cd "${2:-.}" && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+outputs=(gp.json box.json windmill.json
+         gp-1.jsonl gp-1.csv gp-2.jsonl gp-2.csv gp-3.jsonl gp-3.csv
+         gp-delta.jsonl gp-delta.csv box-forest.json
+         windmill-collapse.json windmill-family.json)
+
+run_tree() {
+    local tree=$1 dir=$2
+    mkdir -p "$dir"
+    (
+        cd "$dir"
+        wf() { PYTHONPATH="$tree/src" python3 -m wforest.cli "$@"; }
+        printf '{"levels_from_meta":true,"base_ratio":"1/2"}' > levels.json
+        printf '{"unit":true}' > unit.json
+        wf gen --family gp --k 2 --up 3 --down 5 -o gp.json
+        wf gen --family lattice_box --w 12 --h 12 -o box.json
+        wf gen --family windmill --blades 4 --radius 3 -o windmill.json
+        for seed in 1 2 3; do
+            wf percolate gp.json levels.json --p-grid 0.5,0.7,0.9 --seed "$seed" \
+                -o "gp-$seed.jsonl" --summary "gp-$seed.csv"
+        done
+        wf percolate gp.json levels.json --p-grid 0.5,0.7,0.9 --seed 1 --delta 1/4 \
+            -o gp-delta.jsonl --summary gp-delta.csv
+        wf forest box.json unit.json --check-witnesses -o box-forest.json
+        wf collapse windmill.json unit.json --tiebreak meta \
+            -o windmill-collapse.json --family-out windmill-family.json
+    )
+}
+
+run_tree "$base" "$work/base"
+run_tree "$head" "$work/head"
+for f in "${outputs[@]}"; do
+    cmp "$work/base/$f" "$work/head/$f"
+    echo "identical: $f"
+done

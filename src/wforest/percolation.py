@@ -7,6 +7,8 @@ configurations across p, and records are byte-reproducible.
 """
 
 import json
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
@@ -19,12 +21,12 @@ from .errors import (
     NotWeightPreserving,
     UnknownEdge,
 )
-from .ends import ProxyParams, _is_heavy, qualifier, qualifying_side_counts
+from .ends import ProxyParams, qualifying_side_counts
 from .forest import ForestResult, check_cut_witnesses, maximal_subforest
 from .graph import Edge, Graph, components, edge, spanned_subgraph
-from .rng import subseed, threshold, u64
+from .rng import subseed, threshold, u64s
 from .unionfind import UnionFind
-from .weights import EdgeOrder, exact_potential
+from .weights import EdgeOrder, RankedPotential, exact_potential, ranked_potential
 
 # Clusters per sweep run whose heaviest vertex is a visibility basepoint.
 VISIBILITY_BASEPOINTS = 8
@@ -39,19 +41,16 @@ class PercolationConfig:
     edits: tuple[tuple[str, Edge], ...] = ()
 
 
-def edge_indices(g: Graph) -> dict[Edge, int]:
-    """Canonical per-edge draw indices: position in the sorted edge list."""
-    return {e: i for i, e in enumerate(g.sorted_edges())}
-
-
 def bernoulli_sample(g: Graph, p: float, seed: int) -> PercolationConfig:
     """Each edge open independently with probability p, decided by comparing
-    its keyed 64-bit draw against the p-threshold (hence monotone in p)."""
+    its keyed 64-bit draw against the p-threshold (hence monotone in p).
+    An edge's draw index is its position in the sorted edge list."""
     if not 0.0 <= p <= 1.0:
         raise BadProbability(f"p={p} outside [0, 1]")
     cut = threshold(p)
+    edges = g.sorted_edges()
     open_edges = frozenset(
-        e for e, i in edge_indices(g).items() if u64(seed, "open", i) < cut
+        e for e, x in zip(edges, u64s(seed, "open", len(edges))) if x < cut
     )
     return PercolationConfig(host=g, open_edges=open_edges, p=p, seed=seed)
 
@@ -85,13 +84,15 @@ class LabelAssignment:
     collisions: tuple[tuple[Edge, Edge], ...] = ()
 
     def ranks(self, edges=None) -> dict[Edge, int]:
-        pool = sorted(self.labels if edges is None else edges)
-        ordered = sorted(pool, key=lambda e: (-self.labels[e], e))
+        ordered = sorted(self.labels if edges is None else edges,
+                         key=lambda e: (-self.labels[e], e))
         return {e: i for i, e in enumerate(ordered)}
 
 
 def assign_labels(g: Graph, seed: int) -> LabelAssignment:
-    labels = {e: u64(seed, "label", i) for e, i in edge_indices(g).items()}
+    """One keyed draw per edge, indexed by position in the sorted edge list."""
+    edges = g.sorted_edges()
+    labels = dict(zip(edges, u64s(seed, "label", len(edges))))
     by_value: dict[int, list[Edge]] = {}
     for e, val in labels.items():
         by_value.setdefault(val, []).append(e)
@@ -106,28 +107,41 @@ def assign_labels(g: Graph, seed: int) -> LabelAssignment:
 @dataclass(frozen=True)
 class _OpenRun:
     """The open subgraph of one configuration, with what every stage of a
-    sweep run reads from it; built once per run."""
+    sweep run reads from it; built once per run.  The open subgraph has the
+    host's vertex set, so the host's ranked potential serves it unchanged."""
     sub: Graph
-    potential: dict[int, Fraction]
+    ranked: RankedPotential
     clusters: list[tuple[int, ...]]
-    relpot: dict[int, Fraction]       # potential / max over the vertex's cluster
+    tops: list[int]                   # per cluster, its greatest vertex rank
 
 
-def _open_run(cfg: PercolationConfig, potential: Mapping[int, object]) -> _OpenRun:
+def _open_run(cfg: PercolationConfig, ranked: RankedPotential) -> _OpenRun:
     sub = spanned_subgraph(cfg.host, cfg.open_edges)
-    pot = exact_potential(sub, potential)
     clusters = components(sub)
-    relpot: dict[int, Fraction] = {}
-    for comp in clusters:
-        top = max(pot[v] for v in comp)
-        for v in comp:
-            relpot[v] = pot[v] / top
-    return _OpenRun(sub=sub, potential=pot,
-                    clusters=clusters, relpot=relpot)
+    rank = ranked.rank
+    tops = [max(map(rank.__getitem__, comp)) for comp in clusters]
+    return _OpenRun(sub=sub, ranked=ranked, clusters=clusters, tops=tops)
+
+
+def _nonvanishing(run: _OpenRun, delta: Fraction) -> frozenset[int]:
+    """The flagged vertices whose potential is at least delta times their
+    cluster's greatest, `ends.qualifier` at cluster-relative potentials.
+
+    potential >= delta * top is rank >= the first level position not below
+    delta * top (`bisect_left`): one multiplication per cluster, then int
+    comparisons.
+    """
+    flagged = run.sub.boundary_vertices()
+    levels, rank = run.ranked.levels, run.ranked.rank
+    out = []
+    for comp, top in zip(run.clusters, run.tops):
+        cut = bisect_left(levels, delta * levels[top])
+        out.extend(v for v in comp if v in flagged and rank[v] >= cut)
+    return frozenset(out)
 
 
 def _forest(run: _OpenRun, labels: LabelAssignment) -> tuple[EdgeOrder, ForestResult]:
-    order = EdgeOrder(run.sub, run.potential, labels.ranks(run.sub.edges))
+    order = EdgeOrder._ranked(run.sub, run.ranked, labels.ranks(run.sub.edges))
     return order, maximal_subforest(run.sub, order)
 
 
@@ -135,7 +149,7 @@ def fwmsf(cfg: PercolationConfig, potential: Mapping[int, object],
           labels: LabelAssignment) -> ForestResult:
     """Weighted maximal subforest of the open subgraph under the random
     tiebreak; the weighted generalization of the free minimal forest."""
-    return _forest(_open_run(cfg, potential), labels)[1]
+    return _forest(_open_run(cfg, ranked_potential(cfg.host, potential)), labels)[1]
 
 
 @dataclass(frozen=True)
@@ -157,17 +171,24 @@ def cluster_report(cfg: PercolationConfig, potential: Mapping[int, object],
     """Clusters of the open subgraph with masses relative to each cluster's
     heaviest vertex, heavy/light proxy classes, and the max number of
     nonvanishing-proxy sides over single-vertex furcations."""
-    return _cluster_report(_open_run(cfg, potential), params)
+    run = _open_run(cfg, ranked_potential(cfg.host, potential))
+    return _cluster_report(run, params, _nonvanishing(run, params.nonvanish_delta))
 
 
-def _cluster_report(run: _OpenRun, params: ProxyParams) -> ClusterReport:
-    side_max = qualifying_side_counts(run.sub, qualifier(run.sub, run.relpot, params))
+def _cluster_report(run: _OpenRun, params: ProxyParams,
+                    nonvanishing: frozenset[int]) -> ClusterReport:
+    """`cluster_report` of one run; heavy is `ends._is_heavy` on the
+    cluster-relative potentials: mass >= heavy_tau, or a nonvanishing vertex."""
+    side_max = qualifying_side_counts(run.sub, nonvanishing.__contains__)
+    levels, rank = run.ranked.levels, run.ranked.rank
     infos = []
     n_heavy = 0
-    for comp in run.clusters:
-        rel = {v: run.relpot[v] for v in comp}
-        mass = sum(rel.values())
-        cls = "heavy" if _is_heavy(run.sub, params, mass, rel) else "light"
+    for comp, top in zip(run.clusters, run.tops):
+        # the exact potential sum, one Fraction product per distinct value
+        per_level = Counter(map(rank.__getitem__, comp))
+        mass = sum(levels[r] * n for r, n in per_level.items()) / levels[top]
+        heavy = mass >= params.heavy_tau or not nonvanishing.isdisjoint(comp)
+        cls = "heavy" if heavy else "light"
         n_heavy += cls == "heavy"
         infos.append(ClusterInfo(
             vertices=comp,
@@ -208,7 +229,7 @@ def equivariance_check(g: Graph, potential: Mapping[int, object],
     image = {_apply_vertex_map(sigma, e) for e in g.edges}
     if image != set(g.edges):
         raise NotAutomorphism("sigma does not preserve the edge set")
-    pot = {v: Fraction(potential[v]) for v in g.vertices}
+    pot = exact_potential(g, potential)
     for comp in components(g):
         scale = pot[sigma[comp[0]]] / pot[comp[0]]
         for v in comp:
@@ -247,16 +268,18 @@ def sweep(g: Graph, potential: Mapping[int, object], p_grid, trials: int,
         raise BadProbability("trials must be >= 1")
     jobs = [(float(p), t, subseed(seed, "run", pi, t))
             for pi, p in enumerate(p_grid) for t in range(trials)]
+    # validated and ranked once, here, so a bad potential fails before any run
+    ranked = ranked_potential(g, potential)
     mapper = map if executor is None else executor.map
-    return list(mapper(_run_once, repeat(g), repeat(potential), repeat(params), jobs))
+    return list(mapper(_run_once, repeat(g), repeat(ranked), repeat(params), jobs))
 
 
-def _run_once(g: Graph, potential, params: ProxyParams,
+def _run_once(g: Graph, ranked: RankedPotential, params: ProxyParams,
               job: tuple[float, int, int]) -> dict:
     p, trial, run_seed = job
     cfg = bernoulli_sample(g, p, run_seed)
     labels = assign_labels(g, run_seed)
-    run = _open_run(cfg, potential)
+    run = _open_run(cfg, ranked)
     order, forest = _forest(run, labels)
     # kept is acyclic, so it has |V| - |kept| trees; they are exactly the
     # clusters iff the counts agree, and the tree stages below rely on it
@@ -265,12 +288,13 @@ def _run_once(g: Graph, potential, params: ProxyParams,
         raise InvariantViolation(
             f"forest has {trees} trees but the open subgraph has "
             f"{len(run.clusters)} clusters (p={p}, seed={run_seed}, trial={trial})")
-    report = _cluster_report(run, params)
+    nonvanishing = _nonvanishing(run, params.nonvanish_delta)
+    report = _cluster_report(run, params, nonvanishing)
 
     # count the trees whose internal structure shows >= 3 nonvanishing-proxy
     # directions; a tree's vertices and relative weights are its cluster's
     tree_side = qualifying_side_counts(spanned_subgraph(g, forest.kept),
-                                       qualifier(run.sub, run.relpot, params))
+                                       nonvanishing.__contains__)
     trees_3plus = sum(1 for comp in run.clusters
                       if max(tree_side[v] for v in comp) >= 3)
 
@@ -283,8 +307,8 @@ def _run_once(g: Graph, potential, params: ProxyParams,
     # relative weights, so its mass and class are the cluster report's
     by_size = sorted(report.clusters, key=lambda c: (-len(c.vertices), c.vertices[0]))
     baseclusters = by_size[:VISIBILITY_BASEPOINTS]
-    basepoints = [max(c.vertices, key=lambda v: (run.potential[v], -v))
-                  for c in baseclusters]
+    rank = ranked.rank
+    basepoints = [max(c.vertices, key=lambda v: (rank[v], -v)) for c in baseclusters]
 
     return {
         "p": p,

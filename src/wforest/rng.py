@@ -20,6 +20,19 @@ def u64(seed: int, domain: str, *counters: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def u64s(seed: int, domain: str, n: int) -> list[int]:
+    """``[u64(seed, domain, i) for i in range(n)]``, keying the hash and
+    feeding it the domain once, then copying that state per counter."""
+    h = hashlib.blake2b(digest_size=8, key=(seed & _MASK).to_bytes(8, "little"))
+    h.update(domain.encode())
+    out = []
+    for i in range(n):
+        c = h.copy()
+        c.update(i.to_bytes(8, "little", signed=True))
+        out.append(int.from_bytes(c.digest(), "little"))
+    return out
+
+
 def threshold(p: float) -> int:
     """Integer cutoff so that u64 < threshold(p) has probability p exactly at p=0,1."""
     if p <= 0.0:

@@ -3,7 +3,10 @@ strict total order on edges that drives the cycle-cutting algorithm.
 
 All arithmetic is exact (``Fraction``): the generated families only ever
 produce ratios that are powers of small integers, and the edge order must be
-deterministic — float ties would corrupt the forest.
+deterministic — float ties would corrupt the forest.  The order reads the
+potential only through comparisons, so ``ranked_potential`` sorts its
+distinct values once and replaces each vertex's value by its rank; every
+edge key is then one exact int and no ``Fraction`` is compared per edge.
 """
 
 import math
@@ -31,6 +34,34 @@ def exact_potential(g: Graph, potential: Mapping[int, object]) -> dict[int, Frac
             raise NonPositiveWeight(f"weight {potential[v]!r} is not positive")
         out[v] = val
     return out
+
+
+class RankedPotential(NamedTuple):
+    """An exact positive potential with every vertex's rank among its
+    distinct values: ``levels[rank[v]] == values[v]``."""
+    values: dict[int, Fraction]
+    levels: list[Fraction]   # the distinct values, increasing
+    rank: dict[int, int]
+
+
+def ranked_potential(g: Graph, potential: Mapping[int, object]) -> RankedPotential:
+    """Validate the potential on g (`exact_potential`) and rank its values.
+
+    Rank preserves order and ties, so comparing ranks is comparing values.
+    Values are grouped by (numerator, denominator), which names a normalised
+    ``Fraction`` exactly and hashes faster than the ``Fraction`` itself.
+    """
+    exact = exact_potential(g, potential)
+    groups: dict[tuple[int, int], Fraction] = {}
+    for x in exact.values():
+        groups.setdefault((x.numerator, x.denominator), x)
+    levels = sorted(groups.values())
+    index = {(x.numerator, x.denominator): i for i, x in enumerate(levels)}
+    rank = {v: index[x.numerator, x.denominator] for v, x in exact.items()}
+    # one shared Fraction per distinct value: a sweep holds this for the
+    # whole host and sends it to every pooled run
+    values = {v: levels[r] for v, r in rank.items()}
+    return RankedPotential(values=values, levels=levels, rank=rank)
 
 
 @dataclass(frozen=True)
@@ -167,14 +198,31 @@ class EdgeOrder:
     """The strict total order: first by edge weight min of endpoint
     potentials, then by an injective tiebreak rank.
 
-    Comparisons are invariant under rescaling a component's potential by a
-    positive constant, so the order does not depend on basepoints.
+    ``key(e)`` is one int, min(rank of u, rank of v) * span + (tiebreak of
+    e - lo), where rank is the vertex's `ranked_potential` rank and lo, span
+    are the least tiebreak and the width of the tiebreak range; it orders
+    edges exactly as (weight, tiebreak) does.  Comparisons are invariant
+    under rescaling a component's potential by a positive constant, so the
+    order does not depend on basepoints.
     """
 
     def __init__(self, g: Graph, potential: Mapping[int, object],
                  tiebreak: Sequence[Edge] | Mapping[Edge, int] | None = None):
+        self._setup(g, ranked_potential(g, potential), tiebreak)
+
+    @classmethod
+    def _ranked(cls, g: Graph, ranked: RankedPotential,
+                tiebreak: Sequence[Edge] | Mapping[Edge, int]) -> "EdgeOrder":
+        """The order on g under a potential already validated and ranked on
+        a graph with g's vertices (a sweep ranks its host's once)."""
+        order = cls.__new__(cls)
+        order._setup(g, ranked, tiebreak)
+        return order
+
+    def _setup(self, g: Graph, ranked: RankedPotential, tiebreak) -> None:
         self.graph = g
-        self.potential = exact_potential(g, potential)
+        self.potential = ranked.values
+        self._vertex_rank = ranked.rank
         if tiebreak is None:
             tiebreak = g.sorted_edges()
         if isinstance(tiebreak, Mapping):
@@ -184,14 +232,19 @@ class EdgeOrder:
         for e in g.edges:
             if e not in self.rank:
                 raise ValueError(f"tiebreak missing edge {e}")
-        if len(set(self.rank[e] for e in g.edges)) != len(g.edges):
+        used = [self.rank[e] for e in g.edges]
+        if len(set(used)) != len(used):
             raise ValueError("tiebreak ranks are not injective")
+        # tiebreak ranks may be gapped or negative: shift to 0, scale by the range
+        self._lo = min(used, default=0)
+        self._span = max(used, default=0) - self._lo + 1
 
     def weight(self, e: Edge):
         return min(self.potential[e[0]], self.potential[e[1]])
 
-    def key(self, e: Edge):
-        return (self.weight(e), self.rank[e])
+    def key(self, e: Edge) -> int:
+        a, b = self._vertex_rank[e[0]], self._vertex_rank[e[1]]
+        return (a if a < b else b) * self._span + self.rank[e] - self._lo
 
     def restrict(self, sub: Graph) -> "EdgeOrder":
         """The same order on a subgraph (weights and ranks carried over)."""

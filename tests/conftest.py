@@ -29,7 +29,7 @@ from wforest.ends import (
 )
 from wforest.errors import NotConnected, SpansComponents, UnknownId
 from wforest.forest import CutWitnessReport, ForestResult
-from wforest.graph import Edge, Graph, build_graph, edge, sides
+from wforest.graph import Edge, Graph, build_graph, components, edge, sides
 from wforest.weights import EdgeOrder
 
 
@@ -61,6 +61,24 @@ def random_tiebreak(rand: random.Random, g: Graph) -> list:
 
 def random_order(rand: random.Random, g: Graph) -> EdgeOrder:
     return EdgeOrder(g, random_potential(rand, g), random_tiebreak(rand, g))
+
+
+def tuple_key(order: EdgeOrder):
+    """The edge key before integer ranks: (exact weight, tiebreak rank).
+    Reference for `EdgeOrder.key`."""
+    return lambda e: (order.weight(e), order.rank[e])
+
+
+def relative_potential(g: Graph, potential) -> dict:
+    """Each vertex's exact potential over the greatest in its component: the
+    cluster-relative potential a sweep run once divided out per vertex.
+    With `qualifier` and `ends._is_heavy`, reference for the sweep's
+    rank-form nonvanishing rule."""
+    rel = {}
+    for comp in components(g):
+        top = max(Fraction(potential[v]) for v in comp)
+        rel.update((v, Fraction(potential[v]) / top) for v in comp)
+    return rel
 
 
 class CycleLimitExceeded(Exception):

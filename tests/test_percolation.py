@@ -1,11 +1,21 @@
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
+from multiprocessing import get_context
 
 import pytest
 
-from wforest.ends import ProxyParams, _is_heavy, visibility
+from wforest.ends import (
+    ProxyParams,
+    _is_heavy,
+    qualifier,
+    qualifying_side_counts,
+    visibility,
+)
 from wforest.errors import (
     BadProbability,
     InvariantViolation,
+    MissingVertex,
+    NonPositiveWeight,
     NotAutomorphism,
     NotWeightPreserving,
     UnknownEdge,
@@ -27,10 +37,17 @@ from wforest.percolation import (
     summary_csv,
     sweep,
 )
-from wforest.rng import subseed
-from wforest.weights import level_potential, unit_potential
+from wforest.rng import subseed, u64, u64s
+from wforest.weights import exact_potential, level_potential, unit_potential
 
-from conftest import fmsf, random_connected_graph, random_potential
+from conftest import fmsf, random_connected_graph, random_potential, relative_potential
+
+
+def test_u64s_equals_one_u64_per_counter():
+    for seed in (0, 1, -1, -(1 << 70), (1 << 64) - 1, 1 << 64, (1 << 64) + 5, 3 << 80):
+        for domain in ("open", "label", "run", ""):
+            for n in (0, 1, 7):
+                assert u64s(seed, domain, n) == [u64(seed, domain, i) for i in range(n)]
 
 
 def test_bernoulli_degenerate_and_deterministic():
@@ -206,6 +223,16 @@ def test_equivariance_rejects_bad_maps():
                            assign_labels(path, 0))
 
 
+def test_equivariance_rejects_bad_potentials():
+    g = cycle(4)
+    rot = {v: (v + 1) % 4 for v in range(4)}
+    labels = assign_labels(g, 0)
+    with pytest.raises(NonPositiveWeight):
+        equivariance_check(g, {v: 0 for v in g.vertices}, rot, labels)
+    with pytest.raises(MissingVertex):
+        equivariance_check(g, {0: 1, 1: 1, 2: 1}, rot, labels)
+
+
 def test_sweep_degenerate_grid():
     g = cycle(4)
     recs = sweep(g, unit_potential(g), [0.0, 1.0], 1, 5, ProxyParams())
@@ -263,6 +290,98 @@ def test_sweep_basepoints_equal_visibility(rand):
             seen += len(masses)
             heavy_seen += heavy
     assert 0 < heavy_seen < seen
+
+
+def _rank_rule_cases(rand):
+    """GP(2,2,3) at level weights, a 6x6 box and 40 random flagged graphs,
+    each with deltas equal to a flagged vertex's potential over the
+    greatest, between two such ratios, above all of them and below all."""
+    gp, box = gp_graph(2, 2, 3), lattice_box(6, 6)
+    graphs = [(gp, level_potential(gp, F(1, 2))), (box, unit_potential(box))]
+    for _ in range(40):
+        g = random_connected_graph(rand, rand.randint(2, 12))
+        flagged = frozenset(v for v in g.vertices if rand.random() < 0.4)
+        g = build_graph(g.vertices, g.edges, meta={"boundary": flagged})
+        values = [F(rand.randint(1, 4), rand.randint(1, 4)) for _ in range(3)]
+        graphs.append((g, {v: rand.choice(values) for v in g.vertices}))
+    for g, pot in graphs:
+        exact = exact_potential(g, pot)
+        top = max(exact.values())
+        ratios = sorted({exact[v] / top for v in g.boundary_vertices()} | {F(1)})
+        deltas = {ratios[0] / 2, F(2), rand.choice(ratios)}
+        if len(ratios) > 1:
+            i = rand.randrange(len(ratios) - 1)
+            deltas.add((ratios[i] + ratios[i + 1]) / 2)
+        for delta in sorted(deltas):
+            yield g, pot, ProxyParams(nonvanish_delta=delta, heavy_tau=F(rand.randint(2, 40)))
+
+
+def test_rank_rule_equals_relative_potential_rule(rand):
+    """The sweep's rank-form nonvanishing rule (potential rank against the
+    bisected delta * top) gives the side counts, heavy flags and masses of
+    `qualifier`/`_is_heavy` at cluster-relative potentials, on clusters
+    and on forest trees."""
+    exact_hits = 0
+    for g, pot, params in _rank_rule_cases(rand):
+        for rec in sweep(g, pot, [0.5, 1.0], 1, rand.randrange(1000), params):
+            cfg = bernoulli_sample(g, rec["p"], rec["seed"])
+            sub = spanned_subgraph(g, cfg.open_edges)
+            rel = relative_potential(sub, pot)
+            old_rule = qualifier(sub, rel, params)
+            exact_hits += any(rel[v] == params.nonvanish_delta for v in g.boundary_vertices())
+            side = qualifying_side_counts(sub, old_rule)
+            report = cluster_report(cfg, pot, params)
+            heavy = 0
+            for info in report.clusters:
+                crel = {v: rel[v] for v in info.vertices}
+                mass = sum(crel.values())
+                assert info.mass == mass
+                assert info.nonvanishing_side_count_max == max(side[v] for v in info.vertices)
+                is_heavy = _is_heavy(sub, params, mass, crel)
+                assert info.cls == ("heavy" if is_heavy else "light")
+                heavy += is_heavy
+            assert rec["clusters"]["heavy"] == heavy
+            kept = fwmsf(cfg, pot, assign_labels(g, rec["seed"])).kept
+            tree_side = qualifying_side_counts(spanned_subgraph(g, kept), old_rule)
+            trees_3plus = sum(1 for comp in components(sub)
+                              if max(tree_side[v] for v in comp) >= 3)
+            assert rec["forest"]["trees_with_3plus_nonvanishing_dirs"] == trees_3plus
+    assert exact_hits > 0
+
+
+def test_sweep_validates_the_potential_once_before_any_run(monkeypatch):
+    import wforest.weights as weights
+    calls = []
+    real = weights.exact_potential
+
+    def counted(g, potential):
+        calls.append(len(g.vertices))
+        return real(g, potential)
+
+    monkeypatch.setattr(weights, "exact_potential", counted)
+    g = lattice_box(4, 4)
+    recs = sweep(g, unit_potential(g), [0.3, 0.6, 0.9], 2, 4, ProxyParams())
+    assert len(recs) == 6 and calls == [len(g.vertices)]
+
+    class NoRuns:
+        def map(self, *args):
+            raise AssertionError("a run started on a bad potential")
+
+    bad = unit_potential(g)
+    del bad[5]
+    with pytest.raises(MissingVertex):
+        sweep(g, bad, [0.5], 1, 0, ProxyParams(), executor=NoRuns())
+
+
+def test_sweep_through_a_spawn_pool_equals_serial():
+    """The per-sweep ranked potential travels to workers that start from a
+    fresh import, as on platforms whose default start method is spawn."""
+    gp = gp_graph(2, 1, 3)
+    args = (gp, level_potential(gp, F(1, 2)), [0.4, 0.8], 2, 8,
+            ProxyParams(nonvanish_delta=F(1, 4)))
+    with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
+        pooled = sweep(*args, executor=pool)
+    assert pooled == sweep(*args)
 
 
 def test_largest_cluster_fraction_monotone_small():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from wforest.errors import CrossComponent, InvalidCocycle, NonPositiveWeight
-from wforest.graph import build_graph, components
+from wforest.graph import build_graph, components, induced_subgraph
 from wforest.weights import (
     EdgeOrder,
     cocycle_from_potential,
@@ -16,7 +16,12 @@ from wforest.weights import (
 )
 from wforest.generators import gp_graph, random_gnm
 
-from conftest import random_connected_graph, random_potential, random_tiebreak
+from conftest import (
+    random_connected_graph,
+    random_potential,
+    random_tiebreak,
+    tuple_key,
+)
 
 
 def test_cocycle_from_potential_path():
@@ -161,3 +166,45 @@ def test_strict_total_order_exhaustive(rand):
                 if compare_edges(o, e1, e2) == -1 and compare_edges(o, e2, e3) == -1:
                     assert compare_edges(o, e1, e3) == -1
 
+
+
+def test_int_key_equals_tuple_key(rand):
+    """The int key orders edges exactly as (exact weight, tiebreak) does:
+    potentials drawn from 1-3 values so weight ties are common, tiebreaks
+    gapped, negative or plain positions."""
+    graphs = [build_graph([], []), build_graph(range(4), [])]
+    for _ in range(150):
+        g = random_connected_graph(rand, rand.randint(2, 9))
+        if rand.random() < 0.3:   # a second component
+            h = random_connected_graph(rand, rand.randint(1, 4))
+            g = build_graph(range(len(g.vertices) + len(h.vertices)),
+                            list(g.edges) + [(u + len(g.vertices), v + len(g.vertices))
+                                             for u, v in h.edges])
+        graphs.append(g)
+    for g in graphs:
+        values = [F(rand.randint(1, 5), rand.randint(1, 5))
+                  for _ in range(rand.randint(1, 3))]
+        pot = {v: rand.choice(values) for v in g.vertices}
+        edges = random_tiebreak(rand, g)
+        if rand.random() < 0.25:
+            tiebreak = edges
+        else:
+            tiebreak, r = {}, rand.randint(-40, 10)
+            for e in edges:
+                r += rand.choice((1, 1, 3, 8))
+                tiebreak[e] = r
+        o = EdgeOrder(g, pot, tiebreak)
+        old = tuple_key(o)
+        assert all(type(o.key(e)) is int for e in edges)
+        assert sorted(edges, key=o.key) == sorted(edges, key=old)
+        comp = {v: i for i, c in enumerate(components(g)) for v in c}
+        for e1 in edges:
+            for e2 in edges:
+                assert (o.key(e1) < o.key(e2)) == (old(e1) < old(e2))
+                if e1 != e2 and comp[e1[0]] == comp[e2[0]]:
+                    assert compare_edges(o, e1, e2) == (-1 if old(e1) < old(e2) else 1)
+        if g.vertices:
+            sub = induced_subgraph(g, rand.sample(g.vertices, rand.randint(1, len(g.vertices))))
+            ro = o.restrict(sub)
+            assert sorted(sub.edges, key=ro.key) == sorted(sub.edges, key=old)
+            assert sorted(sub.edges, key=ro.key) == sorted(sub.edges, key=tuple_key(ro))
