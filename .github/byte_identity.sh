@@ -17,8 +17,9 @@ trap 'rm -rf "$work"' EXIT
 
 outputs=(gp.json box.json windmill.json
          gp-1.jsonl gp-1.csv gp-2.jsonl gp-2.csv gp-3.jsonl gp-3.csv
-         gp-delta.jsonl gp-delta.csv box-forest.json
-         windmill-collapse.json windmill-family.json)
+         gp-delta.jsonl gp-delta.csv box-forest.json gp-forest-fixed.json
+         box-pool.jsonl box-pool.csv windmill-collapse.json windmill-family.json
+         windmill-analyze.json gp-analyze.json)
 
 run_tree() {
     local tree=$1 dir=$2
@@ -37,9 +38,17 @@ run_tree() {
         done
         wf percolate gp.json levels.json --p-grid 0.5,0.7,0.9 --seed 1 --delta 1/4 \
             -o gp-delta.jsonl --summary gp-delta.csv
+        WFOREST_WORKERS=2 PYTHONPATH="$tree/src" python3 -m wforest.cli percolate \
+            box.json unit.json --p-grid 0.5,0.7 --trials 2 --seed 4 \
+            -o box-pool.jsonl --summary box-pool.csv
         wf forest box.json unit.json --check-witnesses -o box-forest.json
+        printf '[[0,1],[1,3],[0,256]]' > fixed.json  # a path of GP edges
+        wf forest gp.json levels.json --fixed fixed.json --check-witnesses \
+            -o gp-forest-fixed.json
         wf collapse windmill.json unit.json --tiebreak meta \
             -o windmill-collapse.json --family-out windmill-family.json
+        wf analyze windmill.json unit.json -o windmill-analyze.json
+        wf analyze gp.json levels.json -o gp-analyze.json
     )
 }
 

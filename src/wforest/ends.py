@@ -18,16 +18,16 @@ from .forest import ForestResult, maximal_subforest
 from .graph import (
     Edge,
     Graph,
+    _bfs,
     _check_connected_set,
     _lowlink,
-    _reach,
     build_graph,
     components,
     edge,
     is_connected_set,
 )
 from .unionfind import UnionFind
-from .weights import Cocycle, EdgeOrder, potential_from_cocycle
+from .weights import Cocycle, EdgeOrder, exact_potential, potential_from_cocycle
 
 NONVANISHING = "nonvanishing"
 INFINITE = "infinite"
@@ -87,7 +87,7 @@ def furcation_at(g: Graph, potential: Mapping[int, object], F: Iterable[int],
         raise ValueError(f"unknown side kind {kind!r}")
     fset = tuple(sorted(set(F)))
     _check_connected_set(g, set(fset))
-    comp = _reach(g.adjacency, fset[0])
+    comp = _bfs(g.adjacency, fset[0])
     marks = _qualifying_marks(g, potential, params, comp)
     orders = _side_orders(g.adjacency, fset, marks, _mark_totals(marks, comp))
     return Furcation(F=fset, order=orders[_KINDS.index(kind)])
@@ -348,6 +348,7 @@ def quotient(g: Graph, potential: Mapping[int, object],
             block_of[v] = b[0]
     for v in g.vertices:
         block_of.setdefault(v, v)
+    potential = exact_potential(g, potential)
 
     all_blocks: dict[int, list[int]] = {}
     for v in g.vertices:
@@ -392,17 +393,8 @@ def _bfs_tree(g: Graph, block: tuple[int, ...]) -> frozenset[Edge]:
     """The BFS tree of a connected block from its least vertex, read off the
     host adjacency restricted to the block.  The adjacency is sorted, so the
     tree is the one the induced subgraph would give."""
-    inside = set(block)
-    seen = {block[0]}
-    queue = [block[0]]
-    tree = []
-    for x in queue:
-        for y in g.adjacency[x]:
-            if y in inside and y not in seen:
-                seen.add(y)
-                tree.append(edge(x, y))
-                queue.append(y)
-    return frozenset(tree)
+    tree = _bfs(g.adjacency, block[0], set(block).__contains__)
+    return frozenset(edge(p, y) for y, p in tree.items() if p is not None)
 
 
 @dataclass(frozen=True)
@@ -415,7 +407,6 @@ class CollapseResult:
 
 def collapsed_maximal_subforest(g: Graph, potential: Mapping[int, object],
                                 tiebreak, params: ProxyParams,
-                                fixed_q: Iterable[Edge] = (),
                                 s_max: int = 3) -> CollapseResult:
     """Full pipeline: furcation family, quotient, forest on the quotient,
     then lift back with a deterministic spanning tree inside each block.
@@ -428,7 +419,7 @@ def collapsed_maximal_subforest(g: Graph, potential: Mapping[int, object],
     quot = quotient(g, potential, family.blocks)
     qrank = {qe: host_order.rank[lifted] for qe, lifted in quot.lift.items()}
     qorder = EdgeOrder(quot.qgraph, quot.qpotential, qrank)
-    qforest = maximal_subforest(quot.qgraph, qorder, fixed_q)
+    qforest = maximal_subforest(quot.qgraph, qorder)
     kept = set()
     for tree in quot.inner_trees.values():
         kept |= tree
@@ -437,7 +428,7 @@ def collapsed_maximal_subforest(g: Graph, potential: Mapping[int, object],
     forest = ForestResult(
         kept=frozenset(kept),
         deleted=frozenset(g.edges - kept),
-        fixed=frozenset(quot.lift[qe] for qe in qforest.fixed),
+        fixed=frozenset(),
     )
     return CollapseResult(forest=forest, family=family, quot=quot, qforest=qforest)
 
@@ -452,15 +443,8 @@ def visibility(g: Graph, potential: Mapping[int, object], x: int) -> dict[int, F
     if x not in g.adjacency:
         raise UnknownId(f"vertex {x} not in graph")
     top = Fraction(potential[x])
-    rel = {x: Fraction(1)}
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        for y in g.adjacency[v]:
-            if y not in rel and potential[y] <= top:
-                rel[y] = potential[y] / top
-                stack.append(y)
-    return rel
+    seen = _bfs(g.adjacency, x, lambda y: potential[y] <= top)
+    return {y: Fraction(1) if y == x else potential[y] / top for y in seen}
 
 
 def visibility_masses(g: Graph, potential: Mapping[int, object]) -> dict[int, Fraction]:
@@ -472,11 +456,12 @@ def visibility_masses(g: Graph, potential: Mapping[int, object]) -> dict[int, Fr
     increasing potential, each set carrying its potential sum; once a whole
     equal-potential group and its edges down are in, the mass of each x in
     the group is its set's sum over potential[x].  This is the component
-    tree of Najman and Couprie (2006) on Tarjan's union-find (1975).
+    tree of Najman and Couprie (2006) on Tarjan's union-find (1975).  The
+    potential is read through `exact_potential`.
     """
     groups: dict[Fraction, list[int]] = {}
-    for v in g.vertices:
-        groups.setdefault(Fraction(potential[v]), []).append(v)
+    for v, x in exact_potential(g, potential).items():
+        groups.setdefault(x, []).append(v)
     uf = UnionFind()
     masses = {}
     for level in sorted(groups):

@@ -25,9 +25,12 @@ from .errors import (
 from .graph import (
     Edge,
     Graph,
+    _bfs_forest,
+    _tree_walk,
     induced_subgraph,
     is_connected_set,
     is_cycle_invariant,
+    spanned_subgraph,
 )
 from .unionfind import UnionFind
 from .weights import EdgeOrder
@@ -46,16 +49,6 @@ class ForestResult:
             raise InvariantViolation("fixed edges must survive into the forest")
 
 
-def _check_fixed(g: Graph, fixed: frozenset[Edge]) -> None:
-    for e in fixed:
-        if e not in g.edges:
-            raise UnknownId(f"fixed edge {e} not in graph")
-    uf = UnionFind(g.vertices)
-    for u, v in sorted(fixed):
-        if not uf.union(u, v):
-            raise FixedSetCyclic(f"fixed edge set closes a cycle at {(u, v)}")
-
-
 def maximal_subforest(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = ()) -> ForestResult:
     """Delete from each simple cycle its order-least edge outside `fixed`.
 
@@ -64,10 +57,13 @@ def maximal_subforest(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = ()) ->
     cycle.  Pure function of (graph, potentials, tiebreak, fixed).
     """
     h = frozenset(fixed)
-    _check_fixed(g, h)
+    for e in h:
+        if e not in g.edges:
+            raise UnknownId(f"fixed edge {e} not in graph")
     uf = UnionFind(g.vertices)
     for u, v in sorted(h):
-        uf.union(u, v)
+        if not uf.union(u, v):
+            raise FixedSetCyclic(f"fixed edge set closes a cycle at {(u, v)}")
     kept = set(h)
     deleted = []
     rest = sorted((e for e in g.edges if e not in h), key=order.key, reverse=True)
@@ -89,52 +85,17 @@ class CutWitnessReport(NamedTuple):
 
 
 def _root_forest(g: Graph, kept: frozenset[Edge]):
-    """Root every tree of the kept forest at its least vertex, by one BFS.
+    """Root every tree of the kept forest at its least vertex (`_bfs_forest`).
 
-    Returns (up, depth, root): `up[y]` is y's parent and the kept edge to it
-    (absent at roots).  A kept set with a cycle cannot come from any
-    producer and raises `InvariantViolation`.
+    Returns (parent, depth, root).  A kept set with a cycle cannot come from
+    any producer and raises `InvariantViolation`: a forest with t trees on n
+    vertices has exactly n - t edges.
     """
-    adj: dict[int, list[int]] = {x: [] for x in g.vertices}
-    for a, b in kept:
-        adj[a].append(b)
-        adj[b].append(a)
-    up: dict[int, tuple[int, Edge]] = {}
-    depth: dict[int, int] = {}
-    root: dict[int, int] = {}
-    for r in g.vertices:
-        if r in root:
-            continue
-        depth[r], root[r] = 0, r
-        queue = [r]
-        for x in queue:
-            for y in adj[x]:
-                if y not in root:
-                    up[y] = (x, (x, y) if x < y else (y, x))
-                    depth[y], root[y] = depth[x] + 1, r
-                    queue.append(y)
-    if len(up) != len(kept):
+    parent, depth, root = _bfs_forest(spanned_subgraph(g, kept).adjacency, g.vertices)
+    trees = sum(1 for p in parent.values() if p is None)
+    if len(kept) != len(g.vertices) - trees:
         raise InvariantViolation("kept edges close a cycle")
-    return up, depth, root
-
-
-def _tree_path(up, depth, u: int, v: int) -> list[Edge]:
-    """The kept path from u to v (same tree), in walk order: climb from
-    both ends to where they meet."""
-    head: list[Edge] = []
-    tail: list[Edge] = []
-    while depth[u] > depth[v]:
-        u, f = up[u]
-        head.append(f)
-    while depth[v] > depth[u]:
-        v, f = up[v]
-        tail.append(f)
-    while u != v:
-        u, f = up[u]
-        head.append(f)
-        v, f = up[v]
-        tail.append(f)
-    return head + tail[::-1]
+    return parent, depth, root
 
 
 def check_cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder) -> CutWitnessReport:
@@ -147,17 +108,19 @@ def check_cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder) -> Cut
     lie in distinct kept components, some other non-fixed boundary edge of
     the component must be order-greater.  Report-only, except that a kept
     set with a cycle raises `InvariantViolation`.  The kept forest is rooted
-    once; each path is a walk up the parents.
+    once; each path is a `_tree_walk` up the parents.
     """
     violations: list[tuple[Edge, str]] = []
     witnesses: dict[Edge, Edge] = {}
-    up, depth, root = _root_forest(g, result.kept)
+    parent, depth, root = _root_forest(g, result.kept)
     loose_key = {f: order.key(f) for f in result.kept if f not in result.fixed}
     for e in sorted(result.deleted):
         u, v = e
         key = order.key(e)
         if root[u] == root[v]:
-            loose = [f for f in _tree_path(up, depth, u, v) if f in loose_key]
+            walk = _tree_walk(parent, depth, u, v)
+            path = [(a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:])]
+            loose = [f for f in path if f in loose_key]
             bad = [f for f in loose if loose_key[f] < key]
             if bad:
                 violations.append((e, f"kept-path edge {bad[0]} is below the deleted edge"))

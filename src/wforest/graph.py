@@ -107,26 +107,61 @@ def components(g: Graph) -> list[tuple[int, ...]]:
     for start in g.vertices:
         if start in seen:
             continue
-        comp = _reach(g.adjacency, start)
-        seen |= comp
+        comp = _bfs(g.adjacency, start)
+        seen.update(comp)
         out.append(tuple(sorted(comp)))
     return out
 
 
-def _reach(adjacency, start, blocked=frozenset(), allowed=None):
-    """Vertices reachable from start, avoiding `blocked`, optionally inside `allowed`."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
+def _bfs(adjacency, root: int, keep=None) -> dict[int, int | None]:
+    """One breadth-first search from root: each reached vertex mapped to its
+    BFS parent (None at the root), in visit order.  Past the root, only the
+    vertices that `keep` accepts are entered.  Neighbours are scanned in
+    adjacency order, so on a graph's sorted adjacency the tree is canonical.
+    """
+    parent: dict[int, int | None] = {root: None}
+    queue = [root]
+    for x in queue:
         for y in adjacency[x]:
-            if y in seen or y in blocked:
-                continue
-            if allowed is not None and y not in allowed:
-                continue
-            seen.add(y)
-            stack.append(y)
-    return seen
+            if y not in parent and (keep is None or keep(y)):
+                parent[y] = x
+                queue.append(y)
+    return parent
+
+
+def _bfs_forest(adjacency, roots: Iterable[int]):
+    """Root every component at the first of `roots` it holds, by `_bfs`.
+
+    Returns (parent, depth, root), each keyed by vertex; `parent` lists
+    every tree in visit order, so a parent precedes its children.
+    """
+    parent: dict[int, int | None] = {}
+    depth: dict[int, int] = {}
+    root: dict[int, int] = {}
+    for r in roots:
+        if r not in root:
+            for y, p in _bfs(adjacency, r).items():
+                parent[y] = p
+                depth[y] = 0 if p is None else depth[p] + 1
+                root[y] = r
+    return parent, depth, root
+
+
+def _tree_walk(parent, depth, u: int, v: int) -> list[int]:
+    """The vertices of the u-v path of a rooted forest (u and v in one tree),
+    in walk order from u to v: climb from both ends to where they meet."""
+    head, tail = [u], [v]
+    while depth[u] > depth[v]:
+        u = parent[u]
+        head.append(u)
+    while depth[v] > depth[u]:
+        v = parent[v]
+        tail.append(v)
+    while u != v:
+        u, v = parent[u], parent[v]
+        head.append(u)
+        tail.append(v)
+    return head + tail[-2::-1]
 
 
 def is_connected_set(g: Graph, A: Iterable[int]) -> bool:
@@ -137,8 +172,7 @@ def is_connected_set(g: Graph, A: Iterable[int]) -> bool:
     for v in aset:
         if v not in g.adjacency:
             raise UnknownId(f"vertex {v} not in graph")
-    start = min(aset)
-    return _reach(g.adjacency, start, allowed=aset) == aset
+    return len(_bfs(g.adjacency, min(aset), aset.__contains__)) == len(aset)
 
 
 def _check_connected_set(g: Graph, fset: set[int]) -> None:
@@ -147,7 +181,7 @@ def _check_connected_set(g: Graph, fset: set[int]) -> None:
     if not fset:
         raise NotConnected("F is empty")
     if not is_connected_set(g, fset):
-        if not fset <= _reach(g.adjacency, min(fset)):
+        if not fset.issubset(_bfs(g.adjacency, min(fset))):
             raise SpansComponents("F spans more than one component")
         raise NotConnected(f"F={sorted(fset)} is not connected")
 
@@ -162,13 +196,14 @@ def sides(g: Graph, F: Iterable[int]) -> list[tuple[int, ...]]:
     """
     fset = set(F)
     _check_connected_set(g, fset)
+    outside = lambda y: y not in fset
     out = []
     seen = set(fset)
     for x in fset:
         for y in g.adjacency[x]:
             if y not in seen:
-                piece = _reach(g.adjacency, y, blocked=fset)
-                seen |= piece
+                piece = _bfs(g.adjacency, y, outside)
+                seen.update(piece)
                 out.append(tuple(sorted(piece)))
     out.sort()
     return out
@@ -282,17 +317,28 @@ def induced_subgraph(g: Graph, A: Iterable[int]) -> Graph:
     for v in aset:
         if v not in g.adjacency:
             raise UnknownId(f"vertex {v} not in graph")
-    edges = [e for e in g.edges if e[0] in aset and e[1] in aset]
-    return build_graph(sorted(aset), edges, meta=_restrict_meta(g.meta, aset))
+    edges = frozenset(e for e in g.edges if e[0] in aset and e[1] in aset)
+    return _subgraph(g, sorted(aset), edges, _restrict_meta(g.meta, aset))
 
 
 def spanned_subgraph(g: Graph, E: Iterable[Edge]) -> Graph:
     """Subgraph on all vertices of g keeping only the given edges."""
-    eset = set(E)
+    eset = frozenset(E)
     for e in eset:
         if e not in g.edges:
             raise UnknownId(f"edge {e} not in graph")
-    return build_graph(g.vertices, eset, meta=dict(g.meta))
+    return _subgraph(g, g.vertices, eset, dict(g.meta))
+
+
+def _subgraph(g: Graph, vertices, edges: frozenset[Edge], meta: dict) -> Graph:
+    """The subgraph of g on sorted `vertices` with `edges`, host edges
+    between them.  Each adjacency is the host's, filtered: it is already
+    sorted and canonical, so nothing is validated or sorted again, and the
+    result is the one `build_graph` would give."""
+    adjacency = {v: tuple([y for y in g.adjacency[v]
+                           if ((v, y) if v < y else (y, v)) in edges])
+                 for v in vertices}
+    return Graph(vertices=tuple(vertices), edges=edges, adjacency=adjacency, meta=meta)
 
 
 # JSON interchange (the contract used by the CLI)

@@ -25,7 +25,6 @@ from .ends import ProxyParams, qualifying_side_counts
 from .forest import ForestResult, check_cut_witnesses, maximal_subforest
 from .graph import Edge, Graph, components, edge, spanned_subgraph
 from .rng import subseed, threshold, u64s
-from .unionfind import UnionFind
 from .weights import EdgeOrder, RankedPotential, exact_potential, ranked_potential
 
 # Clusters per sweep run whose heaviest vertex is a visibility basepoint.
@@ -206,12 +205,10 @@ def _cluster_report(run: _OpenRun, params: ProxyParams,
 
 
 def largest_cluster_fraction(cfg: PercolationConfig) -> float:
-    uf = UnionFind(cfg.host.vertices)
-    for u, v in sorted(cfg.open_edges):
-        uf.union(u, v)
     if not cfg.host.vertices:
         return 0.0
-    return max(uf.size[uf.find(v)] for v in cfg.host.vertices) / len(cfg.host.vertices)
+    clusters = components(spanned_subgraph(cfg.host, cfg.open_edges))
+    return max(map(len, clusters)) / len(cfg.host.vertices)
 
 
 def _apply_vertex_map(sigma: Mapping[int, int], e: Edge) -> Edge:

@@ -20,7 +20,7 @@ from .errors import (
     MissingVertex,
     NonPositiveWeight,
 )
-from .graph import Edge, Graph, _reach, components, edge
+from .graph import Edge, Graph, _bfs, _bfs_forest, _tree_walk, edge
 
 
 def exact_potential(g: Graph, potential: Mapping[int, object]) -> dict[int, Fraction]:
@@ -112,48 +112,21 @@ def validate_cocycle(g: Graph, c: Cocycle) -> CocycleReport:
         if d > worst:
             worst, worst_cycle = d, (u, v, u)
 
-    parent: dict[int, int | None] = {}
+    # BFS forest rooted at each component's least vertex; value[x] is the
+    # tree-path product from x down to its root: for a non-tree edge (u,v),
+    # the fundamental-cycle product is ratio(u,v) * value(v) / value(u).
+    parent, depth, _ = _bfs_forest(g.adjacency, g.vertices)
     value: dict[int, Fraction] = {}
-    for comp in components(g):
-        root = comp[0]
-        parent[root] = None
-        value[root] = Fraction(1)
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for y in g.adjacency[x]:
-                if y in value:
-                    continue
-                value[y] = c.ratio(y, x) * value[x]
-                parent[y] = x
-                queue.append(y)
-    # value[x] is the tree-path product from x down to its root: for a
-    # non-tree edge (u,v), the fundamental-cycle product is
-    # ratio(u,v) * value(v) / value(u).
+    for y, x in parent.items():
+        value[y] = Fraction(1) if x is None else c.ratio(y, x) * value[x]
     for u, v in sorted(g.edges):
-        if parent.get(u) == v or parent.get(v) == u:
+        if parent[u] == v or parent[v] == u:
             continue
         prod = c.ratio(u, v) * value[v] / value[u]
         d = defect_of(prod)
         if d > worst:
-            worst, worst_cycle = d, _tree_cycle(parent, u, v)
+            worst, worst_cycle = d, tuple(_tree_walk(parent, depth, u, v))
     return CocycleReport(ok=worst == 0.0, worst_defect=worst, worst_cycle=worst_cycle)
-
-
-def _tree_cycle(parent, u, v):
-    def chain(x):
-        out = [x]
-        while parent.get(x) is not None:
-            x = parent[x]
-            out.append(x)
-        return out
-    cu, cv = chain(u), chain(v)
-    common = set(cu) & set(cv)
-    cu = cu[: next(i for i, x in enumerate(cu) if x in common) + 1]
-    cv = cv[: next(i for i, x in enumerate(cv) if x in common) + 1]
-    return tuple(cu + cv[-2::-1])
 
 
 @dataclass(frozen=True)
@@ -177,20 +150,15 @@ def potential_from_cocycle(g: Graph, c: Cocycle, base: int) -> Potential:
     if base not in g.adjacency:
         raise MissingVertex(f"basepoint {base} not in graph")
     values: dict[int, Fraction] = {base: Fraction(1)}
-    queue = [base]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
+    # a vertex's first scan is from its BFS parent, which sets its value
+    for x in _bfs(g.adjacency, base):
         for y in g.adjacency[x]:
             w = c.ratio(y, x) * values[x]
-            if y in values:
-                if values[y] != w:
-                    raise InvalidCocycle(
-                        f"path-dependent value at vertex {y}: {values[y]} vs {w}")
-            else:
+            if y not in values:
                 values[y] = w
-                queue.append(y)
+            elif values[y] != w:
+                raise InvalidCocycle(
+                    f"path-dependent value at vertex {y}: {values[y]} vs {w}")
     return Potential(base=base, values=values)
 
 
@@ -257,7 +225,7 @@ def compare_edges(o: EdgeOrder, e1: Edge, e2: Edge) -> int:
     e1, e2 = edge(*e1), edge(*e2)
     if e1 == e2:
         raise ValueError("compare_edges requires distinct edges")
-    if e2[0] not in _reach(o.graph.adjacency, e1[0]):
+    if e2[0] not in _bfs(o.graph.adjacency, e1[0]):
         raise CrossComponent(f"{e1} and {e2} lie in different components")
     return -1 if o.key(e1) < o.key(e2) else 1
 

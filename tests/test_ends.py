@@ -21,7 +21,7 @@ from wforest.ends import (
     visibility_masses,
     visibility_set,
 )
-from wforest.errors import BadParams, OverlappingBlocks
+from wforest.errors import BadParams, MissingVertex, NonPositiveWeight, OverlappingBlocks
 from wforest.forest import is_acyclic, maximal_subforest
 from wforest.generators import free_product, gp_graph, lattice_box, regular_tree, windmill
 from wforest.graph import build_graph, components, edge_boundary, sides, spanned_subgraph
@@ -496,3 +496,16 @@ def test_smax_below_one_is_rejected():
             connected_subsets(g, s_max)
         with pytest.raises(BadParams):
             maximal_disjoint_furcations(g, unit_potential(g), ProxyParams(), s_max=s_max)
+
+
+def test_bad_potential_raises_library_errors():
+    """`visibility_masses` and `quotient` read the potential through
+    `exact_potential`: a zero or missing value is a `WForestError`, never a
+    raw ZeroDivisionError or KeyError."""
+    path = build_graph(range(3), [(0, 1), (1, 2)])
+    with pytest.raises(NonPositiveWeight):
+        visibility_masses(path, {0: 1, 1: 0, 2: 1})
+    with pytest.raises(MissingVertex):
+        visibility_masses(path, {0: 1, 1: 1})
+    with pytest.raises(MissingVertex):
+        quotient(path, {0: 1, 1: 1}, [])

@@ -245,6 +245,35 @@ def test_subgraphs():
     assert sp.vertices == (1, 2, 3) and sp.edges == frozenset()
 
 
+def test_subgraphs_equal_build_graph(rand):
+    """Both subgraphs filter the host's adjacency instead of rebuilding it;
+    each must be the Graph `build_graph` gives on the same vertices, edges
+    and meta.  Hosts: random graphs (disconnected and edgeless ones too, with
+    random levels and boundary flags), the box and GP with their meta."""
+    hosts = [build_graph([], []), build_graph(range(5), []), lattice_box(6, 5),
+             gp_graph(2, 2, 3)]
+    for _ in range(150):
+        g = random_graph(rand)
+        hosts.append(build_graph(g.vertices, g.edges, meta={
+            "boundary": frozenset(v for v in g.vertices if rand.random() < 0.3),
+            "levels": {v: rand.randint(-2, 2) for v in g.vertices},
+            "generator": "random",
+        }))
+    for g in hosts:
+        for _ in range(4):
+            E = [e for e in g.sorted_edges() if rand.random() < 0.5]
+            assert spanned_subgraph(g, E) == build_graph(g.vertices, E, meta=g.meta)
+            A = {v for v in g.vertices if rand.random() < 0.6}
+            meta = dict(g.meta)
+            if "levels" in meta:
+                meta["levels"] = {v: l for v, l in meta["levels"].items() if v in A}
+            if "boundary" in meta:
+                meta["boundary"] = meta["boundary"] & A
+            want = build_graph(A, [e for e in g.edges if e[0] in A and e[1] in A], meta)
+            assert induced_subgraph(g, A) == want
+            assert induced_subgraph(g, A).meta.keys() == g.meta.keys()
+
+
 def test_components_partition_properties(rand):
     for _ in range(20):
         g = random_connected_graph(rand, rand.randint(2, 9))

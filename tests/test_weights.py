@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from wforest.errors import CrossComponent, InvalidCocycle, NonPositiveWeight
-from wforest.graph import build_graph, components, induced_subgraph
+from wforest.graph import build_graph, components, edge, induced_subgraph
 from wforest.weights import (
+    Cocycle,
     EdgeOrder,
     cocycle_from_potential,
     compare_edges,
@@ -208,3 +210,35 @@ def test_int_key_equals_tuple_key(rand):
             ro = o.restrict(sub)
             assert sorted(sub.edges, key=ro.key) == sorted(sub.edges, key=old)
             assert sorted(sub.edges, key=ro.key) == sorted(sub.edges, key=tuple_key(ro))
+
+
+def test_worst_cycle_is_a_cycle_of_the_worst_defect(rand):
+    """On perturbed cocycles (each ratio still the inverse of its reverse),
+    `worst_cycle` is a simple closed walk of g, its last vertex joined to its
+    first, and |log| of its ratio product is `worst_defect`."""
+    inconsistent = 0
+    for _ in range(300):
+        g = random_connected_graph(rand, rand.randint(3, 9))
+        if rand.random() < 0.3:   # a second component
+            h = random_connected_graph(rand, rand.randint(1, 5))
+            n = len(g.vertices)
+            g = build_graph(range(n + len(h.vertices)),
+                            list(g.edges) + [(u + n, v + n) for u, v in h.edges])
+        ratios = dict(cocycle_from_potential(g, random_potential(rand, g)).ratios)
+        for u, v in rand.sample(g.sorted_edges(), rand.randint(1, 2)):
+            f = F(rand.randint(1, 5), rand.randint(1, 5))
+            ratios[u, v] *= f
+            ratios[v, u] /= f
+        rep = validate_cocycle(g, Cocycle(ratios=ratios))
+        if rep.ok:   # only bridges were perturbed, or by a factor of 1
+            assert rep.worst_cycle == () and rep.worst_defect == 0.0
+            continue
+        inconsistent += 1
+        cyc = rep.worst_cycle
+        assert len(cyc) >= 3 and len(set(cyc)) == len(cyc), (sorted(g.edges), cyc)
+        closed = list(zip(cyc, cyc[1:] + cyc[:1]))
+        assert all(edge(a, b) in g.edges for a, b in closed), (sorted(g.edges), cyc)
+        prod = math.prod(ratios[a, b] for a, b in closed)
+        # either orientation: the two products are exact inverses
+        assert rep.worst_defect in {abs(math.log(float(x))) for x in (prod, 1 / prod)}
+    assert inconsistent > 100
