@@ -17,7 +17,8 @@ trap 'rm -rf "$work"' EXIT
 
 outputs=(gp.json box.json windmill.json
          gp-1.jsonl gp-1.csv gp-2.jsonl gp-2.csv gp-3.jsonl gp-3.csv
-         gp-delta.jsonl gp-delta.csv box-forest.json gp-forest-fixed.json
+         gp-delta.jsonl gp-delta.csv gp-ends.jsonl gp-ends.csv
+         box-forest.json gp-forest-fixed.json
          box-pool.jsonl box-pool.csv windmill-collapse.json windmill-family.json
          windmill-analyze.json gp-analyze.json)
 
@@ -38,6 +39,9 @@ run_tree() {
         done
         wf percolate gp.json levels.json --p-grid 0.5,0.7,0.9 --seed 1 --delta 1/4 \
             -o gp-delta.jsonl --summary gp-delta.csv
+        # p = 0 leaves every cluster a singleton; p = 1 opens the whole graph
+        wf percolate gp.json levels.json --p-grid 0,1 --seed 1 \
+            -o gp-ends.jsonl --summary gp-ends.csv
         WFOREST_WORKERS=2 PYTHONPATH="$tree/src" python3 -m wforest.cli percolate \
             box.json unit.json --p-grid 0.5,0.7 --trials 2 --seed 4 \
             -o box-pool.jsonl --summary box-pool.csv

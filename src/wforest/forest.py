@@ -26,11 +26,12 @@ from .graph import (
     Edge,
     Graph,
     _bfs_forest,
+    _host_edges,
+    _sorted_adjacency,
     _tree_walk,
     induced_subgraph,
     is_connected_set,
     is_cycle_invariant,
-    spanned_subgraph,
 )
 from .unionfind import UnionFind
 from .weights import EdgeOrder
@@ -85,13 +86,15 @@ class CutWitnessReport(NamedTuple):
 
 
 def _root_forest(g: Graph, kept: frozenset[Edge]):
-    """Root every tree of the kept forest at its least vertex (`_bfs_forest`).
+    """Root every tree of the kept forest at its least vertex (`_bfs_forest`
+    on the kept edges' own sorted adjacency).
 
     Returns (parent, depth, root).  A kept set with a cycle cannot come from
     any producer and raises `InvariantViolation`: a forest with t trees on n
     vertices has exactly n - t edges.
     """
-    parent, depth, root = _bfs_forest(spanned_subgraph(g, kept).adjacency, g.vertices)
+    adjacency = _sorted_adjacency(g.vertices, sorted(_host_edges(g, kept)))
+    parent, depth, root = _bfs_forest(adjacency, g.vertices)
     trees = sum(1 for p in parent.values() if p is None)
     if len(kept) != len(g.vertices) - trees:
         raise InvariantViolation("kept edges close a cycle")
@@ -107,35 +110,72 @@ def check_cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder) -> Cut
     edge leaves e crossing a cut with a greater partner).  If the endpoints
     lie in distinct kept components, some other non-fixed boundary edge of
     the component must be order-greater.  Report-only, except that a kept
-    set with a cycle raises `InvariantViolation`.  The kept forest is rooted
-    once; each path is a `_tree_walk` up the parents.
+    set with a cycle raises `InvariantViolation`.
+    """
+    return _cut_witnesses(g, result, order, _root_forest(g, result.kept))
+
+
+def _cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder,
+                   rooted) -> CutWitnessReport:
+    """`check_cut_witnesses` on the kept forest as `_root_forest` rooted it.
+
+    Each kept path is one climb up the parents from both ends, keeping the
+    greatest loose (non-fixed) edge and stopping at the first one below e;
+    only then is the path walked in order (`_tree_walk`), to name the first
+    such edge from u.
     """
     violations: list[tuple[Edge, str]] = []
     witnesses: dict[Edge, Edge] = {}
-    parent, depth, root = _root_forest(g, result.kept)
-    loose_key = {f: order.key(f) for f in result.kept if f not in result.fixed}
+    parent, depth, root = rooted
+    key = order.key
+    loose_key = {f: key(f) for f in result.kept if f not in result.fixed}
     for e in sorted(result.deleted):
         u, v = e
-        key = order.key(e)
+        floor = key(e)
         if root[u] == root[v]:
-            walk = _tree_walk(parent, depth, u, v)
-            path = [(a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:])]
-            loose = [f for f in path if f in loose_key]
-            bad = [f for f in loose if loose_key[f] < key]
-            if bad:
-                violations.append((e, f"kept-path edge {bad[0]} is below the deleted edge"))
-            elif loose:
-                witnesses[e] = max(loose, key=loose_key.__getitem__)
+            best = _greatest_loose(parent, depth, loose_key, u, v, floor)
+            if best is _BELOW:
+                walk = _tree_walk(parent, depth, u, v)
+                path = [(a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:])]
+                bad = next(f for f in path if loose_key.get(f, floor) < floor)
+                violations.append((e, f"kept-path edge {bad} is below the deleted edge"))
+            elif best is not None:
+                witnesses[e] = best
             continue
         r = root[u]
         # no kept (so no fixed) edge crosses the cut, and e is not above itself
         partners = [f for f in g.edges
-                    if (root[f[0]] == r) != (root[f[1]] == r) and order.key(f) > key]
+                    if (root[f[0]] == r) != (root[f[1]] == r) and key(f) > floor]
         if partners:
-            witnesses[e] = min(partners, key=order.key)
+            witnesses[e] = min(partners, key=key)
         else:
             violations.append((e, "no greater boundary partner for a cut edge"))
     return CutWitnessReport(violations=tuple(violations), witnesses=witnesses)
+
+
+_BELOW = object()
+
+
+def _greatest_loose(parent, depth, loose_key, u: int, v: int, floor: int):
+    """The loose edge of greatest key on the u-v path of a rooted forest, or
+    None if the path has none; `_BELOW` as soon as one is keyed below floor.
+    Climbs from the deeper end, one edge a step, until the ends meet."""
+    best, top = None, floor - 1
+    du, dv = depth[u], depth[v]
+    while u != v:
+        if du >= dv:
+            a, u, du = u, parent[u], du - 1
+            f = (a, u) if a < u else (u, a)
+        else:
+            a, v, dv = v, parent[v], dv - 1
+            f = (a, v) if a < v else (v, a)
+        k = loose_key.get(f)
+        if k is not None:
+            if k < floor:
+                return _BELOW
+            if k > top:
+                best, top = f, k
+    return best
 
 
 def restrict_forest(g: Graph, result: ForestResult, order: EdgeOrder,

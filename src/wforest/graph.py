@@ -321,13 +321,37 @@ def induced_subgraph(g: Graph, A: Iterable[int]) -> Graph:
     return _subgraph(g, sorted(aset), edges, _restrict_meta(g.meta, aset))
 
 
+def _host_edges(g: Graph, E: Iterable[Edge]) -> frozenset[Edge]:
+    """E as a set, checked to hold only edges of g."""
+    eset = frozenset(E)
+    if not eset <= g.edges:
+        raise UnknownId(f"edge {next(e for e in eset if e not in g.edges)} not in graph")
+    return eset
+
+
 def spanned_subgraph(g: Graph, E: Iterable[Edge]) -> Graph:
     """Subgraph on all vertices of g keeping only the given edges."""
-    eset = frozenset(E)
-    for e in eset:
-        if e not in g.edges:
-            raise UnknownId(f"edge {e} not in graph")
-    return _subgraph(g, g.vertices, eset, dict(g.meta))
+    return _subgraph(g, g.vertices, _host_edges(g, E), dict(g.meta))
+
+
+def _spanned_sorted(g: Graph, edges: list[Edge]) -> Graph:
+    """`spanned_subgraph` of host edges listed in increasing order, with the
+    adjacency `_sorted_adjacency` builds from them."""
+    eset = _host_edges(g, edges)
+    adjacency = {v: tuple(ns) for v, ns in _sorted_adjacency(g.vertices, edges).items()}
+    return Graph(vertices=g.vertices, edges=eset, adjacency=adjacency, meta=dict(g.meta))
+
+
+def _sorted_adjacency(vertices, edges: list[Edge]) -> dict[int, list[int]]:
+    """Neighbour lists of canonical edges listed in increasing order.
+    Appending each edge to both ends gives every vertex its lesser
+    neighbours and then its greater ones, each in increasing order: the
+    sorted adjacency, without a sort or a scan of a host's adjacency."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
 
 
 def _subgraph(g: Graph, vertices, edges: frozenset[Edge], meta: dict) -> Graph:

@@ -15,6 +15,7 @@ from itertools import repeat
 from typing import Mapping
 
 from .errors import (
+    BadParams,
     BadProbability,
     InvariantViolation,
     NotAutomorphism,
@@ -22,8 +23,8 @@ from .errors import (
     UnknownEdge,
 )
 from .ends import ProxyParams, qualifying_side_counts
-from .forest import ForestResult, check_cut_witnesses, maximal_subforest
-from .graph import Edge, Graph, components, edge, spanned_subgraph
+from .forest import ForestResult, _cut_witnesses, _root_forest, maximal_subforest
+from .graph import Edge, Graph, _spanned_sorted, components, edge, spanned_subgraph
 from .rng import subseed, threshold, u64s
 from .weights import EdgeOrder, RankedPotential, exact_potential, ranked_potential
 
@@ -44,14 +45,17 @@ def bernoulli_sample(g: Graph, p: float, seed: int) -> PercolationConfig:
     """Each edge open independently with probability p, decided by comparing
     its keyed 64-bit draw against the p-threshold (hence monotone in p).
     An edge's draw index is its position in the sorted edge list."""
+    open_edges = frozenset(_open_edges(g.sorted_edges(), p, seed))
+    return PercolationConfig(host=g, open_edges=open_edges, p=p, seed=seed)
+
+
+def _open_edges(edges: list[Edge], p: float, seed: int) -> list[Edge]:
+    """`bernoulli_sample`'s open edges, from the host's sorted edge list and
+    in its order."""
     if not 0.0 <= p <= 1.0:
         raise BadProbability(f"p={p} outside [0, 1]")
     cut = threshold(p)
-    edges = g.sorted_edges()
-    open_edges = frozenset(
-        e for e, x in zip(edges, u64s(seed, "open", len(edges))) if x < cut
-    )
-    return PercolationConfig(host=g, open_edges=open_edges, p=p, seed=seed)
+    return [e for e, x in zip(edges, u64s(seed, "open", len(edges))) if x < cut]
 
 
 def full_config(g: Graph) -> PercolationConfig:
@@ -83,15 +87,25 @@ class LabelAssignment:
     collisions: tuple[tuple[Edge, Edge], ...] = ()
 
     def ranks(self, edges=None) -> dict[Edge, int]:
-        ordered = sorted(self.labels if edges is None else edges,
-                         key=lambda e: (-self.labels[e], e))
+        label = self.labels.__getitem__
+        ordered = sorted(self.labels if edges is None else edges, key=label, reverse=True)
+        if len(set(map(label, ordered))) < len(ordered):
+            # equal labels: break the tie by the edge itself
+            ordered.sort(key=lambda e: (-label(e), e))
         return {e: i for i, e in enumerate(ordered)}
 
 
 def assign_labels(g: Graph, seed: int) -> LabelAssignment:
     """One keyed draw per edge, indexed by position in the sorted edge list."""
-    edges = g.sorted_edges()
-    labels = dict(zip(edges, u64s(seed, "label", len(edges))))
+    return _labels(g.sorted_edges(), seed)
+
+
+def _labels(edges: list[Edge], seed: int) -> LabelAssignment:
+    """`assign_labels` from the host's sorted edge list."""
+    values = u64s(seed, "label", len(edges))
+    labels = dict(zip(edges, values))
+    if len(set(values)) == len(values):
+        return LabelAssignment(labels=labels)
     by_value: dict[int, list[Edge]] = {}
     for e, val in labels.items():
         by_value.setdefault(val, []).append(e)
@@ -114,8 +128,9 @@ class _OpenRun:
     tops: list[int]                   # per cluster, its greatest vertex rank
 
 
-def _open_run(cfg: PercolationConfig, ranked: RankedPotential) -> _OpenRun:
-    sub = spanned_subgraph(cfg.host, cfg.open_edges)
+def _open_run(host: Graph, opened: list[Edge], ranked: RankedPotential) -> _OpenRun:
+    """The run of the open edges `opened`, listed in increasing order."""
+    sub = _spanned_sorted(host, opened)
     clusters = components(sub)
     rank = ranked.rank
     tops = [max(map(rank.__getitem__, comp)) for comp in clusters]
@@ -148,7 +163,8 @@ def fwmsf(cfg: PercolationConfig, potential: Mapping[int, object],
           labels: LabelAssignment) -> ForestResult:
     """Weighted maximal subforest of the open subgraph under the random
     tiebreak; the weighted generalization of the free minimal forest."""
-    return _forest(_open_run(cfg, ranked_potential(cfg.host, potential)), labels)[1]
+    run = _open_run(cfg.host, sorted(cfg.open_edges), ranked_potential(cfg.host, potential))
+    return _forest(run, labels)[1]
 
 
 @dataclass(frozen=True)
@@ -170,7 +186,7 @@ def cluster_report(cfg: PercolationConfig, potential: Mapping[int, object],
     """Clusters of the open subgraph with masses relative to each cluster's
     heaviest vertex, heavy/light proxy classes, and the max number of
     nonvanishing-proxy sides over single-vertex furcations."""
-    run = _open_run(cfg, ranked_potential(cfg.host, potential))
+    run = _open_run(cfg.host, sorted(cfg.open_edges), ranked_potential(cfg.host, potential))
     return _cluster_report(run, params, _nonvanishing(run, params.nonvanish_delta))
 
 
@@ -183,9 +199,12 @@ def _cluster_report(run: _OpenRun, params: ProxyParams,
     infos = []
     n_heavy = 0
     for comp, top in zip(run.clusters, run.tops):
-        # the exact potential sum, one Fraction product per distinct value
-        per_level = Counter(map(rank.__getitem__, comp))
-        mass = sum(levels[r] * n for r, n in per_level.items()) / levels[top]
+        if len(comp) == 1:
+            mass = Fraction(1)  # a vertex relative to itself
+        else:
+            # the exact potential sum, one Fraction product per distinct value
+            per_level = Counter(map(rank.__getitem__, comp))
+            mass = sum(levels[r] * n for r, n in per_level.items()) / levels[top]
         heavy = mass >= params.heavy_tau or not nonvanishing.isdisjoint(comp)
         cls = "heavy" if heavy else "light"
         n_heavy += cls == "heavy"
@@ -262,21 +281,23 @@ def sweep(g: Graph, potential: Mapping[int, object], p_grid, trials: int,
     is given, else the built-in ``map``; records keep submission order.
     """
     if trials < 1:
-        raise BadProbability("trials must be >= 1")
+        raise BadParams(f"trials must be >= 1, got {trials}")
     jobs = [(float(p), t, subseed(seed, "run", pi, t))
             for pi, p in enumerate(p_grid) for t in range(trials)]
     # validated and ranked once, here, so a bad potential fails before any run
     ranked = ranked_potential(g, potential)
+    edges = g.sorted_edges()
     mapper = map if executor is None else executor.map
-    return list(mapper(_run_once, repeat(g), repeat(ranked), repeat(params), jobs))
+    return list(mapper(_run_once, repeat(g), repeat(edges), repeat(ranked),
+                       repeat(params), jobs))
 
 
-def _run_once(g: Graph, ranked: RankedPotential, params: ProxyParams,
-              job: tuple[float, int, int]) -> dict:
+def _run_once(g: Graph, edges: list[Edge], ranked: RankedPotential,
+              params: ProxyParams, job: tuple[float, int, int]) -> dict:
     p, trial, run_seed = job
-    cfg = bernoulli_sample(g, p, run_seed)
-    labels = assign_labels(g, run_seed)
-    run = _open_run(cfg, ranked)
+    opened = _open_edges(edges, p, run_seed)
+    labels = _labels(edges, run_seed)
+    run = _open_run(g, opened, ranked)
     order, forest = _forest(run, labels)
     # kept is acyclic, so it has |V| - |kept| trees; they are exactly the
     # clusters iff the counts agree, and the tree stages below rely on it
@@ -288,14 +309,15 @@ def _run_once(g: Graph, ranked: RankedPotential, params: ProxyParams,
     nonvanishing = _nonvanishing(run, params.nonvanish_delta)
     report = _cluster_report(run, params, nonvanishing)
 
+    # the kept forest, rooted once for its side counts and its witnesses
+    rooted = _root_forest(run.sub, forest.kept)
     # count the trees whose internal structure shows >= 3 nonvanishing-proxy
     # directions; a tree's vertices and relative weights are its cluster's
-    tree_side = qualifying_side_counts(spanned_subgraph(g, forest.kept),
-                                       nonvanishing.__contains__)
+    tree_side = _tree_side_counts(rooted, nonvanishing)
     trees_3plus = sum(1 for comp in run.clusters
                       if max(tree_side[v] for v in comp) >= 3)
 
-    witness_report = check_cut_witnesses(run.sub, forest, order)
+    witness_report = _cut_witnesses(run.sub, forest, order, rooted)
     if not witness_report.ok:
         raise InvariantViolation(
             f"cut-witness violation in sweep run (p={p}, seed={run_seed})")
@@ -335,9 +357,28 @@ def _run_once(g: Graph, ranked: RankedPotential, params: ProxyParams,
             "masses": [_fraction_str(c.mass) for c in baseclusters],
             "heavy": sum(1 for c in baseclusters if c.cls == "heavy"),
         },
-        "open": len(cfg.open_edges),
+        "open": len(opened),
         "label_collisions": len(labels.collisions),
     }
+
+
+def _tree_side_counts(rooted, qualifying: frozenset[int]) -> dict[int, int]:
+    """`qualifying_side_counts` on the forest that `forest._root_forest`
+    rooted.  In a tree every child subtree is one side of its parent, and
+    the rest of the tree is one more: each vertex's qualifying count below
+    it is summed up the BFS order, and the rest is the tree's total less it.
+    """
+    parent, _, root = rooted
+    below = dict.fromkeys(parent, 0)
+    for v in qualifying:
+        below[v] = 1
+    sides = dict.fromkeys(parent, 0)
+    for v in reversed(parent):
+        p = parent[v]
+        if p is not None:
+            below[p] += below[v]
+            sides[p] += below[v] > 0
+    return {v: sides[v] + (below[root[v]] > below[v]) for v in parent}
 
 
 def records_to_jsonl(records: list[dict]) -> str:

@@ -384,6 +384,8 @@ COMMAND_ARGS = {
     ("percolate", ("--delta", "1/0")),
     ("percolate", ("--tau", "1/0")),
     ("percolate", ("--p-grid", "")),
+    ("percolate", ("--trials", "0")),
+    ("percolate", ("--trials", "-2")),
 ], ids=lambda v: v if isinstance(v, str) else "=".join(v))
 def test_out_of_range_flags_exit_2_with_json(tmp_path, capsys, command, flags):
     (tmp_path / "g.json").write_text(to_json(gp_graph(2, 1, 2)))

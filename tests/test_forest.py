@@ -6,6 +6,7 @@ from wforest.errors import (
     FixedSetCyclic,
     InvariantViolation,
     NotCycleInvariant,
+    UnknownId,
 )
 from wforest.forest import (
     ForestResult,
@@ -316,6 +317,13 @@ def test_cut_witnesses_reject_cyclic_kept_set():
     g, o = triangle_order()
     r = ForestResult(kept=g.edges, deleted=frozenset(), fixed=frozenset())
     with pytest.raises(InvariantViolation):
+        check_cut_witnesses(g, r, o)
+
+
+def test_cut_witnesses_reject_a_kept_edge_outside_the_graph():
+    g, o = triangle_order()
+    r = ForestResult(kept=frozenset({(1, 2), (1, 4)}), deleted=frozenset(), fixed=frozenset())
+    with pytest.raises(UnknownId, match=r"edge \(1, 4\) not in graph"):
         check_cut_witnesses(g, r, o)
 
 

@@ -243,6 +243,8 @@ def test_subgraphs():
     assert induced_subgraph(p, []).vertices == ()
     sp = spanned_subgraph(p, [])
     assert sp.vertices == (1, 2, 3) and sp.edges == frozenset()
+    with pytest.raises(UnknownId, match=r"^edge \(1, 3\) not in graph$"):
+        spanned_subgraph(p, [(1, 2), (1, 3)])
 
 
 def test_subgraphs_equal_build_graph(rand):

@@ -12,6 +12,7 @@ from wforest.ends import (
     visibility,
 )
 from wforest.errors import (
+    BadParams,
     BadProbability,
     InvariantViolation,
     MissingVertex,
@@ -19,11 +20,16 @@ from wforest.errors import (
     NotAutomorphism,
     NotWeightPreserving,
     UnknownEdge,
+    UnknownId,
 )
-from wforest.forest import ForestResult, is_acyclic
+from wforest.forest import ForestResult, _root_forest, is_acyclic, maximal_subforest
 from wforest.generators import cycle, free_product, gp_graph, lattice_box, windmill
 from wforest.graph import build_graph, components, spanned_subgraph
 from wforest.percolation import (
+    LabelAssignment,
+    _open_edges,
+    _open_run,
+    _tree_side_counts,
     assign_labels,
     bernoulli_sample,
     cluster_report,
@@ -38,9 +44,15 @@ from wforest.percolation import (
     sweep,
 )
 from wforest.rng import subseed, u64, u64s
-from wforest.weights import exact_potential, level_potential, unit_potential
+from wforest.weights import exact_potential, level_potential, ranked_potential, unit_potential
 
-from conftest import fmsf, random_connected_graph, random_potential, relative_potential
+from conftest import (
+    fmsf,
+    random_connected_graph,
+    random_order,
+    random_potential,
+    relative_potential,
+)
 
 
 def test_u64s_equals_one_u64_per_counter():
@@ -99,10 +111,73 @@ def test_labels_deterministic_with_collision_fallback():
     assert la.labels == assign_labels(g, 99).labels
     assert la.collisions == ()
     # planted collision: ranks fall back to canonical edge order
-    from wforest.percolation import LabelAssignment
     forced = LabelAssignment(labels={e: 1 for e in g.edges})
     ranks = forced.ranks()
     assert [e for e, _ in sorted(ranks.items(), key=lambda kv: kv[1])] == g.sorted_edges()
+
+
+def test_ranks_check_their_labels_for_ties(rand):
+    """`ranks` finds equal labels itself: an assignment built with colliding
+    labels but no recorded collisions still ranks as the full (-label,
+    edge) sort does, on all its edges and on a subset."""
+    tied = 0
+    for case in range(300):
+        g = random_connected_graph(rand, rand.randint(2, 9))
+        top = 4 if case % 2 else 1 << 64
+        labels = {e: rand.randrange(top) for e in g.edges}
+        la = LabelAssignment(labels=labels)
+        tied += len(set(labels.values())) < len(labels)
+        for edges in (None, [e for e in g.sorted_edges() if rand.random() < 0.6]):
+            want = sorted(labels if edges is None else edges, key=lambda e: (-labels[e], e))
+            assert la.ranks(edges) == {e: i for i, e in enumerate(want)}
+    assert tied >= 100
+
+
+def test_assign_labels_lists_colliding_neighbours(monkeypatch):
+    import wforest.percolation as perc
+    monkeypatch.setattr(perc, "u64s", lambda seed, domain, n: [i // 3 for i in range(n)])
+    g = cycle(5)
+    la = assign_labels(g, 0)
+    e = g.sorted_edges()
+    assert la.collisions == ((e[0], e[1]), (e[1], e[2]), (e[3], e[4]))
+    assert list(la.ranks()) == [e[3], e[4], e[0], e[1], e[2]]
+
+
+def test_open_run_graph_equals_spanned_subgraph(rand):
+    """A sweep run's open subgraph, appended from its sorted open edges, is
+    the `spanned_subgraph` of the host's; its open edges are the sample's."""
+    hosts = [build_graph([], []), build_graph(range(4), []), cycle(5), lattice_box(5, 4),
+             gp_graph(2, 2, 3), windmill(3, 2)]
+    for _ in range(60):
+        g = random_connected_graph(rand, rand.randint(1, 10))
+        hosts.append(build_graph(g.vertices, g.edges, meta={
+            "boundary": frozenset(v for v in g.vertices if rand.random() < 0.3)}))
+    for g in hosts:
+        ranked = ranked_potential(g, unit_potential(g))
+        for p in (0.0, 0.3, 0.7, 1.0):
+            seed = rand.randrange(1 << 32)
+            opened = _open_edges(g.sorted_edges(), p, seed)
+            assert opened == sorted(bernoulli_sample(g, p, seed).open_edges)
+            assert _open_run(g, opened, ranked).sub == spanned_subgraph(g, opened)
+    g = cycle(5)
+    with pytest.raises(UnknownId, match=r"edge \(0, 2\) not in graph"):
+        _open_run(g, [(0, 1), (0, 2)], ranked_potential(g, unit_potential(g)))
+
+
+def test_tree_side_counts_equal_qualifying_side_counts(rand):
+    """The tree DP over one rooting of the kept forest gives the side counts
+    of the forest as a graph: random forests (with isolated vertices, and
+    the empty forest) and random qualifying sets."""
+    for case in range(500):
+        g = random_connected_graph(rand, rand.randint(1, 12))
+        kept = maximal_subforest(g, random_order(rand, g)).kept
+        if case % 5 == 0:
+            kept = frozenset()
+        elif case % 2:
+            kept = frozenset(e for e in kept if rand.random() < 0.7)
+        q = frozenset(v for v in g.vertices if rand.random() < 0.4)
+        assert _tree_side_counts(_root_forest(g, kept), q) == \
+            qualifying_side_counts(spanned_subgraph(g, kept), q.__contains__)
 
 
 def test_fwmsf_open_forest_kept_whole():
@@ -239,6 +314,13 @@ def test_sweep_degenerate_grid():
     assert recs[0]["open"] == 0 and recs[1]["open"] == len(g.edges)
     assert recs[0]["clusters"]["count"] == 4
     assert recs[1]["forest"]["deleted"] == 1
+
+
+def test_sweep_rejects_fewer_than_one_trial():
+    g = cycle(4)
+    for trials in (0, -1):
+        with pytest.raises(BadParams, match="trials must be >= 1"):
+            sweep(g, unit_potential(g), [0.5], trials, 0, ProxyParams())
 
 
 def test_sweep_byte_identical():
