@@ -25,9 +25,9 @@ from .errors import (
 from .graph import (
     Edge,
     Graph,
+    _adjacency,
     _bfs_forest,
     _host_edges,
-    _sorted_adjacency,
     _tree_walk,
     induced_subgraph,
     is_connected_set,
@@ -87,13 +87,16 @@ class CutWitnessReport(NamedTuple):
 
 def _root_forest(g: Graph, kept: frozenset[Edge]):
     """Root every tree of the kept forest at its least vertex (`_bfs_forest`
-    on the kept edges' own sorted adjacency).
+    on the kept edges' own adjacency).  A tree has one path from each vertex
+    to its root, so the parents and depths do not depend on the order of
+    the neighbours, and any breadth-first order lists a parent before its
+    children: the kept edges are not sorted.
 
     Returns (parent, depth, root).  A kept set with a cycle cannot come from
     any producer and raises `InvariantViolation`: a forest with t trees on n
     vertices has exactly n - t edges.
     """
-    adjacency = _sorted_adjacency(g.vertices, sorted(_host_edges(g, kept)))
+    adjacency = _adjacency(g.vertices, _host_edges(g, kept))
     parent, depth, root = _bfs_forest(adjacency, g.vertices)
     trees = sum(1 for p in parent.values() if p is None)
     if len(kept) != len(g.vertices) - trees:
@@ -118,12 +121,9 @@ def check_cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder) -> Cut
 def _cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder,
                    rooted) -> CutWitnessReport:
     """`check_cut_witnesses` on the kept forest as `_root_forest` rooted it.
-
-    Each kept path is one climb up the parents from both ends, keeping the
-    greatest loose (non-fixed) edge and stopping at the first one below e;
-    only then is the path walked in order (`_tree_walk`), to name the first
-    such edge from u.
-    """
+    Each kept path is one `_tree_walk`, read in walk order: the first loose
+    (non-fixed) edge below e is the violation, else the greatest loose edge
+    is the witness."""
     violations: list[tuple[Edge, str]] = []
     witnesses: dict[Edge, Edge] = {}
     parent, depth, root = rooted
@@ -133,14 +133,21 @@ def _cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder,
         u, v = e
         floor = key(e)
         if root[u] == root[v]:
-            best = _greatest_loose(parent, depth, loose_key, u, v, floor)
-            if best is _BELOW:
-                walk = _tree_walk(parent, depth, u, v)
-                path = [(a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:])]
-                bad = next(f for f in path if loose_key.get(f, floor) < floor)
-                violations.append((e, f"kept-path edge {bad} is below the deleted edge"))
-            elif best is not None:
-                witnesses[e] = best
+            walk = _tree_walk(parent, depth, u, v)
+            best, top = None, floor
+            for a, b in zip(walk, walk[1:]):
+                f = (a, b) if a < b else (b, a)
+                k = loose_key.get(f)
+                if k is None:
+                    continue
+                if k < floor:
+                    violations.append((e, f"kept-path edge {f} is below the deleted edge"))
+                    break
+                if k > top:
+                    best, top = f, k
+            else:
+                if best is not None:
+                    witnesses[e] = best
             continue
         r = root[u]
         # no kept (so no fixed) edge crosses the cut, and e is not above itself
@@ -151,31 +158,6 @@ def _cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder,
         else:
             violations.append((e, "no greater boundary partner for a cut edge"))
     return CutWitnessReport(violations=tuple(violations), witnesses=witnesses)
-
-
-_BELOW = object()
-
-
-def _greatest_loose(parent, depth, loose_key, u: int, v: int, floor: int):
-    """The loose edge of greatest key on the u-v path of a rooted forest, or
-    None if the path has none; `_BELOW` as soon as one is keyed below floor.
-    Climbs from the deeper end, one edge a step, until the ends meet."""
-    best, top = None, floor - 1
-    du, dv = depth[u], depth[v]
-    while u != v:
-        if du >= dv:
-            a, u, du = u, parent[u], du - 1
-            f = (a, u) if a < u else (u, a)
-        else:
-            a, v, dv = v, parent[v], dv - 1
-            f = (a, v) if a < v else (v, a)
-        k = loose_key.get(f)
-        if k is not None:
-            if k < floor:
-                return _BELOW
-            if k > top:
-                best, top = f, k
-    return best
 
 
 def restrict_forest(g: Graph, result: ForestResult, order: EdgeOrder,

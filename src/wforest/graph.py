@@ -318,7 +318,7 @@ def induced_subgraph(g: Graph, A: Iterable[int]) -> Graph:
         if v not in g.adjacency:
             raise UnknownId(f"vertex {v} not in graph")
     edges = frozenset(e for e in g.edges if e[0] in aset and e[1] in aset)
-    return _subgraph(g, sorted(aset), edges, _restrict_meta(g.meta, aset))
+    return _subgraph(sorted(aset), edges, _restrict_meta(g.meta, aset))
 
 
 def _host_edges(g: Graph, E: Iterable[Edge]) -> frozenset[Edge]:
@@ -331,22 +331,14 @@ def _host_edges(g: Graph, E: Iterable[Edge]) -> frozenset[Edge]:
 
 def spanned_subgraph(g: Graph, E: Iterable[Edge]) -> Graph:
     """Subgraph on all vertices of g keeping only the given edges."""
-    return _subgraph(g, g.vertices, _host_edges(g, E), dict(g.meta))
+    return _subgraph(g.vertices, _host_edges(g, E), dict(g.meta))
 
 
-def _spanned_sorted(g: Graph, edges: list[Edge]) -> Graph:
-    """`spanned_subgraph` of host edges listed in increasing order, with the
-    adjacency `_sorted_adjacency` builds from them."""
-    eset = _host_edges(g, edges)
-    adjacency = {v: tuple(ns) for v, ns in _sorted_adjacency(g.vertices, edges).items()}
-    return Graph(vertices=g.vertices, edges=eset, adjacency=adjacency, meta=dict(g.meta))
-
-
-def _sorted_adjacency(vertices, edges: list[Edge]) -> dict[int, list[int]]:
-    """Neighbour lists of canonical edges listed in increasing order.
-    Appending each edge to both ends gives every vertex its lesser
+def _adjacency(vertices, edges: Iterable[Edge]) -> dict[int, list[int]]:
+    """Neighbour lists of canonical edges, each edge appended to both ends.
+    Edges listed in increasing order give every vertex its lesser
     neighbours and then its greater ones, each in increasing order: the
-    sorted adjacency, without a sort or a scan of a host's adjacency."""
+    sorted adjacency, without sorting a list per vertex."""
     adj: dict[int, list[int]] = {v: [] for v in vertices}
     for u, v in edges:
         adj[u].append(v)
@@ -354,14 +346,10 @@ def _sorted_adjacency(vertices, edges: list[Edge]) -> dict[int, list[int]]:
     return adj
 
 
-def _subgraph(g: Graph, vertices, edges: frozenset[Edge], meta: dict) -> Graph:
-    """The subgraph of g on sorted `vertices` with `edges`, host edges
-    between them.  Each adjacency is the host's, filtered: it is already
-    sorted and canonical, so nothing is validated or sorted again, and the
-    result is the one `build_graph` would give."""
-    adjacency = {v: tuple([y for y in g.adjacency[v]
-                           if ((v, y) if v < y else (y, v)) in edges])
-                 for v in vertices}
+def _subgraph(vertices, edges: frozenset[Edge], meta: dict) -> Graph:
+    """The graph on sorted `vertices` with canonical `edges` between them:
+    the one `build_graph` would give, with nothing validated again."""
+    adjacency = {v: tuple(ns) for v, ns in _adjacency(vertices, sorted(edges)).items()}
     return Graph(vertices=tuple(vertices), edges=edges, adjacency=adjacency, meta=meta)
 
 

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .ends import ProxyParams, qualifying_side_counts
 from .forest import ForestResult, _cut_witnesses, _root_forest, maximal_subforest
-from .graph import Edge, Graph, _spanned_sorted, components, edge, spanned_subgraph
+from .graph import Edge, Graph, components, edge, spanned_subgraph
 from .rng import subseed, threshold, u64s
 from .weights import EdgeOrder, RankedPotential, exact_potential, ranked_potential
 
@@ -129,8 +129,8 @@ class _OpenRun:
 
 
 def _open_run(host: Graph, opened: list[Edge], ranked: RankedPotential) -> _OpenRun:
-    """The run of the open edges `opened`, listed in increasing order."""
-    sub = _spanned_sorted(host, opened)
+    """The run of the open edges `opened`."""
+    sub = spanned_subgraph(host, opened)
     clusters = components(sub)
     rank = ranked.rank
     tops = [max(map(rank.__getitem__, comp)) for comp in clusters]
