@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     BadParams,
@@ -128,7 +128,7 @@ class _OpenRun:
     tops: list[int]                   # per cluster, its greatest vertex rank
 
 
-def _open_run(host: Graph, opened: list[Edge], ranked: RankedPotential) -> _OpenRun:
+def _open_run(host: Graph, opened: Iterable[Edge], ranked: RankedPotential) -> _OpenRun:
     """The run of the open edges `opened`."""
     sub = spanned_subgraph(host, opened)
     clusters = components(sub)
@@ -163,7 +163,7 @@ def fwmsf(cfg: PercolationConfig, potential: Mapping[int, object],
           labels: LabelAssignment) -> ForestResult:
     """Weighted maximal subforest of the open subgraph under the random
     tiebreak; the weighted generalization of the free minimal forest."""
-    run = _open_run(cfg.host, sorted(cfg.open_edges), ranked_potential(cfg.host, potential))
+    run = _open_run(cfg.host, cfg.open_edges, ranked_potential(cfg.host, potential))
     return _forest(run, labels)[1]
 
 
@@ -186,7 +186,7 @@ def cluster_report(cfg: PercolationConfig, potential: Mapping[int, object],
     """Clusters of the open subgraph with masses relative to each cluster's
     heaviest vertex, heavy/light proxy classes, and the max number of
     nonvanishing-proxy sides over single-vertex furcations."""
-    run = _open_run(cfg.host, sorted(cfg.open_edges), ranked_potential(cfg.host, potential))
+    run = _open_run(cfg.host, cfg.open_edges, ranked_potential(cfg.host, potential))
     return _cluster_report(run, params, _nonvanishing(run, params.nonvanish_delta))
 
 

@@ -20,7 +20,6 @@ from wforest.errors import (
     NotAutomorphism,
     NotWeightPreserving,
     UnknownEdge,
-    UnknownId,
 )
 from wforest.forest import ForestResult, _root_forest, is_acyclic, maximal_subforest
 from wforest.generators import cycle, free_product, gp_graph, lattice_box, windmill
@@ -28,7 +27,6 @@ from wforest.graph import build_graph, components, spanned_subgraph
 from wforest.percolation import (
     LabelAssignment,
     _open_edges,
-    _open_run,
     _tree_side_counts,
     assign_labels,
     bernoulli_sample,
@@ -44,7 +42,7 @@ from wforest.percolation import (
     sweep,
 )
 from wforest.rng import subseed, u64, u64s
-from wforest.weights import exact_potential, level_potential, ranked_potential, unit_potential
+from wforest.weights import exact_potential, level_potential, unit_potential
 
 from conftest import (
     fmsf,
@@ -143,25 +141,17 @@ def test_assign_labels_lists_colliding_neighbours(monkeypatch):
     assert list(la.ranks()) == [e[3], e[4], e[0], e[1], e[2]]
 
 
-def test_open_run_graph_equals_spanned_subgraph(rand):
-    """A sweep run's open subgraph, appended from its sorted open edges, is
-    the `spanned_subgraph` of the host's; its open edges are the sample's."""
+def test_open_edges_are_the_samples(rand):
+    """A sweep run's open edges, drawn from the host's sorted edge list, are
+    `bernoulli_sample`'s, in increasing order."""
     hosts = [build_graph([], []), build_graph(range(4), []), cycle(5), lattice_box(5, 4),
              gp_graph(2, 2, 3), windmill(3, 2)]
-    for _ in range(60):
-        g = random_connected_graph(rand, rand.randint(1, 10))
-        hosts.append(build_graph(g.vertices, g.edges, meta={
-            "boundary": frozenset(v for v in g.vertices if rand.random() < 0.3)}))
+    hosts += [random_connected_graph(rand, rand.randint(1, 10)) for _ in range(60)]
     for g in hosts:
-        ranked = ranked_potential(g, unit_potential(g))
         for p in (0.0, 0.3, 0.7, 1.0):
             seed = rand.randrange(1 << 32)
             opened = _open_edges(g.sorted_edges(), p, seed)
             assert opened == sorted(bernoulli_sample(g, p, seed).open_edges)
-            assert _open_run(g, opened, ranked).sub == spanned_subgraph(g, opened)
-    g = cycle(5)
-    with pytest.raises(UnknownId, match=r"edge \(0, 2\) not in graph"):
-        _open_run(g, [(0, 1), (0, 2)], ranked_potential(g, unit_potential(g)))
 
 
 def test_tree_side_counts_equal_qualifying_side_counts(rand):
