@@ -20,7 +20,9 @@ outputs=(gp.json box.json windmill.json
          gp-delta.jsonl gp-delta.csv gp-ends.jsonl gp-ends.csv
          box-forest.json gp-forest-fixed.json
          box-pool.jsonl box-pool.csv windmill-collapse.json windmill-family.json
-         windmill-analyze.json gp-analyze.json)
+         windmill-analyze.json gp-analyze.json
+         windmill66-collapse.json windmill66-family.json windmill66-analyze.json
+         box-analyze.json)
 
 run_tree() {
     local tree=$1 dir=$2
@@ -33,6 +35,7 @@ run_tree() {
         wf gen --family gp --k 2 --up 3 --down 5 -o gp.json
         wf gen --family lattice_box --w 12 --h 12 -o box.json
         wf gen --family windmill --blades 4 --radius 3 -o windmill.json
+        wf gen --family windmill --blades 6 --radius 6 -o windmill66.json
         for seed in 1 2 3; do
             wf percolate gp.json levels.json --p-grid 0.5,0.7,0.9 --seed "$seed" \
                 -o "gp-$seed.jsonl" --summary "gp-$seed.csv"
@@ -53,6 +56,11 @@ run_tree() {
             -o windmill-collapse.json --family-out windmill-family.json
         wf analyze windmill.json unit.json -o windmill-analyze.json
         wf analyze gp.json levels.json -o gp-analyze.json
+        # larger furcation families: every path of the side index and the search
+        wf collapse windmill66.json unit.json --tiebreak meta --smax 4 \
+            -o windmill66-collapse.json --family-out windmill66-family.json
+        wf analyze windmill66.json unit.json --smax 4 -o windmill66-analyze.json
+        wf analyze box.json unit.json -o box-analyze.json
     )
 }
 

@@ -183,6 +183,118 @@ def _side_orders(adj: Mapping[int, tuple[int, ...]], F: Iterable[int],
     return orders
 
 
+class _SideIndex:
+    """The side orders of small connected sets, read off one low-link DFS per
+    component (`graph._lowlink`) where the DFS tree decides them.
+
+    Every non-tree edge of a DFS joins an ancestor to a descendant (Tarjan
+    1972).  The components' preorders are laid end to end and every array
+    is indexed by preorder position, so the subtree of position i is the
+    interval [i, end[i]) and its children are i + 1, end[i + 1], ... below
+    end[i].  `mins[0]` holds each vertex's least neighbour position, and
+    `mins[j][i]` the least over [i, i + 2**j): a sparse table of range minima.
+
+    `orders(F, total)` answers `_side_orders` for a connected F, or None:
+    - F a subtree of the DFS tree, topped by t: each child c outside F of a
+      vertex of F with low[c] >= t is a side of its own, with its subtree's
+      counts, and the rest of the component is one more, by subtraction;
+    - otherwise the tree less F falls into the piece that holds the root
+      and, under each child c outside F of a vertex of F, the subtree of c
+      less the subtrees of F inside it.  Its least neighbour lies above c,
+      as c's parent is in F; if it lies outside F, the piece joins one that
+      starts before c.  So if every piece's does, G - F has one side, by
+      induction on c.  Else it gives up; it always does when F holds the
+      root, as the neighbours above the first piece are then all in F.
+    """
+
+    def __init__(self, adj: Mapping[int, tuple[int, ...]], comps: Iterable[tuple[int, ...]],
+                 marks: Mapping[int, tuple[int, ...]], mirror: bool = False):
+        self.marks = marks
+        self.pos: dict[int, int] = {}
+        self.parent: list[int] = []  # -1 at a root
+        self.end: list[int] = []
+        self.low: list[int] = []
+        self.below: list[list[int]] = [[] for _ in _KINDS]
+        least: list[int] = []
+        zero = (0,) * len(_KINDS)
+        for comp in comps:
+            base = len(self.parent)
+            if mirror:  # from the greatest vertex, each neighbour list reversed
+                walk = {v: adj[v][::-1] for v in comp}
+                order, parent, _, low = _lowlink(walk, comp[-1])
+            else:
+                order, parent, _, low = _lowlink(adj, comp[0])
+            for i, v in enumerate(order, base):
+                self.pos[v] = i
+            for v in order:
+                p = parent[v]
+                self.parent.append(-1 if p is None else self.pos[p])
+                self.low.append(base + low[v])
+                for k, flag in enumerate(marks.get(v, zero)):
+                    self.below[k].append(flag)
+                least.append(min(map(self.pos.__getitem__, adj[v])))
+            self.end.extend(range(base + 1, len(self.parent) + 1))
+            for i in range(len(self.parent) - 1, base, -1):
+                p = self.parent[i]
+                self.end[p] = max(self.end[p], self.end[i])
+                for below in self.below:
+                    below[p] += below[i]
+        self.mins = [least]
+        while 1 << len(self.mins) <= len(least):
+            row, half = self.mins[-1], 1 << (len(self.mins) - 1)
+            self.mins.append(list(map(min, row[:len(row) - half], row[half:])))
+
+    def _least(self, lo: int, hi: int) -> int:
+        """The least neighbour position over the positions [lo, hi)."""
+        j = (hi - lo).bit_length() - 1
+        row = self.mins[j]
+        return min(row[lo], row[hi - (1 << j)])
+
+    def orders(self, F: tuple[int, ...], total: list[int]) -> list[int] | None:
+        at = sorted(map(self.pos.__getitem__, F))
+        parent, end, low = self.parent, self.end, self.low
+        tops = [i for i in at if parent[i] not in at]
+        kids = []  # the children outside F of F's vertices
+        for i in at:
+            c, stop = i + 1, end[i]
+            while c < stop:
+                if c not in at:
+                    kids.append(c)
+                c = end[c]
+        rest = list(total)  # per kind, the qualifying vertices outside F
+        for v in F:
+            if v in self.marks:
+                rest = [r - f for r, f in zip(rest, self.marks[v])]
+        if len(tops) == 1:
+            apart = [0] * len(rest)  # per kind, the qualifying sides cut off
+            for c in kids:
+                if low[c] >= tops[0]:  # c's subtree is a side of its own
+                    for k, below in enumerate(self.below):
+                        if below[c]:
+                            apart[k] += 1
+                            rest[k] -= below[c]
+            return [a + (r > 0) for a, r in zip(apart, rest)]
+        for c in kids:
+            holes = [i for i in at if c < i < end[c]]
+            least = self._piece_least(c, holes) if holes else low[c]
+            if least in at:  # c's parent is in F, so least < c
+                return None
+        return [int(r > 0) for r in rest]
+
+    def _piece_least(self, c: int, holes: list[int]) -> int:
+        """The least neighbour position over the subtree of c less the
+        subtrees of `holes`, the positions of F inside it, in increasing
+        order."""
+        least = lo = c
+        for i in holes:
+            if lo < i:
+                least = min(least, self._least(lo, i))
+            lo = max(lo, self.end[i])  # a hole inside an earlier one ends there too
+        if lo < self.end[c]:
+            least = min(least, self._least(lo, self.end[c]))
+        return least
+
+
 def find_furcation_vertices(g: Graph, potential: Mapping[int, object], n: int,
                             params: ProxyParams,
                             kind: str = NONVANISHING) -> tuple[int, ...]:
@@ -285,16 +397,25 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
     infinite sides; phases 2 and 3 scan only those.  This is exact: `used`
     only grows, and a nonvanishing side is also infinite.  A component with
     fewer than 2 flagged vertices has no such candidate and is not enumerated.
+
+    A candidate's side orders come from `_SideIndex` where its DFS tree
+    decides them, else from a second index rooted at each component's other
+    end, and only else from the search of `_side_orders`.
     """
     _check_s_max(s_max)
+    adj = g.adjacency
     marks = _qualifying_marks(g, potential, params, g.vertices)
     nv, inf = _KINDS.index(NONVANISHING), _KINDS.index(INFINITE)
     total_of: dict[int, list[int]] = {}
+    comps = []
     for comp in components(g):
         total = _mark_totals(marks, comp)
         if total[inf] >= 2:
             total_of.update(dict.fromkeys(comp, total))
-    candidates = _subsets_by_size(g.adjacency, sorted(total_of), s_max)
+            comps.append(comp)
+    index = _SideIndex(adj, comps, marks)
+    mirror = None  # built on first use
+    candidates = _subsets_by_size(adj, sorted(total_of), s_max)
     used: set[int] = set()
     blocks: list[tuple[int, ...]] = []
     phases: list[int] = []
@@ -302,7 +423,14 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
     for cand in candidates:
         if any(v in used for v in cand):
             continue
-        orders = _side_orders(g.adjacency, cand, marks, total_of[cand[0]])
+        total = total_of[cand[0]]
+        orders = index.orders(cand, total)
+        if orders is None:
+            if mirror is None:
+                mirror = _SideIndex(adj, comps, marks, mirror=True)
+            orders = mirror.orders(cand, total)
+        if orders is None:
+            orders = _side_orders(adj, cand, marks, total)
         if orders[nv] >= 3:
             blocks.append(cand)
             phases.append(1)
@@ -507,28 +635,33 @@ def qualifying_side_counts(g: Graph, qualifies: Callable[[int], bool]) -> dict[i
     """For every vertex x, the number of components of (component minus x)
     containing at least one vertex with qualifies(v) True.
 
-    One low-link DFS per component, with qualifying counts summed up the DFS
-    tree: a child c of x with low[c] >= disc[x] holds one side of its own,
-    and everything else outside x is one more side, counted by subtraction.
-    Linear in the component size; used for nonvanishing-proxy side counts on
+    One low-link DFS per component (`_component_side_counts`).  Linear in
+    the graph's size; used for nonvanishing-proxy side counts on
     percolation clusters and forest trees.
     """
     counts: dict[int, int] = {}
     for root in g.vertices:
-        if root in counts:
-            continue
-        order, parent, disc, low = _lowlink(g.adjacency, root)
-        own = {v: int(qualifies(v)) for v in order}
-        below = dict(own)  # qualifying vertices in v's DFS subtree
-        apart = dict.fromkeys(order, 0)  # ... in the child subtrees v cuts off
-        sides = dict.fromkeys(order, 0)  # those child subtrees that qualify
-        for v in reversed(order[1:]):
-            p = parent[v]
-            below[p] += below[v]
-            if low[v] >= disc[p]:
-                apart[p] += below[v]
-                sides[p] += below[v] > 0
-        total = below[root]
-        for v in order:
-            counts[v] = sides[v] + (total - own[v] - apart[v] > 0)
+        if root not in counts:
+            counts.update(_component_side_counts(g.adjacency, root, qualifies))
     return counts
+
+
+def _component_side_counts(adj: Mapping[int, tuple[int, ...]], root: int,
+                           qualifies: Callable[[int], bool]) -> dict[int, int]:
+    """`qualifying_side_counts` on root's component: one low-link DFS, with
+    qualifying counts summed up the DFS tree.  A child c of x with
+    low[c] >= disc[x] holds one side of its own, and everything else
+    outside x is one more side, counted by subtraction."""
+    order, parent, disc, low = _lowlink(adj, root)
+    own = {v: int(qualifies(v)) for v in order}
+    below = dict(own)  # qualifying vertices in v's DFS subtree
+    apart = dict.fromkeys(order, 0)  # ... in the child subtrees v cuts off
+    sides = dict.fromkeys(order, 0)  # those child subtrees that qualify
+    for v in reversed(order[1:]):
+        p = parent[v]
+        below[p] += below[v]
+        if low[v] >= disc[p]:
+            apart[p] += below[v]
+            sides[p] += below[v] > 0
+    total = below[root]
+    return {v: sides[v] + (total - own[v] - apart[v] > 0) for v in order}

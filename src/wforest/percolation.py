@@ -22,7 +22,7 @@ from .errors import (
     NotWeightPreserving,
     UnknownEdge,
 )
-from .ends import ProxyParams, qualifying_side_counts
+from .ends import ProxyParams, _component_side_counts
 from .forest import ForestResult, _cut_witnesses, _root_forest, maximal_subforest
 from .graph import Edge, Graph, components, edge, spanned_subgraph
 from .rng import subseed, threshold, u64s
@@ -193,26 +193,38 @@ def cluster_report(cfg: PercolationConfig, potential: Mapping[int, object],
 def _cluster_report(run: _OpenRun, params: ProxyParams,
                     nonvanishing: frozenset[int]) -> ClusterReport:
     """`cluster_report` of one run; heavy is `ends._is_heavy` on the
-    cluster-relative potentials: mass >= heavy_tau, or a nonvanishing vertex."""
-    side_max = qualifying_side_counts(run.sub, nonvanishing.__contains__)
+    cluster-relative potentials: mass >= heavy_tau, or a nonvanishing vertex.
+
+    Only a cluster with two or more nonvanishing vertices runs the low-link
+    DFS for its side counts.  With none, every count is 0; with one, q,
+    every other vertex has q on exactly one of its sides and q has none, so
+    the greatest count is 1 unless q is alone.
+    """
+    adj = run.sub.adjacency
     levels, rank = run.ranked.levels, run.ranked.rank
     infos = []
     n_heavy = 0
     for comp, top in zip(run.clusters, run.tops):
+        hits = len(nonvanishing.intersection(comp))
+        if hits >= 2:
+            side_max = max(_component_side_counts(adj, comp[0], nonvanishing.__contains__)
+                           .values())
+        else:
+            side_max = int(hits == 1 and len(comp) > 1)
         if len(comp) == 1:
             mass = Fraction(1)  # a vertex relative to itself
         else:
             # the exact potential sum, one Fraction product per distinct value
             per_level = Counter(map(rank.__getitem__, comp))
             mass = sum(levels[r] * n for r, n in per_level.items()) / levels[top]
-        heavy = mass >= params.heavy_tau or not nonvanishing.isdisjoint(comp)
+        heavy = mass >= params.heavy_tau or hits > 0
         cls = "heavy" if heavy else "light"
         n_heavy += cls == "heavy"
         infos.append(ClusterInfo(
             vertices=comp,
             mass=mass,
             cls=cls,
-            nonvanishing_side_count_max=max(side_max[v] for v in comp),
+            nonvanishing_side_count_max=side_max,
         ))
     counts = {
         "count": len(infos),

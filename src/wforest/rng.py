@@ -7,6 +7,7 @@ safe under parallel evaluation.
 """
 
 import hashlib
+import struct
 
 _MASK = (1 << 64) - 1
 
@@ -22,15 +23,19 @@ def u64(seed: int, domain: str, *counters: int) -> int:
 
 def u64s(seed: int, domain: str, n: int) -> list[int]:
     """``[u64(seed, domain, i) for i in range(n)]``, keying the hash and
-    feeding it the domain once, then copying that state per counter."""
+    feeding it the domain once, then copying that state per counter.  The
+    counters are non-negative, so their unsigned bytes are `u64`'s signed
+    ones; the digests are joined and decoded by one little-endian unpack,
+    the byte order `u64` decodes each with on any host."""
     h = hashlib.blake2b(digest_size=8, key=(seed & _MASK).to_bytes(8, "little"))
     h.update(domain.encode())
-    out = []
+    copy = h.copy
+    digests = bytearray()
     for i in range(n):
-        c = h.copy()
-        c.update(i.to_bytes(8, "little", signed=True))
-        out.append(int.from_bytes(c.digest(), "little"))
-    return out
+        c = copy()
+        c.update(i.to_bytes(8, "little"))
+        digests += c.digest()
+    return list(struct.unpack(f"<{n}Q", digests))
 
 
 def threshold(p: float) -> int:

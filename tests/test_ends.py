@@ -1,5 +1,7 @@
+from collections import Counter
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 
 from wforest.ends import (
@@ -7,6 +9,10 @@ from wforest.ends import (
     INFINITE,
     NONVANISHING,
     ProxyParams,
+    _mark_totals,
+    _qualifying_marks,
+    _side_orders,
+    _SideIndex,
     classify_side,
     collapsed_maximal_subforest,
     connected_subsets,
@@ -475,6 +481,56 @@ def test_family_equals_sides_oracle(rand):
             got = maximal_disjoint_furcations(g, pot, params, s_max=s_max)
             want = furcation_family_oracle(g, pot, params, s_max=s_max)
             assert got == want, (s_max, sorted(g.edges), g.boundary_vertices())
+
+
+def _index_paths(g, pot, params, s_max, paths):
+    """Holds the side index of `maximal_disjoint_furcations` equal to
+    `_side_orders` on every connected candidate of g up to s_max that it
+    would evaluate, and counts the path that answers each: (a) the first
+    index, F a DFS subtree; (b) the first index, one side proven from the
+    pieces; (c) the mirrored index; (d) the search alone."""
+    adj = g.adjacency
+    marks = _qualifying_marks(g, pot, params, g.vertices)
+    total_of, comps = {}, []
+    for comp in components(g):
+        total = _mark_totals(marks, comp)
+        if total[1] >= 2:  # two flagged vertices: the family enumerates no other component
+            total_of.update(dict.fromkeys(comp, total))
+            comps.append(comp)
+    index = _SideIndex(adj, comps, marks)
+    mirror = _SideIndex(adj, comps, marks, mirror=True)
+    for cand in connected_subsets(g, s_max):
+        if cand[0] not in total_of:
+            continue
+        total = total_of[cand[0]]
+        want = _side_orders(adj, cand, marks, total)
+        got = index.orders(cand, total)
+        if got is not None:
+            at = {index.pos[v] for v in cand}
+            path = "a" if sum(index.parent[i] not in at for i in at) == 1 else "b"
+        else:
+            got, path = mirror.orders(cand, total), "c"
+            if got is None:
+                got, path = want, "d"
+        assert got == want, (path, cand, sorted(g.edges), marks)
+        paths[path] += 1
+
+
+def test_side_index_equals_side_orders(rand):
+    paths = Counter()
+    for _ in range(300):
+        g = _random_flagged_graph(rand)
+        _index_paths(g, random_potential(rand, g), _random_params(rand), 4, paths)
+    for ng in nx.graph_atlas_g()[1:]:
+        if ng.number_of_nodes() and nx.is_connected(ng) and rand.random() < 0.3:
+            share = rand.random()
+            g = build_graph(sorted(ng.nodes), [tuple(e) for e in ng.edges], meta={
+                "boundary": frozenset(v for v in ng.nodes if rand.random() < share)})
+            _index_paths(g, random_potential(rand, g), _random_params(rand), 4, paths)
+    w = windmill(6, 6)
+    for g, pot in _family_cases() + [(w, unit_potential(w))]:
+        _index_paths(g, pot, ProxyParams(), 4, paths)
+    assert min(paths[p] for p in "abcd") > 0, paths
 
 
 def test_furcation_order_equals_sides_count(rand):

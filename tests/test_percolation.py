@@ -1,3 +1,4 @@
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 from multiprocessing import get_context
@@ -56,7 +57,7 @@ from conftest import (
 def test_u64s_equals_one_u64_per_counter():
     for seed in (0, 1, -1, -(1 << 70), (1 << 64) - 1, 1 << 64, (1 << 64) + 5, 3 << 80):
         for domain in ("open", "label", "run", ""):
-            for n in (0, 1, 7):
+            for n in (0, 1, 7, 4096):
                 assert u64s(seed, domain, n) == [u64(seed, domain, i) for i in range(n)]
 
 
@@ -392,8 +393,10 @@ def test_rank_rule_equals_relative_potential_rule(rand):
     """The sweep's rank-form nonvanishing rule (potential rank against the
     bisected delta * top) gives the side counts, heavy flags and masses of
     `qualifier`/`_is_heavy` at cluster-relative potentials, on clusters
-    and on forest trees."""
+    and on forest trees.  Clusters with 0, 1 and 2 or more nonvanishing
+    vertices all occur: the first two take the closed-form side count."""
     exact_hits = 0
+    by_hits = Counter()  # clusters by their number of nonvanishing vertices, capped at 2
     for g, pot, params in _rank_rule_cases(rand):
         for rec in sweep(g, pot, [0.5, 1.0], 1, rand.randrange(1000), params):
             cfg = bernoulli_sample(g, rec["p"], rec["seed"])
@@ -409,6 +412,7 @@ def test_rank_rule_equals_relative_potential_rule(rand):
                 mass = sum(crel.values())
                 assert info.mass == mass
                 assert info.nonvanishing_side_count_max == max(side[v] for v in info.vertices)
+                by_hits[min(2, sum(map(old_rule, info.vertices)))] += 1
                 is_heavy = _is_heavy(sub, params, mass, crel)
                 assert info.cls == ("heavy" if is_heavy else "light")
                 heavy += is_heavy
@@ -419,6 +423,7 @@ def test_rank_rule_equals_relative_potential_rule(rand):
                               if max(tree_side[v] for v in comp) >= 3)
             assert rec["forest"]["trees_with_3plus_nonvanishing_dirs"] == trees_3plus
     assert exact_hits > 0
+    assert min(by_hits[0], by_hits[1], by_hits[2]) > 0, by_hits
 
 
 def test_sweep_validates_the_potential_once_before_any_run(monkeypatch):
