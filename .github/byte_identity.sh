@@ -4,7 +4,8 @@
 #   .github/byte_identity.sh BASE_TREE [HEAD_TREE]
 #
 # Runs the same commands once per tree, with that tree's src on PYTHONPATH
-# and in a fresh directory, then compares every output file with cmp.
+# and in a fresh directory, then compares every output file, and the stdout
+# of each of that tree's demos, with cmp.
 # Manifests are not compared: they record paths and input hashes, not
 # results.  HEAD_TREE defaults to the current directory.  Exits nonzero on
 # the first difference or failed command.
@@ -23,6 +24,11 @@ outputs=(gp.json box.json windmill.json
          windmill-analyze.json gp-analyze.json
          windmill66-collapse.json windmill66-family.json windmill66-analyze.json
          box-analyze.json)
+demos=(01_weighted_forest_basics 02_grandparent_weights 03_windmill_collapse
+       04_percolation_sweep)
+for d in "${demos[@]}"; do
+    outputs+=("demo-$d.out")
+done
 
 run_tree() {
     local tree=$1 dir=$2
@@ -61,6 +67,9 @@ run_tree() {
             -o windmill66-collapse.json --family-out windmill66-family.json
         wf analyze windmill66.json unit.json --smax 4 -o windmill66-analyze.json
         wf analyze box.json unit.json -o box-analyze.json
+        for d in "${demos[@]}"; do
+            PYTHONPATH="$tree/src" python3 "$tree/demos/$d.py" > "demo-$d.out"
+        done
     )
 }
 

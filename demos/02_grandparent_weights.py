@@ -11,11 +11,13 @@ from wforest import (
     EdgeOrder,
     ProxyParams,
     cocycle_from_potential,
+    components,
     gp_graph,
+    induced_subgraph,
     maximal_subforest,
+    qualifier,
     validate_cocycle,
-    visibility_mass,
-    visibility_set,
+    visibility_masses,
 )
 from wforest.weights import level_potential
 
@@ -35,8 +37,14 @@ child = next(v for v in g.adjacency[root] if levels[v] == 1)
 print(f"  ratio child-to-parent at the root: {cocycle.ratio(child, root)}")
 
 print("\n== Visibility from the root ==")
-vis = visibility_set(g, cocycle, root)
-mass, cls = visibility_mass(g, cocycle, root, ProxyParams())
+# the visible set: the root's component among the vertices no heavier than it
+sublevel = induced_subgraph(g, [v for v in g.vertices if potential[v] <= potential[root]])
+vis = next(comp for comp in components(sublevel) if root in comp)
+mass = visibility_masses(g, potential)[root]
+params = ProxyParams()
+rel = {v: potential[v] / potential[root] for v in vis}
+heavy = mass >= params.heavy_tau or any(map(qualifier(g, rel, params), vis))
+cls = "heavy" if heavy else "light"
 print(f"  |N(root)| = {len(vis)} (the descendant cone), mass = {mass} "
       f"= depth+1, class {cls}")
 print("  every escape from the cone climbs past an ancestor of weight > 1")

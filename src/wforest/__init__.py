@@ -16,7 +16,6 @@ from .graph import (
     inner_boundary,
     is_cycle_invariant,
     outer_boundary,
-    sides,
     spanned_subgraph,
     to_json,
 )
@@ -39,20 +38,15 @@ from .forest import (
 )
 from .ends import (
     CollapseResult,
-    Furcation,
     FurcationFamily,
     ProxyParams,
     QuotientGraph,
-    classify_side,
     collapsed_maximal_subforest,
     find_furcation_vertices,
     maximal_disjoint_furcations,
     qualifier,
     quotient,
-    visibility,
-    visibility_mass,
     visibility_masses,
-    visibility_set,
 )
 from .generators import (
     build_family,
@@ -71,10 +65,8 @@ from .percolation import (
     assign_labels,
     bernoulli_sample,
     cluster_report,
-    delete_edge,
     equivariance_check,
     fwmsf,
     full_config,
-    insert_edge,
     sweep,
 )

@@ -1,5 +1,5 @@
-"""Finite-proxy analysis of ends: side classification, furcations, the
-quotient-collapse pipeline, and visibility sets.
+"""Finite-proxy analysis of ends: side counts, furcations, the
+quotient-collapse pipeline, and visibility masses.
 
 "Infinite" and "nonvanishing" are undecidable on a finite truncation.  The
 proxy used throughout: a side is infinite-proxy when it reaches a flagged
@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import BadParams, NotConnected, OverlappingBlocks, UnknownId
+from .errors import BadParams, NotConnected, OverlappingBlocks
 from .forest import ForestResult, maximal_subforest
 from .graph import (
     Edge,
     Graph,
     _bfs,
-    _check_connected_set,
     _lowlink,
     build_graph,
     components,
@@ -27,7 +26,7 @@ from .graph import (
     is_connected_set,
 )
 from .unionfind import UnionFind
-from .weights import Cocycle, EdgeOrder, exact_potential, potential_from_cocycle
+from .weights import EdgeOrder, exact_potential, ranked_potential
 
 NONVANISHING = "nonvanishing"
 INFINITE = "infinite"
@@ -60,37 +59,6 @@ def qualifier(g: Graph, potential: Mapping[int, object], params: ProxyParams,
     if kind == INFINITE:
         return flagged.__contains__
     raise ValueError(f"unknown side kind {kind!r}")
-
-
-def classify_side(g: Graph, potential: Mapping[int, object], side: Iterable[int],
-                  params: ProxyParams) -> str:
-    """nonvanishing: contains a flagged vertex with potential >= delta;
-    infinite: contains any flagged vertex; finite otherwise."""
-    verts = tuple(side)
-    for kind in (NONVANISHING, INFINITE):
-        if any(map(qualifier(g, potential, params, kind), verts)):
-            return kind
-    return FINITE
-
-
-@dataclass(frozen=True)
-class Furcation:
-    F: tuple[int, ...]
-    order: int
-
-
-def furcation_at(g: Graph, potential: Mapping[int, object], F: Iterable[int],
-                 params: ProxyParams, kind: str = NONVANISHING) -> Furcation:
-    """F with its order: the number of its sides that contain a qualifying
-    vertex."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown side kind {kind!r}")
-    fset = tuple(sorted(set(F)))
-    _check_connected_set(g, set(fset))
-    comp = _bfs(g.adjacency, fset[0])
-    marks = _qualifying_marks(g, potential, params, comp)
-    orders = _side_orders(g.adjacency, fset, marks, _mark_totals(marks, comp))
-    return Furcation(F=fset, order=orders[_KINDS.index(kind)])
 
 
 def _qualifying_marks(g: Graph, potential: Mapping[int, object], params: ProxyParams,
@@ -561,23 +529,10 @@ def collapsed_maximal_subforest(g: Graph, potential: Mapping[int, object],
     return CollapseResult(forest=forest, family=family, quot=quot, qforest=qforest)
 
 
-def visibility(g: Graph, potential: Mapping[int, object], x: int) -> dict[int, Fraction]:
-    """Vertices reachable from x along paths whose every vertex has weight
-    at most 1 relative to x (x itself always belongs), each mapped to its
-    relative weight potential[y] / potential[x].
-
-    Only x's component is read, and only the vertices visited are divided.
-    """
-    if x not in g.adjacency:
-        raise UnknownId(f"vertex {x} not in graph")
-    top = Fraction(potential[x])
-    seen = _bfs(g.adjacency, x, lambda y: potential[y] <= top)
-    return {y: Fraction(1) if y == x else potential[y] / top for y in seen}
-
-
 def visibility_masses(g: Graph, potential: Mapping[int, object]) -> dict[int, Fraction]:
-    """Every vertex x's visibility mass, sum(visibility(g, potential, x).values()),
-    from one pass.
+    """Every vertex x's visibility mass, from one pass: the sum of
+    potential[y] / potential[x] over x's visible set, the vertices y that x
+    reaches along paths whose every vertex weighs at most potential[x].
 
     The visible set of x is x's component in the subgraph induced by
     {y : potential[y] <= potential[x]}.  The vertices join one union-find in
@@ -585,15 +540,16 @@ def visibility_masses(g: Graph, potential: Mapping[int, object]) -> dict[int, Fr
     equal-potential group and its edges down are in, the mass of each x in
     the group is its set's sum over potential[x].  This is the component
     tree of Najman and Couprie (2006) on Tarjan's union-find (1975).  The
-    potential is read through `exact_potential`.
+    groups are the potential's `ranked_potential` ranks, so no `Fraction`
+    is hashed or sorted here.
     """
-    groups: dict[Fraction, list[int]] = {}
-    for v, x in exact_potential(g, potential).items():
-        groups.setdefault(x, []).append(v)
+    ranked = ranked_potential(g, potential)
+    groups: list[list[int]] = [[] for _ in ranked.levels]
+    for v, r in ranked.rank.items():
+        groups[r].append(v)
     uf = UnionFind()
     masses = {}
-    for level in sorted(groups):
-        group = groups[level]
+    for level, group in zip(ranked.levels, groups):
         for v in group:
             uf.add(v, level)
         for v in group:
@@ -603,32 +559,6 @@ def visibility_masses(g: Graph, potential: Mapping[int, object]) -> dict[int, Fr
         for v in group:
             masses[v] = uf.total[uf.find(v)] / level
     return masses
-
-
-def _is_heavy(g: Graph, params: ProxyParams, mass, rel: Mapping[int, Fraction]) -> bool:
-    """heavy: mass >= heavy_tau, or a flagged vertex at relative weight
-    >= nonvanish_delta."""
-    return mass >= params.heavy_tau or any(map(qualifier(g, rel, params), rel))
-
-
-def visibility_set(g: Graph, c: Cocycle, x: int) -> tuple[int, ...]:
-    """Vertices reachable from x along paths whose every vertex has weight
-    at most 1 relative to x (x itself always belongs)."""
-    if x not in g.adjacency:
-        raise UnknownId(f"vertex {x} not in graph")
-    return tuple(sorted(visibility(g, potential_from_cocycle(g, c, x).values, x)))
-
-
-def visibility_mass(g: Graph, c: Cocycle, x: int, params: ProxyParams):
-    """Total relative weight of the visibility set, with its proxy class.
-
-    heavy: mass >= heavy_tau, or the set reaches the truncation boundary at
-    relative weight >= nonvanish_delta.
-    """
-    rel = visibility(g, potential_from_cocycle(g, c, x).values, x)
-    mass = sum(rel.values())
-    heavy = _is_heavy(g, params, mass, rel)
-    return mass, "heavy" if heavy else "light"
 
 
 def qualifying_side_counts(g: Graph, qualifies: Callable[[int], bool]) -> dict[int, int]:

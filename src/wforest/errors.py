@@ -45,10 +45,6 @@ class NotConnected(WForestError):
     pass
 
 
-class SpansComponents(WForestError):
-    pass
-
-
 # weights
 
 class NonPositiveWeight(WForestError):
@@ -86,10 +82,6 @@ class OverlappingBlocks(WForestError):
 # percolation
 
 class BadProbability(WForestError):
-    pass
-
-
-class UnknownEdge(WForestError):
     pass
 
 

@@ -1,4 +1,4 @@
-"""Immutable finite graphs with the connectivity, boundary, side, and
+"""Immutable finite graphs with the connectivity, boundary, and
 cycle-invariance primitives every other module builds on.
 
 Vertices are opaque integer ids; edges are canonical pairs ``(u, v)`` with
@@ -17,9 +17,7 @@ from .errors import (
     DanglingEndpoint,
     DuplicateVertexId,
     MalformedDocument,
-    NotConnected,
     SelfLoop,
-    SpansComponents,
     UnknownId,
 )
 
@@ -56,9 +54,6 @@ class Graph:
         return sorted(self.edges)
 
     # meta accessors
-
-    def level(self, v: int):
-        return self.meta.get("levels", {}).get(v)
 
     def is_boundary(self, v: int) -> bool:
         return v in self.meta.get("boundary", ())
@@ -173,40 +168,6 @@ def is_connected_set(g: Graph, A: Iterable[int]) -> bool:
         if v not in g.adjacency:
             raise UnknownId(f"vertex {v} not in graph")
     return len(_bfs(g.adjacency, min(aset), aset.__contains__)) == len(aset)
-
-
-def _check_connected_set(g: Graph, fset: set[int]) -> None:
-    """Raise unless F is nonempty, connected, and inside one component: the
-    precondition of every side computation."""
-    if not fset:
-        raise NotConnected("F is empty")
-    if not is_connected_set(g, fset):
-        if not fset.issubset(_bfs(g.adjacency, min(fset))):
-            raise SpansComponents("F spans more than one component")
-        raise NotConnected(f"F={sorted(fset)} is not connected")
-
-
-def sides(g: Graph, F: Iterable[int]) -> list[tuple[int, ...]]:
-    """Components of the complement of F within F's own component, as sorted
-    vertex tuples ordered by least vertex.
-
-    F must be nonempty, connected, and contained in a single component.
-    F's component is connected, so every side touches F: the sides are the
-    searches from F's neighbours that avoid F, and nothing else is read.
-    """
-    fset = set(F)
-    _check_connected_set(g, fset)
-    outside = lambda y: y not in fset
-    out = []
-    seen = set(fset)
-    for x in fset:
-        for y in g.adjacency[x]:
-            if y not in seen:
-                piece = _bfs(g.adjacency, y, outside)
-                seen.update(piece)
-                out.append(tuple(sorted(piece)))
-    out.sort()
-    return out
 
 
 def edge_boundary(g: Graph, A: Iterable[int]) -> frozenset[Edge]:

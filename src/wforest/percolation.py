@@ -20,7 +20,6 @@ from .errors import (
     InvariantViolation,
     NotAutomorphism,
     NotWeightPreserving,
-    UnknownEdge,
 )
 from .ends import ProxyParams, _component_side_counts
 from .forest import ForestResult, _cut_witnesses, _root_forest, maximal_subforest
@@ -38,7 +37,6 @@ class PercolationConfig:
     open_edges: frozenset[Edge]
     p: float
     seed: int
-    edits: tuple[tuple[str, Edge], ...] = ()
 
 
 def bernoulli_sample(g: Graph, p: float, seed: int) -> PercolationConfig:
@@ -60,22 +58,6 @@ def _open_edges(edges: list[Edge], p: float, seed: int) -> list[Edge]:
 
 def full_config(g: Graph) -> PercolationConfig:
     return PercolationConfig(host=g, open_edges=frozenset(g.edges), p=1.0, seed=0)
-
-
-def insert_edge(cfg: PercolationConfig, e: Edge) -> PercolationConfig:
-    e = edge(*e)
-    if e not in cfg.host.edges:
-        raise UnknownEdge(f"edge {e} not in host graph")
-    return replace(cfg, open_edges=cfg.open_edges | {e},
-                   edits=cfg.edits + (("insert", e),))
-
-
-def delete_edge(cfg: PercolationConfig, e: Edge) -> PercolationConfig:
-    e = edge(*e)
-    if e not in cfg.host.edges:
-        raise UnknownEdge(f"edge {e} not in host graph")
-    return replace(cfg, open_edges=cfg.open_edges - {e},
-                   edits=cfg.edits + (("delete", e),))
 
 
 @dataclass(frozen=True)
@@ -192,8 +174,9 @@ def cluster_report(cfg: PercolationConfig, potential: Mapping[int, object],
 
 def _cluster_report(run: _OpenRun, params: ProxyParams,
                     nonvanishing: frozenset[int]) -> ClusterReport:
-    """`cluster_report` of one run; heavy is `ends._is_heavy` on the
-    cluster-relative potentials: mass >= heavy_tau, or a nonvanishing vertex.
+    """`cluster_report` of one run.  A cluster is heavy when its mass
+    relative to its heaviest vertex is at least heavy_tau, or when it holds
+    a nonvanishing vertex.
 
     Only a cluster with two or more nonvanishing vertices runs the low-link
     DFS for its side counts.  With none, every count is 0; with one, q,
@@ -331,8 +314,10 @@ def _run_once(g: Graph, edges: list[Edge], ranked: RankedPotential,
 
     witness_report = _cut_witnesses(run.sub, forest, order, rooted)
     if not witness_report.ok:
+        e, reason = witness_report.violations[0]
         raise InvariantViolation(
-            f"cut-witness violation in sweep run (p={p}, seed={run_seed})")
+            f"cut-witness violation at deleted edge {e}: {reason} "
+            f"(p={p}, seed={run_seed}, trial={trial})")
 
     # a cluster's heaviest vertex sees its whole cluster, at the cluster's
     # relative weights, so its mass and class are the cluster report's

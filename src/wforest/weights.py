@@ -12,7 +12,7 @@ edge key is then one exact int and no ``Fraction`` is compared per edge.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     CrossComponent,
@@ -253,13 +253,3 @@ def level_potential(g: Graph, base_ratio=Fraction(1, 2)) -> dict[int, Fraction]:
         out[v] = r ** levels[v]
     return out
 
-
-def rescale(potential: Mapping[int, object], factor, vertices: Iterable[int]) -> dict:
-    """Scale the potential on the given vertices by a positive constant."""
-    f = Fraction(factor)
-    if f <= 0:
-        raise NonPositiveWeight(f"scale factor {factor} is not positive")
-    out = dict(potential)
-    for v in vertices:
-        out[v] = out[v] * f
-    return out

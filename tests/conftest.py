@@ -4,12 +4,13 @@ The oracles here deliberately avoid the library's own machinery: simple
 cycles by path search (and by permutation scan, to check that search), the
 cycle-cutting forest by marking each cycle's least edge, the classical free
 minimal spanning forest by one connectivity search per edge, spanning
-forests by BFS connectivity, visibility by exhaustive simple-path search,
-cut witnesses by one kept-forest search per deleted edge, sides by a search
-of F's whole component, cycle-invariance by cycle enumeration, the
-furcation family by one side search per candidate per phase.  Most are
-exponential or quadratic, which is why they live here and not in the
-library.
+forests by BFS connectivity, visibility by exhaustive simple-path search
+(and by one search per vertex, where that is too slow), cut witnesses by
+one kept-forest search per deleted edge, sides by a search of F's whole
+component (and by one search per neighbour of F), cycle-invariance by
+cycle enumeration, the furcation family by one side search per candidate
+per phase.  Most are exponential or quadratic, which is why they live here
+and not in the library.
 """
 
 import itertools
@@ -27,9 +28,9 @@ from wforest.ends import (
     connected_subsets,
     qualifier,
 )
-from wforest.errors import NotConnected, SpansComponents, UnknownId
+from wforest.errors import NotConnected, UnknownId
 from wforest.forest import CutWitnessReport, ForestResult
-from wforest.graph import Edge, Graph, build_graph, components, edge, sides
+from wforest.graph import Edge, Graph, build_graph, components, edge
 from wforest.weights import EdgeOrder
 
 
@@ -72,8 +73,8 @@ def tuple_key(order: EdgeOrder):
 def relative_potential(g: Graph, potential) -> dict:
     """Each vertex's exact potential over the greatest in its component: the
     cluster-relative potential a sweep run once divided out per vertex.
-    With `qualifier` and `ends._is_heavy`, reference for the sweep's
-    rank-form nonvanishing rule."""
+    With `qualifier` and `is_heavy`, reference for the sweep's rank-form
+    nonvanishing rule."""
     rel = {}
     for comp in components(g):
         top = max(Fraction(potential[v]) for v in comp)
@@ -302,6 +303,10 @@ def _reach(adjacency, start, blocked=frozenset(), allowed=None):
     return seen
 
 
+class SpansComponents(Exception):
+    """`sides_oracle` was given an F that meets two components."""
+
+
 class Side(NamedTuple):
     """One component of (component of F) minus F, with its vertices adjacent
     to F."""
@@ -311,8 +316,8 @@ class Side(NamedTuple):
 
 def sides_oracle(g: Graph, F) -> list[Side]:
     """Literal sides: search F's whole component, then split what F leaves
-    of it into pieces.  Reference for `graph.sides`, same errors in the same
-    order."""
+    of it into pieces.  Reference for `side_pieces`; F must be nonempty,
+    known, inside one component and connected, checked in that order."""
     fset = set(F)
     if not fset:
         raise NotConnected("F is empty")
@@ -351,10 +356,25 @@ def cycle_invariant_oracle(g: Graph, Y) -> bool:
     return True
 
 
+def side_pieces(g: Graph, F) -> list[tuple[int, ...]]:
+    """The sides of a connected F as sorted vertex tuples, in order: one
+    F-avoiding search from each neighbour of F that no earlier one reached.
+    Every side touches F, so nothing else is read."""
+    fset = set(F)
+    seen, pieces = set(fset), []
+    for x in fset:
+        for y in g.adjacency[x]:
+            if y not in seen:
+                piece = _reach(g.adjacency, y, blocked=fset)
+                seen |= piece
+                pieces.append(tuple(sorted(piece)))
+    return sorted(pieces)
+
+
 def sides_order(g: Graph, potential, F, params: ProxyParams, kind: str) -> int:
-    """The number of `graph.sides` of F holding a vertex `qualifier` accepts."""
+    """The number of sides of F holding a vertex `qualifier` accepts."""
     qualifies = qualifier(g, potential, params, kind)
-    return sum(1 for side in sides(g, F) if any(map(qualifies, side)))
+    return sum(1 for side in side_pieces(g, F) if any(map(qualifies, side)))
 
 
 def furcation_family_oracle(g: Graph, potential, params: ProxyParams,
@@ -392,6 +412,22 @@ def brute_visibility(g: Graph, pot_x, x: int) -> set[int]:
     else:
         reachable.add(x)
     return reachable
+
+
+def visibility(g: Graph, potential, x: int) -> dict[int, Fraction]:
+    """The vertices that x reaches along paths whose every vertex weighs at
+    most potential[x], by one search, each mapped to its weight relative to
+    x.  Reference for `ends.visibility_masses` where `brute_visibility` is
+    too slow."""
+    top = Fraction(potential[x])
+    light = {y for y in g.vertices if potential[y] <= top}
+    return {y: potential[y] / top for y in _reach(g.adjacency, x, allowed=light)}
+
+
+def is_heavy(g: Graph, params: ProxyParams, mass, rel) -> bool:
+    """The heavy class of a visible set with relative weights `rel`: mass >=
+    heavy_tau, or a vertex `qualifier` accepts at its relative weight."""
+    return mass >= params.heavy_tau or any(map(qualifier(g, rel, params), rel))
 
 
 @pytest.fixture

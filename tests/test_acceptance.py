@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import networkx as nx
 
 from wforest.cli import main as cli_main
-from wforest.ends import ProxyParams, collapsed_maximal_subforest
+from wforest.ends import ProxyParams, collapsed_maximal_subforest, visibility_masses
 from wforest.forest import (
     check_cut_witnesses,
     is_acyclic,
@@ -224,19 +224,18 @@ def test_criterion_8_crossing_monotonicity():
 
 def test_criterion_9_visibility_oracle():
     rand = random.Random(909)
-    from wforest.ends import visibility_set, visibility_mass
     for _ in range(200):
         g = random_connected_graph(rand, rand.randint(2, 12))
-        c = cocycle_from_potential(g, random_potential(rand, g))
+        potential = random_potential(rand, g)
+        c = cocycle_from_potential(g, potential)
         x = rand.choice(g.vertices)
         pot_x = potential_from_cocycle(g, c, x)
-        assert set(visibility_set(g, c, x)) == brute_visibility(g, pot_x, x)
+        brute_mass = sum(pot_x[y] for y in brute_visibility(g, pot_x, x))
+        assert visibility_masses(g, potential)[x] == brute_mass
     d = 6
     g = gp_graph(2, 2, d)
-    c = cocycle_from_potential(g, level_potential(g, F(1, 2)))
-    mass, _ = visibility_mass(g, c, g.meta["root"], ProxyParams())
-    assert mass == d + 1
-    print("\nACCEPTANCE 9 PASS: visibility equals brute-force path "
+    assert visibility_masses(g, level_potential(g, F(1, 2)))[g.meta["root"]] == d + 1
+    print("\nACCEPTANCE 9 PASS: visibility mass equals brute-force path "
           "enumeration on 200 instances; GP(2) root mass equals d+1 exactly")
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wforest.cli import main
-from wforest.graph import from_json, to_json
+from wforest.graph import build_graph, from_json, to_json
 from wforest.generators import cycle, gp_graph
 from wforest.weights import EdgeOrder, unit_potential
 
@@ -185,6 +185,31 @@ def test_missing_potential_vertex_is_reported_by_every_command(tmp_path, capsys)
         assert out.out == "" and out.err.count("\n") == 1, argv
         assert json.loads(out.err)["error"] == "MissingVertex", argv
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "-0", "1_0", "1.0", "x", ""], ids=[
+    "leading_zero", "leading_space", "trailing_space", "plus_sign", "minus_zero",
+    "underscore", "decimal_point", "letter", "empty"])
+def test_noncanonical_weight_keys_exit_2(tmp_path, capsys, key):
+    """A potential key is a vertex id as `str` writes it; any other spelling
+    is refused by name, so "01" can never overwrite vertex 1's value."""
+    (tmp_path / "g.json").write_text(to_json(cycle(4)))
+    potential = {"0": 1, "1": 1, "2": 1, "3": 1, key: 5}
+    (tmp_path / "w.json").write_text(json.dumps({"potential": potential}))
+    assert run(tmp_path, "forest", "g.json", "w.json", "-o", "f.json") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    doc = json.loads(out.err)
+    assert doc["error"] == "MalformedDocument" and repr(key) in doc["message"]
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_canonical_weight_keys_name_negative_and_large_ids(tmp_path):
+    g = build_graph([-3, 0, 12], [(-3, 0), (0, 12)])
+    (tmp_path / "g.json").write_text(to_json(g))
+    (tmp_path / "w.json").write_text('{"potential":{"-3":"1/2","0":1,"12":2}}')
+    assert run(tmp_path, "forest", "g.json", "w.json", "-o", "f.json") == 0
+    assert json.loads((tmp_path / "f.json").read_text())["kept"] == [[-3, 0], [0, 12]]
 
 
 @pytest.mark.parametrize("factors", [

@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 
 from wforest.ends import (
+    _KINDS,
     FINITE,
     INFINITE,
     NONVANISHING,
@@ -13,37 +14,30 @@ from wforest.ends import (
     _qualifying_marks,
     _side_orders,
     _SideIndex,
-    classify_side,
     collapsed_maximal_subforest,
     connected_subsets,
     find_furcation_vertices,
-    furcation_at,
     maximal_disjoint_furcations,
     qualifier,
     qualifying_side_counts,
     quotient,
-    visibility,
-    visibility_mass,
     visibility_masses,
-    visibility_set,
 )
 from wforest.errors import BadParams, MissingVertex, NonPositiveWeight, OverlappingBlocks
 from wforest.forest import is_acyclic, maximal_subforest
 from wforest.generators import free_product, gp_graph, lattice_box, regular_tree, windmill
-from wforest.graph import build_graph, components, edge_boundary, sides, spanned_subgraph
-from wforest.weights import (
-    EdgeOrder,
-    cocycle_from_potential,
-    level_potential,
-    unit_potential,
-)
+from wforest.graph import build_graph, components, edge_boundary, spanned_subgraph
+from wforest.weights import EdgeOrder, level_potential, unit_potential
 
 from conftest import (
     brute_visibility,
     furcation_family_oracle,
+    is_heavy,
     random_connected_graph,
     random_potential,
+    side_pieces,
     sides_order,
+    visibility,
 )
 
 
@@ -57,6 +51,13 @@ def gp_with_potential(up=2, down=3):
     return g, level_potential(g, F(1, 2))
 
 
+def side_kind(g, pot, side, params):
+    """A side's proxy class: the first kind that `qualifier` accepts one of
+    its vertices for, else finite."""
+    return next((kind for kind in (NONVANISHING, INFINITE)
+                 if any(map(qualifier(g, pot, params, kind), side))), FINITE)
+
+
 def test_classify_side_gp_directions():
     # grandparent edges keep single vertices from cutting the graph, so the
     # root's descendant cones detach only once its parent joins the cut set
@@ -65,8 +66,8 @@ def test_classify_side_gp_directions():
     lv = g.meta["levels"]
     par = next(v for v in g.adjacency[root] if lv[v] == lv[root] - 1)
     params = ProxyParams(nonvanish_delta=F(1))
-    tagged = {s: classify_side(g, pot, s, params)
-              for s in sides(g, [root, par])}
+    tagged = {s: side_kind(g, pot, s, params)
+              for s in side_pieces(g, [root, par])}
     up_sides = [vs for vs in tagged if any(lv[v] < 0 for v in vs)]
     down_sides = [vs for vs in tagged if vs not in up_sides]
     assert up_sides and len(down_sides) == 2  # one per child cone of the root
@@ -80,7 +81,7 @@ def test_classify_side_interior_is_finite():
     g = build_graph(range(4), [(0, 1), (1, 2), (2, 3)],
                     meta={"boundary": frozenset({0})})
     params = ProxyParams()
-    tagged = [classify_side(g, unit_potential(g), s, params) for s in sides(g, [1])]
+    tagged = [side_kind(g, unit_potential(g), s, params) for s in side_pieces(g, [1])]
     assert sorted(tagged) == [FINITE, NONVANISHING]
 
 
@@ -96,8 +97,8 @@ def test_lattice_interior_is_no_furcation():
     box = lattice_box(5, 5)
     pot = unit_potential(box)
     x = 12  # center: complement stays connected, one side only
-    f = furcation_at(box, pot, (x,), ProxyParams(), kind=INFINITE)
-    assert f.order == 1
+    counts = qualifying_side_counts(box, qualifier(box, pot, ProxyParams(), INFINITE))
+    assert counts[x] == 1
 
 
 def test_gp_free_product_attachment_vertices():
@@ -115,7 +116,7 @@ def test_gp_free_product_attachment_vertices():
     orders = {}
     for x in attach:
         params = ProxyParams(nonvanish_delta=pot[x])
-        orders[x] = furcation_at(fp, pot, (x,), params).order
+        orders[x] = qualifying_side_counts(fp, qualifier(fp, pot, params))[x]
     top = 0  # id of the root copy's top ancestor
     assert orders[top] == 3
     assert all(v == 2 for x, v in orders.items() if x != top)
@@ -128,9 +129,10 @@ def test_furcation_monotonicity(rand):
             "boundary": frozenset(v for v in g.vertices if rand.random() < 0.4)})
         pot = random_potential(rand, g)
         params = ProxyParams(nonvanish_delta=F(1, 2))
+        counts = {kind: qualifying_side_counts(g, qualifier(g, pot, params, kind))
+                  for kind in (NONVANISHING, INFINITE)}
         for x in g.vertices:
-            weighted = furcation_at(g, pot, (x,), params, kind=NONVANISHING).order
-            plain = furcation_at(g, pot, (x,), params, kind=INFINITE).order
+            weighted, plain = counts[NONVANISHING][x], counts[INFINITE][x]
             assert weighted <= plain
             # a w-trifurcation is a w-bifurcation by definition of the counts
             if weighted >= 3:
@@ -282,66 +284,74 @@ def test_mf_3ends_finite_shadow():
     assert trifs
     o = EdgeOrder(w, pot, w.meta["tiebreak"])
     kept_sub = spanned_subgraph(w, maximal_subforest(w, o).kept)
+    counts = qualifying_side_counts(kept_sub, qualifier(kept_sub, pot, params))
     for x in trifs:
-        f = furcation_at(kept_sub, pot, (x,), params)
-        assert f.order >= 3
+        assert counts[x] >= 3
+
+
+def brute_mass(g, potential, x):
+    """x's visibility mass read off `brute_visibility`."""
+    rel = {y: F(potential[y]) / F(potential[x]) for y in g.vertices}
+    return sum(rel[y] for y in brute_visibility(g, rel, x))
 
 
 def test_visibility_basics():
     g = build_graph([1, 2, 3], [(1, 2), (2, 3)])
-    c = cocycle_from_potential(g, {1: 1, 2: 2, 3: 1})
-    assert visibility_set(g, c, 1) == (1,)
-    cu = cocycle_from_potential(g, unit_potential(g))
-    assert visibility_set(g, cu, 2) == (1, 2, 3)
+    for pot in ({1: 1, 2: 2, 3: 1}, unit_potential(g)):
+        assert visibility_masses(g, pot) == {x: brute_mass(g, pot, x) for x in g.vertices}
+    assert visibility_masses(g, {1: 1, 2: 2, 3: 1})[1] == 1  # 1 sees only itself
+    assert visibility_masses(g, unit_potential(g))[2] == 3
 
 
 def test_visibility_gp_descendant_cone():
     g, pot = gp_with_potential(up=2, down=4)
     root = g.meta["root"]
-    c = cocycle_from_potential(g, pot)
-    vis = visibility_set(g, c, root)
+    vis = visibility(g, pot, root)
     lv = g.meta["levels"]
     # exactly the root's descendants inside the truncation
     assert all(lv[v] >= 0 for v in vis)
     assert len(vis) == 2 ** 5 - 1
-    mass, cls = visibility_mass(g, c, root, ProxyParams())
-    assert mass == 4 + 1 and cls == "heavy"
+    mass = visibility_masses(g, pot)[root]
+    assert mass == sum(vis.values()) == 4 + 1
+    assert is_heavy(g, ProxyParams(), mass, vis)
 
 
 def test_visibility_mass_singleton_light():
     g = build_graph([1, 2], [(1, 2)])
-    c = cocycle_from_potential(g, {1: 1, 2: 3})
-    mass, cls = visibility_mass(g, c, 1, ProxyParams(heavy_tau=F(2)))
-    assert mass == 1 and cls == "light"
+    pot = {1: 1, 2: 3}
+    mass = visibility_masses(g, pot)[1]
+    assert mass == 1 == brute_mass(g, pot, 1)
+    assert not is_heavy(g, ProxyParams(heavy_tau=F(2)), mass, visibility(g, pot, 1))
 
 
 def test_visibility_constant_weight_box():
     box = lattice_box(4, 4)
-    c = cocycle_from_potential(box, unit_potential(box))
-    assert len(visibility_set(box, c, 0)) == 16
-    mass, cls = visibility_mass(box, c, 0, ProxyParams(heavy_tau=F(100),
-                                                       nonvanish_delta=F(2)))
-    assert mass == 16 and cls == "light"
+    pot = unit_potential(box)
+    vis = visibility(box, pot, 0)
+    assert len(vis) == 16
+    mass = visibility_masses(box, pot)[0]
+    assert mass == 16
+    assert not is_heavy(box, ProxyParams(heavy_tau=F(100), nonvanish_delta=F(2)), mass, vis)
 
 
 def test_visibility_against_brute_force(rand):
-    from wforest.weights import potential_from_cocycle
     for _ in range(60):
         g = random_connected_graph(rand, rand.randint(2, 9))
-        c = cocycle_from_potential(g, random_potential(rand, g))
+        pot = random_potential(rand, g)
         x = rand.choice(g.vertices)
-        pot_x = potential_from_cocycle(g, c, x)
-        assert set(visibility_set(g, c, x)) == brute_visibility(g, pot_x, x)
-    # open subgraphs are disconnected: only x's component may be read
+        assert visibility_masses(g, pot)[x] == brute_mass(g, pot, x)
+    # open subgraphs are disconnected: only x's component may be read, and
+    # the search reference agrees with the brute force
     for _ in range(60):
         host = random_connected_graph(rand, rand.randint(2, 9))
         g = spanned_subgraph(host, [e for e in host.sorted_edges() if rand.random() < 0.5])
         potential = random_potential(rand, g)
         x = rand.choice(g.vertices)
-        pot_x = potential_from_cocycle(g, cocycle_from_potential(g, potential), x)
+        rel = {y: potential[y] / potential[x] for y in g.vertices}
         vis = visibility(g, potential, x)
-        assert set(vis) == brute_visibility(g, pot_x, x)
-        assert vis == {y: pot_x[y] for y in vis}
+        assert set(vis) == brute_visibility(g, rel, x)
+        assert vis == {y: rel[y] for y in vis}
+        assert visibility_masses(g, potential)[x] == sum(vis.values())
 
 
 def test_visibility_masses_equal_bfs(rand):
@@ -539,10 +549,15 @@ def test_furcation_order_equals_sides_count(rand):
         g = _random_flagged_graph(rand)
         graphs.append((g, random_potential(rand, g), _random_params(rand)))
     for g, pot, params in graphs:
+        marks = _qualifying_marks(g, pot, params, g.vertices)
+        total_of = {}
+        for comp in components(g):
+            total_of.update(dict.fromkeys(comp, _mark_totals(marks, comp)))
         for cand in connected_subsets(g, 3):
-            for kind in (NONVANISHING, INFINITE):
-                assert furcation_at(g, pot, cand, params, kind).order == \
-                    sides_order(g, pot, cand, params, kind), (cand, kind, sorted(g.edges))
+            orders = _side_orders(g.adjacency, cand, marks, total_of[cand[0]])
+            for order, kind in zip(orders, _KINDS):
+                assert order == sides_order(g, pot, cand, params, kind), \
+                    (cand, kind, sorted(g.edges))
 
 
 def test_smax_below_one_is_rejected():

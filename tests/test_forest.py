@@ -28,6 +28,7 @@ from conftest import (
     random_connected_graph,
     random_order,
     random_tiebreak,
+    side_pieces,
     simple_cycles,
 )
 
@@ -190,8 +191,7 @@ def test_restrict_identity_and_side(rand):
     whole = restrict_forest(g, r, o, g.vertices)
     assert whole.kept == r.kept
     # a side of the articulation vertex 2 plus the vertex itself
-    from wforest.graph import sides
-    for side in sides(g, [2]):
+    for side in side_pieces(g, [2]):
         y = set(side) | {2}
         restricted = restrict_forest(g, r, o, y)
         sub = induced_subgraph(g, y)

@@ -8,9 +8,9 @@ from wforest.errors import (
     DuplicateVertexId,
     NotConnected,
     SelfLoop,
-    SpansComponents,
     UnknownId,
 )
+from wforest.ends import qualifying_side_counts
 from wforest.generators import free_product, gp_graph, lattice_box, windmill
 from wforest.graph import (
     _edge_blocks,
@@ -21,19 +21,21 @@ from wforest.graph import (
     from_json,
     induced_subgraph,
     inner_boundary,
+    is_connected_set,
     is_cycle_invariant,
     outer_boundary,
-    sides,
     spanned_subgraph,
     to_json,
 )
 
 from conftest import (
     CycleLimitExceeded,
+    SpansComponents,
     canonical_cycle_vertices,
     cycle_invariant_oracle,
     cycles_by_permutation,
     random_connected_graph,
+    side_pieces,
     sides_oracle,
     simple_cycles,
 )
@@ -76,10 +78,15 @@ def test_components():
 
 def test_sides_star_path_triangle():
     star = build_graph([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
-    assert sides(star, [0]) == [(1,), (2,), (3,)]
-    p = path_graph(5)
-    assert sides(p, [3]) == [(1, 2), (4, 5)]
-    assert sides(triangle(), [1]) == [(2, 3)]
+    p, t = path_graph(5), triangle()
+    assert side_pieces(star, [0]) == [(1,), (2,), (3,)]
+    assert side_pieces(p, [3]) == [(1, 2), (4, 5)]
+    assert side_pieces(t, [1]) == [(2, 3)]
+    # the library counts the same sides, every vertex qualifying
+    every = lambda v: True
+    assert qualifying_side_counts(star, every)[0] == 3
+    assert qualifying_side_counts(p, every)[3] == 2
+    assert qualifying_side_counts(t, every)[1] == 1
 
 
 def random_graph(rand):
@@ -99,16 +106,34 @@ def test_sides_equal_oracle(rand):
             if grow:
                 F.add(rand.choice(grow))
         pieces = sides_oracle(g, F)
-        # the new routine searches only from F's neighbours
+        # the piece search starts only from F's neighbours
         assert all(s.contact for s in pieces)
-        assert sides(g, F) == [s.vertices for s in pieces]
+        assert side_pieces(g, F) == [s.vertices for s in pieces]
 
 
 def test_sides_errors_equal_oracle(rand):
-    def error_of(f, g, F):
-        with pytest.raises(Exception) as info:
-            f(g, F)
-        return type(info.value)
+    """Where `sides_oracle` refuses F, its error is what the library's own
+    primitives say of F, in the same order: empty, an unknown vertex
+    (`is_connected_set` raises `UnknownId`), in no one of the `components`,
+    not connected."""
+    def library_error(g, F):
+        if not F:
+            return NotConnected
+        try:
+            if is_connected_set(g, F):
+                return None
+        except UnknownId:
+            return UnknownId
+        if not any(set(F) <= set(c) for c in components(g)):
+            return SpansComponents
+        return NotConnected
+
+    def error_of(g, F):
+        try:
+            sides_oracle(g, F)
+        except (NotConnected, SpansComponents, UnknownId) as exc:
+            return type(exc)
+        return None
 
     cases = 0
     for _ in range(300):
@@ -116,31 +141,29 @@ def test_sides_errors_equal_oracle(rand):
         F = set(rand.sample(g.vertices, rand.randint(0, min(3, len(g.vertices)))))
         if rand.random() < 0.2:
             F.add(100)
-        try:
-            sides_oracle(g, F)
-            continue
-        except (NotConnected, SpansComponents, UnknownId):
-            pass
-        assert error_of(sides, g, F) is error_of(sides_oracle, g, F)
-        cases += 1
+        want = library_error(g, F)
+        assert error_of(g, F) is want, (sorted(g.edges), F)
+        cases += want is not None
     assert cases > 100
     two = build_graph([1, 2, 3, 4], [(1, 2), (3, 4)])
     for F, exc in (([], NotConnected), ([1, 9], UnknownId),
                    ([2, 3], SpansComponents)):
-        assert error_of(sides, two, F) is error_of(sides_oracle, two, F) is exc
+        assert error_of(two, F) is library_error(two, F) is exc
     p = path_graph(5)
-    assert error_of(sides, p, [1, 3]) is error_of(sides_oracle, p, [1, 3]) is NotConnected
+    assert error_of(p, [1, 3]) is library_error(p, [1, 3]) is NotConnected
 
 
 def test_sides_preconditions():
     p = path_graph(5)
+    assert not is_connected_set(p, [1, 3]) and not is_connected_set(p, [])
     with pytest.raises(NotConnected):
-        sides(p, [1, 3])
+        sides_oracle(p, [1, 3])
     with pytest.raises(NotConnected):
-        sides(p, [])
+        sides_oracle(p, [])
     g = build_graph([1, 2, 3, 4], [(1, 2), (3, 4)])
+    assert components(g) == [(1, 2), (3, 4)]
     with pytest.raises(SpansComponents):
-        sides(g, [2, 3])
+        sides_oracle(g, [2, 3])
 
 
 def test_boundaries():
@@ -196,7 +219,7 @@ def test_cycle_invariance():
     # side plus vertex is cycle-invariant for every vertex
     g = build_graph(range(6), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (3, 5)])
     for x in g.vertices:
-        for side in sides(g, [x]):
+        for side in side_pieces(g, [x]):
             assert is_cycle_invariant(g, set(side) | {x})
 
 
@@ -295,9 +318,12 @@ def test_sides_partition_component(rand):
     for _ in range(20):
         g = random_connected_graph(rand, rand.randint(3, 9))
         x = rand.choice(g.vertices)
-        pieces = sides(g, [x])
+        pieces = side_pieces(g, [x])
         got = sorted(v for s in pieces for v in s) + [x]
         assert sorted(got) == list(g.vertices)
+        # in the library's counts, every other vertex lies on exactly one side
+        for v in g.vertices:
+            assert qualifying_side_counts(g, {v}.__contains__)[x] == (v != x)
 
 
 def test_json_round_trip():

@@ -1,17 +1,13 @@
+import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from fractions import Fraction as F
 from multiprocessing import get_context
 
 import pytest
 
-from wforest.ends import (
-    ProxyParams,
-    _is_heavy,
-    qualifier,
-    qualifying_side_counts,
-    visibility,
-)
+from wforest.ends import ProxyParams, qualifier, qualifying_side_counts
 from wforest.errors import (
     BadParams,
     BadProbability,
@@ -20,11 +16,17 @@ from wforest.errors import (
     NonPositiveWeight,
     NotAutomorphism,
     NotWeightPreserving,
-    UnknownEdge,
 )
-from wforest.forest import ForestResult, _root_forest, is_acyclic, maximal_subforest
+from wforest.cli import main as cli_main
+from wforest.forest import (
+    CutWitnessReport,
+    ForestResult,
+    _root_forest,
+    is_acyclic,
+    maximal_subforest,
+)
 from wforest.generators import cycle, free_product, gp_graph, lattice_box, windmill
-from wforest.graph import build_graph, components, spanned_subgraph
+from wforest.graph import build_graph, components, spanned_subgraph, to_json
 from wforest.percolation import (
     LabelAssignment,
     _open_edges,
@@ -32,11 +34,9 @@ from wforest.percolation import (
     assign_labels,
     bernoulli_sample,
     cluster_report,
-    delete_edge,
     equivariance_check,
     full_config,
     fwmsf,
-    insert_edge,
     largest_cluster_fraction,
     records_to_jsonl,
     summary_csv,
@@ -47,10 +47,12 @@ from wforest.weights import exact_potential, level_potential, unit_potential
 
 from conftest import (
     fmsf,
+    is_heavy,
     random_connected_graph,
     random_order,
     random_potential,
     relative_potential,
+    visibility,
 )
 
 
@@ -82,25 +84,13 @@ def test_monotone_coupling():
             assert lo <= hi
 
 
-def test_insert_delete():
-    g = cycle(5)
-    cfg = bernoulli_sample(g, 0.0, 1)
-    up = insert_edge(cfg, (0, 1))
-    assert up.open_edges == frozenset({(0, 1)})
-    assert insert_edge(up, (0, 1)).open_edges == up.open_edges
-    back = delete_edge(up, (0, 1))
-    assert back.open_edges == cfg.open_edges
-    assert up.edits == (("insert", (0, 1)),)
-    with pytest.raises(UnknownEdge):
-        insert_edge(cfg, (0, 2))
-
-
 def test_delete_cut_edge_splits_cluster():
     g = build_graph(range(4), [(0, 1), (1, 2), (2, 3)])
     cfg = full_config(g)
     before = cluster_report(cfg, unit_potential(g), ProxyParams())
     assert before.counts["count"] == 1
-    after = cluster_report(delete_edge(cfg, (1, 2)), unit_potential(g), ProxyParams())
+    cut = replace(cfg, open_edges=cfg.open_edges - {(1, 2)})
+    after = cluster_report(cut, unit_potential(g), ProxyParams())
     assert after.counts["count"] == 2
 
 
@@ -356,7 +346,7 @@ def test_sweep_basepoints_equal_visibility(rand):
             for x in rec["visibility"]["basepoints"]:
                 rel = visibility(sub, pot, x)
                 mass = sum(rel.values())
-                heavy += _is_heavy(sub, params, mass, rel)
+                heavy += is_heavy(sub, params, mass, rel)
                 masses.append(f"{mass.numerator}/{mass.denominator}")
             assert rec["visibility"]["masses"] == masses, (sorted(g.edges), rec)
             assert rec["visibility"]["heavy"] == heavy, (sorted(g.edges), rec)
@@ -392,7 +382,7 @@ def _rank_rule_cases(rand):
 def test_rank_rule_equals_relative_potential_rule(rand):
     """The sweep's rank-form nonvanishing rule (potential rank against the
     bisected delta * top) gives the side counts, heavy flags and masses of
-    `qualifier`/`_is_heavy` at cluster-relative potentials, on clusters
+    `qualifier`/`is_heavy` at cluster-relative potentials, on clusters
     and on forest trees.  Clusters with 0, 1 and 2 or more nonvanishing
     vertices all occur: the first two take the closed-form side count."""
     exact_hits = 0
@@ -413,9 +403,9 @@ def test_rank_rule_equals_relative_potential_rule(rand):
                 assert info.mass == mass
                 assert info.nonvanishing_side_count_max == max(side[v] for v in info.vertices)
                 by_hits[min(2, sum(map(old_rule, info.vertices)))] += 1
-                is_heavy = _is_heavy(sub, params, mass, crel)
-                assert info.cls == ("heavy" if is_heavy else "light")
-                heavy += is_heavy
+                heavy_here = is_heavy(sub, params, mass, crel)
+                assert info.cls == ("heavy" if heavy_here else "light")
+                heavy += heavy_here
             assert rec["clusters"]["heavy"] == heavy
             kept = fwmsf(cfg, pot, assign_labels(g, rec["seed"])).kept
             tree_side = qualifying_side_counts(spanned_subgraph(g, kept), old_rule)
@@ -495,3 +485,38 @@ def test_sweep_raises_when_forest_trees_differ_from_clusters(monkeypatch):
     with pytest.raises(InvariantViolation,
                        match=rf"p=0\.6, seed={run_seed}, trial=0"):
         sweep(g, unit_potential(g), [0.6], 1, 5, ProxyParams())
+
+
+def test_cut_witness_violation_names_its_run_and_edge(monkeypatch, tmp_path, capsys):
+    """A cut-witness violation in a sweep run names p, seed, trial and the
+    first violating edge with its reason; `wforest percolate` reports it as
+    exit 3 with an `invariant_violation` JSON line and writes nothing.  The
+    planted check passes the first run of each sweep and fails the second."""
+    import wforest.percolation as perc
+    real, calls = perc._cut_witnesses, []
+
+    def planted(g, forest, order, rooted):
+        calls.append(1)
+        if len(calls) % 2:
+            return real(g, forest, order, rooted)
+        return CutWitnessReport(violations=(((0, 1), "planted reason"), ((1, 2), "later")),
+                                witnesses={})
+
+    monkeypatch.setattr(perc, "_cut_witnesses", planted)
+    monkeypatch.delenv("WFOREST_WORKERS", raising=False)
+    g = lattice_box(4, 4)
+    message = (rf"deleted edge \(0, 1\): planted reason "
+               rf"\(p=0\.7, seed={subseed(5, 'run', 0, 1)}, trial=1\)$")
+    with pytest.raises(InvariantViolation, match=message):
+        sweep(g, unit_potential(g), [0.7], 2, 5, ProxyParams())
+    (tmp_path / "g.json").write_text(to_json(g))
+    (tmp_path / "w.json").write_text('{"unit":true}')
+    out = tmp_path / "out.jsonl"
+    assert cli_main(["percolate", str(tmp_path / "g.json"), str(tmp_path / "w.json"),
+                     "--p-grid", "0.7", "--trials", "2", "--seed", "5",
+                     "-o", str(out)]) == 3
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "invariant_violation"
+    assert doc["message"] == ("cut-witness violation at deleted edge (0, 1): planted "
+                              f"reason (p=0.7, seed={subseed(5, 'run', 0, 1)}, trial=1)")
+    assert not out.exists()
