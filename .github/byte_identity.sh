@@ -16,14 +16,14 @@ head=$(cd "${2:-.}" && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-outputs=(gp.json box.json windmill.json
+outputs=(gp.json box.json windmill.json tree.json cycle.json gnm.json fp.json
          gp-1.jsonl gp-1.csv gp-2.jsonl gp-2.csv gp-3.jsonl gp-3.csv
          gp-delta.jsonl gp-delta.csv gp-ends.jsonl gp-ends.csv
          box-forest.json gp-forest-fixed.json
          box-pool.jsonl box-pool.csv windmill-collapse.json windmill-family.json
          windmill-analyze.json gp-analyze.json
          windmill66-collapse.json windmill66-family.json windmill66-analyze.json
-         box-analyze.json)
+         box-analyze.json fp-forest.json)
 demos=(01_weighted_forest_basics 02_grandparent_weights 03_windmill_collapse
        04_percolation_sweep)
 for d in "${demos[@]}"; do
@@ -42,6 +42,11 @@ run_tree() {
         wf gen --family lattice_box --w 12 --h 12 -o box.json
         wf gen --family windmill --blades 4 --radius 3 -o windmill.json
         wf gen --family windmill --blades 6 --radius 6 -o windmill66.json
+        wf gen --family regular_tree --d 3 --radius 4 -o tree.json
+        wf gen --family cycle --n 9 -o cycle.json
+        wf gen --family random_gnm --n 30 --m 60 --seed 5 -o gnm.json
+        wf gen --family free_product --max-word 2 -o fp.json --factors \
+            '[{"family":"gp","k":2,"up":1,"down":2},{"family":"lattice_box","w":3,"h":3}]'
         for seed in 1 2 3; do
             wf percolate gp.json levels.json --p-grid 0.5,0.7,0.9 --seed "$seed" \
                 -o "gp-$seed.jsonl" --summary "gp-$seed.csv"
@@ -58,6 +63,8 @@ run_tree() {
         printf '[[0,1],[1,3],[0,256]]' > fixed.json  # a path of GP edges
         wf forest gp.json levels.json --fixed fixed.json --check-witnesses \
             -o gp-forest-fixed.json
+        wf forest fp.json levels.json --tiebreak canonical --check-witnesses \
+            -o fp-forest.json
         wf collapse windmill.json unit.json --tiebreak meta \
             -o windmill-collapse.json --family-out windmill-family.json
         wf analyze windmill.json unit.json -o windmill-analyze.json

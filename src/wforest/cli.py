@@ -134,22 +134,27 @@ def load_weights(path: str, g: Graph) -> dict[int, Fraction]:
     if "potential" in doc:
         if not isinstance(doc["potential"], dict):
             raise MalformedDocument(f"weight file {path}: 'potential' is not a JSON object")
-        return {_vertex_key(k, path): _fraction(v, f"potential of vertex {k}")
+        return {_vertex_key(k, path, g): _fraction(v, f"potential of vertex {k}")
                 for k, v in doc["potential"].items()}
     raise BadParams(f"weight file {path} has no potential/levels_from_meta/unit key")
 
 
-def _vertex_key(key: str, path: str) -> int:
-    """A vertex id written as a JSON object key: the canonical decimal form
+def _vertex_key(key: str, path: str, g: Graph) -> int:
+    """A vertex of g written as a JSON object key: the canonical decimal form
     of an integer, as `str` writes it (so "01", " 1" and "+1" are refused,
-    and no two keys name one vertex)."""
+    and no two keys name one vertex).  A key that names no vertex of g is
+    refused too, so a weight file for another graph cannot pass."""
     try:
-        if str(int(key)) == key:
-            return int(key)
+        v = int(key)
     except ValueError:
-        pass
-    raise MalformedDocument(
-        f"weight file {path}: potential key {key!r} is not a decimal vertex id")
+        v = None
+    if v is None or str(v) != key:
+        raise MalformedDocument(
+            f"weight file {path}: potential key {key!r} is not a decimal vertex id")
+    if v not in g:
+        raise MalformedDocument(
+            f"weight file {path}: potential key {key!r} names no vertex of the graph")
+    return v
 
 
 def load_fixed(path: str) -> list[Edge]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import BadParams, NotConnected, OverlappingBlocks
+from .errors import BadParams, NotConnected, OverlappingBlocks, UnknownId
 from .forest import ForestResult, maximal_subforest
 from .graph import (
     Edge,
@@ -23,7 +23,6 @@ from .graph import (
     build_graph,
     components,
     edge,
-    is_connected_set,
 )
 from .unionfind import UnionFind
 from .weights import EdgeOrder, exact_potential, ranked_potential
@@ -267,7 +266,8 @@ def find_furcation_vertices(g: Graph, potential: Mapping[int, object], n: int,
                             params: ProxyParams,
                             kind: str = NONVANISHING) -> tuple[int, ...]:
     """Vertices x whose singleton {x} has at least n qualifying sides."""
-    counts = qualifying_side_counts(g, qualifier(g, potential, params, kind))
+    rule = qualifier(g, exact_potential(g, potential), params, kind)
+    counts = qualifying_side_counts(g, rule)
     return tuple(x for x in g.vertices if counts[x] >= n)
 
 
@@ -372,7 +372,7 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
     """
     _check_s_max(s_max)
     adj = g.adjacency
-    marks = _qualifying_marks(g, potential, params, g.vertices)
+    marks = _qualifying_marks(g, exact_potential(g, potential), params, g.vertices)
     nv, inf = _KINDS.index(NONVANISHING), _KINDS.index(INFINITE)
     total_of: dict[int, list[int]] = {}
     comps = []
@@ -435,9 +435,18 @@ def quotient(g: Graph, potential: Mapping[int, object],
     """
     fam = tuple(tuple(sorted(b)) for b in family)
     block_of: dict[int, int] = {}
+    inner_trees: dict[int, frozenset[Edge]] = {}
     for b in fam:
-        if not is_connected_set(g, b):
+        for v in b:
+            if v not in g.adjacency:
+                raise UnknownId(f"vertex {v} not in graph")
+        # one search from the least vertex: the block's connectivity and,
+        # on the sorted adjacency, the inner tree the induced subgraph gives
+        bset = set(b)
+        tree = _bfs(g.adjacency, b[0], bset.__contains__) if b else {}
+        if not b or len(tree) != len(bset):
             raise NotConnected(f"family block {b} is not connected")
+        inner_trees[b[0]] = frozenset(edge(p, y) for y, p in tree.items() if p is not None)
         for v in b:
             if v in block_of:
                 raise OverlappingBlocks(f"vertex {v} lies in two family blocks")
@@ -451,7 +460,7 @@ def quotient(g: Graph, potential: Mapping[int, object],
         all_blocks.setdefault(block_of[v], []).append(v)
 
     host_by_qedge: dict[Edge, list[Edge]] = {}
-    for e in g.sorted_edges():
+    for e in g.ordered_edges:
         bu, bv = block_of[e[0]], block_of[e[1]]
         if bu == bv:
             continue
@@ -466,7 +475,6 @@ def quotient(g: Graph, potential: Mapping[int, object],
     lift = {qe: pick(cands) for qe, cands in host_by_qedge.items()}
     qpotential = {bid: max(potential[v] for v in members)
                   for bid, members in all_blocks.items()}
-    inner_trees = {b[0]: _bfs_tree(g, b) for b in fam}
 
     qboundary = frozenset(
         bid for bid, members in all_blocks.items()
@@ -483,14 +491,6 @@ def quotient(g: Graph, potential: Mapping[int, object],
         inner_trees=inner_trees,
         block_of=block_of,
     )
-
-
-def _bfs_tree(g: Graph, block: tuple[int, ...]) -> frozenset[Edge]:
-    """The BFS tree of a connected block from its least vertex, read off the
-    host adjacency restricted to the block.  The adjacency is sorted, so the
-    tree is the one the induced subgraph would give."""
-    tree = _bfs(g.adjacency, block[0], set(block).__contains__)
-    return frozenset(edge(p, y) for y, p in tree.items() if p is not None)
 
 
 @dataclass(frozen=True)

@@ -188,4 +188,4 @@ def restrict_forest(g: Graph, result: ForestResult, order: EdgeOrder,
 
 def is_acyclic(g: Graph, edges: Iterable[Edge]) -> bool:
     uf = UnionFind(g.vertices)
-    return all(uf.union(u, v) for u, v in sorted(edges))
+    return all(uf.union(u, v) for u, v in edges)

@@ -214,7 +214,7 @@ def free_product(factors: list[dict], max_word: int) -> Graph:
             levels[gid] = base_level + flev.get(v, 0) - flev.get(root, 0)
             if fg.is_boundary(v) or depth == max_word:
                 boundary.add(gid)
-        for u, v in fg.sorted_edges():
+        for u, v in fg.ordered_edges:
             gu, gv = mapping[u], mapping[v]
             a, b = (gu, gv) if gu < gv else (gv, gu)
             edges_with_factor.append((a, b, fidx))

@@ -3,10 +3,13 @@ cycle-invariance primitives every other module builds on.
 
 Vertices are opaque integer ids; edges are canonical pairs ``(u, v)`` with
 ``u < v``.  Determinism everywhere comes from sorting on ids, never from
-hash order.  Per-vertex "level" integers and truncation-boundary flags are
-carried in ``Graph.meta`` (keys ``"levels"`` and ``"boundary"``) because only
-the generator that built a truncation knows which vertices are artifacts of
-cutting off an infinite graph.
+hash order.  A graph's canonical edge order is its edges sorted, and every
+keyed draw indexes an edge by its position there: `build_graph` sorts once,
+a subgraph filters its host's order, and ``Graph.ordered_edges`` is read,
+never sorted again.  Per-vertex "level" integers and truncation-boundary
+flags are carried in ``Graph.meta`` (keys ``"levels"`` and ``"boundary"``)
+because only the generator that built a truncation knows which vertices are
+artifacts of cutting off an infinite graph.
 """
 
 import json
@@ -36,6 +39,8 @@ class Graph:
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
     adjacency: dict[int, tuple[int, ...]]
+    # the edges in canonical (sorted) order, the same tuple objects as `edges`
+    ordered_edges: tuple[Edge, ...] = field(repr=False, compare=False)
     meta: dict = field(default_factory=dict)
 
     def __contains__(self, v: int) -> bool:
@@ -51,7 +56,8 @@ class Graph:
         return len(self.neighbors(v))
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        """A new list of the edges in canonical order."""
+        return list(self.ordered_edges)
 
     # meta accessors
 
@@ -82,17 +88,7 @@ def build_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]],
             missing = e[0] if e[0] not in vset else e[1]
             raise DanglingEndpoint(f"edge {e} references unknown vertex {missing}")
         eset.add(e)
-    adj: dict[int, list[int]] = {v: [] for v in sorted(vset)}
-    for u, v in eset:
-        adj[u].append(v)
-        adj[v].append(u)
-    adjacency = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-    return Graph(
-        vertices=tuple(sorted(vset)),
-        edges=frozenset(eset),
-        adjacency=adjacency,
-        meta=dict(meta) if meta else {},
-    )
+    return _subgraph(sorted(vset), tuple(sorted(eset)), dict(meta) if meta else {})
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:
@@ -278,8 +274,8 @@ def induced_subgraph(g: Graph, A: Iterable[int]) -> Graph:
     for v in aset:
         if v not in g.adjacency:
             raise UnknownId(f"vertex {v} not in graph")
-    edges = frozenset(e for e in g.edges if e[0] in aset and e[1] in aset)
-    return _subgraph(sorted(aset), edges, _restrict_meta(g.meta, aset))
+    ordered = tuple(e for e in g.ordered_edges if e[0] in aset and e[1] in aset)
+    return _subgraph(sorted(aset), ordered, _restrict_meta(g.meta, aset))
 
 
 def _host_edges(g: Graph, E: Iterable[Edge]) -> frozenset[Edge]:
@@ -292,7 +288,9 @@ def _host_edges(g: Graph, E: Iterable[Edge]) -> frozenset[Edge]:
 
 def spanned_subgraph(g: Graph, E: Iterable[Edge]) -> Graph:
     """Subgraph on all vertices of g keeping only the given edges."""
-    return _subgraph(g.vertices, _host_edges(g, E), dict(g.meta))
+    eset = _host_edges(g, E)
+    ordered = tuple(e for e in g.ordered_edges if e in eset)
+    return _subgraph(g.vertices, ordered, dict(g.meta))
 
 
 def _adjacency(vertices, edges: Iterable[Edge]) -> dict[int, list[int]]:
@@ -307,11 +305,13 @@ def _adjacency(vertices, edges: Iterable[Edge]) -> dict[int, list[int]]:
     return adj
 
 
-def _subgraph(vertices, edges: frozenset[Edge], meta: dict) -> Graph:
-    """The graph on sorted `vertices` with canonical `edges` between them:
-    the one `build_graph` would give, with nothing validated again."""
-    adjacency = {v: tuple(ns) for v, ns in _adjacency(vertices, sorted(edges)).items()}
-    return Graph(vertices=tuple(vertices), edges=edges, adjacency=adjacency, meta=meta)
+def _subgraph(vertices, ordered: tuple[Edge, ...], meta: dict) -> Graph:
+    """The graph on sorted `vertices` with the canonical edges `ordered`
+    between them, listed in increasing order; the one builder of a Graph,
+    which validates and sorts nothing."""
+    adjacency = {v: tuple(ns) for v, ns in _adjacency(vertices, ordered).items()}
+    return Graph(vertices=tuple(vertices), edges=frozenset(ordered), adjacency=adjacency,
+                 ordered_edges=ordered, meta=meta)
 
 
 # JSON interchange (the contract used by the CLI)
@@ -330,7 +330,7 @@ def to_json(g: Graph) -> str:
     meta = {k: _jsonable(v) for k, v in g.meta.items() if k not in ("levels", "boundary")}
     doc = {
         "vertices": verts,
-        "edges": [list(e) for e in g.sorted_edges()],
+        "edges": [list(e) for e in g.ordered_edges],
         "meta": meta,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

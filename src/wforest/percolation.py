@@ -42,18 +42,13 @@ class PercolationConfig:
 def bernoulli_sample(g: Graph, p: float, seed: int) -> PercolationConfig:
     """Each edge open independently with probability p, decided by comparing
     its keyed 64-bit draw against the p-threshold (hence monotone in p).
-    An edge's draw index is its position in the sorted edge list."""
-    open_edges = frozenset(_open_edges(g.sorted_edges(), p, seed))
-    return PercolationConfig(host=g, open_edges=open_edges, p=p, seed=seed)
-
-
-def _open_edges(edges: list[Edge], p: float, seed: int) -> list[Edge]:
-    """`bernoulli_sample`'s open edges, from the host's sorted edge list and
-    in its order."""
+    An edge's draw index is its position in the canonical edge order."""
     if not 0.0 <= p <= 1.0:
         raise BadProbability(f"p={p} outside [0, 1]")
     cut = threshold(p)
-    return [e for e, x in zip(edges, u64s(seed, "open", len(edges))) if x < cut]
+    edges = g.ordered_edges
+    open_edges = frozenset(e for e, x in zip(edges, u64s(seed, "open", len(edges))) if x < cut)
+    return PercolationConfig(host=g, open_edges=open_edges, p=p, seed=seed)
 
 
 def full_config(g: Graph) -> PercolationConfig:
@@ -78,12 +73,9 @@ class LabelAssignment:
 
 
 def assign_labels(g: Graph, seed: int) -> LabelAssignment:
-    """One keyed draw per edge, indexed by position in the sorted edge list."""
-    return _labels(g.sorted_edges(), seed)
-
-
-def _labels(edges: list[Edge], seed: int) -> LabelAssignment:
-    """`assign_labels` from the host's sorted edge list."""
+    """One keyed draw per edge, indexed by position in the canonical edge
+    order."""
+    edges = g.ordered_edges
     values = u64s(seed, "label", len(edges))
     labels = dict(zip(edges, values))
     if len(set(values)) == len(values):
@@ -281,17 +273,15 @@ def sweep(g: Graph, potential: Mapping[int, object], p_grid, trials: int,
             for pi, p in enumerate(p_grid) for t in range(trials)]
     # validated and ranked once, here, so a bad potential fails before any run
     ranked = ranked_potential(g, potential)
-    edges = g.sorted_edges()
     mapper = map if executor is None else executor.map
-    return list(mapper(_run_once, repeat(g), repeat(edges), repeat(ranked),
-                       repeat(params), jobs))
+    return list(mapper(_run_once, repeat(g), repeat(ranked), repeat(params), jobs))
 
 
-def _run_once(g: Graph, edges: list[Edge], ranked: RankedPotential,
-              params: ProxyParams, job: tuple[float, int, int]) -> dict:
+def _run_once(g: Graph, ranked: RankedPotential, params: ProxyParams,
+              job: tuple[float, int, int]) -> dict:
     p, trial, run_seed = job
-    opened = _open_edges(edges, p, run_seed)
-    labels = _labels(edges, run_seed)
+    opened = bernoulli_sample(g, p, run_seed).open_edges
+    labels = assign_labels(g, run_seed)
     run = _open_run(g, opened, ranked)
     order, forest = _forest(run, labels)
     # kept is acyclic, so it has |V| - |kept| trees; they are exactly the

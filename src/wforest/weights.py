@@ -107,7 +107,7 @@ def validate_cocycle(g: Graph, c: Cocycle) -> CocycleReport:
     def defect_of(product) -> float:
         return 0.0 if product == 1 else abs(math.log(float(product)))
 
-    for u, v in sorted(g.edges):
+    for u, v in g.ordered_edges:
         d = defect_of(c.ratio(u, v) * c.ratio(v, u))
         if d > worst:
             worst, worst_cycle = d, (u, v, u)
@@ -119,7 +119,7 @@ def validate_cocycle(g: Graph, c: Cocycle) -> CocycleReport:
     value: dict[int, Fraction] = {}
     for y, x in parent.items():
         value[y] = Fraction(1) if x is None else c.ratio(y, x) * value[x]
-    for u, v in sorted(g.edges):
+    for u, v in g.ordered_edges:
         if parent[u] == v or parent[v] == u:
             continue
         prod = c.ratio(u, v) * value[v] / value[u]
@@ -192,7 +192,7 @@ class EdgeOrder:
         self.potential = ranked.values
         self._vertex_rank = ranked.rank
         if tiebreak is None:
-            tiebreak = g.sorted_edges()
+            tiebreak = g.ordered_edges
         if isinstance(tiebreak, Mapping):
             self.rank = dict(tiebreak)
         else:

@@ -187,12 +187,15 @@ def test_missing_potential_vertex_is_reported_by_every_command(tmp_path, capsys)
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "-0", "1_0", "1.0", "x", ""], ids=[
-    "leading_zero", "leading_space", "trailing_space", "plus_sign", "minus_zero",
-    "underscore", "decimal_point", "letter", "empty"])
+@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "-0", "1_0", "1.0", "x", "", "99"],
+                         ids=["leading_zero", "leading_space", "trailing_space", "plus_sign",
+                              "minus_zero", "underscore", "decimal_point", "letter", "empty",
+                              "no_vertex"])
 def test_noncanonical_weight_keys_exit_2(tmp_path, capsys, key):
     """A potential key is a vertex id as `str` writes it; any other spelling
-    is refused by name, so "01" can never overwrite vertex 1's value."""
+    is refused by name, so "01" can never overwrite vertex 1's value.  So is
+    a key that names no vertex of the graph, though every vertex has its
+    value."""
     (tmp_path / "g.json").write_text(to_json(cycle(4)))
     potential = {"0": 1, "1": 1, "2": 1, "3": 1, key: 5}
     (tmp_path / "w.json").write_text(json.dumps({"potential": potential}))
@@ -202,6 +205,7 @@ def test_noncanonical_weight_keys_exit_2(tmp_path, capsys, key):
     doc = json.loads(out.err)
     assert doc["error"] == "MalformedDocument" and repr(key) in doc["message"]
     assert not (tmp_path / "f.json").exists()
+    assert not (tmp_path / "f.json.manifest.json").exists()
 
 
 def test_canonical_weight_keys_name_negative_and_large_ids(tmp_path):

@@ -23,7 +23,14 @@ from wforest.ends import (
     quotient,
     visibility_masses,
 )
-from wforest.errors import BadParams, MissingVertex, NonPositiveWeight, OverlappingBlocks
+from wforest.errors import (
+    BadParams,
+    MissingVertex,
+    NonPositiveWeight,
+    NotConnected,
+    OverlappingBlocks,
+    UnknownId,
+)
 from wforest.forest import is_acyclic, maximal_subforest
 from wforest.generators import free_product, gp_graph, lattice_box, regular_tree, windmill
 from wforest.graph import build_graph, components, edge_boundary, spanned_subgraph
@@ -200,6 +207,26 @@ def test_quotient_rejects_overlap():
     g = build_graph(range(3), [(0, 1), (1, 2)])
     with pytest.raises(OverlappingBlocks):
         quotient(g, unit_potential(g), [(0, 1), (1, 2)])
+
+
+def test_quotient_rejects_bad_blocks():
+    """Each block is checked in turn: an unknown id first, then
+    connectivity (an empty block is not connected), then overlap with the
+    blocks before it."""
+    g = build_graph(range(4), [(0, 1), (1, 2), (2, 3)])
+    pot = unit_potential(g)
+    with pytest.raises(UnknownId):
+        quotient(g, pot, [(0, 9)])
+    with pytest.raises(UnknownId):
+        quotient(g, pot, [(1, 2), (0, 3, 9)])  # unknown before disconnected
+    with pytest.raises(NotConnected):
+        quotient(g, pot, [()])
+    with pytest.raises(NotConnected):
+        quotient(g, pot, [(0, 2)])
+    with pytest.raises(NotConnected):
+        quotient(g, pot, [(0, 1), (1, 3)])  # disconnected before overlapping
+    with pytest.raises(OverlappingBlocks):
+        quotient(g, pot, [(0, 1), (1, 2), (0, 3, 9)])  # an earlier block decides
 
 
 def test_quotient_preserves_component_count(rand):
@@ -570,9 +597,10 @@ def test_smax_below_one_is_rejected():
 
 
 def test_bad_potential_raises_library_errors():
-    """`visibility_masses` and `quotient` read the potential through
-    `exact_potential`: a zero or missing value is a `WForestError`, never a
-    raw ZeroDivisionError or KeyError."""
+    """`visibility_masses`, `quotient` and both furcation entry points read
+    the potential through `exact_potential`: a nonpositive or missing value
+    is a `WForestError`, never accepted silently nor a raw ZeroDivisionError
+    or KeyError."""
     path = build_graph(range(3), [(0, 1), (1, 2)])
     with pytest.raises(NonPositiveWeight):
         visibility_masses(path, {0: 1, 1: 0, 2: 1})
@@ -580,3 +608,10 @@ def test_bad_potential_raises_library_errors():
         visibility_masses(path, {0: 1, 1: 1})
     with pytest.raises(MissingVertex):
         quotient(path, {0: 1, 1: 1}, [])
+    w = windmill(3, 3)
+    for bad, error in (({**unit_potential(w), 5: -2}, NonPositiveWeight),
+                       ({v: 1 for v in w.vertices if v != 5}, MissingVertex)):
+        with pytest.raises(error):
+            maximal_disjoint_furcations(w, bad, ProxyParams())
+        with pytest.raises(error):
+            find_furcation_vertices(w, bad, 3, ProxyParams())

@@ -1,3 +1,5 @@
+import json
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,21 @@ from wforest.errors import (
     SelfLoop,
     UnknownId,
 )
-from wforest.ends import qualifying_side_counts
-from wforest.generators import free_product, gp_graph, lattice_box, windmill
+from wforest.ends import (
+    ProxyParams,
+    maximal_disjoint_furcations,
+    qualifying_side_counts,
+    quotient,
+)
+from wforest.generators import (
+    cycle,
+    free_product,
+    gp_graph,
+    lattice_box,
+    random_gnm,
+    regular_tree,
+    windmill,
+)
 from wforest.graph import (
     _edge_blocks,
     build_graph,
@@ -297,6 +312,42 @@ def test_subgraphs_equal_build_graph(rand):
             want = build_graph(A, [e for e in g.edges if e[0] in A and e[1] in A], meta)
             assert induced_subgraph(g, A) == want
             assert induced_subgraph(g, A).meta.keys() == g.meta.keys()
+
+
+def test_sorted_edges_are_the_canonical_order(rand):
+    """However a graph is built, its edges are kept in canonical (sorted)
+    order beside a sorted adjacency: `build_graph` fed shuffled, reversed
+    and flipped edges, `from_json`, every generator, both subgraphs and the
+    quotient.  `sorted_edges` hands out a new list each call, so shuffling
+    one leaves the next unchanged."""
+    graphs = []
+    for _ in range(40):
+        h = random_graph(rand)
+        pairs = [(v, u) if rand.random() < 0.5 else (u, v) for u, v in h.edges]
+        rand.shuffle(pairs)
+        graphs.append(build_graph(h.vertices[::-1], pairs))
+        graphs.append(build_graph(h.vertices, sorted(h.edges, reverse=True)))
+        doc = {"vertices": [{"id": v} for v in h.vertices], "edges": [list(e) for e in pairs]}
+        graphs.append(from_json(json.dumps(doc)))
+    w = windmill(3, 2)
+    graphs += [gp_graph(2, 2, 3), lattice_box(5, 4), regular_tree(3, 3), cycle(7),
+               random_gnm(12, 20, seed=5), w,
+               free_product([{"family": "gp", "k": 2, "up": 1, "down": 1},
+                             {"family": "lattice_box", "w": 3, "h": 3}], max_word=2)]
+    for g in list(graphs):
+        graphs.append(spanned_subgraph(g, [e for e in g.edges if rand.random() < 0.5]))
+        graphs.append(induced_subgraph(g, [v for v in g.vertices if rand.random() < 0.6]))
+    family = maximal_disjoint_furcations(w, {v: 1 for v in w.vertices}, ProxyParams())
+    assert family.blocks
+    graphs.append(quotient(w, {v: 1 for v in w.vertices}, family.blocks).qgraph)
+    for g in graphs:
+        assert g.sorted_edges() == sorted(g.edges)
+        assert all(list(ns) == sorted(ns) for ns in g.adjacency.values())
+        assert sorted(edge(u, v) for u in g.vertices for v in g.adjacency[u]) == \
+            sorted(e for e in g.edges for _ in range(2))
+        handed = g.sorted_edges()
+        rand.shuffle(handed)
+        assert g.sorted_edges() == sorted(g.edges)
 
 
 def test_components_partition_properties(rand):

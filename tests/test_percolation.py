@@ -29,7 +29,6 @@ from wforest.generators import cycle, free_product, gp_graph, lattice_box, windm
 from wforest.graph import build_graph, components, spanned_subgraph, to_json
 from wforest.percolation import (
     LabelAssignment,
-    _open_edges,
     _tree_side_counts,
     assign_labels,
     bernoulli_sample,
@@ -130,19 +129,6 @@ def test_assign_labels_lists_colliding_neighbours(monkeypatch):
     e = g.sorted_edges()
     assert la.collisions == ((e[0], e[1]), (e[1], e[2]), (e[3], e[4]))
     assert list(la.ranks()) == [e[3], e[4], e[0], e[1], e[2]]
-
-
-def test_open_edges_are_the_samples(rand):
-    """A sweep run's open edges, drawn from the host's sorted edge list, are
-    `bernoulli_sample`'s, in increasing order."""
-    hosts = [build_graph([], []), build_graph(range(4), []), cycle(5), lattice_box(5, 4),
-             gp_graph(2, 2, 3), windmill(3, 2)]
-    hosts += [random_connected_graph(rand, rand.randint(1, 10)) for _ in range(60)]
-    for g in hosts:
-        for p in (0.0, 0.3, 0.7, 1.0):
-            seed = rand.randrange(1 << 32)
-            opened = _open_edges(g.sorted_edges(), p, seed)
-            assert opened == sorted(bernoulli_sample(g, p, seed).open_edges)
 
 
 def test_tree_side_counts_equal_qualifying_side_counts(rand):
