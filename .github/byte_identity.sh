@@ -18,7 +18,7 @@ trap 'rm -rf "$work"' EXIT
 
 outputs=(gp.json box.json windmill.json tree.json cycle.json gnm.json fp.json
          gp-1.jsonl gp-1.csv gp-2.jsonl gp-2.csv gp-3.jsonl gp-3.csv
-         gp-delta.jsonl gp-delta.csv gp-ends.jsonl gp-ends.csv
+         gp-delta.jsonl gp-delta.csv gp-ends.jsonl gp-ends.csv gp-order.jsonl gp-order.csv
          box-forest.json gp-forest-fixed.json
          box-pool.jsonl box-pool.csv windmill-collapse.json windmill-family.json
          windmill-analyze.json gp-analyze.json
@@ -56,6 +56,11 @@ run_tree() {
         # p = 0 leaves every cluster a singleton; p = 1 opens the whole graph
         wf percolate gp.json levels.json --p-grid 0,1 --seed 1 \
             -o gp-ends.jsonl --summary gp-ends.csv
+        # an unsorted grid with trials: the record order and the summary's sort by p
+        wf percolate gp.json levels.json --p-grid 0.9,0.5,0.7 --trials 3 --seed 2 \
+            -o gp-order.jsonl --summary gp-order.csv
+        # a base tree that still has the process pool runs this sweep on it, so
+        # equal outputs show the pooled records equal the serial ones
         WFOREST_WORKERS=2 PYTHONPATH="$tree/src" python3 -m wforest.cli percolate \
             box.json unit.json --p-grid 0.5,0.7 --trials 2 --seed 4 \
             -o box-pool.jsonl --summary box-pool.csv

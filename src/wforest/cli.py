@@ -35,7 +35,7 @@ from .errors import (
     WForestError,
 )
 from .forest import check_cut_witnesses, maximal_subforest
-from .generators import build_family
+from .generators import SIZE_FIELDS, build_family
 from .graph import Edge, Graph, components, from_doc, id_pair, parse_json, to_json
 from .percolation import records_to_jsonl, summary_csv, sweep
 from .weights import EdgeOrder, exact_potential, level_potential, unit_potential
@@ -169,12 +169,10 @@ def load_fixed(path: str) -> list[Edge]:
 def _tiebreak(g: Graph, choice: str):
     if choice == "canonical":
         return None
-    if choice == "meta":
-        tb = g.meta.get("tiebreak")
-        if not tb:
-            raise BadParams("graph meta carries no tiebreak order")
-        return [tuple(e) for e in tb]
-    raise BadParams(f"unknown tiebreak {choice!r}")
+    tb = g.meta.get("tiebreak")  # choice is "meta": argparse allows no other
+    if not tb:
+        raise BadParams("graph meta carries no tiebreak order")
+    return [tuple(e) for e in tb]
 
 
 def _edges_json(edges) -> list[list[int]]:
@@ -197,33 +195,14 @@ def _forest_json(result, witness_report=None) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-# The integer fields of a FamilySpec, each also a `gen` flag.
-_SIZE_FIELDS = ("k", "up", "down", "d", "radius", "w", "h", "n", "m",
-                "seed", "blades", "max_word")
-
-
-def _check_factors(factors) -> list[dict]:
-    """A free-product factor list: JSON objects whose size fields are JSON
-    integers (bools excluded), nested factor lists included."""
-    if not (isinstance(factors, list) and all(isinstance(f, dict) for f in factors)):
-        raise MalformedDocument(f"factors {factors!r} is not a list of JSON objects")
-    for spec in factors:
-        for key in _SIZE_FIELDS:
-            if key in spec and type(spec[key]) is not int:
-                raise MalformedDocument(f"factor field {key!r}={spec[key]!r} is not an integer")
-        if "factors" in spec:
-            _check_factors(spec["factors"])
-    return factors
-
-
 def cmd_gen(args, argv) -> int:
     spec = {"family": args.family}
-    for key in _SIZE_FIELDS:
-        val = getattr(args, key, None)
+    for key in SIZE_FIELDS:
+        val = getattr(args, key)
         if val is not None:
             spec[key] = val
-    if args.factors:
-        spec["factors"] = _check_factors(parse_json(args.factors, "--factors"))
+    if args.factors is not None:
+        spec["factors"] = parse_json(args.factors, "--factors")
     g = build_family(spec)
     _write_with_manifest("gen", argv, [], [(args.output, to_json(g))],
                          getattr(args, "seed", None))
@@ -254,14 +233,10 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite rational") from None
 
 
-def _proxy_params(args) -> ProxyParams:
-    return ProxyParams(nonvanish_delta=args.delta, heavy_tau=args.tau)
-
-
 def cmd_collapse(args, argv) -> int:
     g = load_graph(args.graph)
     potential = load_weights(args.weights, g)
-    params = _proxy_params(args)
+    params = ProxyParams(nonvanish_delta=args.delta)
     res = collapsed_maximal_subforest(g, potential, _tiebreak(g, args.tiebreak),
                                       params, s_max=args.smax)
     family_doc = {
@@ -283,7 +258,7 @@ def cmd_collapse(args, argv) -> int:
 def cmd_analyze(args, argv) -> int:
     g = load_graph(args.graph)
     potential = exact_potential(g, load_weights(args.weights, g))
-    params = _proxy_params(args)
+    params = ProxyParams(nonvanish_delta=args.delta)
     if args.max_basepoints < 1:
         raise BadParams(f"--max-basepoints must be >= 1, got {args.max_basepoints}")
     counts = qualifying_side_counts(g, qualifier(g, potential, params))
@@ -327,20 +302,11 @@ def cmd_analyze(args, argv) -> int:
 def cmd_percolate(args, argv) -> int:
     g = load_graph(args.graph)
     potential = load_weights(args.weights, g)
-    params = _proxy_params(args)
+    params = ProxyParams(nonvanish_delta=args.delta, heavy_tau=args.tau)
     p_grid = [float(p) for p in args.p_grid.split(",") if p != ""]
     if not p_grid:
         raise BadParams("--p-grid names no probability")
-    workers = min(int(os.environ.get("WFOREST_WORKERS", "1")),
-                  len(p_grid) * args.trials)
-    if workers > 1:
-        # imported here: the pool machinery would add to every command's start-up
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = sweep(g, potential, p_grid, args.trials, args.seed, params,
-                            executor=pool)
-    else:
-        records = sweep(g, potential, p_grid, args.trials, args.seed, params)
+    records = sweep(g, potential, p_grid, args.trials, args.seed, params)
     outputs = [(args.output, records_to_jsonl(records))]
     if args.summary:
         outputs.append((args.summary, summary_csv(records)))
@@ -393,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a graph family")
     g.add_argument("--family", required=True)
-    for key in _SIZE_FIELDS:
+    for key in SIZE_FIELDS:
         g.add_argument("--" + key.replace("_", "-"), type=int, dest=key)
     g.add_argument("--factors", help="JSON list of factor FamilySpecs")
     g.add_argument("-o", "--output", required=True)
@@ -412,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("graph")
     c.add_argument("weights")
     c.add_argument("--delta", default="1", type=_rational)
-    c.add_argument("--tau", default="4", type=_rational)
     c.add_argument("--smax", type=int, default=3)
     c.add_argument("--tiebreak", default="canonical", choices=["canonical", "meta"])
     c.add_argument("-o", "--output", required=True)
@@ -423,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("graph")
     a.add_argument("weights")
     a.add_argument("--delta", default="1", type=_rational)
-    a.add_argument("--tau", default="4", type=_rational)
     a.add_argument("--smax", type=int, default=3)
     a.add_argument("--max-basepoints", type=int, default=512, dest="max_basepoints")
     a.add_argument("-o", "--output", required=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import BadParams, NotConnected, OverlappingBlocks, UnknownId
+from .errors import BadParams, MissingVertex, NotConnected, OverlappingBlocks, UnknownId
 from .forest import ForestResult, maximal_subforest
 from .graph import (
     Edge,
@@ -25,7 +25,7 @@ from .graph import (
     edge,
 )
 from .unionfind import UnionFind
-from .weights import EdgeOrder, exact_potential, ranked_potential
+from .weights import EdgeOrder, _positive_weight, exact_potential, ranked_potential
 
 NONVANISHING = "nonvanishing"
 INFINITE = "infinite"
@@ -49,12 +49,22 @@ def qualifier(g: Graph, potential: Mapping[int, object], params: ProxyParams,
     contains a vertex the rule accepts.
 
     NONVANISHING: flagged with potential >= nonvanish_delta; INFINITE:
-    flagged.
+    flagged.  The potential need not cover g: every value it holds must be
+    positive, and the NONVANISHING rule raises `MissingVertex` when asked
+    about a flagged vertex it lacks.
     """
     flagged = g.boundary_vertices()
     if kind == NONVANISHING:
         delta = params.nonvanish_delta
-        return lambda v: v in flagged and potential[v] >= delta
+        values = {v: _positive_weight(x) for v, x in potential.items()}
+
+        def rule(v: int) -> bool:
+            if v not in flagged:
+                return False
+            if v not in values:
+                raise MissingVertex(f"potential missing flagged vertex {v}")
+            return values[v] >= delta
+        return rule
     if kind == INFINITE:
         return flagged.__contains__
     raise ValueError(f"unknown side kind {kind!r}")

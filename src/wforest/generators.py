@@ -6,7 +6,7 @@ and the generator name and parameters.  Identical parameters produce
 byte-identical JSON.
 """
 
-from .errors import BadParams
+from .errors import BadParams, MalformedDocument
 from .graph import Edge, Graph, build_graph, edge
 from .rng import u64
 
@@ -137,30 +137,6 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     meta = {"generator": "random_gnm", "params": {"n": n, "m": m, "seed": seed},
             "root": 0}
     return build_graph(range(n), pairs[:m], meta=meta)
-
-
-FAMILIES = ("gp", "regular_tree", "lattice_box", "free_product", "windmill",
-            "cycle", "random_gnm")
-
-
-def build_family(spec: dict) -> Graph:
-    """Dispatch a FamilySpec mapping to the matching constructor."""
-    fam = spec.get("family")
-    if fam == "gp":
-        return gp_graph(spec["k"], spec["up"], spec["down"])
-    if fam == "regular_tree":
-        return regular_tree(spec["d"], spec["radius"])
-    if fam == "lattice_box":
-        return lattice_box(spec["w"], spec["h"])
-    if fam == "cycle":
-        return cycle(spec["n"])
-    if fam == "random_gnm":
-        return random_gnm(spec["n"], spec["m"], spec.get("seed", 0))
-    if fam == "windmill":
-        return windmill(spec["blades"], spec["radius"])
-    if fam == "free_product":
-        return free_product(spec["factors"], spec["max_word"])
-    raise BadParams(f"unknown family {fam!r}; expected one of {FAMILIES}")
 
 
 def free_product(factors: list[dict], max_word: int) -> Graph:
@@ -298,3 +274,50 @@ def windmill(blades: int, radius: int) -> Graph:
         "tiebreak": tiebreak,
     }
     return build_graph(range(n_vertices), tiebreak, meta=meta)
+
+
+# Each family's constructor and the FamilySpec fields it takes, in argument
+# order.  Every field is a JSON integer but free_product's factor specs.
+_FAMILIES = {
+    "gp": (gp_graph, ("k", "up", "down")),
+    "regular_tree": (regular_tree, ("d", "radius")),
+    "lattice_box": (lattice_box, ("w", "h")),
+    "free_product": (free_product, ("factors", "max_word")),
+    "windmill": (windmill, ("blades", "radius")),
+    "cycle": (cycle, ("n",)),
+    "random_gnm": (random_gnm, ("n", "m", "seed")),
+}
+FAMILIES = tuple(_FAMILIES)
+# Every integer field of some family, once each.
+SIZE_FIELDS = tuple(dict.fromkeys(
+    key for _, fields in _FAMILIES.values() for key in fields if key != "factors"))
+
+
+def build_family(spec: dict) -> Graph:
+    """Dispatch a FamilySpec mapping to the matching constructor.
+
+    A missing field (but random_gnm's seed, which defaults to 0) or one the
+    family does not take is `BadParams`; a field of the wrong JSON type is
+    `MalformedDocument`, and no constructor sees it.
+    """
+    fam = spec.get("family")
+    if fam not in FAMILIES:
+        raise BadParams(f"unknown family {fam!r}; expected one of {FAMILIES}")
+    make, fields = _FAMILIES[fam]
+    if fam == "random_gnm":
+        spec = {"seed": 0, **spec}
+    for key in spec:
+        if key != "family" and key not in fields:
+            raise BadParams(f"family {fam!r} takes no field {key!r}; its fields are {fields}")
+    args = []
+    for key in fields:
+        if key not in spec:
+            raise BadParams(f"family {fam!r} needs the field {key!r}")
+        val = spec[key]
+        if key == "factors":
+            if not (isinstance(val, list) and all(isinstance(f, dict) for f in val)):
+                raise MalformedDocument(f"factors {val!r} is not a list of JSON objects")
+        elif type(val) is not int:  # bools excluded
+            raise MalformedDocument(f"{fam} field {key!r}={val!r} is not an integer")
+        args.append(val)
+    return make(*args)

@@ -11,7 +11,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -258,14 +257,11 @@ def _fraction_str(x: Fraction) -> str:
 
 
 def sweep(g: Graph, potential: Mapping[int, object], p_grid, trials: int,
-          seed: int, params: ProxyParams, executor=None) -> list[dict]:
-    """One record per (p, trial): configuration stats, forest stats, and a
-    visibility summary at deterministic basepoints.  Each run re-derives its
-    own seed from (seed, p index, trial), so records are independent of
-    execution order and reproducible byte-for-byte.
-
-    Runs go through ``executor.map`` when an executor (e.g. a process pool)
-    is given, else the built-in ``map``; records keep submission order.
+          seed: int, params: ProxyParams) -> list[dict]:
+    """One record per (p, trial), in p-grid order and then trial order:
+    configuration stats, forest stats, and a visibility summary at
+    deterministic basepoints.  Each run re-derives its own seed from
+    (seed, p index, trial), so records are reproducible byte-for-byte.
     """
     if trials < 1:
         raise BadParams(f"trials must be >= 1, got {trials}")
@@ -273,8 +269,7 @@ def sweep(g: Graph, potential: Mapping[int, object], p_grid, trials: int,
             for pi, p in enumerate(p_grid) for t in range(trials)]
     # validated and ranked once, here, so a bad potential fails before any run
     ranked = ranked_potential(g, potential)
-    mapper = map if executor is None else executor.map
-    return list(mapper(_run_once, repeat(g), repeat(ranked), repeat(params), jobs))
+    return [_run_once(g, ranked, params, job) for job in jobs]
 
 
 def _run_once(g: Graph, ranked: RankedPotential, params: ProxyParams,

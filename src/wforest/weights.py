@@ -29,11 +29,16 @@ def exact_potential(g: Graph, potential: Mapping[int, object]) -> dict[int, Frac
     for v in g.vertices:
         if v not in potential:
             raise MissingVertex(f"potential missing vertex {v}")
-        val = Fraction(potential[v])
-        if val <= 0:
-            raise NonPositiveWeight(f"weight {potential[v]!r} is not positive")
-        out[v] = val
+        out[v] = _positive_weight(potential[v])
     return out
+
+
+def _positive_weight(value: object) -> Fraction:
+    """One potential value as an exact positive Fraction."""
+    val = Fraction(value)
+    if val <= 0:
+        raise NonPositiveWeight(f"weight {value!r} is not positive")
+    return val
 
 
 class RankedPotential(NamedTuple):
@@ -59,7 +64,7 @@ def ranked_potential(g: Graph, potential: Mapping[int, object]) -> RankedPotenti
     index = {(x.numerator, x.denominator): i for i, x in enumerate(levels)}
     rank = {v: index[x.numerator, x.denominator] for v, x in exact.items()}
     # one shared Fraction per distinct value: a sweep holds this for the
-    # whole host and sends it to every pooled run
+    # whole host through all of its runs
     values = {v: levels[r] for v, r in rank.items()}
     return RankedPotential(values=values, levels=levels, rank=rank)
 

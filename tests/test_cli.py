@@ -232,23 +232,23 @@ def test_malformed_factors_exit_2(tmp_path, capsys, factors):
     assert not (tmp_path / "fp.json").exists()
 
 
-def test_percolate_worker_env_parity(tmp_path, monkeypatch):
-    run(tmp_path, "gen", "--family", "lattice_box", "--w", "4", "--h", "4",
-        "-o", "b.json")
-    run(tmp_path, "gen", "--family", "gp", "--k", "2", "--up", "1", "--down", "2",
-        "-o", "gp.json")
-    (tmp_path / "unit.json").write_text('{"unit":true}')
-    (tmp_path / "levels.json").write_text('{"levels_from_meta":true}')
-    # the GP instance sends non-unit Fraction potentials through the pool
-    for graph, weights in (("b.json", "unit.json"), ("gp.json", "levels.json")):
-        args = ("percolate", graph, weights, "--p-grid", "0.4,0.6",
-                "--trials", "2", "--seed", "8")
-        monkeypatch.delenv("WFOREST_WORKERS", raising=False)
-        assert run(tmp_path, *args, "-o", "serial.jsonl") == 0
-        monkeypatch.setenv("WFOREST_WORKERS", "2")
-        assert run(tmp_path, *args, "-o", "parallel.jsonl") == 0
-        assert (tmp_path / "serial.jsonl").read_text() == \
-            (tmp_path / "parallel.jsonl").read_text()
+@pytest.mark.parametrize("field, flags", [
+    ("k", ("--family", "gp")),
+    ("factors", ("--family", "free_product", "--max-word", "1")),
+    ("k", ("--family", "cycle", "--n", "4", "--k", "3")),
+    ("factors", ("--family", "gp", "--k", "2", "--up", "1", "--down", "2",
+                 "--factors", "[]")),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_gen_refuses_missing_and_foreign_family_fields(tmp_path, capsys, field, flags):
+    """A missing field, or one the family does not take, is named with its
+    family, and nothing is written."""
+    assert run(tmp_path, "gen", *flags, "-o", "g.json") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    doc = json.loads(out.err)
+    assert doc["error"] == "BadParams"
+    assert repr(flags[1]) in doc["message"] and repr(field) in doc["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rerun_rejects_drifted_input_with_unchanged_output(tmp_path, capsys):
@@ -380,7 +380,11 @@ def test_usage_errors_exit_2_with_json(tmp_path, capsys):
                  ["forest", "g.json", "w.json", "--tiebreak", "random", "-o", "f.json"],
                  ["percolate", "g.json", "w.json", "--p-grid", "0.5", "--trials", "x",
                   "-o", "r.jsonl"],
-                 ["forest", "g.json", "w.json", "--oracle", "-o", "f.json"]):
+                 ["forest", "g.json", "w.json", "--oracle", "-o", "f.json"],
+                 # only percolate takes --tau
+                 ["collapse", "g.json", "w.json", "--tau", "4", "-o", "c.json",
+                  "--family-out", "f.json"],
+                 ["analyze", "g.json", "w.json", "--tau", "4", "-o", "a.json"]):
         assert run(tmp_path, *argv) == 2, argv
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1, argv
@@ -422,7 +426,10 @@ def test_out_of_range_flags_exit_2_with_json(tmp_path, capsys, command, flags):
     assert run(tmp_path, *COMMAND_ARGS[command], *flags) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("\n") == 1
-    assert json.loads(out.err)["error"] in ("BadParams", "UsageError")
+    error = json.loads(out.err)["error"]
+    assert error in ("BadParams", "UsageError")
+    if "--tau" in flags and command != "percolate":
+        assert error == "UsageError"  # only percolate takes --tau
     assert not (tmp_path / "out.json").exists()
 
 

@@ -424,6 +424,8 @@ def test_qualifier_rule():
     params = ProxyParams(nonvanish_delta=F(1, 2))
     assert [qualifier(g, pot, params)(v) for v in g.vertices] == [True, False, False]
     assert [qualifier(g, pot, params, INFINITE)(v) for v in g.vertices] == [True, False, True]
+    # a potential on part of g serves every vertex it covers or that is unflagged
+    assert [qualifier(g, {0: F(1)}, params)(v) for v in (0, 1)] == [True, False]
     with pytest.raises(ValueError):
         qualifier(g, pot, params, FINITE)
 
@@ -598,9 +600,10 @@ def test_smax_below_one_is_rejected():
 
 def test_bad_potential_raises_library_errors():
     """`visibility_masses`, `quotient` and both furcation entry points read
-    the potential through `exact_potential`: a nonpositive or missing value
-    is a `WForestError`, never accepted silently nor a raw ZeroDivisionError
-    or KeyError."""
+    the potential through `exact_potential`, and `qualifier` checks the
+    values it is given and the flagged vertices it is asked about: a
+    nonpositive or missing value is a `WForestError`, never accepted
+    silently nor a raw ZeroDivisionError or KeyError."""
     path = build_graph(range(3), [(0, 1), (1, 2)])
     with pytest.raises(NonPositiveWeight):
         visibility_masses(path, {0: 1, 1: 0, 2: 1})
@@ -615,3 +618,5 @@ def test_bad_potential_raises_library_errors():
             maximal_disjoint_furcations(w, bad, ProxyParams())
         with pytest.raises(error):
             find_furcation_vertices(w, bad, 3, ProxyParams())
+        with pytest.raises(error):
+            qualifying_side_counts(w, qualifier(w, bad, ProxyParams()))

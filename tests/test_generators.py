@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from wforest.errors import BadParams
+from wforest.errors import BadParams, MalformedDocument
 from wforest.generators import (
     build_family,
     cycle,
@@ -33,6 +33,25 @@ def test_determinism_byte_identical():
     ]
     for spec in specs:
         assert to_json(build_family(dict(spec))) == to_json(build_family(dict(spec)))
+
+
+def test_build_family_checks_every_field():
+    """random_gnm's seed defaults to 0.  A missing field or one the family
+    does not take, in a factor spec too, is BadParams; a field of the wrong
+    JSON type is MalformedDocument."""
+    assert to_json(build_family({"family": "random_gnm", "n": 6, "m": 4})) == \
+        to_json(random_gnm(6, 4, 0))
+    box = {"family": "lattice_box", "w": 2, "h": 2}
+    for spec, error in (
+        ({"family": "free_product", "max_word": 1, "factors": [box, {"family": "cycle"}]},
+         BadParams),
+        ({"family": "free_product", "max_word": 1, "factors": [box, {**box, "n": 3}]},
+         BadParams),
+        ({"family": "cycle", "n": 3.0}, MalformedDocument),
+        ({"family": "free_product", "max_word": 1, "factors": box}, MalformedDocument),
+    ):
+        with pytest.raises(error):
+            build_family(spec)
 
 
 def test_gp_2_1_1_hand_audit():

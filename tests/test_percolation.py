@@ -1,9 +1,7 @@
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction as F
-from multiprocessing import get_context
 
 import pytest
 
@@ -403,6 +401,7 @@ def test_rank_rule_equals_relative_potential_rule(rand):
 
 
 def test_sweep_validates_the_potential_once_before_any_run(monkeypatch):
+    import wforest.percolation as perc
     import wforest.weights as weights
     calls = []
     real = weights.exact_potential
@@ -416,25 +415,25 @@ def test_sweep_validates_the_potential_once_before_any_run(monkeypatch):
     recs = sweep(g, unit_potential(g), [0.3, 0.6, 0.9], 2, 4, ProxyParams())
     assert len(recs) == 6 and calls == [len(g.vertices)]
 
-    class NoRuns:
-        def map(self, *args):
-            raise AssertionError("a run started on a bad potential")
+    def no_runs(*args):
+        raise AssertionError("a run started on a bad potential")
 
+    monkeypatch.setattr(perc, "_run_once", no_runs)
     bad = unit_potential(g)
     del bad[5]
     with pytest.raises(MissingVertex):
-        sweep(g, bad, [0.5], 1, 0, ProxyParams(), executor=NoRuns())
+        sweep(g, bad, [0.5], 1, 0, ProxyParams())
 
 
-def test_sweep_through_a_spawn_pool_equals_serial():
-    """The per-sweep ranked potential travels to workers that start from a
-    fresh import, as on platforms whose default start method is spawn."""
-    gp = gp_graph(2, 1, 3)
-    args = (gp, level_potential(gp, F(1, 2)), [0.4, 0.8], 2, 8,
-            ProxyParams(nonvanish_delta=F(1, 4)))
-    with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
-        pooled = sweep(*args, executor=pool)
-    assert pooled == sweep(*args)
+def test_sweep_records_follow_the_grid_then_the_trials():
+    """Records come in p-grid order, unsorted grids included, then trial
+    order, each run seeded by its p index and trial."""
+    g = lattice_box(4, 4)
+    grid = [0.9, 0.5, 0.7]
+    recs = sweep(g, unit_potential(g), grid, 3, 6, ProxyParams())
+    assert [(r["p"], r["trial"]) for r in recs] == [(p, t) for p in grid for t in range(3)]
+    assert [r["seed"] for r in recs] == [subseed(6, "run", pi, t)
+                                         for pi in range(3) for t in range(3)]
 
 
 def test_largest_cluster_fraction_monotone_small():
@@ -489,7 +488,6 @@ def test_cut_witness_violation_names_its_run_and_edge(monkeypatch, tmp_path, cap
                                 witnesses={})
 
     monkeypatch.setattr(perc, "_cut_witnesses", planted)
-    monkeypatch.delenv("WFOREST_WORKERS", raising=False)
     g = lattice_box(4, 4)
     message = (rf"deleted edge \(0, 1\): planted reason "
                rf"\(p=0\.7, seed={subseed(5, 'run', 0, 1)}, trial=1\)$")
