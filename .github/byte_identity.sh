@@ -20,9 +20,10 @@ outputs=(gp.json box.json windmill.json tree.json cycle.json gnm.json fp.json
          gp-1.jsonl gp-1.csv gp-2.jsonl gp-2.csv gp-3.jsonl gp-3.csv
          gp-delta.jsonl gp-delta.csv gp-ends.jsonl gp-ends.csv gp-order.jsonl gp-order.csv
          box-forest.json gp-forest-fixed.json
-         box-pool.jsonl box-pool.csv windmill-collapse.json windmill-family.json
+         box-sweep.jsonl box-sweep.csv windmill-collapse.json windmill-family.json
          windmill-analyze.json gp-analyze.json
          windmill66-collapse.json windmill66-family.json windmill66-analyze.json
+         gp-collapse4.json gp-family4.json gp-analyze4.json
          box-analyze.json fp-forest.json)
 demos=(01_weighted_forest_basics 02_grandparent_weights 03_windmill_collapse
        04_percolation_sweep)
@@ -59,11 +60,8 @@ run_tree() {
         # an unsorted grid with trials: the record order and the summary's sort by p
         wf percolate gp.json levels.json --p-grid 0.9,0.5,0.7 --trials 3 --seed 2 \
             -o gp-order.jsonl --summary gp-order.csv
-        # a base tree that still has the process pool runs this sweep on it, so
-        # equal outputs show the pooled records equal the serial ones
-        WFOREST_WORKERS=2 PYTHONPATH="$tree/src" python3 -m wforest.cli percolate \
-            box.json unit.json --p-grid 0.5,0.7 --trials 2 --seed 4 \
-            -o box-pool.jsonl --summary box-pool.csv
+        wf percolate box.json unit.json --p-grid 0.5,0.7 --trials 2 --seed 4 \
+            -o box-sweep.jsonl --summary box-sweep.csv
         wf forest box.json unit.json --check-witnesses -o box-forest.json
         printf '[[0,1],[1,3],[0,256]]' > fixed.json  # a path of GP edges
         wf forest gp.json levels.json --fixed fixed.json --check-witnesses \
@@ -74,10 +72,14 @@ run_tree() {
             -o windmill-collapse.json --family-out windmill-family.json
         wf analyze windmill.json unit.json -o windmill-analyze.json
         wf analyze gp.json levels.json -o gp-analyze.json
-        # larger furcation families: every path of the side index and the search
+        # larger furcation families: every rule of the side index; on GP with
+        # level weights most candidates need the joined pieces
         wf collapse windmill66.json unit.json --tiebreak meta --smax 4 \
             -o windmill66-collapse.json --family-out windmill66-family.json
         wf analyze windmill66.json unit.json --smax 4 -o windmill66-analyze.json
+        wf collapse gp.json levels.json --smax 4 \
+            -o gp-collapse4.json --family-out gp-family4.json
+        wf analyze gp.json levels.json --smax 4 -o gp-analyze4.json
         wf analyze box.json unit.json -o box-analyze.json
         for d in "${demos[@]}"; do
             PYTHONPATH="$tree/src" python3 "$tree/demos/$d.py" > "demo-$d.out"

@@ -9,6 +9,7 @@ passed in, i.e. relative to its basepoint).  Every report carries the active
 ProxyParams so results stay honest about the approximation.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
@@ -92,134 +93,78 @@ def _mark_totals(marks: Mapping[int, tuple[int, ...]], vertices: Iterable[int]) 
     return total
 
 
-def _side_orders(adj: Mapping[int, tuple[int, ...]], F: Iterable[int],
-                 marks: Mapping[int, tuple[int, ...]], total: list[int]) -> list[int]:
-    """Per kind, the number of sides of the connected set F that hold a
-    qualifying vertex; `total` counts the qualifying vertices of F's component.
-
-    One F-avoiding search starts at each neighbour of F.  The searches still
-    growing take one vertex each in turn; two that meet merge (union-find over
-    search ids, joining frontiers and counts), and one whose frontier empties
-    is a finished side.  Every side touches F, so once at most one search
-    grows it holds all of the component that F and the finished sides leave,
-    and its counts follow by subtraction.  The work is that of the smaller
-    sides, as in Even and Shiloach's decremental connectivity (1981).
-    """
-    fset = set(F)
-    zero = (0,) * len(total)
-    owner: dict[int, int] = {}
-    parent: list[int] = []
-    frontier: list[list[int]] = []
-    counts: list[list[int]] = []
-    for x in fset:
-        for y in adj[x]:
-            if y not in fset and y not in owner:
-                owner[y] = len(parent)
-                parent.append(len(parent))
-                frontier.append([y])
-                counts.append(list(marks.get(y, zero)))
-
-    def find(s: int) -> int:
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    growing = list(range(len(parent)))
-    while len(growing) > 1:
-        for s in growing:
-            if parent[s] != s or not frontier[s]:
-                continue  # absorbed or finished earlier in this round
-            for z in adj[frontier[s].pop()]:
-                if z in fset:
-                    continue
-                o = owner.get(z)
-                if o is None:
-                    owner[z] = s
-                    frontier[s].append(z)
-                    if z in marks:
-                        counts[s] = [a + b for a, b in zip(counts[s], marks[z])]
-                    continue
-                r = find(o)
-                if r != s:
-                    parent[r] = s  # the growing search stays the root
-                    big, small = frontier[s], frontier[r]
-                    if len(big) < len(small):
-                        big, small = small, big
-                    big.extend(small)
-                    frontier[s], frontier[r] = big, []
-                    counts[s] = [a + b for a, b in zip(counts[s], counts[r])]
-        growing = [s for s in growing if parent[s] == s and frontier[s]]
-
-    finished = [counts[s] for s in range(len(parent)) if parent[s] == s and not frontier[s]]
-    own = _mark_totals(marks, fset)
-    orders = []
-    for k in range(len(total)):
-        rest = total[k] - own[k] - sum(c[k] for c in finished)
-        orders.append(sum(1 for c in finished if c[k]) + (rest > 0))
-    return orders
-
-
 class _SideIndex:
     """The side orders of small connected sets, read off one low-link DFS per
-    component (`graph._lowlink`) where the DFS tree decides them.
+    component (`graph._lowlink`).
 
     Every non-tree edge of a DFS joins an ancestor to a descendant (Tarjan
-    1972).  The components' preorders are laid end to end and every array
-    is indexed by preorder position, so the subtree of position i is the
-    interval [i, end[i]) and its children are i + 1, end[i + 1], ... below
-    end[i].  `mins[0]` holds each vertex's least neighbour position, and
-    `mins[j][i]` the least over [i, i + 2**j): a sparse table of range minima.
+    1972), so a vertex's lesser neighbours are its ancestors.  The
+    components' preorders are laid end to end and every array is indexed by
+    preorder position, so the subtree of position i is the interval
+    [i, end[i]) and its children are i + 1, end[i + 1], ... below end[i].
+    `upto[k][i]` counts the vertices qualifying for kind k before position
+    i.  `mins[0]` holds each vertex's least neighbour position, and
+    `mins[j][i]` the least over [i, i + 2**j): a sparse table of range
+    minima.  `lesser` is a merge-sort tree (Bentley 1979) on the iterative
+    segment tree over the positions: node j holds, sorted, the lesser
+    neighbour positions of every position below it.
 
-    `orders(F, total)` answers `_side_orders` for a connected F, or None:
-    - F a subtree of the DFS tree, topped by t: each child c outside F of a
-      vertex of F with low[c] >= t is a side of its own, with its subtree's
-      counts, and the rest of the component is one more, by subtraction;
-    - otherwise the tree less F falls into the piece that holds the root
-      and, under each child c outside F of a vertex of F, the subtree of c
-      less the subtrees of F inside it.  Its least neighbour lies above c,
-      as c's parent is in F; if it lies outside F, the piece joins one that
-      starts before c.  So if every piece's does, G - F has one side, by
-      induction on c.  Else it gives up; it always does when F holds the
-      root, as the neighbours above the first piece are then all in F.
+    `orders(F, total)` gives, per kind, the number of sides of a connected
+    F that hold a qualifying vertex; `total` counts the qualifying vertices
+    of F's component.  The tree less F falls into pieces: the one that holds
+    the root, unless F does, and under each kid, a child c outside F of a
+    vertex of F, the subtree of c less the subtrees of F inside it.
+    - (a) F a subtree of the DFS tree, topped by t: each kid c with
+      low[c] >= t is a side of its own, with its subtree's counts, and the
+      rest of the component is one more, by subtraction.
+    - (b) Otherwise a piece's least neighbour lies above its kid c, as c's
+      parent is in F; if it lies outside F, the piece joins one that starts
+      before c.  So if every piece's does, G - F has one side, by induction
+      on c.  This never holds when F holds the root, as the neighbours above
+      the first piece are then all in F.
+    - (c) Otherwise the pieces are joined exactly.  The piece under c can
+      meet only the pieces holding the segments of c's ancestor path between
+      F's vertices, and meets one exactly when one of its positions has a
+      lesser neighbour in that segment's position range, which `lesser`
+      answers by bisection; a union-find over the pieces counts the sides.
     """
 
     def __init__(self, adj: Mapping[int, tuple[int, ...]], comps: Iterable[tuple[int, ...]],
-                 marks: Mapping[int, tuple[int, ...]], mirror: bool = False):
+                 marks: Mapping[int, tuple[int, ...]]):
         self.marks = marks
         self.pos: dict[int, int] = {}
         self.parent: list[int] = []  # -1 at a root
         self.end: list[int] = []
         self.low: list[int] = []
-        self.below: list[list[int]] = [[] for _ in _KINDS]
+        self.upto: list[list[int]] = [[0] for _ in _KINDS]
         least: list[int] = []
+        lesser: list[list[int]] = []
         zero = (0,) * len(_KINDS)
         for comp in comps:
             base = len(self.parent)
-            if mirror:  # from the greatest vertex, each neighbour list reversed
-                walk = {v: adj[v][::-1] for v in comp}
-                order, parent, _, low = _lowlink(walk, comp[-1])
-            else:
-                order, parent, _, low = _lowlink(adj, comp[0])
+            order, parent, _, low = _lowlink(adj, comp[0])
             for i, v in enumerate(order, base):
                 self.pos[v] = i
-            for v in order:
+            for i, v in enumerate(order, base):
                 p = parent[v]
                 self.parent.append(-1 if p is None else self.pos[p])
                 self.low.append(base + low[v])
-                for k, flag in enumerate(marks.get(v, zero)):
-                    self.below[k].append(flag)
-                least.append(min(map(self.pos.__getitem__, adj[v])))
+                for upto, flag in zip(self.upto, marks.get(v, zero)):
+                    upto.append(upto[-1] + flag)
+                near = sorted(map(self.pos.__getitem__, adj[v]))
+                least.append(near[0])
+                lesser.append(near[:bisect_left(near, i)])
             self.end.extend(range(base + 1, len(self.parent) + 1))
             for i in range(len(self.parent) - 1, base, -1):
                 p = self.parent[i]
                 self.end[p] = max(self.end[p], self.end[i])
-                for below in self.below:
-                    below[p] += below[i]
         self.mins = [least]
         while 1 << len(self.mins) <= len(least):
             row, half = self.mins[-1], 1 << (len(self.mins) - 1)
             self.mins.append(list(map(min, row[:len(row) - half], row[half:])))
+        self.lesser = [[] for _ in lesser] + lesser
+        for j in range(len(lesser) - 1, 0, -1):
+            self.lesser[j] = sorted(self.lesser[2 * j] + self.lesser[2 * j + 1])
 
     def _least(self, lo: int, hi: int) -> int:
         """The least neighbour position over the positions [lo, hi)."""
@@ -227,7 +172,37 @@ class _SideIndex:
         row = self.mins[j]
         return min(row[lo], row[hi - (1 << j)])
 
-    def orders(self, F: tuple[int, ...], total: list[int]) -> list[int] | None:
+    def _meets(self, lo: int, hi: int, a: int, b: int) -> bool:
+        """Whether a position in [lo, hi) has a lesser neighbour in [a, b)."""
+        tree, lo, hi = self.lesser, lo + len(self.parent), hi + len(self.parent)
+        while lo < hi:
+            if lo & 1:
+                if bisect_left(tree[lo], a) < bisect_left(tree[lo], b):
+                    return True
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                if bisect_left(tree[hi], a) < bisect_left(tree[hi], b):
+                    return True
+            lo >>= 1
+            hi >>= 1
+        return False
+
+    def _piece(self, c: int, at: list[int]) -> list[tuple[int, int]]:
+        """The piece under c, a kid of the sorted positions `at` of F: its
+        positions as disjoint intervals, in increasing order."""
+        end = self.end
+        spans, lo = [], c
+        for i in at:
+            if lo <= i < end[c]:  # below c, and not below an earlier i
+                if lo < i:
+                    spans.append((lo, i))
+                lo = end[i]
+        if lo < end[c]:
+            spans.append((lo, end[c]))
+        return spans
+
+    def orders(self, F: tuple[int, ...], total: list[int]) -> list[int]:
         at = sorted(map(self.pos.__getitem__, F))
         parent, end, low = self.parent, self.end, self.low
         tops = [i for i in at if parent[i] not in at]
@@ -242,34 +217,65 @@ class _SideIndex:
         for v in F:
             if v in self.marks:
                 rest = [r - f for r, f in zip(rest, self.marks[v])]
-        if len(tops) == 1:
+        if len(tops) == 1:  # rule (a)
             apart = [0] * len(rest)  # per kind, the qualifying sides cut off
             for c in kids:
                 if low[c] >= tops[0]:  # c's subtree is a side of its own
-                    for k, below in enumerate(self.below):
-                        if below[c]:
+                    for k, upto in enumerate(self.upto):
+                        if upto[end[c]] > upto[c]:
                             apart[k] += 1
-                            rest[k] -= below[c]
+                            rest[k] -= upto[end[c]] - upto[c]
             return [a + (r > 0) for a, r in zip(apart, rest)]
-        for c in kids:
-            holes = [i for i in at if c < i < end[c]]
-            least = self._piece_least(c, holes) if holes else low[c]
-            if least in at:  # c's parent is in F, so least < c
-                return None
+        for c in kids:  # rule (b)
+            j = bisect_left(at, c)
+            if j < len(at) and at[j] < end[c]:  # F reaches below c
+                least = min(self._least(lo, hi) for lo, hi in self._piece(c, at))
+            else:
+                least = low[c]
+            if least in at:
+                return self._join(at, tops, kids, rest)
         return [int(r > 0) for r in rest]
 
-    def _piece_least(self, c: int, holes: list[int]) -> int:
-        """The least neighbour position over the subtree of c less the
-        subtrees of `holes`, the positions of F inside it, in increasing
-        order."""
-        least = lo = c
-        for i in holes:
-            if lo < i:
-                least = min(least, self._least(lo, i))
-            lo = max(lo, self.end[i])  # a hole inside an earlier one ends there too
-        if lo < self.end[c]:
-            least = min(least, self._least(lo, self.end[c]))
-        return least
+    def _join(self, at: list[int], tops: list[int], kids: list[int],
+              rest: list[int]) -> list[int]:
+        """Rule (c): the side orders from a union-find over the pieces under
+        `kids` and, last, the root's; `rest` counts the qualifying vertices
+        outside F."""
+        parent, end = self.parent, self.end
+        kids = sorted(kids)  # a kid below another comes after it
+        pieces = [self._piece(c, at) for c in kids]
+        up = list(range(len(kids) + 1))
+
+        def find(j: int) -> int:
+            while up[j] != j:
+                up[j] = j = up[up[j]]
+            return j
+
+        holder = {}  # each top of F below a root: the piece holding its parent
+        for t in tops:
+            if parent[t] >= 0:
+                holder[t] = max((j for j, c in enumerate(kids) if c <= parent[t] < end[c]),
+                                default=len(kids))
+        apart = len(kids)  # the joins still missing for one side
+        for j, (c, spans) in enumerate(zip(kids, pieces)):
+            least = min(self._least(lo, hi) for lo, hi in spans)
+            prev = -1  # the vertex of F above the segment, -1 above the root
+            for t in at:
+                if t < c < end[t]:
+                    # the segment is the positions (prev, t): the piece meets
+                    # it if least lies in it, and cannot if least lies past it
+                    if t in holder and least < t and find(j) != find(holder[t]):
+                        if prev < least or any(self._meets(lo, hi, prev + 1, t) for lo, hi in spans):
+                            up[find(j)] = find(holder[t])
+                            apart -= 1
+                    prev = t
+        if not apart:
+            return [int(r > 0) for r in rest]
+        counts = [[sum(upto[hi] - upto[lo] for lo, hi in spans) for upto in self.upto]
+                  for spans in pieces]
+        counts.append([r - sum(n[k] for n in counts) for k, r in enumerate(rest)])
+        # a side qualifies when one of its pieces does, as no count is negative
+        return [len({find(j) for j, n in enumerate(counts) if n[k]}) for k in range(len(rest))]
 
 
 def find_furcation_vertices(g: Graph, potential: Mapping[int, object], n: int,
@@ -376,9 +382,7 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
     only grows, and a nonvanishing side is also infinite.  A component with
     fewer than 2 flagged vertices has no such candidate and is not enumerated.
 
-    A candidate's side orders come from `_SideIndex` where its DFS tree
-    decides them, else from a second index rooted at each component's other
-    end, and only else from the search of `_side_orders`.
+    Every candidate's side orders come from one `_SideIndex`.
     """
     _check_s_max(s_max)
     adj = g.adjacency
@@ -392,7 +396,6 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
             total_of.update(dict.fromkeys(comp, total))
             comps.append(comp)
     index = _SideIndex(adj, comps, marks)
-    mirror = None  # built on first use
     candidates = _subsets_by_size(adj, sorted(total_of), s_max)
     used: set[int] = set()
     blocks: list[tuple[int, ...]] = []
@@ -401,14 +404,7 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
     for cand in candidates:
         if any(v in used for v in cand):
             continue
-        total = total_of[cand[0]]
-        orders = index.orders(cand, total)
-        if orders is None:
-            if mirror is None:
-                mirror = _SideIndex(adj, comps, marks, mirror=True)
-            orders = mirror.orders(cand, total)
-        if orders is None:
-            orders = _side_orders(adj, cand, marks, total)
+        orders = index.orders(cand, total_of[cand[0]])
         if orders[nv] >= 3:
             blocks.append(cand)
             phases.append(1)

@@ -7,7 +7,8 @@ minimal spanning forest by one connectivity search per edge, spanning
 forests by BFS connectivity, visibility by exhaustive simple-path search
 (and by one search per vertex, where that is too slow), cut witnesses by
 one kept-forest search per deleted edge, sides by a search of F's whole
-component (and by one search per neighbour of F), cycle-invariance by
+component (and by one search per neighbour of F), side orders of small
+sets by growing one search per neighbour of F, cycle-invariance by
 cycle enumeration, the furcation family by one side search per candidate
 per phase.  Most are exponential or quadratic, which is why they live here
 and not in the library.
@@ -16,7 +17,7 @@ and not in the library.
 import itertools
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import pytest
 
@@ -25,6 +26,7 @@ from wforest.ends import (
     NONVANISHING,
     FurcationFamily,
     ProxyParams,
+    _mark_totals,
     connected_subsets,
     qualifier,
 )
@@ -375,6 +377,75 @@ def sides_order(g: Graph, potential, F, params: ProxyParams, kind: str) -> int:
     """The number of sides of F holding a vertex `qualifier` accepts."""
     qualifies = qualifier(g, potential, params, kind)
     return sum(1 for side in side_pieces(g, F) if any(map(qualifies, side)))
+
+
+def _side_orders(adj: Mapping[int, tuple[int, ...]], F: Iterable[int],
+                 marks: Mapping[int, tuple[int, ...]], total: list[int]) -> list[int]:
+    """Per kind, the number of sides of the connected set F that hold a
+    qualifying vertex; `total` counts the qualifying vertices of F's component.
+
+    One F-avoiding search starts at each neighbour of F.  The searches still
+    growing take one vertex each in turn; two that meet merge (union-find over
+    search ids, joining frontiers and counts), and one whose frontier empties
+    is a finished side.  Every side touches F, so once at most one search
+    grows it holds all of the component that F and the finished sides leave,
+    and its counts follow by subtraction.  The work is that of the smaller
+    sides, as in Even and Shiloach's decremental connectivity (1981).
+    Reference for `ends._SideIndex`.
+    """
+    fset = set(F)
+    zero = (0,) * len(total)
+    owner: dict[int, int] = {}
+    parent: list[int] = []
+    frontier: list[list[int]] = []
+    counts: list[list[int]] = []
+    for x in fset:
+        for y in adj[x]:
+            if y not in fset and y not in owner:
+                owner[y] = len(parent)
+                parent.append(len(parent))
+                frontier.append([y])
+                counts.append(list(marks.get(y, zero)))
+
+    def find(s: int) -> int:
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    growing = list(range(len(parent)))
+    while len(growing) > 1:
+        for s in growing:
+            if parent[s] != s or not frontier[s]:
+                continue  # absorbed or finished earlier in this round
+            for z in adj[frontier[s].pop()]:
+                if z in fset:
+                    continue
+                o = owner.get(z)
+                if o is None:
+                    owner[z] = s
+                    frontier[s].append(z)
+                    if z in marks:
+                        counts[s] = [a + b for a, b in zip(counts[s], marks[z])]
+                    continue
+                r = find(o)
+                if r != s:
+                    parent[r] = s  # the growing search stays the root
+                    big, small = frontier[s], frontier[r]
+                    if len(big) < len(small):
+                        big, small = small, big
+                    big.extend(small)
+                    frontier[s], frontier[r] = big, []
+                    counts[s] = [a + b for a, b in zip(counts[s], counts[r])]
+        growing = [s for s in growing if parent[s] == s and frontier[s]]
+
+    finished = [counts[s] for s in range(len(parent)) if parent[s] == s and not frontier[s]]
+    own = _mark_totals(marks, fset)
+    orders = []
+    for k in range(len(total)):
+        rest = total[k] - own[k] - sum(c[k] for c in finished)
+        orders.append(sum(1 for c in finished if c[k]) + (rest > 0))
+    return orders
 
 
 def furcation_family_oracle(g: Graph, potential, params: ProxyParams,

@@ -12,7 +12,6 @@ from wforest.ends import (
     ProxyParams,
     _mark_totals,
     _qualifying_marks,
-    _side_orders,
     _SideIndex,
     collapsed_maximal_subforest,
     connected_subsets,
@@ -37,6 +36,7 @@ from wforest.graph import build_graph, components, edge_boundary, spanned_subgra
 from wforest.weights import EdgeOrder, level_potential, unit_potential
 
 from conftest import (
+    _side_orders,
     brute_visibility,
     furcation_family_oracle,
     is_heavy,
@@ -467,7 +467,8 @@ def test_connected_subsets_do_not_recurse():
 def test_family_memory_stays_small():
     """The family holds one candidate group at a time, not every candidate:
     at windmill(6,6) and s_max 4 the whole candidate list took about 1.1 MB
-    of traced memory, one group at a time takes about 0.06 MB."""
+    of traced memory; the family, one group at a time and with its side
+    index and merge-sort tree, peaks at about 0.18 MB."""
     import tracemalloc
     g = windmill(6, 6)
     pot = unit_potential(g)
@@ -522,13 +523,9 @@ def test_family_equals_sides_oracle(rand):
             assert got == want, (s_max, sorted(g.edges), g.boundary_vertices())
 
 
-def _index_paths(g, pot, params, s_max, paths):
-    """Holds the side index of `maximal_disjoint_furcations` equal to
-    `_side_orders` on every connected candidate of g up to s_max that it
-    would evaluate, and counts the path that answers each: (a) the first
-    index, F a DFS subtree; (b) the first index, one side proven from the
-    pieces; (c) the mirrored index; (d) the search alone."""
-    adj = g.adjacency
+def _side_index(g, pot, params):
+    """The side index `maximal_disjoint_furcations` builds for g, its marks,
+    and each indexed vertex's component totals."""
     marks = _qualifying_marks(g, pot, params, g.vertices)
     total_of, comps = {}, []
     for comp in components(g):
@@ -536,40 +533,77 @@ def _index_paths(g, pot, params, s_max, paths):
         if total[1] >= 2:  # two flagged vertices: the family enumerates no other component
             total_of.update(dict.fromkeys(comp, total))
             comps.append(comp)
-    index = _SideIndex(adj, comps, marks)
-    mirror = _SideIndex(adj, comps, marks, mirror=True)
+    return _SideIndex(g.adjacency, comps, marks), marks, total_of
+
+
+def _rule(index, adj, cand):
+    """The rule of `_SideIndex.orders` that answers cand: (a) F a DFS
+    subtree; (b) every DFS piece's least neighbour outside F, one side;
+    (c) the pieces joined."""
+    at = sorted(index.pos[v] for v in cand)
+    if sum(index.parent[i] not in at for i in at) == 1:
+        return "a"
+    kids = [c for c in {index.pos[y] for v in cand for y in adj[v]}
+            if index.parent[c] in at and c not in at]
+    if all(min(index._least(*span) for span in index._piece(c, at)) not in at for c in kids):
+        return "b"
+    return "c"
+
+
+def _index_rules(g, pot, params, s_max, rules):
+    """Holds the side index of `maximal_disjoint_furcations` equal to
+    `_side_orders` on every connected candidate of g up to s_max that it
+    would evaluate, and counts the rule that answers each."""
+    index, marks, total_of = _side_index(g, pot, params)
     for cand in connected_subsets(g, s_max):
-        if cand[0] not in total_of:
-            continue
-        total = total_of[cand[0]]
-        want = _side_orders(adj, cand, marks, total)
-        got = index.orders(cand, total)
-        if got is not None:
-            at = {index.pos[v] for v in cand}
-            path = "a" if sum(index.parent[i] not in at for i in at) == 1 else "b"
-        else:
-            got, path = mirror.orders(cand, total), "c"
-            if got is None:
-                got, path = want, "d"
-        assert got == want, (path, cand, sorted(g.edges), marks)
-        paths[path] += 1
+        if cand[0] in total_of:
+            total = total_of[cand[0]]
+            rule = _rule(index, g.adjacency, cand)
+            got = index.orders(cand, total)
+            assert got == _side_orders(g.adjacency, cand, marks, total), \
+                (rule, cand, sorted(g.edges), marks)
+            rules[rule] += 1
 
 
 def test_side_index_equals_side_orders(rand):
-    paths = Counter()
+    rules = Counter()
     for _ in range(300):
         g = _random_flagged_graph(rand)
-        _index_paths(g, random_potential(rand, g), _random_params(rand), 4, paths)
+        _index_rules(g, random_potential(rand, g), _random_params(rand), 4, rules)
     for ng in nx.graph_atlas_g()[1:]:
         if ng.number_of_nodes() and nx.is_connected(ng) and rand.random() < 0.3:
             share = rand.random()
             g = build_graph(sorted(ng.nodes), [tuple(e) for e in ng.edges], meta={
                 "boundary": frozenset(v for v in ng.nodes if rand.random() < share)})
-            _index_paths(g, random_potential(rand, g), _random_params(rand), 4, paths)
+            _index_rules(g, random_potential(rand, g), _random_params(rand), 4, rules)
     w = windmill(6, 6)
     for g, pot in _family_cases() + [(w, unit_potential(w))]:
-        _index_paths(g, pot, ProxyParams(), 4, paths)
-    assert min(paths[p] for p in "abcd") > 0, paths
+        _index_rules(g, pot, ProxyParams(), 4, rules)
+    gp = gp_graph(2, 3, 5)  # true separators whose pieces nest: most of rule (c)'s work
+    _index_rules(gp, level_potential(gp, F(1, 2)), ProxyParams(), 3, rules)
+    assert min(rules[r] for r in "abc") > 0, rules
+
+
+@pytest.mark.parametrize("edges, boundary, cand, want", [
+    # F holds the DFS root 0, so no piece reaches above itself: three sides
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (5, 7), (0, 6)], {4, 6, 7}, (0, 5), 3),
+    # DFS path 0-...-6: the piece {5, 6} under F's 4 meets both segments of
+    # its ancestor path, {0, 1} and {3}, which are otherwise apart: one side
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 4), (1, 6), (3, 6)], {0, 3}, (2, 4), 1),
+    # DFS path 0-...-6, then 7 under 4: F's 5 lies in the subtree of F's 3,
+    # below 4 outside F, and that subtree goes on past 5's to 7, so the piece
+    # under 2 leaves out the subtree of 3 once: sides {0}, {2, 4, 7} and {6}
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3), (3, 5), (2, 4), (4, 7)],
+     {0, 2, 6, 7}, (1, 3, 5), 3),
+])
+def test_side_index_joins_pieces(edges, boundary, cand, want):
+    g = build_graph(range(1 + max(map(max, edges))), edges, meta={"boundary": frozenset(boundary)})
+    pot, params = unit_potential(g), ProxyParams()
+    index, marks, total_of = _side_index(g, pot, params)
+    assert _rule(index, g.adjacency, cand) == "c"
+    got = index.orders(cand, total_of[cand[0]])
+    assert got == _side_orders(g.adjacency, cand, marks, total_of[cand[0]])
+    assert got == [sides_order(g, pot, cand, params, kind) for kind in _KINDS] == [want] * 2
 
 
 def test_furcation_order_equals_sides_count(rand):
