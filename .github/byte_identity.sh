@@ -24,7 +24,9 @@ outputs=(gp.json box.json windmill.json tree.json cycle.json gnm.json fp.json
          windmill-analyze.json gp-analyze.json
          windmill66-collapse.json windmill66-family.json windmill66-analyze.json
          gp-collapse4.json gp-family4.json gp-analyze4.json
-         box-analyze.json fp-forest.json)
+         box-analyze.json fp-forest.json
+         fp-sweep.jsonl fp-sweep.csv gnm-sweep.jsonl gnm-sweep.csv
+         windmill66-sweep.jsonl windmill66-sweep.csv gp-forest.json windmill66-forest.json)
 demos=(01_weighted_forest_basics 02_grandparent_weights 03_windmill_collapse
        04_percolation_sweep)
 for d in "${demos[@]}"; do
@@ -62,7 +64,18 @@ run_tree() {
             -o gp-order.jsonl --summary gp-order.csv
         wf percolate box.json unit.json --p-grid 0.5,0.7 --trials 2 --seed 4 \
             -o box-sweep.jsonl --summary box-sweep.csv
+        # the sweep core on ids that are a free product's, on a random graph,
+        # and at a delta that flags part of each windmill cluster
+        wf percolate fp.json levels.json --p-grid 0.4,0.7,1 --seed 3 \
+            -o fp-sweep.jsonl --summary fp-sweep.csv
+        wf percolate gnm.json unit.json --p-grid 0.3,0.6,0.9 --trials 2 --seed 5 \
+            -o gnm-sweep.jsonl --summary gnm-sweep.csv
+        wf percolate windmill66.json unit.json --p-grid 0.6,0.8 --delta 1/2 --seed 6 \
+            -o windmill66-sweep.jsonl --summary windmill66-sweep.csv
         wf forest box.json unit.json --check-witnesses -o box-forest.json
+        wf forest gp.json levels.json --check-witnesses -o gp-forest.json
+        wf forest windmill66.json unit.json --tiebreak meta --check-witnesses \
+            -o windmill66-forest.json
         printf '[[0,1],[1,3],[0,256]]' > fixed.json  # a path of GP edges
         wf forest gp.json levels.json --fixed fixed.json --check-witnesses \
             -o gp-forest-fixed.json

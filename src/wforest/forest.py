@@ -10,10 +10,18 @@ polynomial certificate: each deleted edge is shown least on one cycle, or
 below a partner across a cut.  The literal cycle-enumeration reading and
 the classical free minimal spanning forest are exponential or quadratic, so
 they live with the test suite, which holds the greedy equal to both.
+
+Both run on dense integer positions: a vertex is its position in
+``g.vertices`` and an edge its position in ``g.ordered_edges``, with each
+edge's end positions in two lists (`_edge_ends`) and its int key in a
+third.  `_greedy`, `_root` and `_scan_witnesses` are that array core;
+`maximal_subforest` and `check_cut_witnesses` translate a graph and an
+`EdgeOrder` into it and its answer back into edges, and a percolation
+sweep calls it directly on every run.  Vertex ids appear only in messages.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     FixedSetCyclic,
@@ -25,10 +33,7 @@ from .errors import (
 from .graph import (
     Edge,
     Graph,
-    _adjacency,
-    _bfs_forest,
     _host_edges,
-    _tree_walk,
     induced_subgraph,
     is_connected_set,
     is_cycle_invariant,
@@ -50,6 +55,47 @@ class ForestResult:
             raise InvariantViolation("fixed edges must survive into the forest")
 
 
+def _edge_ends(g: Graph) -> tuple[list[int], list[int]]:
+    """Per edge of g, in canonical order, the positions of its lesser and
+    of its greater end."""
+    at = {v: i for i, v in enumerate(g.vertices)}
+    return ([at[u] for u, _ in g.ordered_edges], [at[v] for _, v in g.ordered_edges])
+
+
+def _positions(g: Graph, edges: Iterable[Edge]) -> list[int]:
+    """The positions of `edges` in g's canonical order, increasing; an edge
+    outside g raises `UnknownId`."""
+    eset = _host_edges(g, edges)
+    return [i for i, e in enumerate(g.ordered_edges) if e in eset]
+
+
+def _greedy(n: int, eu: Sequence[int], ev: Sequence[int],
+            edges: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Take `edges` in turn on n vertices: an edge whose ends some earlier
+    kept edges join is deleted, every other edge is kept.  Returns (kept,
+    deleted), each in the order taken.  A list union-find, by size with path
+    halving."""
+    parent = list(range(n))
+    size = [1] * n
+    kept: list[int] = []
+    deleted: list[int] = []
+    for i in edges:
+        a, b = eu[i], ev[i]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            deleted.append(i)
+            continue
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        kept.append(i)
+    return kept, deleted
+
+
 def maximal_subforest(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = ()) -> ForestResult:
     """Delete from each simple cycle its order-least edge outside `fixed`.
 
@@ -61,19 +107,18 @@ def maximal_subforest(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = ()) ->
     for e in h:
         if e not in g.edges:
             raise UnknownId(f"fixed edge {e} not in graph")
-    uf = UnionFind(g.vertices)
-    for u, v in sorted(h):
-        if not uf.union(u, v):
-            raise FixedSetCyclic(f"fixed edge set closes a cycle at {(u, v)}")
-    kept = set(h)
-    deleted = []
-    rest = sorted((e for e in g.edges if e not in h), key=order.key, reverse=True)
-    for e in rest:
-        if uf.union(*e):
-            kept.add(e)
-        else:
-            deleted.append(e)
-    return ForestResult(kept=frozenset(kept), deleted=frozenset(deleted), fixed=h)
+    edges = g.ordered_edges
+    key = list(map(order.key, edges))
+    pinned = [i for i, e in enumerate(edges) if e in h]
+    rest = sorted((i for i, e in enumerate(edges) if e not in h),
+                  key=key.__getitem__, reverse=True)
+    kept, deleted = _greedy(len(g.vertices), *_edge_ends(g), pinned + rest)
+    # the pinned edges go first, so one of them closes a cycle iff the
+    # first deleted edge is pinned
+    if deleted and edges[deleted[0]] in h:
+        raise FixedSetCyclic(f"fixed edge set closes a cycle at {edges[deleted[0]]}")
+    return ForestResult(kept=frozenset(map(edges.__getitem__, kept)),
+                        deleted=frozenset(map(edges.__getitem__, deleted)), fixed=h)
 
 
 class CutWitnessReport(NamedTuple):
@@ -85,23 +130,118 @@ class CutWitnessReport(NamedTuple):
         return not self.violations
 
 
-def _root_forest(g: Graph, kept: frozenset[Edge]):
-    """Root every tree of the kept forest at its least vertex (`_bfs_forest`
-    on the kept edges' own adjacency).  A tree has one path from each vertex
-    to its root, so the parents and depths do not depend on the order of
-    the neighbours, and any breadth-first order lists a parent before its
-    children: the kept edges are not sorted.
+class _Rooted(NamedTuple):
+    """A forest on vertex positions, each tree rooted at its least vertex:
+    per vertex its parent and the edge to it (-1 at a root), its depth and
+    its root, and a breadth-first order, which lists a parent before its
+    children."""
+    parent: list[int]
+    up: list[int]
+    depth: list[int]
+    root: list[int]
+    order: list[int]
 
-    Returns (parent, depth, root).  A kept set with a cycle cannot come from
-    any producer and raises `InvariantViolation`: a forest with t trees on n
-    vertices has exactly n - t edges.
+
+def _root(n: int, eu: Sequence[int], ev: Sequence[int], kept: Sequence[int]) -> _Rooted:
+    """Root every tree of the forest of the `kept` edges on n vertices.  A
+    tree has one path from each vertex to its root, so the parents and
+    depths do not depend on the order of the edges.
+
+    A kept set with a cycle cannot come from any producer and raises
+    `InvariantViolation`: a forest with t trees on n vertices has exactly
+    n - t edges.
     """
-    adjacency = _adjacency(g.vertices, _host_edges(g, kept))
-    parent, depth, root = _bfs_forest(adjacency, g.vertices)
-    trees = sum(1 for p in parent.values() if p is None)
-    if len(kept) != len(g.vertices) - trees:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i in kept:
+        adj[eu[i]].append(i)
+        adj[ev[i]].append(i)
+    parent, up, depth, root = [-1] * n, [-1] * n, [0] * n, [-1] * n
+    order: list[int] = []
+    trees = 0
+    for r in range(n):
+        if root[r] >= 0:
+            continue
+        trees += 1
+        root[r] = r
+        queue = [r]
+        for x in queue:
+            for i in adj[x]:
+                y = eu[i] + ev[i] - x  # the other end
+                if root[y] < 0:
+                    root[y] = r
+                    parent[y] = x
+                    up[y] = i
+                    depth[y] = depth[x] + 1
+                    queue.append(y)
+        order += queue
+    if len(kept) != n - trees:
         raise InvariantViolation("kept edges close a cycle")
-    return parent, depth, root
+    return _Rooted(parent, up, depth, root, order)
+
+
+def _path(rooted: _Rooted, u: int, v: int) -> list[int]:
+    """The edges of the u-v path of a rooted forest (u and v in one tree),
+    in walk order from u to v: climb from both ends to where they meet."""
+    parent, up, depth = rooted.parent, rooted.up, rooted.depth
+    head: list[int] = []
+    tail: list[int] = []
+    while depth[u] > depth[v]:
+        head.append(up[u])
+        u = parent[u]
+    while depth[v] > depth[u]:
+        tail.append(up[v])
+        v = parent[v]
+    while u != v:
+        head.append(up[u])
+        tail.append(up[v])
+        u, v = parent[u], parent[v]
+    tail.reverse()
+    return head + tail
+
+
+def _scan_witnesses(rooted: _Rooted, eu: Sequence[int], ev: Sequence[int],
+                    key: Sequence[int | None], deleted: Iterable[int],
+                    edges: Iterable[int], names: Sequence[Edge]):
+    """`check_cut_witnesses` on positions: the kept forest as `_root` rooted
+    it, each edge's int key (None at a fixed edge, which is never a
+    violation or a witness), the deleted edges in the order their
+    violations are listed, the edges a cut edge's partner is sought among,
+    and each edge's name for the messages.
+
+    Each kept path is one `_path`, read in walk order: the first loose
+    (non-fixed) edge below e is the violation, else the greatest loose edge
+    is the witness.  Returns the violations as (edge, reason) and the
+    witnesses as {edge: witness}, both on positions.
+    """
+    root = rooted.root
+    violations: list[tuple[int, str]] = []
+    witnesses: dict[int, int] = {}
+    for d in deleted:
+        u, v, floor = eu[d], ev[d], key[d]
+        if root[u] == root[v]:
+            best, top = -1, floor
+            for f in _path(rooted, u, v):
+                k = key[f]
+                if k is None:
+                    continue
+                if k < floor:
+                    violations.append((d, f"kept-path edge {names[f]} is below the deleted edge"))
+                    break
+                if k > top:
+                    best, top = f, k
+            else:
+                if best >= 0:
+                    witnesses[d] = best
+            continue
+        r = root[u]
+        # no kept (so no fixed) edge crosses the cut, and e is not above itself
+        partners = [f for f in edges
+                    if (root[eu[f]] == r) != (root[ev[f]] == r) and key[f] > floor]
+        if partners:
+            witnesses[d] = min(partners, key=key.__getitem__)
+        else:
+            violations.append((d, "no greater boundary partner for a cut edge"))
+    return violations, witnesses
 
 
 def check_cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder) -> CutWitnessReport:
@@ -115,49 +255,15 @@ def check_cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder) -> Cut
     the component must be order-greater.  Report-only, except that a kept
     set with a cycle raises `InvariantViolation`.
     """
-    return _cut_witnesses(g, result, order, _root_forest(g, result.kept))
-
-
-def _cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder,
-                   rooted) -> CutWitnessReport:
-    """`check_cut_witnesses` on the kept forest as `_root_forest` rooted it.
-    Each kept path is one `_tree_walk`, read in walk order: the first loose
-    (non-fixed) edge below e is the violation, else the greatest loose edge
-    is the witness."""
-    violations: list[tuple[Edge, str]] = []
-    witnesses: dict[Edge, Edge] = {}
-    parent, depth, root = rooted
-    key = order.key
-    loose_key = {f: key(f) for f in result.kept if f not in result.fixed}
-    for e in sorted(result.deleted):
-        u, v = e
-        floor = key(e)
-        if root[u] == root[v]:
-            walk = _tree_walk(parent, depth, u, v)
-            best, top = None, floor
-            for a, b in zip(walk, walk[1:]):
-                f = (a, b) if a < b else (b, a)
-                k = loose_key.get(f)
-                if k is None:
-                    continue
-                if k < floor:
-                    violations.append((e, f"kept-path edge {f} is below the deleted edge"))
-                    break
-                if k > top:
-                    best, top = f, k
-            else:
-                if best is not None:
-                    witnesses[e] = best
-            continue
-        r = root[u]
-        # no kept (so no fixed) edge crosses the cut, and e is not above itself
-        partners = [f for f in g.edges
-                    if (root[f[0]] == r) != (root[f[1]] == r) and key(f) > floor]
-        if partners:
-            witnesses[e] = min(partners, key=key)
-        else:
-            violations.append((e, "no greater boundary partner for a cut edge"))
-    return CutWitnessReport(violations=tuple(violations), witnesses=witnesses)
+    names = g.ordered_edges
+    eu, ev = _edge_ends(g)
+    rooted = _root(len(g.vertices), eu, ev, _positions(g, result.kept))
+    key = [None if e in result.fixed else order.key(e) for e in names]
+    violations, witnesses = _scan_witnesses(
+        rooted, eu, ev, key, _positions(g, result.deleted), range(len(names)), names)
+    return CutWitnessReport(
+        violations=tuple((names[d], why) for d, why in violations),
+        witnesses={names[d]: names[f] for d, f in witnesses.items()})
 
 
 def restrict_forest(g: Graph, result: ForestResult, order: EdgeOrder,

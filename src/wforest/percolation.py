@@ -4,6 +4,15 @@ maximal spanning forest over a configuration, and sweep harnesses.
 All randomness is counter-based and keyed by (seed, domain, edge index), so
 edge decisions are order-independent: the same seed gives monotone-coupled
 configurations across p, and records are byte-reproducible.
+
+Every stage runs on dense integer positions, as `forest` does: a vertex is
+its position in ``g.vertices`` and an edge its position in
+``g.ordered_edges``, the index its draws are keyed by.  A sweep builds its
+host's positions once (`_Host`); each run then keeps its open edges, label
+ranks, keys, clusters, union-find forest and rooting in lists, and names a
+vertex by its id only in a record's basepoints and in a message.
+`bernoulli_sample`, `assign_labels`, `fwmsf` and `cluster_report` translate
+edges and vertices into that same core and back.
 """
 
 import json
@@ -11,7 +20,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadParams,
@@ -21,10 +30,18 @@ from .errors import (
     NotWeightPreserving,
 )
 from .ends import ProxyParams, _component_side_counts
-from .forest import ForestResult, _cut_witnesses, _root_forest, maximal_subforest
+from .forest import (
+    ForestResult,
+    _edge_ends,
+    _greedy,
+    _positions,
+    _root,
+    _Rooted,
+    _scan_witnesses,
+)
 from .graph import Edge, Graph, components, edge, spanned_subgraph
 from .rng import subseed, threshold, u64s
-from .weights import EdgeOrder, RankedPotential, exact_potential, ranked_potential
+from .weights import RankedPotential, exact_potential, ranked_potential
 
 # Clusters per sweep run whose heaviest vertex is a visibility basepoint.
 VISIBILITY_BASEPOINTS = 8
@@ -38,20 +55,32 @@ class PercolationConfig:
     seed: int
 
 
+def _opened(p: float, seed: int, m: int) -> list[int]:
+    """The open edge positions of m edges: each edge's keyed 64-bit draw
+    compared against the p-threshold (hence monotone in p)."""
+    if not 0.0 <= p <= 1.0:
+        raise BadProbability(f"p={p} outside [0, 1]")
+    cut = threshold(p)
+    return [i for i, x in enumerate(u64s(seed, "open", m)) if x < cut]
+
+
 def bernoulli_sample(g: Graph, p: float, seed: int) -> PercolationConfig:
     """Each edge open independently with probability p, decided by comparing
     its keyed 64-bit draw against the p-threshold (hence monotone in p).
     An edge's draw index is its position in the canonical edge order."""
-    if not 0.0 <= p <= 1.0:
-        raise BadProbability(f"p={p} outside [0, 1]")
-    cut = threshold(p)
     edges = g.ordered_edges
-    open_edges = frozenset(e for e, x in zip(edges, u64s(seed, "open", len(edges))) if x < cut)
+    open_edges = frozenset(map(edges.__getitem__, _opened(p, seed, len(edges))))
     return PercolationConfig(host=g, open_edges=open_edges, p=p, seed=seed)
 
 
 def full_config(g: Graph) -> PercolationConfig:
     return PercolationConfig(host=g, open_edges=frozenset(g.edges), p=1.0, seed=0)
+
+
+def _by_label(label, items: Sequence) -> list:
+    """`items`, listed in increasing order, sorted by decreasing label; the
+    sort is stable, so equal labels keep the lesser item first."""
+    return sorted(items, key=label.__getitem__, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -63,11 +92,7 @@ class LabelAssignment:
     collisions: tuple[tuple[Edge, Edge], ...] = ()
 
     def ranks(self, edges=None) -> dict[Edge, int]:
-        label = self.labels.__getitem__
-        ordered = sorted(self.labels if edges is None else edges, key=label, reverse=True)
-        if len(set(map(label, ordered))) < len(ordered):
-            # equal labels: break the tie by the edge itself
-            ordered.sort(key=lambda e: (-label(e), e))
+        ordered = _by_label(self.labels, sorted(self.labels if edges is None else edges))
         return {e: i for i, e in enumerate(ordered)}
 
 
@@ -90,54 +115,151 @@ def assign_labels(g: Graph, seed: int) -> LabelAssignment:
     return LabelAssignment(labels=labels, collisions=tuple(collisions))
 
 
-@dataclass(frozen=True)
-class _OpenRun:
-    """The open subgraph of one configuration, with what every stage of a
-    sweep run reads from it; built once per run.  The open subgraph has the
-    host's vertex set, so the host's ranked potential serves it unchanged."""
-    sub: Graph
-    ranked: RankedPotential
-    clusters: list[tuple[int, ...]]
-    tops: list[int]                   # per cluster, its greatest vertex rank
+class _Host(NamedTuple):
+    """A graph and a ranked potential on it as positions, built once per
+    sweep: the open subgraph of every run has the host's vertex set, so the
+    host's ranks serve it unchanged."""
+    g: Graph
+    eu: list[int]            # per edge, its lesser end
+    ev: list[int]            # per edge, its greater end
+    low: list[int]           # per edge, the lesser potential rank of its ends
+    rank: list[int]          # per vertex, its potential rank
+    levels: list[Fraction]   # the distinct potential values, increasing
+    flagged: list[bool]      # per vertex, its truncation-boundary flag
 
 
-def _open_run(host: Graph, opened: Iterable[Edge], ranked: RankedPotential) -> _OpenRun:
-    """The run of the open edges `opened`."""
-    sub = spanned_subgraph(host, opened)
-    clusters = components(sub)
-    rank = ranked.rank
-    tops = [max(map(rank.__getitem__, comp)) for comp in clusters]
-    return _OpenRun(sub=sub, ranked=ranked, clusters=clusters, tops=tops)
+def _host(g: Graph, ranked: RankedPotential) -> _Host:
+    eu, ev = _edge_ends(g)
+    rank = list(map(ranked.rank.__getitem__, g.vertices))
+    low = list(map(min, map(rank.__getitem__, eu), map(rank.__getitem__, ev)))
+    flags = g.boundary_vertices()
+    return _Host(g, eu, ev, low, rank, ranked.levels, [v in flags for v in g.vertices])
 
 
-def _nonvanishing(run: _OpenRun, delta: Fraction) -> frozenset[int]:
-    """The flagged vertices whose potential is at least delta times their
-    cluster's greatest, `ends.qualifier` at cluster-relative potentials.
-
-    potential >= delta * top is rank >= the first level position not below
-    delta * top (`bisect_left`): one multiplication per cluster, then int
-    comparisons.
-    """
-    flagged = run.sub.boundary_vertices()
-    levels, rank = run.ranked.levels, run.ranked.rank
-    out = []
-    for comp, top in zip(run.clusters, run.tops):
-        cut = bisect_left(levels, delta * levels[top])
-        out.extend(v for v in comp if v in flagged and rank[v] >= cut)
-    return frozenset(out)
-
-
-def _forest(run: _OpenRun, labels: LabelAssignment) -> tuple[EdgeOrder, ForestResult]:
-    order = EdgeOrder._ranked(run.sub, run.ranked, labels.ranks(run.sub.edges))
-    return order, maximal_subforest(run.sub, order)
+def _keys(host: _Host, opened: list[int],
+          label: Sequence[int] | Mapping[int, int]) -> tuple[list[int | None], list[int]]:
+    """The strict order on the open edges, whose labels `label` holds by
+    edge position: an edge's key is its lesser end rank times k, the number
+    of open edges, plus its label rank, the same int that `EdgeOrder.key`
+    gives under the tiebreak `LabelAssignment.ranks`.  Returns the keys by
+    edge position (None at a closed edge) and the open edges in decreasing
+    key order."""
+    low, k = host.low, len(opened)
+    key: list[int | None] = [None] * len(low)
+    ranked = _by_label(label, opened)
+    for r, i in enumerate(ranked):
+        key[i] = low[i] * k + r
+    # decreasing label rank, stably sorted by decreasing end rank: a sort
+    # over the few distinct end ranks
+    ranked.reverse()
+    return key, sorted(ranked, key=low.__getitem__, reverse=True)
 
 
 def fwmsf(cfg: PercolationConfig, potential: Mapping[int, object],
           labels: LabelAssignment) -> ForestResult:
     """Weighted maximal subforest of the open subgraph under the random
     tiebreak; the weighted generalization of the free minimal forest."""
-    run = _open_run(cfg.host, cfg.open_edges, ranked_potential(cfg.host, potential))
-    return _forest(run, labels)[1]
+    host = _host(cfg.host, ranked_potential(cfg.host, potential))
+    opened = _positions(cfg.host, cfg.open_edges)
+    names = cfg.host.ordered_edges
+    _, desc = _keys(host, opened, {i: labels.labels[names[i]] for i in opened})
+    kept, deleted = _greedy(len(host.rank), host.eu, host.ev, desc)
+    return ForestResult(kept=frozenset(map(names.__getitem__, kept)),
+                        deleted=frozenset(map(names.__getitem__, deleted)), fixed=frozenset())
+
+
+def _clusters(host: _Host, opened: list[int]
+              ) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """The clusters of the open subgraph, by one breadth-first search each
+    over its adjacency lists, in search order from their least vertex and
+    ordered by it.  Returns them, each one's greatest vertex rank, and the
+    adjacency lists."""
+    n, eu, ev, rank = len(host.rank), host.eu, host.ev, host.rank
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i in opened:
+        adj[eu[i]].append(ev[i])
+        adj[ev[i]].append(eu[i])
+    seen = [False] * n
+    clusters = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for x in comp:
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+        clusters.append(comp)
+    return clusters, [max(map(rank.__getitem__, comp)) for comp in clusters], adj
+
+
+def _nonvanishing(host: _Host, clusters: list[list[int]], tops: list[int],
+                  delta: Fraction) -> frozenset[int]:
+    """The flagged vertices whose potential is at least delta times their
+    cluster's greatest, `ends.qualifier` at cluster-relative potentials.
+
+    potential >= delta * top is rank >= the first level position not below
+    delta * top (`bisect_left`): one multiplication per distinct top, then
+    int comparisons.
+    """
+    levels, rank, flagged = host.levels, host.rank, host.flagged
+    cuts: dict[int, int] = {}  # by top rank: one bisection per distinct top
+    out = []
+    for comp, top in zip(clusters, tops):
+        if top not in cuts:
+            cuts[top] = bisect_left(levels, delta * levels[top])
+        cut = cuts[top]
+        out.extend(v for v in comp if flagged[v] and rank[v] >= cut)
+    return frozenset(out)
+
+
+class _ClusterStat(NamedTuple):
+    mass: Fraction
+    cls: str                      # "heavy" | "light"
+    side_max: int
+
+
+def _cluster_report(host: _Host, adj: list[list[int]], clusters: list[list[int]],
+                    tops: list[int], nonvanishing: frozenset[int],
+                    params: ProxyParams) -> tuple[list[_ClusterStat], dict]:
+    """`cluster_report` on positions: each cluster's mass, class and side
+    count, and the counts.  A cluster is heavy when its mass relative to
+    its heaviest vertex is at least heavy_tau, or when it holds a
+    nonvanishing vertex.
+
+    Only a cluster with two or more nonvanishing vertices runs the low-link
+    DFS for its side counts.  With none, every count is 0; with one, q,
+    every other vertex has q on exactly one of its sides and q has none, so
+    the greatest count is 1 unless q is alone.
+    """
+    levels, rank = host.levels, host.rank
+    stats = []
+    n_heavy = 0
+    for comp, top in zip(clusters, tops):
+        hits = len(nonvanishing.intersection(comp))
+        if hits >= 2:
+            side_max = max(_component_side_counts(adj, comp[0], nonvanishing.__contains__)
+                           .values())
+        else:
+            side_max = int(hits == 1 and len(comp) > 1)
+        if len(comp) == 1:
+            mass = Fraction(1)  # a vertex relative to itself
+        else:
+            # the exact potential sum, one Fraction product per distinct value
+            per_level = Counter(map(rank.__getitem__, comp))
+            mass = sum(levels[r] * n for r, n in per_level.items()) / levels[top]
+        heavy = mass >= params.heavy_tau or hits > 0
+        n_heavy += heavy
+        stats.append(_ClusterStat(mass, "heavy" if heavy else "light", side_max))
+    counts = {
+        "count": len(stats),
+        "heavy": n_heavy,
+        "light": len(stats) - n_heavy,
+        "largest": max(map(len, clusters), default=0),
+    }
+    return stats, counts
 
 
 @dataclass(frozen=True)
@@ -159,54 +281,15 @@ def cluster_report(cfg: PercolationConfig, potential: Mapping[int, object],
     """Clusters of the open subgraph with masses relative to each cluster's
     heaviest vertex, heavy/light proxy classes, and the max number of
     nonvanishing-proxy sides over single-vertex furcations."""
-    run = _open_run(cfg.host, cfg.open_edges, ranked_potential(cfg.host, potential))
-    return _cluster_report(run, params, _nonvanishing(run, params.nonvanish_delta))
-
-
-def _cluster_report(run: _OpenRun, params: ProxyParams,
-                    nonvanishing: frozenset[int]) -> ClusterReport:
-    """`cluster_report` of one run.  A cluster is heavy when its mass
-    relative to its heaviest vertex is at least heavy_tau, or when it holds
-    a nonvanishing vertex.
-
-    Only a cluster with two or more nonvanishing vertices runs the low-link
-    DFS for its side counts.  With none, every count is 0; with one, q,
-    every other vertex has q on exactly one of its sides and q has none, so
-    the greatest count is 1 unless q is alone.
-    """
-    adj = run.sub.adjacency
-    levels, rank = run.ranked.levels, run.ranked.rank
-    infos = []
-    n_heavy = 0
-    for comp, top in zip(run.clusters, run.tops):
-        hits = len(nonvanishing.intersection(comp))
-        if hits >= 2:
-            side_max = max(_component_side_counts(adj, comp[0], nonvanishing.__contains__)
-                           .values())
-        else:
-            side_max = int(hits == 1 and len(comp) > 1)
-        if len(comp) == 1:
-            mass = Fraction(1)  # a vertex relative to itself
-        else:
-            # the exact potential sum, one Fraction product per distinct value
-            per_level = Counter(map(rank.__getitem__, comp))
-            mass = sum(levels[r] * n for r, n in per_level.items()) / levels[top]
-        heavy = mass >= params.heavy_tau or hits > 0
-        cls = "heavy" if heavy else "light"
-        n_heavy += cls == "heavy"
-        infos.append(ClusterInfo(
-            vertices=comp,
-            mass=mass,
-            cls=cls,
-            nonvanishing_side_count_max=side_max,
-        ))
-    counts = {
-        "count": len(infos),
-        "heavy": n_heavy,
-        "light": len(infos) - n_heavy,
-        "largest": max((len(c.vertices) for c in infos), default=0),
-    }
-    return ClusterReport(clusters=tuple(infos), counts=counts)
+    host = _host(cfg.host, ranked_potential(cfg.host, potential))
+    clusters, tops, adj = _clusters(host, _positions(cfg.host, cfg.open_edges))
+    nonvanishing = _nonvanishing(host, clusters, tops, params.nonvanish_delta)
+    stats, counts = _cluster_report(host, adj, clusters, tops, nonvanishing, params)
+    ids = cfg.host.vertices
+    infos = tuple(ClusterInfo(vertices=tuple(sorted(map(ids.__getitem__, comp))), mass=s.mass,
+                              cls=s.cls, nonvanishing_side_count_max=s.side_max)
+                  for comp, s in zip(clusters, stats))
+    return ClusterReport(clusters=infos, counts=counts)
 
 
 def largest_cluster_fraction(cfg: PercolationConfig) -> float:
@@ -267,100 +350,103 @@ def sweep(g: Graph, potential: Mapping[int, object], p_grid, trials: int,
         raise BadParams(f"trials must be >= 1, got {trials}")
     jobs = [(float(p), t, subseed(seed, "run", pi, t))
             for pi, p in enumerate(p_grid) for t in range(trials)]
-    # validated and ranked once, here, so a bad potential fails before any run
-    ranked = ranked_potential(g, potential)
-    return [_run_once(g, ranked, params, job) for job in jobs]
+    # validated, ranked and laid out once, here, so a bad potential fails
+    # before any run
+    host = _host(g, ranked_potential(g, potential))
+    return [_run_once(host, params, job) for job in jobs]
 
 
-def _run_once(g: Graph, ranked: RankedPotential, params: ProxyParams,
-              job: tuple[float, int, int]) -> dict:
+def _run_once(host: _Host, params: ProxyParams, job: tuple[float, int, int]) -> dict:
     p, trial, run_seed = job
-    opened = bernoulli_sample(g, p, run_seed).open_edges
-    labels = assign_labels(g, run_seed)
-    run = _open_run(g, opened, ranked)
-    order, forest = _forest(run, labels)
-    # kept is acyclic, so it has |V| - |kept| trees; they are exactly the
+    g, n, m = host.g, len(host.rank), len(host.eu)
+    opened = _opened(p, run_seed, m)
+    labels = u64s(run_seed, "label", m)
+    key, desc = _keys(host, opened, labels)
+    kept, deleted = _greedy(n, host.eu, host.ev, desc)
+    clusters, tops, adj = _clusters(host, opened)
+    # kept is acyclic, so it has n - |kept| trees; they are exactly the
     # clusters iff the counts agree, and the tree stages below rely on it
-    trees = len(g.vertices) - len(forest.kept)
-    if trees != len(run.clusters):
+    trees = n - len(kept)
+    if trees != len(clusters):
         raise InvariantViolation(
             f"forest has {trees} trees but the open subgraph has "
-            f"{len(run.clusters)} clusters (p={p}, seed={run_seed}, trial={trial})")
-    nonvanishing = _nonvanishing(run, params.nonvanish_delta)
-    report = _cluster_report(run, params, nonvanishing)
+            f"{len(clusters)} clusters (p={p}, seed={run_seed}, trial={trial})")
+    nonvanishing = _nonvanishing(host, clusters, tops, params.nonvanish_delta)
+    stats, counts = _cluster_report(host, adj, clusters, tops, nonvanishing, params)
 
     # the kept forest, rooted once for its side counts and its witnesses
-    rooted = _root_forest(run.sub, forest.kept)
+    rooted = _root(n, host.eu, host.ev, kept)
     # count the trees whose internal structure shows >= 3 nonvanishing-proxy
     # directions; a tree's vertices and relative weights are its cluster's
     tree_side = _tree_side_counts(rooted, nonvanishing)
-    trees_3plus = sum(1 for comp in run.clusters
-                      if max(tree_side[v] for v in comp) >= 3)
+    trees_3plus = len({rooted.root[v] for v, s in enumerate(tree_side) if s >= 3})
 
-    witness_report = _cut_witnesses(run.sub, forest, order, rooted)
-    if not witness_report.ok:
-        e, reason = witness_report.violations[0]
+    names = g.ordered_edges
+    violations, _ = _scan_witnesses(rooted, host.eu, host.ev, key, sorted(deleted),
+                                    opened, names)
+    if violations:
+        d, reason = violations[0]
         raise InvariantViolation(
-            f"cut-witness violation at deleted edge {e}: {reason} "
+            f"cut-witness violation at deleted edge {names[d]}: {reason} "
             f"(p={p}, seed={run_seed}, trial={trial})")
 
     # a cluster's heaviest vertex sees its whole cluster, at the cluster's
     # relative weights, so its mass and class are the cluster report's
-    by_size = sorted(report.clusters, key=lambda c: (-len(c.vertices), c.vertices[0]))
+    by_size = sorted(range(len(clusters)), key=lambda c: (-len(clusters[c]), clusters[c][0]))
     baseclusters = by_size[:VISIBILITY_BASEPOINTS]
-    rank = ranked.rank
-    basepoints = [max(c.vertices, key=lambda v: (rank[v], -v)) for c in baseclusters]
+    rank = host.rank
+    basepoints = [g.vertices[max(clusters[c], key=lambda v: (rank[v], -v))]
+                  for c in baseclusters]
 
     return {
         "p": p,
         "trial": trial,
         "seed": run_seed,
-        "host_edges": len(g.edges),
+        "host_edges": m,
         "clusters": {
-            "count": report.counts["count"],
-            "heavy": report.counts["heavy"],
-            "light": report.counts["light"],
-            "largest_fraction": (report.counts["largest"] / len(g.vertices)
-                                 if g.vertices else 0.0),
-            "max_nonvanishing_sides": max(
-                (c.nonvanishing_side_count_max for c in report.clusters), default=0),
-            "clusters_with_3plus_sides": sum(
-                1 for c in report.clusters if c.nonvanishing_side_count_max >= 3),
+            "count": counts["count"],
+            "heavy": counts["heavy"],
+            "light": counts["light"],
+            "largest_fraction": counts["largest"] / n if n else 0.0,
+            "max_nonvanishing_sides": max((s.side_max for s in stats), default=0),
+            "clusters_with_3plus_sides": sum(1 for s in stats if s.side_max >= 3),
         },
         "forest": {
-            "kept": len(forest.kept),
-            "deleted": len(forest.deleted),
+            "kept": len(kept),
+            "deleted": len(deleted),
             "trees": trees,
             "trees_with_3plus_nonvanishing_dirs": trees_3plus,
             "witness_violations": 0,
         },
         "visibility": {
             "basepoints": basepoints,
-            "masses": [_fraction_str(c.mass) for c in baseclusters],
-            "heavy": sum(1 for c in baseclusters if c.cls == "heavy"),
+            "masses": [_fraction_str(stats[c].mass) for c in baseclusters],
+            "heavy": sum(1 for c in baseclusters if stats[c].cls == "heavy"),
         },
         "open": len(opened),
-        "label_collisions": len(labels.collisions),
+        "label_collisions": m - len(set(labels)),
     }
 
 
-def _tree_side_counts(rooted, qualifying: frozenset[int]) -> dict[int, int]:
-    """`qualifying_side_counts` on the forest that `forest._root_forest`
-    rooted.  In a tree every child subtree is one side of its parent, and
-    the rest of the tree is one more: each vertex's qualifying count below
-    it is summed up the BFS order, and the rest is the tree's total less it.
+def _tree_side_counts(rooted: _Rooted, qualifying: frozenset[int]) -> list[int]:
+    """`qualifying_side_counts` on the forest that `forest._root` rooted, by
+    vertex position.  In a tree every child subtree is one side of its
+    parent, and the rest of the tree is one more: each vertex's qualifying
+    count below it is summed up the breadth-first order, and the rest is
+    the tree's total less it.
     """
-    parent, _, root = rooted
-    below = dict.fromkeys(parent, 0)
+    parent, root = rooted.parent, rooted.root
+    n = len(parent)
+    below = [0] * n
     for v in qualifying:
         below[v] = 1
-    sides = dict.fromkeys(parent, 0)
-    for v in reversed(parent):
+    sides = [0] * n
+    for v in reversed(rooted.order):
         p = parent[v]
-        if p is not None:
+        if p >= 0:
             below[p] += below[v]
             sides[p] += below[v] > 0
-    return {v: sides[v] + (below[root[v]] > below[v]) for v in parent}
+    return [s + (below[r] > b) for s, r, b in zip(sides, root, below)]
 
 
 def records_to_jsonl(records: list[dict]) -> str:

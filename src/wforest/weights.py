@@ -34,9 +34,10 @@ def exact_potential(g: Graph, potential: Mapping[int, object]) -> dict[int, Frac
 
 
 def _positive_weight(value: object) -> Fraction:
-    """One potential value as an exact positive Fraction."""
-    val = Fraction(value)
-    if val <= 0:
+    """One potential value as an exact positive Fraction; an exact
+    Fraction is taken as it is."""
+    val = value if type(value) is Fraction else Fraction(value)
+    if val.numerator <= 0:  # a Fraction's denominator is positive
         raise NonPositiveWeight(f"weight {value!r} is not positive")
     return val
 
@@ -53,16 +54,20 @@ def ranked_potential(g: Graph, potential: Mapping[int, object]) -> RankedPotenti
     """Validate the potential on g (`exact_potential`) and rank its values.
 
     Rank preserves order and ties, so comparing ranks is comparing values.
-    Values are grouped by (numerator, denominator), which names a normalised
-    ``Fraction`` exactly and hashes faster than the ``Fraction`` itself.
+    The value objects are told apart by identity first (a generated
+    potential shares one per value), and only they are grouped by
+    (numerator, denominator), which names a normalised ``Fraction`` exactly
+    and hashes faster than the ``Fraction`` itself.
     """
     exact = exact_potential(g, potential)
+    objects = {id(x): x for x in exact.values()}
     groups: dict[tuple[int, int], Fraction] = {}
-    for x in exact.values():
+    for x in objects.values():
         groups.setdefault((x.numerator, x.denominator), x)
     levels = sorted(groups.values())
     index = {(x.numerator, x.denominator): i for i, x in enumerate(levels)}
-    rank = {v: index[x.numerator, x.denominator] for v, x in exact.items()}
+    of_object = {i: index[x.numerator, x.denominator] for i, x in objects.items()}
+    rank = {v: of_object[id(x)] for v, x in exact.items()}
     # one shared Fraction per distinct value: a sweep holds this for the
     # whole host through all of its runs
     values = {v: levels[r] for v, r in rank.items()}
@@ -181,18 +186,7 @@ class EdgeOrder:
 
     def __init__(self, g: Graph, potential: Mapping[int, object],
                  tiebreak: Sequence[Edge] | Mapping[Edge, int] | None = None):
-        self._setup(g, ranked_potential(g, potential), tiebreak)
-
-    @classmethod
-    def _ranked(cls, g: Graph, ranked: RankedPotential,
-                tiebreak: Sequence[Edge] | Mapping[Edge, int]) -> "EdgeOrder":
-        """The order on g under a potential already validated and ranked on
-        a graph with g's vertices (a sweep ranks its host's once)."""
-        order = cls.__new__(cls)
-        order._setup(g, ranked, tiebreak)
-        return order
-
-    def _setup(self, g: Graph, ranked: RankedPotential, tiebreak) -> None:
+        ranked = ranked_potential(g, potential)
         self.graph = g
         self.potential = ranked.values
         self._vertex_rank = ranked.rank
@@ -236,7 +230,7 @@ def compare_edges(o: EdgeOrder, e1: Edge, e2: Edge) -> int:
 
 
 def unit_potential(g: Graph) -> dict[int, Fraction]:
-    return {v: Fraction(1) for v in g.vertices}
+    return dict.fromkeys(g.vertices, Fraction(1))
 
 
 def level_potential(g: Graph, base_ratio=Fraction(1, 2)) -> dict[int, Fraction]:
@@ -251,10 +245,14 @@ def level_potential(g: Graph, base_ratio=Fraction(1, 2)) -> dict[int, Fraction]:
     r = Fraction(base_ratio)
     if r <= 0:
         raise NonPositiveWeight(f"base ratio {base_ratio} is not positive")
+    powers: dict[int, Fraction] = {}  # one power per distinct level
     out = {}
     for v in g.vertices:
         if v not in levels:
             raise MissingVertex(f"no level for vertex {v}")
-        out[v] = r ** levels[v]
+        level = levels[v]
+        if level not in powers:
+            powers[level] = r ** level
+        out[v] = powers[level]
     return out
 

@@ -10,12 +10,14 @@ one kept-forest search per deleted edge, sides by a search of F's whole
 component (and by one search per neighbour of F), side orders of small
 sets by growing one search per neighbour of F, cycle-invariance by
 cycle enumeration, the furcation family by one side search per candidate
-per phase.  Most are exponential or quadratic, which is why they live here
-and not in the library.
+per phase, a sweep run on edge and vertex ids with a fresh graph, order and
+search per stage.  Most are exponential or quadratic, which is why they
+live here and not in the library.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -29,11 +31,13 @@ from wforest.ends import (
     _mark_totals,
     connected_subsets,
     qualifier,
+    qualifying_side_counts,
 )
 from wforest.errors import NotConnected, UnknownId
 from wforest.forest import CutWitnessReport, ForestResult
-from wforest.graph import Edge, Graph, build_graph, components, edge
-from wforest.weights import EdgeOrder
+from wforest.graph import Edge, Graph, build_graph, components, edge, spanned_subgraph
+from wforest.rng import subseed, threshold, u64s
+from wforest.weights import EdgeOrder, exact_potential
 
 
 def random_connected_graph(rand: random.Random, n: int, extra=None) -> Graph:
@@ -499,6 +503,79 @@ def is_heavy(g: Graph, params: ProxyParams, mass, rel) -> bool:
     """The heavy class of a visible set with relative weights `rel`: mass >=
     heavy_tau, or a vertex `qualifier` accepts at its relative weight."""
     return mass >= params.heavy_tau or any(map(qualifier(g, rel, params), rel))
+
+
+def sweep_oracle(g: Graph, potential, p_grid, trials: int, seed: int,
+                 params: ProxyParams, draws=u64s) -> list[dict]:
+    """The records of `percolation.sweep`, run by run on edge and vertex
+    ids: the open subgraph as a `Graph`, its forest by `greedy_max_forest`
+    under an `EdgeOrder` with the (-label, edge) tiebreak, the certificate by
+    `cut_witnesses_oracle`, the nonvanishing rule by `qualifier` at
+    cluster-relative potentials, and side counts by the low-link
+    `qualifying_side_counts` on the clusters and on the kept forest.
+    `draws` stands in for `rng.u64s`.  Reference for `percolation.sweep`."""
+    exact = exact_potential(g, potential)
+    edges = g.sorted_edges()
+    records = []
+    for pi, p in enumerate(p_grid):
+        p = float(p)
+        for trial in range(trials):
+            run_seed = subseed(seed, "run", pi, trial)
+            cut = threshold(p)
+            opened = {e for e, x in zip(edges, draws(run_seed, "open", len(edges))) if x < cut}
+            values = draws(run_seed, "label", len(edges))
+            label = dict(zip(edges, values))
+            sub = spanned_subgraph(g, opened)
+            order = EdgeOrder(sub, exact, sorted(opened, key=lambda e: (-label[e], e)))
+            kept = greedy_max_forest(sub, order)
+            forest = ForestResult(kept=kept, deleted=frozenset(opened - kept), fixed=frozenset())
+            assert cut_witnesses_oracle(sub, forest, order).ok
+            clusters = components(sub)
+            assert len(g.vertices) - len(kept) == len(clusters)
+
+            rel = relative_potential(sub, exact)
+            nonvanishing = qualifier(sub, rel, params)
+            side = qualifying_side_counts(sub, nonvanishing)
+            tree_side = qualifying_side_counts(spanned_subgraph(g, kept), nonvanishing)
+            infos = []  # per cluster: its vertices, mass, heaviness and side count
+            for comp in clusters:
+                mass = sum(rel[v] for v in comp)
+                heavy = is_heavy(sub, params, mass, {v: rel[v] for v in comp})
+                infos.append((comp, mass, heavy, max(side[v] for v in comp)))
+            n_heavy = sum(1 for info in infos if info[2])
+            by_size = sorted(infos, key=lambda info: (-len(info[0]), info[0][0]))
+            base = by_size[:8]
+            records.append({
+                "p": p,
+                "trial": trial,
+                "seed": run_seed,
+                "host_edges": len(edges),
+                "clusters": {
+                    "count": len(clusters),
+                    "heavy": n_heavy,
+                    "light": len(clusters) - n_heavy,
+                    "largest_fraction": (max(map(len, clusters)) / len(g.vertices)
+                                         if g.vertices else 0.0),
+                    "max_nonvanishing_sides": max((info[3] for info in infos), default=0),
+                    "clusters_with_3plus_sides": sum(1 for info in infos if info[3] >= 3),
+                },
+                "forest": {
+                    "kept": len(kept),
+                    "deleted": len(forest.deleted),
+                    "trees": len(clusters),
+                    "trees_with_3plus_nonvanishing_dirs": sum(
+                        1 for comp in clusters if max(tree_side[v] for v in comp) >= 3),
+                    "witness_violations": 0,
+                },
+                "visibility": {
+                    "basepoints": [max(info[0], key=lambda v: (exact[v], -v)) for info in base],
+                    "masses": [f"{info[1].numerator}/{info[1].denominator}" for info in base],
+                    "heavy": sum(1 for info in base if info[2]),
+                },
+                "open": len(opened),
+                "label_collisions": sum(c - 1 for c in Counter(values).values()),
+            })
+    return records
 
 
 @pytest.fixture

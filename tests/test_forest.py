@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -15,10 +16,11 @@ from wforest.forest import (
     maximal_subforest,
     restrict_forest,
 )
-from wforest.generators import lattice_box
-from wforest.graph import _edge_blocks, build_graph, components, induced_subgraph
+from wforest.generators import gp_graph, lattice_box, windmill
+from wforest.graph import _bfs, _edge_blocks, build_graph, components, induced_subgraph
+from wforest.percolation import PercolationConfig, assign_labels, bernoulli_sample, fwmsf
 from wforest.unionfind import UnionFind
-from wforest.weights import EdgeOrder, unit_potential
+from wforest.weights import EdgeOrder, level_potential, unit_potential
 
 from conftest import (
     cut_witnesses_oracle,
@@ -325,6 +327,64 @@ def test_cut_witnesses_reject_a_kept_edge_outside_the_graph():
     r = ForestResult(kept=frozenset({(1, 2), (1, 4)}), deleted=frozenset(), fixed=frozenset())
     with pytest.raises(UnknownId, match=r"edge \(1, 4\) not in graph"):
         check_cut_witnesses(g, r, o)
+
+
+def _balls(g, radii):
+    """The balls of growing `radii` around meta["root"], as induced subgraphs."""
+    dist = {}
+    for v, parent in _bfs(g.adjacency, g.meta["root"]).items():
+        dist[v] = 0 if parent is None else dist[parent] + 1
+    return [induced_subgraph(g, [v for v in g.vertices if dist[v] <= r]) for r in radii]
+
+
+def _centred_boxes(w, radii):
+    """A w-by-w box and its centred sub-boxes of growing half-widths."""
+    box = lattice_box(w, w)
+    c = w // 2
+    return box, [induced_subgraph(box, [r * w + col for r in range(w) for col in range(w)
+                                        if abs(r - c) <= h and abs(col - c) <= h])
+                  for h in radii]
+
+
+def test_deletion_is_monotone_under_growing_truncations(rand):
+    """Cycle-cutting deletes e exactly when H and the edges above e join its
+    ends, and a larger truncation has more such paths: under the restricted
+    order, every edge deleted on a truncation is deleted on each larger one.
+    Nested centred boxes, and balls around the root of GP and of windmills,
+    under `maximal_subforest` with a potential and under `fwmsf` with labels
+    on the whole truncation and on a sample.  Under each forest some edge
+    kept on a smaller truncation is deleted on a larger one, so the
+    inclusion is not equality."""
+    box, boxes = _centred_boxes(20, [2, 4, 6, 10])
+    gp, wm = gp_graph(2, 3, 6), windmill(5, 6)
+    cases = [(box, unit_potential(box), random_tiebreak(rand, box), boxes),
+             (gp, level_potential(gp, F(1, 2)), random_tiebreak(rand, gp),
+              _balls(gp, [1, 2, 3, 4, 5, 8])),
+             (wm, unit_potential(wm), wm.meta["tiebreak"], _balls(wm, [1, 2, 4, 6, 9, 16]))]
+    grown = Counter()
+    for case, (host, pot, tiebreak, nested) in enumerate(cases):
+        order = EdgeOrder(host, pot, tiebreak)
+        seed = rand.randrange(1000)
+        labels = assign_labels(host, seed)
+        sample = bernoulli_sample(host, 0.7, seed).open_edges
+        forests = [
+            lambda sub: maximal_subforest(sub, order.restrict(sub)).deleted,
+            lambda sub: fwmsf(PercolationConfig(sub, sub.edges, 1.0, seed), pot, labels).deleted,
+            lambda sub: fwmsf(PercolationConfig(sub, sub.edges & sample, 0.7, seed),
+                              pot, labels).deleted,
+        ]
+        for kind, deleted_on in enumerate(forests):
+            smaller = None
+            for sub in nested:
+                deleted = deleted_on(sub)
+                if smaller is not None:
+                    assert smaller[1] <= deleted
+                    grown[case, kind] += len((smaller[0].edges - smaller[1]) & deleted)
+                smaller = (sub, deleted)
+    # one case may show no growth: on GP at level weights, the potential
+    # order can delete the same edges of each ball as of the whole graph
+    for kind in range(len(forests)):
+        assert sum(grown[case, kind] for case in range(len(cases))) > 0, grown
 
 
 from hypothesis import given, settings

@@ -17,9 +17,9 @@ from wforest.errors import (
 )
 from wforest.cli import main as cli_main
 from wforest.forest import (
-    CutWitnessReport,
-    ForestResult,
-    _root_forest,
+    _edge_ends,
+    _positions,
+    _root,
     is_acyclic,
     maximal_subforest,
 )
@@ -49,6 +49,7 @@ from conftest import (
     random_order,
     random_potential,
     relative_potential,
+    sweep_oracle,
     visibility,
 )
 
@@ -141,7 +142,10 @@ def test_tree_side_counts_equal_qualifying_side_counts(rand):
         elif case % 2:
             kept = frozenset(e for e in kept if rand.random() < 0.7)
         q = frozenset(v for v in g.vertices if rand.random() < 0.4)
-        assert _tree_side_counts(_root_forest(g, kept), q) == \
+        rooted = _root(len(g.vertices), *_edge_ends(g), _positions(g, kept))
+        at = {v: i for i, v in enumerate(g.vertices)}
+        side = _tree_side_counts(rooted, frozenset(at[v] for v in q))
+        assert dict(zip(g.vertices, side)) == \
             qualifying_side_counts(spanned_subgraph(g, kept), q.__contains__)
 
 
@@ -199,6 +203,20 @@ def test_cluster_report_degenerate():
     assert high.counts["count"] == 1
     assert high.clusters[0].mass == 9
     assert high.clusters[0].cls == "heavy"
+
+
+def test_cluster_report_lists_the_open_components(rand):
+    """The clusters are the components of the open subgraph, each a sorted
+    tuple of vertex ids, ordered by their least, on ids that are not
+    positions."""
+    for seed in range(20):
+        g = random_connected_graph(rand, rand.randint(1, 14))
+        to = dict(zip(g.vertices, rand.sample(range(100), len(g.vertices))))
+        g = build_graph(to.values(), [(to[u], to[v]) for u, v in g.edges])
+        cfg = bernoulli_sample(g, 0.5, seed)
+        report = cluster_report(cfg, unit_potential(g), ProxyParams())
+        assert [c.vertices for c in report.clusters] == \
+            components(spanned_subgraph(g, cfg.open_edges))
 
 
 def test_cluster_mass_relative_to_heaviest():
@@ -400,20 +418,95 @@ def test_rank_rule_equals_relative_potential_rule(rand):
     assert min(by_hits[0], by_hits[1], by_hits[2]) > 0, by_hits
 
 
+def _scattered(rand, g):
+    """g with its vertex ids sent to random sparse ids, out of their order,
+    levels and boundary flags carried along: ids are not positions, and the
+    canonical edge order is not g's."""
+    ids = rand.sample(range(10 * len(g.vertices)), len(g.vertices))
+    to = dict(zip(g.vertices, ids))
+    meta = {"levels": {to[v]: lv for v, lv in g.meta["levels"].items()},
+            "boundary": frozenset(to[v] for v in g.boundary_vertices())}
+    return build_graph(ids, [(to[u], to[v]) for u, v in g.edges], meta=meta)
+
+
+def _sweep_cases(rand):
+    """Random flagged graphs at random potentials, GP with level weights on
+    scattered ids, a box, windmills and a free product."""
+    for _ in range(12):
+        g = random_connected_graph(rand, rand.randint(1, 12))
+        flagged = frozenset(v for v in g.vertices if rand.random() < 0.4)
+        g = build_graph(g.vertices, g.edges, meta={"boundary": flagged})
+        yield g, random_potential(rand, g), ProxyParams(
+            nonvanish_delta=F(rand.randint(1, 4), 4), heavy_tau=F(rand.randint(1, 6)))
+    gp = _scattered(rand, gp_graph(2, 2, 3))
+    yield gp, level_potential(gp, F(1, 2)), ProxyParams(nonvanish_delta=F(1, 4))
+    box, wm, wm2 = lattice_box(5, 6), windmill(3, 2), windmill(4, 2)
+    yield box, unit_potential(box), ProxyParams(heavy_tau=F(9))
+    yield wm, unit_potential(wm), ProxyParams()
+    yield wm2, unit_potential(wm2), ProxyParams(heavy_tau=F(3))
+    fp = free_product([{"family": "gp", "k": 2, "up": 1, "down": 1},
+                       {"family": "lattice_box", "w": 2, "h": 2}], max_word=2)
+    yield fp, level_potential(fp, F(1, 2)), ProxyParams()
+
+
+def test_sweep_equals_sweep_oracle(rand):
+    """The position-array sweep gives the records of the id-keyed oracle run,
+    at p = 0 (every cluster a singleton), 0.3, 0.7 and 1 (the whole host)."""
+    grid = [0.0, 0.3, 0.7, 1.0]
+    seen = Counter()
+    for g, pot, params in _sweep_cases(rand):
+        for seed in rand.sample(range(1000), 2):
+            recs = sweep(g, pot, grid, 1, seed, params)
+            assert recs == sweep_oracle(g, pot, grid, 1, seed, params), (sorted(g.edges), seed)
+            for r in recs:
+                seen["deleted"] += r["forest"]["deleted"] > 0
+                seen["3plus"] += r["forest"]["trees_with_3plus_nonvanishing_dirs"] > 0
+                seen["heavy"] += r["clusters"]["heavy"] > 0
+    assert min(seen.values()) > 0, seen
+
+
+def test_sweep_equals_sweep_oracle_on_colliding_labels(monkeypatch):
+    """Labels drawn from a few values collide: the records count the
+    collisions, and the (-label, edge) tie rule orders the forest as the
+    oracle's tiebreak does."""
+    import wforest.percolation as perc
+
+    def few_labels(seed, domain, n):
+        draws = u64s(seed, domain, n)
+        return draws if domain == "open" else [x % 3 for x in draws]
+
+    monkeypatch.setattr(perc, "u64s", few_labels)
+    fp = free_product([{"family": "gp", "k": 2, "up": 1, "down": 1},
+                       {"family": "lattice_box", "w": 3, "h": 3}], max_word=2)
+    pot = level_potential(fp, F(1, 2))
+    for g, p in ((fp, pot), (lattice_box(5, 5), unit_potential(lattice_box(5, 5)))):
+        recs = sweep(g, p, [0.6, 1.0], 2, 11, ProxyParams())
+        assert recs == sweep_oracle(g, p, [0.6, 1.0], 2, 11, ProxyParams(), draws=few_labels)
+        assert all(r["label_collisions"] > 0 for r in recs)
+        assert any(r["forest"]["deleted"] > 0 for r in recs)
+
+
 def test_sweep_validates_the_potential_once_before_any_run(monkeypatch):
+    """A sweep validates its potential and lays its host out as positions
+    once, and a bad potential fails before any run starts."""
     import wforest.percolation as perc
     import wforest.weights as weights
-    calls = []
-    real = weights.exact_potential
+    calls, layouts = [], []
+    real, real_ends = weights.exact_potential, perc._edge_ends
 
     def counted(g, potential):
         calls.append(len(g.vertices))
         return real(g, potential)
 
+    def counted_ends(g):
+        layouts.append(len(g.edges))
+        return real_ends(g)
+
     monkeypatch.setattr(weights, "exact_potential", counted)
+    monkeypatch.setattr(perc, "_edge_ends", counted_ends)
     g = lattice_box(4, 4)
     recs = sweep(g, unit_potential(g), [0.3, 0.6, 0.9], 2, 4, ProxyParams())
-    assert len(recs) == 6 and calls == [len(g.vertices)]
+    assert len(recs) == 6 and calls == [len(g.vertices)] and layouts == [len(g.edges)]
 
     def no_runs(*args):
         raise AssertionError("a run started on a bad potential")
@@ -457,14 +550,13 @@ def test_sweep_runs_witness_checks(rand):
 
 def test_sweep_raises_when_forest_trees_differ_from_clusters(monkeypatch):
     import wforest.percolation as perc
-    real = perc.maximal_subforest
+    real = perc._greedy
 
-    def drop_one_kept_edge(g, order, *args, **kwargs):
-        r = real(g, order, *args, **kwargs)
-        return ForestResult(kept=r.kept - {min(r.kept)}, deleted=r.deleted,
-                            fixed=r.fixed)
+    def drop_one_kept_edge(*args):
+        kept, deleted = real(*args)
+        return [e for e in kept if e != min(kept)], deleted
 
-    monkeypatch.setattr(perc, "maximal_subforest", drop_one_kept_edge)
+    monkeypatch.setattr(perc, "_greedy", drop_one_kept_edge)
     g = lattice_box(4, 4)
     run_seed = subseed(5, "run", 0, 0)
     with pytest.raises(InvariantViolation,
@@ -478,16 +570,15 @@ def test_cut_witness_violation_names_its_run_and_edge(monkeypatch, tmp_path, cap
     exit 3 with an `invariant_violation` JSON line and writes nothing.  The
     planted check passes the first run of each sweep and fails the second."""
     import wforest.percolation as perc
-    real, calls = perc._cut_witnesses, []
+    real, calls = perc._scan_witnesses, []
 
-    def planted(g, forest, order, rooted):
+    def planted(rooted, eu, ev, key, deleted, edges, names):
         calls.append(1)
         if len(calls) % 2:
-            return real(g, forest, order, rooted)
-        return CutWitnessReport(violations=(((0, 1), "planted reason"), ((1, 2), "later")),
-                                witnesses={})
+            return real(rooted, eu, ev, key, deleted, edges, names)
+        return [(names.index((0, 1)), "planted reason"), (names.index((1, 2)), "later")], {}
 
-    monkeypatch.setattr(perc, "_cut_witnesses", planted)
+    monkeypatch.setattr(perc, "_scan_witnesses", planted)
     g = lattice_box(4, 4)
     message = (rf"deleted edge \(0, 1\): planted reason "
                rf"\(p=0\.7, seed={subseed(5, 'run', 0, 1)}, trial=1\)$")
