@@ -14,18 +14,8 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from . import __version__
-from .ends import (
-    ProxyParams,
-    collapsed_maximal_subforest,
-    maximal_disjoint_furcations,
-    qualifier,
-    qualifying_side_counts,
-    quotient,
-    visibility_masses,
-)
 from .errors import (
     BadParams,
     InputDrift,
@@ -34,11 +24,12 @@ from .errors import (
     UsageError,
     WForestError,
 )
-from .forest import check_cut_witnesses, maximal_subforest
 from .generators import SIZE_FIELDS, build_family
 from .graph import Edge, Graph, components, from_doc, id_pair, parse_json, to_json
-from .percolation import records_to_jsonl, summary_csv, sweep
-from .weights import EdgeOrder, exact_potential, level_potential, unit_potential
+
+# Each command imports the layers it runs, so `gen` never compiles the
+# weights, forest, ends or percolation modules, and `forest` neither ends
+# nor percolation.
 
 
 def _sha256(data: bytes) -> str:
@@ -109,8 +100,10 @@ def load_graph(path: str) -> Graph:
     return from_doc(_read_json(path))
 
 
-def _fraction(value, what: str) -> Fraction:
+def _fraction(value, what: str):
     """An exact rational from a JSON number or a string such as "3/2"."""
+    from fractions import Fraction
+
     if type(value) not in (int, float, str):
         raise MalformedDocument(f"{what} {value!r} is not a number or fraction string")
     try:
@@ -119,8 +112,11 @@ def _fraction(value, what: str) -> Fraction:
         raise MalformedDocument(f"{what} {value!r} is not a finite rational") from None
 
 
-def load_weights(path: str, g: Graph) -> dict[int, Fraction]:
-    """Weight JSON: explicit potential, level-derived, or unit."""
+def load_weights(path: str, g: Graph) -> dict:
+    """Weight JSON: explicit potential, level-derived, or unit; a dict of
+    vertex to Fraction."""
+    from .weights import level_potential, unit_potential
+
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise MalformedDocument(f"weight file {path} is not a JSON object")
@@ -210,6 +206,9 @@ def cmd_gen(args, argv) -> int:
 
 
 def cmd_forest(args, argv) -> int:
+    from .forest import check_cut_witnesses, maximal_subforest
+    from .weights import EdgeOrder
+
     g = load_graph(args.graph)
     potential = load_weights(args.weights, g)
     order = EdgeOrder(g, potential, _tiebreak(g, args.tiebreak))
@@ -225,8 +224,10 @@ def cmd_forest(args, argv) -> int:
     return 0
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
     """argparse type of --delta and --tau: an exact rational such as "3/2"."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -234,6 +235,8 @@ def _rational(text: str) -> Fraction:
 
 
 def cmd_collapse(args, argv) -> int:
+    from .ends import ProxyParams, collapsed_maximal_subforest
+
     g = load_graph(args.graph)
     potential = load_weights(args.weights, g)
     params = ProxyParams(nonvanish_delta=args.delta)
@@ -256,6 +259,16 @@ def cmd_collapse(args, argv) -> int:
 
 
 def cmd_analyze(args, argv) -> int:
+    from .ends import (
+        ProxyParams,
+        maximal_disjoint_furcations,
+        qualifier,
+        qualifying_side_counts,
+        quotient,
+        visibility_masses,
+    )
+    from .weights import exact_potential
+
     g = load_graph(args.graph)
     potential = exact_potential(g, load_weights(args.weights, g))
     params = ProxyParams(nonvanish_delta=args.delta)
@@ -300,6 +313,9 @@ def cmd_analyze(args, argv) -> int:
 
 
 def cmd_percolate(args, argv) -> int:
+    from .ends import ProxyParams
+    from .percolation import records_to_jsonl, summary_csv, sweep
+
     g = load_graph(args.graph)
     potential = load_weights(args.weights, g)
     params = ProxyParams(nonvanish_delta=args.delta, heavy_tau=args.tau)

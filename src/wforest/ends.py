@@ -10,9 +10,8 @@ ProxyParams so results stay honest about the approximation.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import BadParams, MissingVertex, NotConnected, OverlappingBlocks, UnknownId
 from .forest import ForestResult, maximal_subforest
@@ -34,14 +33,24 @@ FINITE = "finite"
 _KINDS = (NONVANISHING, INFINITE)  # the order of every per-kind count
 
 
-@dataclass(frozen=True)
-class ProxyParams:
-    nonvanish_delta: Fraction = Fraction(1)
-    heavy_tau: Fraction = Fraction(4)
+class _Thresholds(NamedTuple):
+    nonvanish_delta: Fraction
+    heavy_tau: Fraction
 
-    def __post_init__(self):
-        if self.nonvanish_delta <= 0 or self.heavy_tau <= 0:
+
+class ProxyParams(_Thresholds):
+    """The proxy thresholds, checked at construction (and by `_replace`) to
+    be strictly positive."""
+    __slots__ = ()
+
+    def __new__(cls, nonvanish_delta=Fraction(1), heavy_tau=Fraction(4)):
+        if nonvanish_delta <= 0 or heavy_tau <= 0:
             raise BadParams("proxy thresholds must be strictly positive")
+        return super().__new__(cls, nonvanish_delta, heavy_tau)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def qualifier(g: Graph, potential: Mapping[int, object], params: ProxyParams,
@@ -360,8 +369,7 @@ def _sets_of_size(adj: Mapping[int, tuple[int, ...]], root: int,
     return found
 
 
-@dataclass(frozen=True)
-class FurcationFamily:
+class FurcationFamily(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]
     phases: tuple[int, ...]  # 1: w-trifurcation, 2: w-bifurcation, 3: plain bifurcation
 
@@ -420,15 +428,14 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
     return FurcationFamily(blocks=tuple(blocks), phases=tuple(phases))
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
+class QuotientGraph(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]        # family blocks plus singletons
     family: tuple[tuple[int, ...], ...]
     qgraph: Graph
     qpotential: dict[int, Fraction]
     lift: dict[Edge, Edge]                     # quotient edge -> chosen host edge
     inner_trees: dict[int, frozenset[Edge]]    # family block id -> spanning tree
-    block_of: dict[int, int] = field(repr=False, default_factory=dict)
+    block_of: dict[int, int]
 
 
 def quotient(g: Graph, potential: Mapping[int, object],
@@ -499,8 +506,7 @@ def quotient(g: Graph, potential: Mapping[int, object],
     )
 
 
-@dataclass(frozen=True)
-class CollapseResult:
+class CollapseResult(NamedTuple):
     forest: ForestResult          # on the host graph
     family: FurcationFamily
     quot: QuotientGraph

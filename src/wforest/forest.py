@@ -20,7 +20,6 @@ third.  `_greedy`, `_root` and `_scan_witnesses` are that array core;
 sweep calls it directly on every run.  Vertex ids appear only in messages.
 """
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -42,17 +41,27 @@ from .unionfind import UnionFind
 from .weights import EdgeOrder
 
 
-@dataclass(frozen=True)
-class ForestResult:
+class _ForestSets(NamedTuple):
     kept: frozenset[Edge]
     deleted: frozenset[Edge]
     fixed: frozenset[Edge]
 
-    def __post_init__(self):
-        if self.kept & self.deleted:
+
+class ForestResult(_ForestSets):
+    """Kept, deleted and fixed edges, checked at construction (and by
+    `_replace`): kept and deleted are disjoint, and fixed lies in kept."""
+    __slots__ = ()
+
+    def __new__(cls, kept, deleted, fixed):
+        if kept & deleted:
             raise InvariantViolation("kept and deleted edge sets overlap")
-        if not self.fixed <= self.kept:
+        if not fixed <= kept:
             raise InvariantViolation("fixed edges must survive into the forest")
+        return super().__new__(cls, kept, deleted, fixed)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def _edge_ends(g: Graph) -> tuple[list[int], list[int]]:

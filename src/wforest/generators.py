@@ -8,7 +8,7 @@ byte-identical JSON.
 
 from .errors import BadParams, MalformedDocument
 from .graph import Edge, Graph, build_graph, edge
-from .rng import u64
+from .rng import check_seed, u64
 
 
 def gp_graph(k: int, up_levels: int, down_levels: int) -> Graph:
@@ -125,6 +125,7 @@ def cycle(n: int) -> Graph:
 
 def random_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform random simple graph with n vertices and m edges, fixed seed."""
+    check_seed(seed)
     if n < 1 or m < 0:
         raise BadParams("random_gnm requires n >= 1 and m >= 0")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]

@@ -13,8 +13,7 @@ artifacts of cutting off an infinite graph.
 """
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DanglingEndpoint,
@@ -34,14 +33,14 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True, eq=True)
-class Graph:
+class Graph(NamedTuple):
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
     adjacency: dict[int, tuple[int, ...]]
-    # the edges in canonical (sorted) order, the same tuple objects as `edges`
-    ordered_edges: tuple[Edge, ...] = field(repr=False, compare=False)
-    meta: dict = field(default_factory=dict)
+    # the edges in canonical (sorted) order, the same tuple objects as
+    # `edges`; derived from them, so comparing it decides no equality
+    ordered_edges: tuple[Edge, ...]
+    meta: dict
 
     def __contains__(self, v: int) -> bool:
         return v in self.adjacency

@@ -18,7 +18,6 @@ edges and vertices into that same core and back.
 import json
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
@@ -40,15 +39,14 @@ from .forest import (
     _scan_witnesses,
 )
 from .graph import Edge, Graph, components, edge, spanned_subgraph
-from .rng import subseed, threshold, u64s
+from .rng import check_seed, subseed, threshold, u64s
 from .weights import RankedPotential, exact_potential, ranked_potential
 
 # Clusters per sweep run whose heaviest vertex is a visibility basepoint.
 VISIBILITY_BASEPOINTS = 8
 
 
-@dataclass(frozen=True)
-class PercolationConfig:
+class PercolationConfig(NamedTuple):
     host: Graph
     open_edges: frozenset[Edge]
     p: float
@@ -83,8 +81,7 @@ def _by_label(label, items: Sequence) -> list:
     return sorted(items, key=label.__getitem__, reverse=True)
 
 
-@dataclass(frozen=True)
-class LabelAssignment:
+class LabelAssignment(NamedTuple):
     """Uniform 64-bit label per edge; the derived tiebreak puts larger
     labels earlier (so the order-least edge of a cycle has the largest
     label, matching minimal-forest deletion)."""
@@ -262,16 +259,14 @@ def _cluster_report(host: _Host, adj: list[list[int]], clusters: list[list[int]]
     return stats, counts
 
 
-@dataclass(frozen=True)
-class ClusterInfo:
+class ClusterInfo(NamedTuple):
     vertices: tuple[int, ...]
     mass: Fraction
     cls: str                      # "heavy" | "light"
     nonvanishing_side_count_max: int
 
 
-@dataclass(frozen=True)
-class ClusterReport:
+class ClusterReport(NamedTuple):
     clusters: tuple[ClusterInfo, ...]
     counts: dict
 
@@ -327,7 +322,7 @@ def equivariance_check(g: Graph, potential: Mapping[int, object],
         labels={_apply_vertex_map(sigma, e): val for e, val in labels.labels.items()},
         collisions=labels.collisions,
     )
-    pushed_cfg = replace(cfg, open_edges=frozenset(
+    pushed_cfg = cfg._replace(open_edges=frozenset(
         _apply_vertex_map(sigma, e) for e in cfg.open_edges))
     base = fwmsf(cfg, potential, labels)
     moved = fwmsf(pushed_cfg, potential, pushed_labels)
@@ -348,6 +343,7 @@ def sweep(g: Graph, potential: Mapping[int, object], p_grid, trials: int,
     """
     if trials < 1:
         raise BadParams(f"trials must be >= 1, got {trials}")
+    check_seed(seed)
     jobs = [(float(p), t, subseed(seed, "run", pi, t))
             for pi, p in enumerate(p_grid) for t in range(trials)]
     # validated, ranked and laid out once, here, so a bad potential fails

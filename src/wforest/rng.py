@@ -9,7 +9,16 @@ safe under parallel evaluation.
 import hashlib
 import struct
 
+from .errors import BadParams
+
 _MASK = (1 << 64) - 1
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a user's seed outside 0 <= seed < 2**64.  The draws read a
+    seed modulo 2**64, so such a seed would repeat the run of one inside."""
+    if not 0 <= seed <= _MASK:
+        raise BadParams(f"seed {seed} is outside 0 <= seed < 2**64")
 
 
 def u64(seed: int, domain: str, *counters: int) -> int:

@@ -10,7 +10,6 @@ edge key is then one exact int and no ``Fraction`` is compared per edge.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
@@ -74,8 +73,7 @@ def ranked_potential(g: Graph, potential: Mapping[int, object]) -> RankedPotenti
     return RankedPotential(values=values, levels=levels, rank=rank)
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(NamedTuple):
     """Positive ratio per directed edge with product 1 around every cycle.
 
     ``ratio(x, y)`` is the weight of x relative to y, for adjacent x, y.
@@ -139,8 +137,7 @@ def validate_cocycle(g: Graph, c: Cocycle) -> CocycleReport:
     return CocycleReport(ok=worst == 0.0, worst_defect=worst, worst_cycle=worst_cycle)
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple):
     """Absolute weights on one component obtained by fixing a basepoint."""
     base: int
     values: dict[int, Fraction]

@@ -433,6 +433,29 @@ def test_out_of_range_flags_exit_2_with_json(tmp_path, capsys, command, flags):
     assert not (tmp_path / "out.json").exists()
 
 
+SEEDED = {
+    "gen": ("gen", "--family", "random_gnm", "--n", "6", "--m", "7", "-o", "out.json"),
+    "percolate": ("percolate", "g.json", "unit.json", "--p-grid", "0.5", "-o", "out.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED))
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seeds_outside_64_bits_exit_2_and_write_nothing(tmp_path, capsys, command, seed):
+    """The draws read a seed modulo 2**64, so a seed outside 0 <= seed <
+    2**64 would repeat another seed's run; it is refused instead."""
+    (tmp_path / "g.json").write_text(to_json(gp_graph(2, 1, 2)))
+    (tmp_path / "unit.json").write_text('{"unit":true}')
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(tmp_path, *SEEDED[command], "--seed", str(seed)) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert json.loads(out.err) == {"error": "BadParams",
+                                   "message": f"seed {seed} is outside 0 <= seed < 2**64"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert run(tmp_path, *SEEDED[command], "--seed", str((1 << 64) - 1)) == 0
+
+
 # --- fuzzing: a valid forest run whose documents get one malformation each
 
 VALID_GRAPH = {

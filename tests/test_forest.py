@@ -16,7 +16,7 @@ from wforest.forest import (
     maximal_subforest,
     restrict_forest,
 )
-from wforest.generators import gp_graph, lattice_box, windmill
+from wforest.generators import free_product, gp_graph, lattice_box, random_gnm, windmill
 from wforest.graph import _bfs, _edge_blocks, build_graph, components, induced_subgraph
 from wforest.percolation import PercolationConfig, assign_labels, bernoulli_sample, fwmsf
 from wforest.unionfind import UnionFind
@@ -29,6 +29,7 @@ from conftest import (
     maximal_subforest_oracle,
     random_connected_graph,
     random_order,
+    random_potential,
     random_tiebreak,
     side_pieces,
     simple_cycles,
@@ -330,11 +331,12 @@ def test_cut_witnesses_reject_a_kept_edge_outside_the_graph():
 
 
 def _balls(g, radii):
-    """The balls of growing `radii` around meta["root"], as induced subgraphs."""
+    """The balls of growing `radii` around meta["root"], as induced subgraphs
+    (within the root's component)."""
     dist = {}
     for v, parent in _bfs(g.adjacency, g.meta["root"]).items():
         dist[v] = 0 if parent is None else dist[parent] + 1
-    return [induced_subgraph(g, [v for v in g.vertices if dist[v] <= r]) for r in radii]
+    return [induced_subgraph(g, [v for v, d in dist.items() if d <= r]) for r in radii]
 
 
 def _centred_boxes(w, radii):
@@ -350,17 +352,24 @@ def test_deletion_is_monotone_under_growing_truncations(rand):
     """Cycle-cutting deletes e exactly when H and the edges above e join its
     ends, and a larger truncation has more such paths: under the restricted
     order, every edge deleted on a truncation is deleted on each larger one.
-    Nested centred boxes, and balls around the root of GP and of windmills,
-    under `maximal_subforest` with a potential and under `fwmsf` with labels
-    on the whole truncation and on a sample.  Under each forest some edge
-    kept on a smaller truncation is deleted on a larger one, so the
-    inclusion is not equality."""
+    Nested centred boxes, and balls around the root of GP, of windmills, of
+    a free product and of a random graph, under `maximal_subforest` with a
+    potential and under `fwmsf` with labels on the whole truncation and on a
+    sample.  Under each forest some edge kept on a smaller truncation is
+    deleted on a larger one, so the inclusion is not equality."""
     box, boxes = _centred_boxes(20, [2, 4, 6, 10])
     gp, wm = gp_graph(2, 3, 6), windmill(5, 6)
+    fp = free_product([{"family": "gp", "k": 2, "up": 1, "down": 1},
+                       {"family": "lattice_box", "w": 3, "h": 3}], max_word=2)
+    gnm = random_gnm(40, 80, rand.randrange(1000))
     cases = [(box, unit_potential(box), random_tiebreak(rand, box), boxes),
              (gp, level_potential(gp, F(1, 2)), random_tiebreak(rand, gp),
               _balls(gp, [1, 2, 3, 4, 5, 8])),
-             (wm, unit_potential(wm), wm.meta["tiebreak"], _balls(wm, [1, 2, 4, 6, 9, 16]))]
+             (wm, unit_potential(wm), wm.meta["tiebreak"], _balls(wm, [1, 2, 4, 6, 9, 16])),
+             (fp, level_potential(fp, F(1, 2)), random_tiebreak(rand, fp),
+              _balls(fp, [1, 2, 3, 4, 6, 9])),
+             (gnm, random_potential(rand, gnm), random_tiebreak(rand, gnm),
+              _balls(gnm, [1, 2, 3, 5]))]
     grown = Counter()
     for case, (host, pot, tiebreak, nested) in enumerate(cases):
         order = EdgeOrder(host, pot, tiebreak)

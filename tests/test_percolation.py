@@ -1,6 +1,5 @@
 import json
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -87,7 +86,7 @@ def test_delete_cut_edge_splits_cluster():
     cfg = full_config(g)
     before = cluster_report(cfg, unit_potential(g), ProxyParams())
     assert before.counts["count"] == 1
-    cut = replace(cfg, open_edges=cfg.open_edges - {(1, 2)})
+    cut = cfg._replace(open_edges=cfg.open_edges - {(1, 2)})
     after = cluster_report(cut, unit_potential(g), ProxyParams())
     assert after.counts["count"] == 2
 
