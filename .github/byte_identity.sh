@@ -24,7 +24,7 @@ outputs=(gp.json box.json windmill.json tree.json cycle.json gnm.json fp.json
          windmill-analyze.json gp-analyze.json
          windmill66-collapse.json windmill66-family.json windmill66-analyze.json
          gp-collapse4.json gp-family4.json gp-analyze4.json
-         box-analyze.json fp-forest.json
+         box-analyze.json fp-forest.json fp-collapse.json fp-family.json fp-analyze.json
          fp-sweep.jsonl fp-sweep.csv gnm-sweep.jsonl gnm-sweep.csv
          windmill66-sweep.jsonl windmill66-sweep.csv gp-forest.json windmill66-forest.json)
 demos=(01_weighted_forest_basics 02_grandparent_weights 03_windmill_collapse
@@ -94,6 +94,10 @@ run_tree() {
             -o gp-collapse4.json --family-out gp-family4.json
         wf analyze gp.json levels.json --smax 4 -o gp-analyze4.json
         wf analyze box.json unit.json -o box-analyze.json
+        # a free product under level weights: a family in all three phases,
+        # and lifts chosen among unequal potentials
+        wf collapse fp.json levels.json -o fp-collapse.json --family-out fp-family.json
+        wf analyze fp.json levels.json -o fp-analyze.json
         for d in "${demos[@]}"; do
             PYTHONPATH="$tree/src" python3 "$tree/demos/$d.py" > "demo-$d.out"
         done

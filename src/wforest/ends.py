@@ -20,11 +20,11 @@ from .graph import (
     Graph,
     _bfs,
     _lowlink,
-    build_graph,
+    _position_adjacency,
+    _subgraph,
     components,
     edge,
 )
-from .unionfind import UnionFind
 from .weights import EdgeOrder, _positive_weight, exact_potential, ranked_potential
 
 NONVANISHING = "nonvanishing"
@@ -103,12 +103,12 @@ def _mark_totals(marks: Mapping[int, tuple[int, ...]], vertices: Iterable[int]) 
 
 
 class _SideIndex:
-    """The side orders of small connected sets, read off one low-link DFS per
-    component (`graph._lowlink`).
+    """The side orders of small connected sets, read off one low-link DFS
+    over the positions of the given components (`graph._lowlink`).
 
     Every non-tree edge of a DFS joins an ancestor to a descendant (Tarjan
-    1972), so a vertex's lesser neighbours are its ancestors.  The
-    components' preorders are laid end to end and every array is indexed by
+    1972), so a vertex's lesser neighbours are its ancestors.  The DFS lays
+    the components' preorders end to end and every array is indexed by
     preorder position, so the subtree of position i is the interval
     [i, end[i]) and its children are i + 1, end[i + 1], ... below end[i].
     `upto[k][i]` counts the vertices qualifying for kind k before position
@@ -141,31 +141,26 @@ class _SideIndex:
     def __init__(self, adj: Mapping[int, tuple[int, ...]], comps: Iterable[tuple[int, ...]],
                  marks: Mapping[int, tuple[int, ...]]):
         self.marks = marks
-        self.pos: dict[int, int] = {}
-        self.parent: list[int] = []  # -1 at a root
-        self.end: list[int] = []
-        self.low: list[int] = []
+        at, padj = _position_adjacency(adj)
+        order, parent, disc, low = _lowlink(padj, [at[comp[0]] for comp in comps])
+        ids = list(adj)
+        self.pos: dict[int, int] = {ids[v]: i for i, v in enumerate(order)}
+        self.parent: list[int] = [-1 if parent[v] < 0 else disc[parent[v]] for v in order]
+        self.low: list[int] = list(map(low.__getitem__, order))
         self.upto: list[list[int]] = [[0] for _ in _KINDS]
         least: list[int] = []
         lesser: list[list[int]] = []
         zero = (0,) * len(_KINDS)
-        for comp in comps:
-            base = len(self.parent)
-            order, parent, _, low = _lowlink(adj, comp[0])
-            for i, v in enumerate(order, base):
-                self.pos[v] = i
-            for i, v in enumerate(order, base):
-                p = parent[v]
-                self.parent.append(-1 if p is None else self.pos[p])
-                self.low.append(base + low[v])
-                for upto, flag in zip(self.upto, marks.get(v, zero)):
-                    upto.append(upto[-1] + flag)
-                near = sorted(map(self.pos.__getitem__, adj[v]))
-                least.append(near[0])
-                lesser.append(near[:bisect_left(near, i)])
-            self.end.extend(range(base + 1, len(self.parent) + 1))
-            for i in range(len(self.parent) - 1, base, -1):
-                p = self.parent[i]
+        for i, v in enumerate(order):
+            for upto, flag in zip(self.upto, marks.get(ids[v], zero)):
+                upto.append(upto[-1] + flag)
+            near = sorted(map(disc.__getitem__, padj[v]))
+            least.append(near[0])
+            lesser.append(near[:bisect_left(near, i)])
+        self.end: list[int] = list(range(1, len(order) + 1))
+        for i in range(len(order) - 1, 0, -1):
+            p = self.parent[i]
+            if p >= 0:
                 self.end[p] = max(self.end[p], self.end[i])
         self.mins = [least]
         while 1 << len(self.mins) <= len(least):
@@ -466,7 +461,8 @@ def quotient(g: Graph, potential: Mapping[int, object],
             block_of[v] = b[0]
     for v in g.vertices:
         block_of.setdefault(v, v)
-    potential = exact_potential(g, potential)
+    ranked = ranked_potential(g, potential)
+    rank = ranked.rank
 
     all_blocks: dict[int, list[int]] = {}
     for v in g.vertices:
@@ -479,14 +475,14 @@ def quotient(g: Graph, potential: Mapping[int, object],
             continue
         host_by_qedge.setdefault(edge(bu, bv), []).append(e)
 
-    def pick(cands: list[Edge]) -> Edge:
-        def pots(e: Edge):
-            return tuple(sorted((potential[e[0]], potential[e[1]]), reverse=True))
-        best = max(pots(e) for e in cands)
-        return min(e for e in cands if pots(e) == best)
+    def pots(e: Edge) -> tuple[int, int]:  # e's end potential ranks, greater first
+        a, b = rank[e[0]], rank[e[1]]
+        return (a, b) if a > b else (b, a)
 
-    lift = {qe: pick(cands) for qe, cands in host_by_qedge.items()}
-    qpotential = {bid: max(potential[v] for v in members)
+    # the candidates are in canonical order and `max` keeps the first
+    # greatest, so a tie goes to the least edge
+    lift = {qe: max(cands, key=pots) for qe, cands in host_by_qedge.items()}
+    qpotential = {bid: ranked.levels[max(map(rank.__getitem__, members))]
                   for bid, members in all_blocks.items()}
 
     qboundary = frozenset(
@@ -494,7 +490,8 @@ def quotient(g: Graph, potential: Mapping[int, object],
         if any(g.is_boundary(v) for v in members)
     )
     qmeta = {"generator": "quotient", "boundary": qboundary}
-    qgraph = build_graph(sorted(all_blocks), host_by_qedge.keys(), meta=qmeta)
+    # the block ids are vertices of g and the keys canonical edges: nothing to validate
+    qgraph = _subgraph(sorted(all_blocks), tuple(sorted(host_by_qedge)), qmeta)
     return QuotientGraph(
         blocks=tuple(tuple(sorted(m)) for _, m in sorted(all_blocks.items())),
         family=fam,
@@ -551,25 +548,42 @@ def visibility_masses(g: Graph, potential: Mapping[int, object]) -> dict[int, Fr
     increasing potential, each set carrying its potential sum; once a whole
     equal-potential group and its edges down are in, the mass of each x in
     the group is its set's sum over potential[x].  This is the component
-    tree of Najman and Couprie (2006) on Tarjan's union-find (1975).  The
-    groups are the potential's `ranked_potential` ranks, so no `Fraction`
-    is hashed or sorted here.
+    tree of Najman and Couprie (2006) on Tarjan's union-find (1975), a list
+    over vertex positions, by size with path halving, as in
+    `forest._greedy`.  The groups are the potential's `ranked_potential`
+    ranks, so no `Fraction` is hashed or sorted here.
     """
     ranked = ranked_potential(g, potential)
+    ids = g.vertices
+    _, adj = _position_adjacency(g.adjacency)
+    rank = list(map(ranked.rank.__getitem__, ids))
     groups: list[list[int]] = [[] for _ in ranked.levels]
-    for v, r in ranked.rank.items():
+    for v, r in enumerate(rank):
         groups[r].append(v)
-    uf = UnionFind()
+    parent = list(range(len(ids)))
+    size = [1] * len(ids)
+    total = list(map(ranked.levels.__getitem__, rank))  # per root, its set's sum
     masses = {}
-    for level, group in zip(ranked.levels, groups):
+    for r, (level, group) in enumerate(zip(ranked.levels, groups)):
         for v in group:
-            uf.add(v, level)
+            for y in adj[v]:
+                if rank[y] <= r:  # y has joined
+                    a, b = v, y
+                    while parent[a] != a:
+                        parent[a] = a = parent[parent[a]]
+                    while parent[b] != b:
+                        parent[b] = b = parent[parent[b]]
+                    if a != b:
+                        if size[a] < size[b]:
+                            a, b = b, a
+                        parent[b] = a
+                        size[a] += size[b]
+                        total[a] += total[b]
         for v in group:
-            for y in g.adjacency[v]:
-                if y in uf.parent:
-                    uf.union(v, y)
-        for v in group:
-            masses[v] = uf.total[uf.find(v)] / level
+            a = v
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            masses[ids[v]] = total[a] / level
     return masses
 
 
@@ -577,33 +591,36 @@ def qualifying_side_counts(g: Graph, qualifies: Callable[[int], bool]) -> dict[i
     """For every vertex x, the number of components of (component minus x)
     containing at least one vertex with qualifies(v) True.
 
-    One low-link DFS per component (`_component_side_counts`).  Linear in
-    the graph's size; used for nonvanishing-proxy side counts on
-    percolation clusters and forest trees.
+    One low-link DFS over g's positions (`_side_counts`).  Linear in the
+    graph's size; used for nonvanishing-proxy side counts on percolation
+    clusters and forest trees.
     """
-    counts: dict[int, int] = {}
-    for root in g.vertices:
-        if root not in counts:
-            counts.update(_component_side_counts(g.adjacency, root, qualifies))
-    return counts
+    _, adj = _position_adjacency(g.adjacency)
+    own = [int(qualifies(v)) for v in g.vertices]
+    return dict(zip(g.vertices, _side_counts(adj, range(len(adj)), own)))
 
 
-def _component_side_counts(adj: Mapping[int, tuple[int, ...]], root: int,
-                           qualifies: Callable[[int], bool]) -> dict[int, int]:
-    """`qualifying_side_counts` on root's component: one low-link DFS, with
-    qualifying counts summed up the DFS tree.  A child c of x with
-    low[c] >= disc[x] holds one side of its own, and everything else
-    outside x is one more side, counted by subtraction."""
-    order, parent, disc, low = _lowlink(adj, root)
-    own = {v: int(qualifies(v)) for v in order}
-    below = dict(own)  # qualifying vertices in v's DFS subtree
-    apart = dict.fromkeys(order, 0)  # ... in the child subtrees v cuts off
-    sides = dict.fromkeys(order, 0)  # those child subtrees that qualify
-    for v in reversed(order[1:]):
+def _side_counts(adj: list[list[int]], roots: Iterable[int], own: list[int]) -> list[int]:
+    """`qualifying_side_counts` on positions, over the components of `roots`
+    (0 elsewhere), with `own` each position's 0/1 qualifying flag: one
+    low-link DFS, with qualifying counts summed up the DFS tree.  A child c
+    of x with low[c] >= disc[x] holds one side of its own, and everything
+    else outside x is one more side, counted by subtraction."""
+    order, parent, disc, low = _lowlink(adj, roots)
+    below = list(own)  # qualifying vertices in v's DFS subtree
+    apart = [0] * len(adj)  # ... in the child subtrees v cuts off
+    sides = [0] * len(adj)  # those child subtrees that qualify
+    for v in reversed(order):
         p = parent[v]
-        below[p] += below[v]
-        if low[v] >= disc[p]:
-            apart[p] += below[v]
-            sides[p] += below[v] > 0
-    total = below[root]
-    return {v: sides[v] + (total - own[v] - apart[v] > 0) for v in order}
+        if p >= 0:
+            below[p] += below[v]
+            if low[v] >= disc[p]:
+                apart[p] += below[v]
+                sides[p] += below[v] > 0
+    counts = [0] * len(adj)
+    total = 0
+    for v in order:  # each component's preorder starts at its root
+        if parent[v] < 0:
+            total = below[v]
+        counts[v] = sides[v] + (total - own[v] - apart[v] > 0)
+    return counts

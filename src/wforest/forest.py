@@ -37,7 +37,6 @@ from .graph import (
     is_connected_set,
     is_cycle_invariant,
 )
-from .unionfind import UnionFind
 from .weights import EdgeOrder
 
 
@@ -302,5 +301,7 @@ def restrict_forest(g: Graph, result: ForestResult, order: EdgeOrder,
 
 
 def is_acyclic(g: Graph, edges: Iterable[Edge]) -> bool:
-    uf = UnionFind(g.vertices)
-    return all(uf.union(u, v) for u, v in edges)
+    """Whether the set of `edges`, all edges of g, is a forest: `_greedy`
+    deletes none of them.  A pair that is not an edge of g raises
+    `UnknownId`."""
+    return not _greedy(len(g.vertices), *_edge_ends(g), _positions(g, edges))[1]

@@ -13,7 +13,7 @@ artifacts of cutting off an infinite graph.
 """
 
 import json
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     DanglingEndpoint,
@@ -199,36 +199,51 @@ def is_cycle_invariant(g: Graph, Y: Iterable[int]) -> bool:
     return not inside & outside
 
 
-def _lowlink(adj, root: int):
-    """One iterative depth-first search of root's component.
+def _position_adjacency(adjacency: Mapping[int, Iterable[int]]
+                        ) -> tuple[dict[int, int], list[list[int]]]:
+    """The adjacency on positions, a vertex's position being that of its key
+    in `adjacency`'s order (for a graph, its sorted vertices): each id's
+    position, and each position's neighbour positions in adjacency order."""
+    at = {v: i for i, v in enumerate(adjacency)}
+    return at, [[at[w] for w in ns] for ns in adjacency.values()]
 
-    Returns the preorder, each vertex's DFS parent (None at the root), its
-    preorder index `disc`, and its low-link `low`: the least `disc` of v and
-    of the neighbours of v's DFS subtree.  Every edge of a DFS joins an
-    ancestor to a descendant, so x cuts the subtree of its child c off from
-    the rest of the component exactly when low[c] >= disc[x] (Tarjan 1972).
+
+def _lowlink(adj: list[list[int]], roots: Iterable[int]):
+    """One iterative depth-first search from each of `roots` that no earlier
+    one reached, on positions.
+
+    Returns the components reached, laid end to end in preorder, and per
+    position its DFS parent (-1 at a root), its preorder index `disc` (-1 if
+    unreached) and its low-link `low`: the least `disc` of v and of the
+    neighbours of v's DFS subtree.  Every edge of a DFS joins an ancestor to
+    a descendant, so x cuts the subtree of its child c off from the rest of
+    the component exactly when low[c] >= disc[x] (Tarjan 1972).
     """
-    order = [root]
-    parent: dict[int, int | None] = {root: None}
-    disc = {root: 0}
-    low = {root: 0}
-    stack = [(root, iter(adj[root]))]
-    while stack:
-        v, pending = stack[-1]
-        for w in pending:
-            if w not in disc:
-                parent[w] = v
-                disc[w] = low[w] = len(order)
-                order.append(w)
-                stack.append((w, iter(adj[w])))
-                break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            p = parent[v]
-            if p is not None and low[v] < low[p]:
-                low[p] = low[v]
+    n = len(adj)
+    order: list[int] = []
+    parent, disc, low = [-1] * n, [-1] * n, [-1] * n
+    for root in roots:
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = len(order)
+        order.append(root)
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, pending = stack[-1]
+            for w in pending:
+                if disc[w] < 0:
+                    parent[w] = v
+                    disc[w] = low[w] = len(order)
+                    order.append(w)
+                    stack.append((w, iter(adj[w])))
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                p = parent[v]
+                if p >= 0 and low[v] < low[p]:
+                    low[p] = low[v]
     return order, parent, disc, low
 
 
@@ -240,21 +255,19 @@ def _edge_blocks(g: Graph) -> dict[Edge, int]:
     otherwise continues its parent's block; a back edge joins the block of
     the tree edge into its lower end.
     """
-    adj = g.adjacency
+    ids = g.vertices
+    _, adj = _position_adjacency(g.adjacency)
+    order, parent, disc, low = _lowlink(adj, range(len(adj)))
     blocks: dict[Edge, int] = {}
-    seen: set[int] = set()
-    for root in g.vertices:
-        if root in seen:
+    opened = [-1] * len(adj)
+    for v in order:
+        p = parent[v]
+        if p < 0:
             continue
-        order, parent, disc, low = _lowlink(adj, root)
-        seen.update(order)
-        opened: dict[int, int] = {}
-        for v in order[1:]:
-            p = parent[v]
-            opened[v] = v if low[v] >= disc[p] else opened[p]
-            for w in adj[v]:
-                if disc[w] < disc[v]:
-                    blocks[edge(v, w)] = opened[v]
+        opened[v] = v if low[v] >= disc[p] else opened[p]
+        for w in adj[v]:
+            if disc[w] < disc[v]:
+                blocks[edge(ids[v], ids[w])] = ids[opened[v]]
     return blocks
 
 

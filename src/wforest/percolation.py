@@ -28,7 +28,7 @@ from .errors import (
     NotAutomorphism,
     NotWeightPreserving,
 )
-from .ends import ProxyParams, _component_side_counts
+from .ends import ProxyParams, _side_counts
 from .forest import (
     ForestResult,
     _edge_ends,
@@ -226,28 +226,32 @@ def _cluster_report(host: _Host, adj: list[list[int]], clusters: list[list[int]]
     its heaviest vertex is at least heavy_tau, or when it holds a
     nonvanishing vertex.
 
-    Only a cluster with two or more nonvanishing vertices runs the low-link
-    DFS for its side counts.  With none, every count is 0; with one, q,
-    every other vertex has q on exactly one of its sides and q has none, so
-    the greatest count is 1 unless q is alone.
+    Only the clusters with two or more nonvanishing vertices run the low-link
+    DFS for their side counts, all in one `ends._side_counts` call.  With
+    none, every count is 0; with one, q, every other vertex has q on exactly
+    one of its sides and q has none, so the greatest count is 1 unless q is
+    alone.
     """
     levels, rank = host.levels, host.rank
+    hits = [len(nonvanishing.intersection(comp)) for comp in clusters]
+    own = [0] * len(rank)
+    for v in nonvanishing:
+        own[v] = 1
+    side = _side_counts(adj, [comp[0] for comp, h in zip(clusters, hits) if h >= 2], own)
     stats = []
     n_heavy = 0
-    for comp, top in zip(clusters, tops):
-        hits = len(nonvanishing.intersection(comp))
-        if hits >= 2:
-            side_max = max(_component_side_counts(adj, comp[0], nonvanishing.__contains__)
-                           .values())
+    for comp, top, h in zip(clusters, tops, hits):
+        if h >= 2:
+            side_max = max(map(side.__getitem__, comp))
         else:
-            side_max = int(hits == 1 and len(comp) > 1)
+            side_max = int(h == 1 and len(comp) > 1)
         if len(comp) == 1:
             mass = Fraction(1)  # a vertex relative to itself
         else:
             # the exact potential sum, one Fraction product per distinct value
             per_level = Counter(map(rank.__getitem__, comp))
             mass = sum(levels[r] * n for r, n in per_level.items()) / levels[top]
-        heavy = mass >= params.heavy_tau or hits > 0
+        heavy = mass >= params.heavy_tau or h > 0
         n_heavy += heavy
         stats.append(_ClusterStat(mass, "heavy" if heavy else "light", side_max))
     counts = {

@@ -32,7 +32,7 @@ from wforest.errors import (
 )
 from wforest.forest import is_acyclic, maximal_subforest
 from wforest.generators import free_product, gp_graph, lattice_box, regular_tree, windmill
-from wforest.graph import build_graph, components, edge_boundary, spanned_subgraph
+from wforest.graph import build_graph, components, edge, edge_boundary, spanned_subgraph
 from wforest.weights import EdgeOrder, level_potential, unit_potential
 
 from conftest import (
@@ -227,6 +227,42 @@ def test_quotient_rejects_bad_blocks():
         quotient(g, pot, [(0, 1), (1, 3)])  # disconnected before overlapping
     with pytest.raises(OverlappingBlocks):
         quotient(g, pot, [(0, 1), (1, 2), (0, 3, 9)])  # an earlier block decides
+
+
+def test_quotient_follows_its_literal_rule(rand):
+    """On random potentials, which tie often, and random disjoint edge
+    blocks: each lift is the least host edge among those whose end
+    potentials, greater first, are greatest; a block's potential is its
+    members' greatest; and the quotient graph is the one `build_graph`
+    gives on the block ids and the block pairs."""
+    several = 0
+    for _ in range(300):
+        h = random_connected_graph(rand, rand.randint(2, 12))
+        flags = frozenset(v for v in h.vertices if rand.random() < 0.3)
+        g = build_graph(h.vertices, h.edges, {"boundary": flags})
+        pot = random_potential(rand, g)
+        used, family = set(), []
+        for e in rand.sample(sorted(g.edges), len(g.edges)):
+            if not used.intersection(e) and rand.random() < 0.5:
+                used.update(e)
+                family.append(e)
+        q = quotient(g, pot, family)
+        hosts = {}
+        for u, v in sorted(g.edges):
+            if q.block_of[u] != q.block_of[v]:
+                hosts.setdefault(edge(q.block_of[u], q.block_of[v]), []).append((u, v))
+        assert q.lift.keys() == hosts.keys()
+        for qe, es in hosts.items():
+            def pair(e):
+                return sorted((pot[e[0]], pot[e[1]]), reverse=True)
+            best = max(map(pair, es))
+            assert q.lift[qe] == min(e for e in es if pair(e) == best)
+            several += len(es) > 1
+        assert q.qpotential == {b[0]: max(pot[v] for v in b) for b in q.blocks}
+        qflags = frozenset(b[0] for b in q.blocks if flags.intersection(b))
+        assert q.qgraph == build_graph([b[0] for b in q.blocks], hosts,
+                                       {"generator": "quotient", "boundary": qflags})
+    assert several >= 100
 
 
 def test_quotient_preserves_component_count(rand):

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 
 from wforest.errors import (
@@ -19,7 +20,6 @@ from wforest.forest import (
 from wforest.generators import free_product, gp_graph, lattice_box, random_gnm, windmill
 from wforest.graph import _bfs, _edge_blocks, build_graph, components, induced_subgraph
 from wforest.percolation import PercolationConfig, assign_labels, bernoulli_sample, fwmsf
-from wforest.unionfind import UnionFind
 from wforest.weights import EdgeOrder, level_potential, unit_potential
 
 from conftest import (
@@ -34,6 +34,16 @@ from conftest import (
     side_pieces,
     simple_cycles,
 )
+
+
+def grow_acyclic(g, edges):
+    """The edges taken in turn, each kept unless it closes a cycle with
+    those kept before it."""
+    h = frozenset()
+    for e in edges:
+        if is_acyclic(g, h | {e}):
+            h |= {e}
+    return h
 
 
 def triangle_order():
@@ -69,22 +79,36 @@ def test_fixed_edges_survive(rand):
         o = random_order(rand, g)
         base = maximal_subforest(g, o)
         # grow a random acyclic fixed set
-        from wforest.unionfind import UnionFind
-        uf = UnionFind(g.vertices)
-        h = frozenset(e for e in random_tiebreak(rand, g)[:3] if uf.union(*e))
+        h = grow_acyclic(g, random_tiebreak(rand, g)[:3])
         r = maximal_subforest(g, o, fixed=h)
         assert h <= r.kept and r.fixed == h
         # enlarging the fixed set keeps the enlarged set in the forest
-        uf2 = UnionFind(g.vertices)
-        for e in sorted(h):
-            uf2.union(*e)
         h2 = set(h)
         for e in random_tiebreak(rand, g):
-            if e not in h2 and uf2.union(*e):
+            if e not in h2 and is_acyclic(g, h2 | {e}):
                 h2.add(e)
                 break
         r2 = maximal_subforest(g, o, fixed=h2)
         assert frozenset(h2) <= r2.kept
+
+
+def test_is_acyclic_equals_networkx_and_rejects_non_edges(rand):
+    path = build_graph(range(3), [(0, 1), (1, 2)])
+    with pytest.raises(UnknownId):
+        is_acyclic(path, [(0, 2)])  # both ends are vertices, the pair is no edge
+    with pytest.raises(UnknownId):
+        is_acyclic(path, [(0, 1), (1, 9)])  # an unknown endpoint
+    answers = Counter()
+    for _ in range(300):
+        g = random_connected_graph(rand, rand.randint(2, 9))
+        es = frozenset(e for e in g.edges if rand.random() < 0.6)
+        ref = nx.Graph()
+        ref.add_nodes_from(g.vertices)
+        ref.add_edges_from(es)
+        answer = is_acyclic(g, es)
+        assert answer == nx.is_forest(ref)
+        answers[answer] += 1
+    assert min(answers[True], answers[False]) >= 50
 
 
 def test_oracle_two_triangles_sharing_edge():
@@ -112,12 +136,10 @@ def test_oracle_equivalence_random(rand):
 
 
 def test_oracle_equivalence_with_fixed_sets(rand):
-    from wforest.unionfind import UnionFind
     for _ in range(60):
         g = random_connected_graph(rand, rand.randint(3, 9))
         o = random_order(rand, g)
-        uf = UnionFind(g.vertices)
-        h = frozenset(e for e in random_tiebreak(rand, g)[:2] if uf.union(*e))
+        h = grow_acyclic(g, random_tiebreak(rand, g)[:2])
         assert maximal_subforest(g, o, h).kept == maximal_subforest_oracle(g, o, h).kept
 
 
@@ -264,9 +286,7 @@ def test_restriction_property_on_block_unions(rand):
 
 def random_fixed(rand, g):
     """A random acyclic subset of g's edges."""
-    uf = UnionFind(g.vertices)
-    return frozenset(e for e in random_tiebreak(rand, g)
-                     if rand.random() < 0.3 and uf.union(*e))
+    return grow_acyclic(g, (e for e in random_tiebreak(rand, g) if rand.random() < 0.3))
 
 
 def test_cut_witnesses_equal_oracle(rand):
