@@ -26,7 +26,9 @@ outputs=(gp.json box.json windmill.json tree.json cycle.json gnm.json fp.json
          gp-collapse4.json gp-family4.json gp-analyze4.json
          box-analyze.json fp-forest.json fp-collapse.json fp-family.json fp-analyze.json
          fp-sweep.jsonl fp-sweep.csv gnm-sweep.jsonl gnm-sweep.csv
-         windmill66-sweep.jsonl windmill66-sweep.csv gp-forest.json windmill66-forest.json)
+         windmill66-sweep.jsonl windmill66-sweep.csv gp-forest.json windmill66-forest.json
+         gpx.json gpx-forest.json gpx-collapse.json gpx-family.json gpx-analyze.json
+         gpx-sweep.jsonl gpx-sweep.csv)
 demos=(01_weighted_forest_basics 02_grandparent_weights 03_windmill_collapse
        04_percolation_sweep)
 for d in "${demos[@]}"; do
@@ -98,6 +100,22 @@ run_tree() {
         # and lifts chosen among unequal potentials
         wf collapse fp.json levels.json -o fp-collapse.json --family-out fp-family.json
         wf analyze fp.json levels.json -o fp-analyze.json
+        # GP on ids that are not positions: every id v sent to 5000 - 7v,
+        # which also reverses the canonical edge order
+        python3 -c '
+import json
+f = lambda v: 5000 - 7 * v
+doc = json.load(open("gp.json"))
+for rec in doc["vertices"]:
+    rec["id"] = f(rec["id"])
+doc["edges"] = [[f(u), f(v)] for u, v in doc["edges"]]
+doc["meta"]["root"] = f(doc["meta"]["root"])
+json.dump(doc, open("gpx.json", "w"))'
+        wf forest gpx.json levels.json --check-witnesses -o gpx-forest.json
+        wf collapse gpx.json levels.json -o gpx-collapse.json --family-out gpx-family.json
+        wf analyze gpx.json levels.json -o gpx-analyze.json
+        wf percolate gpx.json levels.json --p-grid 0.5,0.9 --trials 2 --seed 8 \
+            -o gpx-sweep.jsonl --summary gpx-sweep.csv
         for d in "${demos[@]}"; do
             PYTHONPATH="$tree/src" python3 "$tree/demos/$d.py" > "demo-$d.out"
         done

@@ -11,17 +11,17 @@ ProxyParams so results stay honest about the approximation.
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import BadParams, MissingVertex, NotConnected, OverlappingBlocks, UnknownId
+from .errors import BadParams, MissingVertex, NotConnected, OverlappingBlocks
 from .forest import ForestResult, maximal_subforest
 from .graph import (
     Edge,
     Graph,
     _bfs,
     _lowlink,
-    _position_adjacency,
     _subgraph,
+    _vertex_set,
     components,
     edge,
 )
@@ -138,12 +138,11 @@ class _SideIndex:
       answers by bisection; a union-find over the pieces counts the sides.
     """
 
-    def __init__(self, adj: Mapping[int, tuple[int, ...]], comps: Iterable[tuple[int, ...]],
+    def __init__(self, g: Graph, comps: Iterable[tuple[int, ...]],
                  marks: Mapping[int, tuple[int, ...]]):
         self.marks = marks
-        at, padj = _position_adjacency(adj)
-        order, parent, disc, low = _lowlink(padj, [at[comp[0]] for comp in comps])
-        ids = list(adj)
+        ids, adj = g.vertices, g.near
+        order, parent, disc, low = _lowlink(adj, [bisect_left(ids, comp[0]) for comp in comps])
         self.pos: dict[int, int] = {ids[v]: i for i, v in enumerate(order)}
         self.parent: list[int] = [-1 if parent[v] < 0 else disc[parent[v]] for v in order]
         self.low: list[int] = list(map(low.__getitem__, order))
@@ -154,7 +153,7 @@ class _SideIndex:
         for i, v in enumerate(order):
             for upto, flag in zip(self.upto, marks.get(ids[v], zero)):
                 upto.append(upto[-1] + flag)
-            near = sorted(map(disc.__getitem__, padj[v]))
+            near = sorted(map(disc.__getitem__, adj[v]))
             least.append(near[0])
             lesser.append(near[:bisect_left(near, i)])
         self.end: list[int] = list(range(1, len(order) + 1))
@@ -398,7 +397,7 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
         if total[inf] >= 2:
             total_of.update(dict.fromkeys(comp, total))
             comps.append(comp)
-    index = _SideIndex(adj, comps, marks)
+    index = _SideIndex(g, comps, marks)
     candidates = _subsets_by_size(adj, sorted(total_of), s_max)
     used: set[int] = set()
     blocks: list[tuple[int, ...]] = []
@@ -445,12 +444,9 @@ def quotient(g: Graph, potential: Mapping[int, object],
     block_of: dict[int, int] = {}
     inner_trees: dict[int, frozenset[Edge]] = {}
     for b in fam:
-        for v in b:
-            if v not in g.adjacency:
-                raise UnknownId(f"vertex {v} not in graph")
+        bset = _vertex_set(g, b)
         # one search from the least vertex: the block's connectivity and,
         # on the sorted adjacency, the inner tree the induced subgraph gives
-        bset = set(b)
         tree = _bfs(g.adjacency, b[0], bset.__contains__) if b else {}
         if not b or len(tree) != len(bset):
             raise NotConnected(f"family block {b} is not connected")
@@ -554,8 +550,7 @@ def visibility_masses(g: Graph, potential: Mapping[int, object]) -> dict[int, Fr
     ranks, so no `Fraction` is hashed or sorted here.
     """
     ranked = ranked_potential(g, potential)
-    ids = g.vertices
-    _, adj = _position_adjacency(g.adjacency)
+    ids, adj = g.vertices, g.near
     rank = list(map(ranked.rank.__getitem__, ids))
     groups: list[list[int]] = [[] for _ in ranked.levels]
     for v, r in enumerate(rank):
@@ -591,16 +586,16 @@ def qualifying_side_counts(g: Graph, qualifies: Callable[[int], bool]) -> dict[i
     """For every vertex x, the number of components of (component minus x)
     containing at least one vertex with qualifies(v) True.
 
-    One low-link DFS over g's positions (`_side_counts`).  Linear in the
-    graph's size; used for nonvanishing-proxy side counts on percolation
-    clusters and forest trees.
+    One low-link DFS over the neighbour positions g carries
+    (`_side_counts`).  Linear in the graph's size; used for
+    nonvanishing-proxy side counts on percolation clusters and forest
+    trees.
     """
-    _, adj = _position_adjacency(g.adjacency)
     own = [int(qualifies(v)) for v in g.vertices]
-    return dict(zip(g.vertices, _side_counts(adj, range(len(adj)), own)))
+    return dict(zip(g.vertices, _side_counts(g.near, range(len(g.near)), own)))
 
 
-def _side_counts(adj: list[list[int]], roots: Iterable[int], own: list[int]) -> list[int]:
+def _side_counts(adj: Sequence[Sequence[int]], roots: Iterable[int], own: list[int]) -> list[int]:
     """`qualifying_side_counts` on positions, over the components of `roots`
     (0 elsewhere), with `own` each position's 0/1 qualifying flag: one
     low-link DFS, with qualifying counts summed up the DFS tree.  A child c

@@ -11,10 +11,11 @@ below a partner across a cut.  The literal cycle-enumeration reading and
 the classical free minimal spanning forest are exponential or quadratic, so
 they live with the test suite, which holds the greedy equal to both.
 
-Both run on dense integer positions: a vertex is its position in
-``g.vertices`` and an edge its position in ``g.ordered_edges``, with each
-edge's end positions in two lists (`_edge_ends`) and its int key in a
-third.  `_greedy`, `_root` and `_scan_witnesses` are that array core;
+Both run on the graph's dense integer positions: a vertex is its position
+in ``g.vertices`` and an edge its position in ``g.ordered_edges``, with
+each edge's end positions in ``g.eu`` and ``g.ev``, as the graph lays them
+out, and its int key in a list.  `_greedy`, `_root` and `_scan_witnesses`
+are that array core;
 `maximal_subforest` and `check_cut_witnesses` translate a graph and an
 `EdgeOrder` into it and its answer back into edges, and a percolation
 sweep calls it directly on every run.  Vertex ids appear only in messages.
@@ -63,13 +64,6 @@ class ForestResult(_ForestSets):
         return cls(*fields)
 
 
-def _edge_ends(g: Graph) -> tuple[list[int], list[int]]:
-    """Per edge of g, in canonical order, the positions of its lesser and
-    of its greater end."""
-    at = {v: i for i, v in enumerate(g.vertices)}
-    return ([at[u] for u, _ in g.ordered_edges], [at[v] for _, v in g.ordered_edges])
-
-
 def _positions(g: Graph, edges: Iterable[Edge]) -> list[int]:
     """The positions of `edges` in g's canonical order, increasing; an edge
     outside g raises `UnknownId`."""
@@ -77,14 +71,14 @@ def _positions(g: Graph, edges: Iterable[Edge]) -> list[int]:
     return [i for i, e in enumerate(g.ordered_edges) if e in eset]
 
 
-def _greedy(n: int, eu: Sequence[int], ev: Sequence[int],
-            edges: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Take `edges` in turn on n vertices: an edge whose ends some earlier
-    kept edges join is deleted, every other edge is kept.  Returns (kept,
-    deleted), each in the order taken.  A list union-find, by size with path
-    halving."""
-    parent = list(range(n))
-    size = [1] * n
+def _greedy(g: Graph, edges: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Take the edge positions `edges` of g in turn: an edge whose ends some
+    earlier kept edges join is deleted, every other edge is kept.  Returns
+    (kept, deleted), each in the order taken.  A list union-find, by size
+    with path halving."""
+    eu, ev = g.eu, g.ev
+    parent = list(range(len(g.vertices)))
+    size = [1] * len(parent)
     kept: list[int] = []
     deleted: list[int] = []
     for i in edges:
@@ -120,7 +114,7 @@ def maximal_subforest(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = ()) ->
     pinned = [i for i, e in enumerate(edges) if e in h]
     rest = sorted((i for i, e in enumerate(edges) if e not in h),
                   key=key.__getitem__, reverse=True)
-    kept, deleted = _greedy(len(g.vertices), *_edge_ends(g), pinned + rest)
+    kept, deleted = _greedy(g, pinned + rest)
     # the pinned edges go first, so one of them closes a cycle iff the
     # first deleted edge is pinned
     if deleted and edges[deleted[0]] in h:
@@ -150,15 +144,16 @@ class _Rooted(NamedTuple):
     order: list[int]
 
 
-def _root(n: int, eu: Sequence[int], ev: Sequence[int], kept: Sequence[int]) -> _Rooted:
-    """Root every tree of the forest of the `kept` edges on n vertices.  A
-    tree has one path from each vertex to its root, so the parents and
-    depths do not depend on the order of the edges.
+def _root(g: Graph, kept: Sequence[int]) -> _Rooted:
+    """Root every tree of the forest of the `kept` edge positions on g's
+    vertices.  A tree has one path from each vertex to its root, so the
+    parents and depths do not depend on the order of the edges.
 
     A kept set with a cycle cannot come from any producer and raises
     `InvariantViolation`: a forest with t trees on n vertices has exactly
     n - t edges.
     """
+    n, eu, ev = len(g.vertices), g.eu, g.ev
     adj: list[list[int]] = [[] for _ in range(n)]
     for i in kept:
         adj[eu[i]].append(i)
@@ -207,21 +202,20 @@ def _path(rooted: _Rooted, u: int, v: int) -> list[int]:
     return head + tail
 
 
-def _scan_witnesses(rooted: _Rooted, eu: Sequence[int], ev: Sequence[int],
-                    key: Sequence[int | None], deleted: Iterable[int],
-                    edges: Iterable[int], names: Sequence[Edge]):
-    """`check_cut_witnesses` on positions: the kept forest as `_root` rooted
-    it, each edge's int key (None at a fixed edge, which is never a
+def _scan_witnesses(g: Graph, rooted: _Rooted, key: Sequence[int | None],
+                    deleted: Iterable[int], edges: Iterable[int]):
+    """`check_cut_witnesses` on g's positions: the kept forest as `_root`
+    rooted it, each edge's int key (None at a fixed edge, which is never a
     violation or a witness), the deleted edges in the order their
-    violations are listed, the edges a cut edge's partner is sought among,
-    and each edge's name for the messages.
+    violations are listed, and the edges a cut edge's partner is sought
+    among; an edge's name in the messages is its canonical pair.
 
     Each kept path is one `_path`, read in walk order: the first loose
     (non-fixed) edge below e is the violation, else the greatest loose edge
     is the witness.  Returns the violations as (edge, reason) and the
     witnesses as {edge: witness}, both on positions.
     """
-    root = rooted.root
+    eu, ev, names, root = g.eu, g.ev, g.ordered_edges, rooted.root
     violations: list[tuple[int, str]] = []
     witnesses: dict[int, int] = {}
     for d in deleted:
@@ -264,11 +258,10 @@ def check_cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder) -> Cut
     set with a cycle raises `InvariantViolation`.
     """
     names = g.ordered_edges
-    eu, ev = _edge_ends(g)
-    rooted = _root(len(g.vertices), eu, ev, _positions(g, result.kept))
+    rooted = _root(g, _positions(g, result.kept))
     key = [None if e in result.fixed else order.key(e) for e in names]
     violations, witnesses = _scan_witnesses(
-        rooted, eu, ev, key, _positions(g, result.deleted), range(len(names)), names)
+        g, rooted, key, _positions(g, result.deleted), range(len(names)))
     return CutWitnessReport(
         violations=tuple((names[d], why) for d, why in violations),
         witnesses={names[d]: names[f] for d, f in witnesses.items()})
@@ -304,4 +297,4 @@ def is_acyclic(g: Graph, edges: Iterable[Edge]) -> bool:
     """Whether the set of `edges`, all edges of g, is a forest: `_greedy`
     deletes none of them.  A pair that is not an edge of g raises
     `UnknownId`."""
-    return not _greedy(len(g.vertices), *_edge_ends(g), _positions(g, edges))[1]
+    return not _greedy(g, _positions(g, edges))[1]

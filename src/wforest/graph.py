@@ -6,14 +6,20 @@ Vertices are opaque integer ids; edges are canonical pairs ``(u, v)`` with
 hash order.  A graph's canonical edge order is its edges sorted, and every
 keyed draw indexes an edge by its position there: `build_graph` sorts once,
 a subgraph filters its host's order, and ``Graph.ordered_edges`` is read,
-never sorted again.  Per-vertex "level" integers and truncation-boundary
-flags are carried in ``Graph.meta`` (keys ``"levels"`` and ``"boundary"``)
-because only the generator that built a truncation knows which vertices are
-artifacts of cutting off an infinite graph.
+never sorted again.  `_subgraph`, the one builder of a Graph, also lays it
+out on dense integer positions once: a vertex is its index in the sorted
+``Graph.vertices`` and an edge its index in ``Graph.ordered_edges``, and
+``Graph.eu``, ``Graph.ev`` and ``Graph.near`` hold each edge's end
+positions and each vertex's neighbour positions.  Every low-link DFS,
+union-find and rooting in the package reads that layout.  Per-vertex
+"level" integers and truncation-boundary flags are carried in
+``Graph.meta`` (keys ``"levels"`` and ``"boundary"``) because only the
+generator that built a truncation knows which vertices are artifacts of
+cutting off an infinite graph.
 """
 
 import json
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DanglingEndpoint,
@@ -41,6 +47,12 @@ class Graph(NamedTuple):
     # `edges`; derived from them, so comparing it decides no equality
     ordered_edges: tuple[Edge, ...]
     meta: dict
+    # the layout on positions, derived like `ordered_edges`: per edge
+    # position, the positions of its lesser and of its greater end, and per
+    # vertex position, its neighbours' positions in adjacency order
+    eu: tuple[int, ...]
+    ev: tuple[int, ...]
+    near: tuple[tuple[int, ...], ...]
 
     def __contains__(self, v: int) -> bool:
         return v in self.adjacency
@@ -154,32 +166,37 @@ def _tree_walk(parent, depth, u: int, v: int) -> list[int]:
     return head + tail[-2::-1]
 
 
+def _vertex_set(g: Graph, A: Iterable[int]) -> set[int]:
+    """A as a set, checked to hold only vertices of g."""
+    aset = set(A)
+    if not g.adjacency.keys() >= aset:
+        raise UnknownId(f"vertex {next(v for v in aset if v not in g.adjacency)} not in graph")
+    return aset
+
+
 def is_connected_set(g: Graph, A: Iterable[int]) -> bool:
     """True iff the induced subgraph on A is connected (and A nonempty)."""
-    aset = set(A)
+    aset = _vertex_set(g, A)
     if not aset:
         return False
-    for v in aset:
-        if v not in g.adjacency:
-            raise UnknownId(f"vertex {v} not in graph")
     return len(_bfs(g.adjacency, min(aset), aset.__contains__)) == len(aset)
 
 
 def edge_boundary(g: Graph, A: Iterable[int]) -> frozenset[Edge]:
     """Edges with exactly one endpoint in A."""
-    aset = set(A)
+    aset = _vertex_set(g, A)
     return frozenset(e for e in g.edges if (e[0] in aset) != (e[1] in aset))
 
 
 def inner_boundary(g: Graph, A: Iterable[int]) -> frozenset[int]:
     """Vertices of A adjacent to the complement."""
-    aset = set(A)
+    aset = _vertex_set(g, A)
     return frozenset(v for v in aset if any(y not in aset for y in g.adjacency[v]))
 
 
 def outer_boundary(g: Graph, A: Iterable[int]) -> frozenset[int]:
     """Inner boundary of the complement: outside vertices adjacent to A."""
-    aset = set(A)
+    aset = _vertex_set(g, A)
     return frozenset(
         y for v in aset for y in g.adjacency[v] if y not in aset
     )
@@ -192,23 +209,14 @@ def is_cycle_invariant(g: Graph, Y: Iterable[int]) -> bool:
     block share a simple cycle, so this holds iff no block has both an edge
     inside Y and an edge that is not.  Linear time.
     """
-    yset = set(Y)
+    yset = _vertex_set(g, Y)
     inside, outside = set(), set()
     for (u, v), block in _edge_blocks(g).items():
         (inside if u in yset and v in yset else outside).add(block)
     return not inside & outside
 
 
-def _position_adjacency(adjacency: Mapping[int, Iterable[int]]
-                        ) -> tuple[dict[int, int], list[list[int]]]:
-    """The adjacency on positions, a vertex's position being that of its key
-    in `adjacency`'s order (for a graph, its sorted vertices): each id's
-    position, and each position's neighbour positions in adjacency order."""
-    at = {v: i for i, v in enumerate(adjacency)}
-    return at, [[at[w] for w in ns] for ns in adjacency.values()]
-
-
-def _lowlink(adj: list[list[int]], roots: Iterable[int]):
+def _lowlink(adj: Sequence[Sequence[int]], roots: Iterable[int]):
     """One iterative depth-first search from each of `roots` that no earlier
     one reached, on positions.
 
@@ -255,8 +263,7 @@ def _edge_blocks(g: Graph) -> dict[Edge, int]:
     otherwise continues its parent's block; a back edge joins the block of
     the tree edge into its lower end.
     """
-    ids = g.vertices
-    _, adj = _position_adjacency(g.adjacency)
+    ids, adj = g.vertices, g.near
     order, parent, disc, low = _lowlink(adj, range(len(adj)))
     blocks: dict[Edge, int] = {}
     opened = [-1] * len(adj)
@@ -282,10 +289,7 @@ def _restrict_meta(meta: dict, keep: set[int]) -> dict:
 
 def induced_subgraph(g: Graph, A: Iterable[int]) -> Graph:
     """Restriction to a vertex set, preserving ids and meta annotations."""
-    aset = set(A)
-    for v in aset:
-        if v not in g.adjacency:
-            raise UnknownId(f"vertex {v} not in graph")
+    aset = _vertex_set(g, A)
     ordered = tuple(e for e in g.ordered_edges if e[0] in aset and e[1] in aset)
     return _subgraph(sorted(aset), ordered, _restrict_meta(g.meta, aset))
 
@@ -305,25 +309,27 @@ def spanned_subgraph(g: Graph, E: Iterable[Edge]) -> Graph:
     return _subgraph(g.vertices, ordered, dict(g.meta))
 
 
-def _adjacency(vertices, edges: Iterable[Edge]) -> dict[int, list[int]]:
-    """Neighbour lists of canonical edges, each edge appended to both ends.
-    Edges listed in increasing order give every vertex its lesser
-    neighbours and then its greater ones, each in increasing order: the
-    sorted adjacency, without sorting a list per vertex."""
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def _subgraph(vertices, ordered: tuple[Edge, ...], meta: dict) -> Graph:
     """The graph on sorted `vertices` with the canonical edges `ordered`
     between them, listed in increasing order; the one builder of a Graph,
-    which validates and sorts nothing."""
-    adjacency = {v: tuple(ns) for v, ns in _adjacency(vertices, ordered).items()}
-    return Graph(vertices=tuple(vertices), edges=frozenset(ordered), adjacency=adjacency,
-                 ordered_edges=ordered, meta=meta)
+    which validates and sorts nothing, and lays the graph out on positions.
+
+    Positions follow the sorted ids.  Each edge is appended to the
+    neighbours of both its ends in turn, so every vertex gets its lesser
+    neighbours and then its greater ones, each in increasing order: the
+    sorted adjacency, without sorting a list per vertex."""
+    vertices = tuple(vertices)
+    at = {v: i for i, v in enumerate(vertices)}
+    eu = tuple([at[u] for u, _ in ordered])
+    ev = tuple([at[v] for _, v in ordered])
+    lists: list[list[int]] = [[] for _ in vertices]
+    for a, b in zip(eu, ev):
+        lists[a].append(b)
+        lists[b].append(a)
+    near = tuple(map(tuple, lists))
+    adjacency = {v: tuple([vertices[w] for w in ns]) for v, ns in zip(vertices, near)}
+    return Graph(vertices=vertices, edges=frozenset(ordered), adjacency=adjacency,
+                 ordered_edges=ordered, meta=meta, eu=eu, ev=ev, near=near)
 
 
 # JSON interchange (the contract used by the CLI)

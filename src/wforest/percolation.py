@@ -5,10 +5,11 @@ All randomness is counter-based and keyed by (seed, domain, edge index), so
 edge decisions are order-independent: the same seed gives monotone-coupled
 configurations across p, and records are byte-reproducible.
 
-Every stage runs on dense integer positions, as `forest` does: a vertex is
-its position in ``g.vertices`` and an edge its position in
-``g.ordered_edges``, the index its draws are keyed by.  A sweep builds its
-host's positions once (`_Host`); each run then keeps its open edges, label
+Every stage runs on the host graph's dense integer positions, as `forest`
+does: a vertex is its position in ``g.vertices`` and an edge its position
+in ``g.ordered_edges``, the index its draws are keyed by, and the graph
+carries each edge's end positions.  A sweep ranks its host's potential
+on positions once (`_Host`); each run then keeps its open edges, label
 ranks, keys, clusters, union-find forest and rooting in lists, and names a
 vertex by its id only in a record's basepoints and in a message.
 `bernoulli_sample`, `assign_labels`, `fwmsf` and `cluster_report` translate
@@ -31,7 +32,6 @@ from .errors import (
 from .ends import ProxyParams, _side_counts
 from .forest import (
     ForestResult,
-    _edge_ends,
     _greedy,
     _positions,
     _root,
@@ -113,12 +113,10 @@ def assign_labels(g: Graph, seed: int) -> LabelAssignment:
 
 
 class _Host(NamedTuple):
-    """A graph and a ranked potential on it as positions, built once per
+    """A graph and a ranked potential on its positions, built once per
     sweep: the open subgraph of every run has the host's vertex set, so the
     host's ranks serve it unchanged."""
     g: Graph
-    eu: list[int]            # per edge, its lesser end
-    ev: list[int]            # per edge, its greater end
     low: list[int]           # per edge, the lesser potential rank of its ends
     rank: list[int]          # per vertex, its potential rank
     levels: list[Fraction]   # the distinct potential values, increasing
@@ -126,11 +124,10 @@ class _Host(NamedTuple):
 
 
 def _host(g: Graph, ranked: RankedPotential) -> _Host:
-    eu, ev = _edge_ends(g)
     rank = list(map(ranked.rank.__getitem__, g.vertices))
-    low = list(map(min, map(rank.__getitem__, eu), map(rank.__getitem__, ev)))
+    low = list(map(min, map(rank.__getitem__, g.eu), map(rank.__getitem__, g.ev)))
     flags = g.boundary_vertices()
-    return _Host(g, eu, ev, low, rank, ranked.levels, [v in flags for v in g.vertices])
+    return _Host(g, low, rank, ranked.levels, [v in flags for v in g.vertices])
 
 
 def _keys(host: _Host, opened: list[int],
@@ -160,7 +157,7 @@ def fwmsf(cfg: PercolationConfig, potential: Mapping[int, object],
     opened = _positions(cfg.host, cfg.open_edges)
     names = cfg.host.ordered_edges
     _, desc = _keys(host, opened, {i: labels.labels[names[i]] for i in opened})
-    kept, deleted = _greedy(len(host.rank), host.eu, host.ev, desc)
+    kept, deleted = _greedy(cfg.host, desc)
     return ForestResult(kept=frozenset(map(names.__getitem__, kept)),
                         deleted=frozenset(map(names.__getitem__, deleted)), fixed=frozenset())
 
@@ -171,7 +168,7 @@ def _clusters(host: _Host, opened: list[int]
     over its adjacency lists, in search order from their least vertex and
     ordered by it.  Returns them, each one's greatest vertex rank, and the
     adjacency lists."""
-    n, eu, ev, rank = len(host.rank), host.eu, host.ev, host.rank
+    n, eu, ev, rank = len(host.rank), host.g.eu, host.g.ev, host.rank
     adj: list[list[int]] = [[] for _ in range(n)]
     for i in opened:
         adj[eu[i]].append(ev[i])
@@ -358,11 +355,12 @@ def sweep(g: Graph, potential: Mapping[int, object], p_grid, trials: int,
 
 def _run_once(host: _Host, params: ProxyParams, job: tuple[float, int, int]) -> dict:
     p, trial, run_seed = job
-    g, n, m = host.g, len(host.rank), len(host.eu)
+    g = host.g
+    n, m = len(g.vertices), len(g.ordered_edges)
     opened = _opened(p, run_seed, m)
     labels = u64s(run_seed, "label", m)
     key, desc = _keys(host, opened, labels)
-    kept, deleted = _greedy(n, host.eu, host.ev, desc)
+    kept, deleted = _greedy(g, desc)
     clusters, tops, adj = _clusters(host, opened)
     # kept is acyclic, so it has n - |kept| trees; they are exactly the
     # clusters iff the counts agree, and the tree stages below rely on it
@@ -375,19 +373,17 @@ def _run_once(host: _Host, params: ProxyParams, job: tuple[float, int, int]) -> 
     stats, counts = _cluster_report(host, adj, clusters, tops, nonvanishing, params)
 
     # the kept forest, rooted once for its side counts and its witnesses
-    rooted = _root(n, host.eu, host.ev, kept)
+    rooted = _root(g, kept)
     # count the trees whose internal structure shows >= 3 nonvanishing-proxy
     # directions; a tree's vertices and relative weights are its cluster's
     tree_side = _tree_side_counts(rooted, nonvanishing)
     trees_3plus = len({rooted.root[v] for v, s in enumerate(tree_side) if s >= 3})
 
-    names = g.ordered_edges
-    violations, _ = _scan_witnesses(rooted, host.eu, host.ev, key, sorted(deleted),
-                                    opened, names)
+    violations, _ = _scan_witnesses(g, rooted, key, sorted(deleted), opened)
     if violations:
         d, reason = violations[0]
         raise InvariantViolation(
-            f"cut-witness violation at deleted edge {names[d]}: {reason} "
+            f"cut-witness violation at deleted edge {g.ordered_edges[d]}: {reason} "
             f"(p={p}, seed={run_seed}, trial={trial})")
 
     # a cluster's heaviest vertex sees its whole cluster, at the cluster's

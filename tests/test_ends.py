@@ -569,7 +569,7 @@ def _side_index(g, pot, params):
         if total[1] >= 2:  # two flagged vertices: the family enumerates no other component
             total_of.update(dict.fromkeys(comp, total))
             comps.append(comp)
-    return _SideIndex(g.adjacency, comps, marks), marks, total_of
+    return _SideIndex(g, comps, marks), marks, total_of
 
 
 def _rule(index, adj, cand):

@@ -350,6 +350,47 @@ def test_sorted_edges_are_the_canonical_order(rand):
         assert g.sorted_edges() == sorted(g.edges)
 
 
+def test_every_builder_lays_the_graph_out_on_positions(rand):
+    """A vertex's position is its index in the sorted `vertices` and an
+    edge's its index in `ordered_edges`: each edge's `eu` and `ev` are its
+    lesser and greater end, and each vertex's `near` lists its neighbours
+    in adjacency order.  Builders: `build_graph` on scattered, negative and
+    non-monotone ids, `from_json(to_json(g))`, both subgraphs, the quotient
+    and the empty graph."""
+    graphs = [build_graph([], []),
+              build_graph([40, -7, 3, 1000, -2, 15],
+                          [(1000, -7), (3, 40), (-2, 15), (15, 1000), (-7, 3), (40, -2)])]
+    for _ in range(30):
+        ids = rand.sample(range(-500, 500), rand.randint(1, 12))
+        pairs = [(u, v) for u in ids for v in ids if u < v and rand.random() < 0.4]
+        rand.shuffle(pairs)
+        graphs.append(build_graph(ids, pairs))
+    for g in list(graphs):
+        graphs.append(from_json(to_json(g)))
+        graphs.append(induced_subgraph(g, [v for v in g.vertices if rand.random() < 0.6]))
+        graphs.append(spanned_subgraph(g, [e for e in g.edges if rand.random() < 0.5]))
+    w = windmill(3, 2)
+    family = maximal_disjoint_furcations(w, {v: 1 for v in w.vertices}, ProxyParams())
+    graphs.append(quotient(w, {v: 1 for v in w.vertices}, family.blocks).qgraph)
+    for g in graphs:
+        assert list(g.vertices) == sorted(g.vertices)
+        assert len(g.eu) == len(g.ev) == len(g.ordered_edges)
+        for j, (a, b) in enumerate(zip(g.eu, g.ev)):
+            assert (g.vertices[a], g.vertices[b]) == g.ordered_edges[j]
+        assert len(g.near) == len(g.vertices)
+        for i, ns in enumerate(g.near):
+            assert [g.vertices[w] for w in ns] == list(g.adjacency[g.vertices[i]])
+
+
+@pytest.mark.parametrize("query", [is_connected_set, edge_boundary, inner_boundary,
+                                   outer_boundary, is_cycle_invariant, induced_subgraph])
+def test_set_queries_reject_unknown_ids(query):
+    """Every vertex-set query names the first id outside the graph."""
+    p = build_graph(range(3), [(0, 1), (1, 2)])
+    with pytest.raises(UnknownId, match=r"^vertex 9 not in graph$"):
+        query(p, [1, 9])
+
+
 def test_components_partition_properties(rand):
     for _ in range(20):
         g = random_connected_graph(rand, rand.randint(2, 9))

@@ -16,7 +16,6 @@ from wforest.errors import (
 )
 from wforest.cli import main as cli_main
 from wforest.forest import (
-    _edge_ends,
     _positions,
     _root,
     is_acyclic,
@@ -141,7 +140,7 @@ def test_tree_side_counts_equal_qualifying_side_counts(rand):
         elif case % 2:
             kept = frozenset(e for e in kept if rand.random() < 0.7)
         q = frozenset(v for v in g.vertices if rand.random() < 0.4)
-        rooted = _root(len(g.vertices), *_edge_ends(g), _positions(g, kept))
+        rooted = _root(g, _positions(g, kept))
         at = {v: i for i, v in enumerate(g.vertices)}
         side = _tree_side_counts(rooted, frozenset(at[v] for v in q))
         assert dict(zip(g.vertices, side)) == \
@@ -491,18 +490,18 @@ def test_sweep_validates_the_potential_once_before_any_run(monkeypatch):
     import wforest.percolation as perc
     import wforest.weights as weights
     calls, layouts = [], []
-    real, real_ends = weights.exact_potential, perc._edge_ends
+    real, real_host = weights.exact_potential, perc._host
 
     def counted(g, potential):
         calls.append(len(g.vertices))
         return real(g, potential)
 
-    def counted_ends(g):
+    def counted_host(g, ranked):
         layouts.append(len(g.edges))
-        return real_ends(g)
+        return real_host(g, ranked)
 
     monkeypatch.setattr(weights, "exact_potential", counted)
-    monkeypatch.setattr(perc, "_edge_ends", counted_ends)
+    monkeypatch.setattr(perc, "_host", counted_host)
     g = lattice_box(4, 4)
     recs = sweep(g, unit_potential(g), [0.3, 0.6, 0.9], 2, 4, ProxyParams())
     assert len(recs) == 6 and calls == [len(g.vertices)] and layouts == [len(g.edges)]
@@ -571,10 +570,11 @@ def test_cut_witness_violation_names_its_run_and_edge(monkeypatch, tmp_path, cap
     import wforest.percolation as perc
     real, calls = perc._scan_witnesses, []
 
-    def planted(rooted, eu, ev, key, deleted, edges, names):
+    def planted(g, rooted, key, deleted, edges):
         calls.append(1)
         if len(calls) % 2:
-            return real(rooted, eu, ev, key, deleted, edges, names)
+            return real(g, rooted, key, deleted, edges)
+        names = g.ordered_edges
         return [(names.index((0, 1)), "planted reason"), (names.index((1, 2)), "later")], {}
 
     monkeypatch.setattr(perc, "_scan_witnesses", planted)
