@@ -28,7 +28,7 @@ outputs=(gp.json box.json windmill.json tree.json cycle.json gnm.json fp.json
          fp-sweep.jsonl fp-sweep.csv gnm-sweep.jsonl gnm-sweep.csv
          windmill66-sweep.jsonl windmill66-sweep.csv gp-forest.json windmill66-forest.json
          gpx.json gpx-forest.json gpx-collapse.json gpx-family.json gpx-analyze.json
-         gpx-sweep.jsonl gpx-sweep.csv)
+         gpx-sweep.jsonl gpx-sweep.csv library.out)
 demos=(01_weighted_forest_basics 02_grandparent_weights 03_windmill_collapse
        04_percolation_sweep)
 for d in "${demos[@]}"; do
@@ -116,6 +116,24 @@ json.dump(doc, open("gpx.json", "w"))'
         wf analyze gpx.json levels.json -o gpx-analyze.json
         wf percolate gpx.json levels.json --p-grid 0.5,0.9 --trials 2 --seed 8 \
             -o gpx-sweep.jsonl --summary gpx-sweep.csv
+        # library paths no command reaches: the cocycle check on inconsistent
+        # ratios, which names its worst cycle, and the components of a graph
+        # that is not connected
+        PYTHONPATH="$tree/src" python3 -c '
+from fractions import Fraction
+from wforest.graph import components, from_json, induced_subgraph
+from wforest.weights import Cocycle, cocycle_from_potential, level_potential, validate_cocycle
+with open("library.out", "w") as out:
+    for name in ("gp.json", "gpx.json"):
+        g = from_json(open(name).read())
+        ratios = dict(cocycle_from_potential(g, level_potential(g)).ratios)
+        for u, v in g.sorted_edges()[::7]:   # every 7th canonical edge
+            ratios[u, v] *= Fraction(3, 2)
+            ratios[v, u] /= Fraction(3, 2)
+        print(name, validate_cocycle(g, Cocycle(ratios=ratios)), file=out)
+    box = from_json(open("box.json").read())   # 12 by 12, ids r * 12 + c
+    cut = induced_subgraph(box, [v for v in box.vertices if v % 12 != 6])
+    print("box.json less column 6", components(cut), file=out)'
         for d in "${demos[@]}"; do
             PYTHONPATH="$tree/src" python3 "$tree/demos/$d.py" > "demo-$d.out"
         done

@@ -14,8 +14,8 @@ they live with the test suite, which holds the greedy equal to both.
 Both run on the graph's dense integer positions: a vertex is its position
 in ``g.vertices`` and an edge its position in ``g.ordered_edges``, with
 each edge's end positions in ``g.eu`` and ``g.ev``, as the graph lays them
-out, and its int key in a list.  `_greedy`, `_root` and `_scan_witnesses`
-are that array core;
+out, and its int key in a list.  `_greedy` and `_scan_witnesses` are that
+array core, and the kept forest is rooted by `graph._root`;
 `maximal_subforest` and `check_cut_witnesses` translate a graph and an
 `EdgeOrder` into it and its answer back into edges, and a percolation
 sweep calls it directly on every run.  Vertex ids appear only in messages.
@@ -34,6 +34,9 @@ from .graph import (
     Edge,
     Graph,
     _host_edges,
+    _path,
+    _root,
+    _Rooted,
     induced_subgraph,
     is_connected_set,
     is_cycle_invariant,
@@ -132,76 +135,6 @@ class CutWitnessReport(NamedTuple):
         return not self.violations
 
 
-class _Rooted(NamedTuple):
-    """A forest on vertex positions, each tree rooted at its least vertex:
-    per vertex its parent and the edge to it (-1 at a root), its depth and
-    its root, and a breadth-first order, which lists a parent before its
-    children."""
-    parent: list[int]
-    up: list[int]
-    depth: list[int]
-    root: list[int]
-    order: list[int]
-
-
-def _root(g: Graph, kept: Sequence[int]) -> _Rooted:
-    """Root every tree of the forest of the `kept` edge positions on g's
-    vertices.  A tree has one path from each vertex to its root, so the
-    parents and depths do not depend on the order of the edges.
-
-    A kept set with a cycle cannot come from any producer and raises
-    `InvariantViolation`: a forest with t trees on n vertices has exactly
-    n - t edges.
-    """
-    n, eu, ev = len(g.vertices), g.eu, g.ev
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in kept:
-        adj[eu[i]].append(i)
-        adj[ev[i]].append(i)
-    parent, up, depth, root = [-1] * n, [-1] * n, [0] * n, [-1] * n
-    order: list[int] = []
-    trees = 0
-    for r in range(n):
-        if root[r] >= 0:
-            continue
-        trees += 1
-        root[r] = r
-        queue = [r]
-        for x in queue:
-            for i in adj[x]:
-                y = eu[i] + ev[i] - x  # the other end
-                if root[y] < 0:
-                    root[y] = r
-                    parent[y] = x
-                    up[y] = i
-                    depth[y] = depth[x] + 1
-                    queue.append(y)
-        order += queue
-    if len(kept) != n - trees:
-        raise InvariantViolation("kept edges close a cycle")
-    return _Rooted(parent, up, depth, root, order)
-
-
-def _path(rooted: _Rooted, u: int, v: int) -> list[int]:
-    """The edges of the u-v path of a rooted forest (u and v in one tree),
-    in walk order from u to v: climb from both ends to where they meet."""
-    parent, up, depth = rooted.parent, rooted.up, rooted.depth
-    head: list[int] = []
-    tail: list[int] = []
-    while depth[u] > depth[v]:
-        head.append(up[u])
-        u = parent[u]
-    while depth[v] > depth[u]:
-        tail.append(up[v])
-        v = parent[v]
-    while u != v:
-        head.append(up[u])
-        tail.append(up[v])
-        u, v = parent[u], parent[v]
-    tail.reverse()
-    return head + tail
-
-
 def _scan_witnesses(g: Graph, rooted: _Rooted, key: Sequence[int | None],
                     deleted: Iterable[int], edges: Iterable[int]):
     """`check_cut_witnesses` on g's positions: the kept forest as `_root`
@@ -258,7 +191,11 @@ def check_cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder) -> Cut
     set with a cycle raises `InvariantViolation`.
     """
     names = g.ordered_edges
-    rooted = _root(g, _positions(g, result.kept))
+    kept = _positions(g, result.kept)
+    rooted = _root(g, kept)
+    # a forest with t trees on n vertices has exactly n - t edges
+    if len(kept) != len(g.vertices) - rooted.trees:
+        raise InvariantViolation("kept edges close a cycle")
     key = [None if e in result.fixed else order.key(e) for e in names]
     violations, witnesses = _scan_witnesses(
         g, rooted, key, _positions(g, result.deleted), range(len(names)))

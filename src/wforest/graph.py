@@ -11,7 +11,11 @@ out on dense integer positions once: a vertex is its index in the sorted
 ``Graph.vertices`` and an edge its index in ``Graph.ordered_edges``, and
 ``Graph.eu``, ``Graph.ev`` and ``Graph.near`` hold each edge's end
 positions and each vertex's neighbour positions.  Every low-link DFS,
-union-find and rooting in the package reads that layout.  Per-vertex
+union-find and rooting in the package reads that layout, and this module
+owns the traversals on it: `_root`, the one breadth-first forest of a set
+of edge positions, with `_path` to climb it, and `_components`, the one
+breadth-first search of all components.  `_bfs` remains the one search on
+ids, from one source and within a vertex set.  Per-vertex
 "level" integers and truncation-boundary flags are carried in
 ``Graph.meta`` (keys ``"levels"`` and ``"boundary"``) because only the
 generator that built a truncation knows which vertices are artifacts of
@@ -104,14 +108,28 @@ def build_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]],
 
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by least id."""
-    seen: set[int] = set()
+    ids = g.vertices
+    return [tuple([ids[v] for v in sorted(comp)]) for comp in _components(g.near)]
+
+
+def _components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The components of the graph on positions 0..n-1 with neighbour lists
+    `adj`, by one breadth-first search each: in search order from their
+    least position, and ordered by it."""
+    n = len(adj)
+    seen = [False] * n
     out = []
-    for start in g.vertices:
-        if start in seen:
+    for s in range(n):
+        if seen[s]:
             continue
-        comp = _bfs(g.adjacency, start)
-        seen.update(comp)
-        out.append(tuple(sorted(comp)))
+        seen[s] = True
+        comp = [s]
+        for x in comp:
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+        out.append(comp)
     return out
 
 
@@ -131,39 +149,74 @@ def _bfs(adjacency, root: int, keep=None) -> dict[int, int | None]:
     return parent
 
 
-def _bfs_forest(adjacency, roots: Iterable[int]):
-    """Root every component at the first of `roots` it holds, by `_bfs`.
+class _Rooted(NamedTuple):
+    """A breadth-first forest on vertex positions, each tree rooted at its
+    least vertex: per vertex its parent and the edge to it (-1 at a root),
+    its depth and its root, a breadth-first order, which lists a parent
+    before its children, and the number of trees."""
+    parent: list[int]
+    up: list[int]
+    depth: list[int]
+    root: list[int]
+    order: list[int]
+    trees: int
 
-    Returns (parent, depth, root), each keyed by vertex; `parent` lists
-    every tree in visit order, so a parent precedes its children.
+
+def _root(g: Graph, edges: Iterable[int]) -> _Rooted:
+    """Root the breadth-first forest of the edge positions `edges` on g's
+    vertices, scanning each vertex's edges in the order given.
+
+    Given in increasing position, each vertex's edges lead to its
+    neighbours in sorted order, so on all of g's edges this is the
+    canonical BFS forest of g.  On a forest the parents and depths do not
+    depend on the order.  The edges span a forest exactly when there are
+    ``len(g.vertices) - trees`` of them.
     """
-    parent: dict[int, int | None] = {}
-    depth: dict[int, int] = {}
-    root: dict[int, int] = {}
-    for r in roots:
-        if r not in root:
-            for y, p in _bfs(adjacency, r).items():
-                parent[y] = p
-                depth[y] = 0 if p is None else depth[p] + 1
-                root[y] = r
-    return parent, depth, root
+    n, eu, ev = len(g.vertices), g.eu, g.ev
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i in edges:
+        adj[eu[i]].append(i)
+        adj[ev[i]].append(i)
+    parent, up, depth, root = [-1] * n, [-1] * n, [0] * n, [-1] * n
+    order: list[int] = []
+    trees = 0
+    for r in range(n):
+        if root[r] >= 0:
+            continue
+        trees += 1
+        root[r] = r
+        queue = [r]
+        for x in queue:
+            for i in adj[x]:
+                y = eu[i] + ev[i] - x  # the other end
+                if root[y] < 0:
+                    root[y] = r
+                    parent[y] = x
+                    up[y] = i
+                    depth[y] = depth[x] + 1
+                    queue.append(y)
+        order += queue
+    return _Rooted(parent, up, depth, root, order, trees)
 
 
-def _tree_walk(parent, depth, u: int, v: int) -> list[int]:
-    """The vertices of the u-v path of a rooted forest (u and v in one tree),
+def _path(rooted: _Rooted, u: int, v: int) -> list[int]:
+    """The edges of the u-v path of a rooted forest (u and v in one tree),
     in walk order from u to v: climb from both ends to where they meet."""
-    head, tail = [u], [v]
+    parent, up, depth = rooted.parent, rooted.up, rooted.depth
+    head: list[int] = []
+    tail: list[int] = []
     while depth[u] > depth[v]:
+        head.append(up[u])
         u = parent[u]
-        head.append(u)
     while depth[v] > depth[u]:
+        tail.append(up[v])
         v = parent[v]
-        tail.append(v)
     while u != v:
+        head.append(up[u])
+        tail.append(up[v])
         u, v = parent[u], parent[v]
-        head.append(u)
-        tail.append(v)
-    return head + tail[-2::-1]
+    tail.reverse()
+    return head + tail
 
 
 def _vertex_set(g: Graph, A: Iterable[int]) -> set[int]:

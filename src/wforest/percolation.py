@@ -11,7 +11,9 @@ in ``g.ordered_edges``, the index its draws are keyed by, and the graph
 carries each edge's end positions.  A sweep ranks its host's potential
 on positions once (`_Host`); each run then keeps its open edges, label
 ranks, keys, clusters, union-find forest and rooting in lists, and names a
-vertex by its id only in a record's basepoints and in a message.
+vertex by its id only in a record's basepoints and in a message.  The
+clusters and the rooting are `graph`'s two breadth-first traversals on
+positions, `_components` and `_root`.
 `bernoulli_sample`, `assign_labels`, `fwmsf` and `cluster_report` translate
 edges and vertices into that same core and back.
 """
@@ -30,15 +32,8 @@ from .errors import (
     NotWeightPreserving,
 )
 from .ends import ProxyParams, _side_counts
-from .forest import (
-    ForestResult,
-    _greedy,
-    _positions,
-    _root,
-    _Rooted,
-    _scan_witnesses,
-)
-from .graph import Edge, Graph, components, edge, spanned_subgraph
+from .forest import ForestResult, _greedy, _positions, _scan_witnesses
+from .graph import Edge, Graph, _components, _root, _Rooted, components, edge, spanned_subgraph
 from .rng import check_seed, subseed, threshold, u64s
 from .weights import RankedPotential, exact_potential, ranked_potential
 
@@ -164,28 +159,16 @@ def fwmsf(cfg: PercolationConfig, potential: Mapping[int, object],
 
 def _clusters(host: _Host, opened: list[int]
               ) -> tuple[list[list[int]], list[int], list[list[int]]]:
-    """The clusters of the open subgraph, by one breadth-first search each
-    over its adjacency lists, in search order from their least vertex and
-    ordered by it.  Returns them, each one's greatest vertex rank, and the
-    adjacency lists."""
-    n, eu, ev, rank = len(host.rank), host.g.eu, host.g.ev, host.rank
-    adj: list[list[int]] = [[] for _ in range(n)]
+    """The clusters of the open subgraph, by `graph._components` over its
+    adjacency lists, in search order from their least vertex and ordered by
+    it.  Returns them, each one's greatest vertex rank, and the adjacency
+    lists."""
+    eu, ev, rank = host.g.eu, host.g.ev, host.rank
+    adj: list[list[int]] = [[] for _ in rank]
     for i in opened:
         adj[eu[i]].append(ev[i])
         adj[ev[i]].append(eu[i])
-    seen = [False] * n
-    clusters = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        for x in comp:
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-        clusters.append(comp)
+    clusters = _components(adj)
     return clusters, [max(map(rank.__getitem__, comp)) for comp in clusters], adj
 
 
@@ -362,8 +345,9 @@ def _run_once(host: _Host, params: ProxyParams, job: tuple[float, int, int]) -> 
     key, desc = _keys(host, opened, labels)
     kept, deleted = _greedy(g, desc)
     clusters, tops, adj = _clusters(host, opened)
-    # kept is acyclic, so it has n - |kept| trees; they are exactly the
-    # clusters iff the counts agree, and the tree stages below rely on it
+    # a forest has n - |kept| trees; kept is one (checked once it is rooted),
+    # so its trees are exactly the clusters iff the counts agree, and the
+    # tree stages below rely on it
     trees = n - len(kept)
     if trees != len(clusters):
         raise InvariantViolation(
@@ -374,6 +358,9 @@ def _run_once(host: _Host, params: ProxyParams, job: tuple[float, int, int]) -> 
 
     # the kept forest, rooted once for its side counts and its witnesses
     rooted = _root(g, kept)
+    if len(kept) != n - rooted.trees:
+        raise InvariantViolation(
+            f"kept edges close a cycle (p={p}, seed={run_seed}, trial={trial})")
     # count the trees whose internal structure shows >= 3 nonvanishing-proxy
     # directions; a tree's vertices and relative weights are its cluster's
     tree_side = _tree_side_counts(rooted, nonvanishing)
@@ -425,7 +412,7 @@ def _run_once(host: _Host, params: ProxyParams, job: tuple[float, int, int]) -> 
 
 
 def _tree_side_counts(rooted: _Rooted, qualifying: frozenset[int]) -> list[int]:
-    """`qualifying_side_counts` on the forest that `forest._root` rooted, by
+    """`qualifying_side_counts` on the forest that `graph._root` rooted, by
     vertex position.  In a tree every child subtree is one side of its
     parent, and the rest of the tree is one more: each vertex's qualifying
     count below it is summed up the breadth-first order, and the rest is

@@ -19,7 +19,7 @@ from .errors import (
     MissingVertex,
     NonPositiveWeight,
 )
-from .graph import Edge, Graph, _bfs, _bfs_forest, _tree_walk, edge
+from .graph import Edge, Graph, _bfs, _host_edges, _path, _root, edge
 
 
 def exact_potential(g: Graph, potential: Mapping[int, object]) -> dict[int, Fraction]:
@@ -120,20 +120,29 @@ def validate_cocycle(g: Graph, c: Cocycle) -> CocycleReport:
         if d > worst:
             worst, worst_cycle = d, (u, v, u)
 
-    # BFS forest rooted at each component's least vertex; value[x] is the
-    # tree-path product from x down to its root: for a non-tree edge (u,v),
-    # the fundamental-cycle product is ratio(u,v) * value(v) / value(u).
-    parent, depth, _ = _bfs_forest(g.adjacency, g.vertices)
-    value: dict[int, Fraction] = {}
-    for y, x in parent.items():
-        value[y] = Fraction(1) if x is None else c.ratio(y, x) * value[x]
-    for u, v in g.ordered_edges:
-        if parent[u] == v or parent[v] == u:
+    # BFS forest rooted at each component's least vertex, on positions;
+    # value[x] is the tree-path product from x down to its root: for a
+    # non-tree edge (u,v), the fundamental-cycle product is
+    # ratio(u,v) * value(v) / value(u).
+    ids, eu, ev = g.vertices, g.eu, g.ev
+    rooted = _root(g, range(len(eu)))
+    parent, up = rooted.parent, rooted.up
+    value: list[Fraction] = [Fraction(1)] * len(ids)
+    for y in rooted.order:
+        x = parent[y]
+        if x >= 0:
+            value[y] = c.ratio(ids[y], ids[x]) * value[x]
+    for i, (u, v) in enumerate(g.ordered_edges):
+        a, b = eu[i], ev[i]
+        if up[a] == i or up[b] == i:
             continue
-        prod = c.ratio(u, v) * value[v] / value[u]
+        prod = c.ratio(u, v) * value[b] / value[a]
         d = defect_of(prod)
         if d > worst:
-            worst, worst_cycle = d, tuple(_tree_walk(parent, depth, u, v))
+            walk = [a]
+            for f in _path(rooted, a, b):
+                walk.append(eu[f] + ev[f] - walk[-1])
+            worst, worst_cycle = d, tuple([ids[x] for x in walk])
     return CocycleReport(ok=worst == 0.0, worst_defect=worst, worst_cycle=worst_cycle)
 
 
@@ -217,10 +226,13 @@ class EdgeOrder:
 
 
 def compare_edges(o: EdgeOrder, e1: Edge, e2: Edge) -> int:
-    """-1 if e1 comes first, +1 if e2 does; never 0 for distinct edges."""
+    """-1 if e1 comes first, +1 if e2 does; never 0 for distinct edges.
+    An edge outside the graph raises `UnknownId`, and edges in two
+    components `CrossComponent`."""
     e1, e2 = edge(*e1), edge(*e2)
     if e1 == e2:
         raise ValueError("compare_edges requires distinct edges")
+    _host_edges(o.graph, (e1, e2))
     if e2[0] not in _bfs(o.graph.adjacency, e1[0]):
         raise CrossComponent(f"{e1} and {e2} lie in different components")
     return -1 if o.key(e1) < o.key(e2) else 1

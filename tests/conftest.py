@@ -11,11 +11,13 @@ component (and by one search per neighbour of F), side orders of small
 sets by growing one search per neighbour of F, cycle-invariance by
 cycle enumeration, the furcation family by one side search per candidate
 per phase, a sweep run on edge and vertex ids with a fresh graph, order and
-search per stage.  Most are exponential or quadratic, which is why they
+search per stage, and the cocycle check on a BFS forest keyed by vertex
+id.  Most are exponential or quadratic, which is why they
 live here and not in the library.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -35,9 +37,9 @@ from wforest.ends import (
 )
 from wforest.errors import NotConnected, UnknownId
 from wforest.forest import CutWitnessReport, ForestResult
-from wforest.graph import Edge, Graph, build_graph, components, edge, spanned_subgraph
+from wforest.graph import Edge, Graph, _bfs, build_graph, components, edge, spanned_subgraph
 from wforest.rng import subseed, threshold, u64s
-from wforest.weights import EdgeOrder, exact_potential
+from wforest.weights import Cocycle, CocycleReport, EdgeOrder, exact_potential
 
 
 def random_connected_graph(rand: random.Random, n: int, extra=None) -> Graph:
@@ -576,6 +578,68 @@ def sweep_oracle(g: Graph, potential, p_grid, trials: int, seed: int,
                 "label_collisions": sum(c - 1 for c in Counter(values).values()),
             })
     return records
+
+
+def _bfs_forest(adjacency, roots: Iterable[int]):
+    """Root every component at the first of `roots` it holds, by `_bfs`.
+
+    Returns (parent, depth, root), each keyed by vertex; `parent` lists
+    every tree in visit order, so a parent precedes its children.
+    """
+    parent: dict[int, int | None] = {}
+    depth: dict[int, int] = {}
+    root: dict[int, int] = {}
+    for r in roots:
+        if r not in root:
+            for y, p in _bfs(adjacency, r).items():
+                parent[y] = p
+                depth[y] = 0 if p is None else depth[p] + 1
+                root[y] = r
+    return parent, depth, root
+
+
+def _tree_walk(parent, depth, u: int, v: int) -> list[int]:
+    """The vertices of the u-v path of a rooted forest (u and v in one tree),
+    in walk order from u to v: climb from both ends to where they meet."""
+    head, tail = [u], [v]
+    while depth[u] > depth[v]:
+        u = parent[u]
+        head.append(u)
+    while depth[v] > depth[u]:
+        v = parent[v]
+        tail.append(v)
+    while u != v:
+        u, v = parent[u], parent[v]
+        head.append(u)
+        tail.append(v)
+    return head + tail[-2::-1]
+
+
+def validate_cocycle_oracle(g: Graph, c: Cocycle) -> CocycleReport:
+    """`weights.validate_cocycle` on a BFS forest keyed by vertex id, read
+    off the sorted adjacency: the per-edge check, then every non-tree edge's
+    fundamental cycle, walked through the tree."""
+    worst = 0.0
+    worst_cycle: tuple[int, ...] = ()
+
+    def defect_of(product) -> float:
+        return 0.0 if product == 1 else abs(math.log(float(product)))
+
+    for u, v in g.ordered_edges:
+        d = defect_of(c.ratio(u, v) * c.ratio(v, u))
+        if d > worst:
+            worst, worst_cycle = d, (u, v, u)
+    parent, depth, _ = _bfs_forest(g.adjacency, g.vertices)
+    value: dict[int, Fraction] = {}
+    for y, x in parent.items():
+        value[y] = Fraction(1) if x is None else c.ratio(y, x) * value[x]
+    for u, v in g.ordered_edges:
+        if parent[u] == v or parent[v] == u:
+            continue
+        d = defect_of(c.ratio(u, v) * value[v] / value[u])
+        if d > worst:
+            worst, worst_cycle = d, tuple(_tree_walk(parent, depth, u, v))
+    return CocycleReport(ok=worst == 0.0, worst_defect=worst, worst_cycle=worst_cycle)
 
 
 @pytest.fixture

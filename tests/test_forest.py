@@ -339,7 +339,7 @@ def test_cut_edge_without_greater_partner_is_a_violation():
 def test_cut_witnesses_reject_cyclic_kept_set():
     g, o = triangle_order()
     r = ForestResult(kept=g.edges, deleted=frozenset(), fixed=frozenset())
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="kept edges close a cycle"):
         check_cut_witnesses(g, r, o)
 
 

@@ -391,6 +391,23 @@ def test_set_queries_reject_unknown_ids(query):
         query(p, [1, 9])
 
 
+def test_components_equal_networkx(rand):
+    """Random graphs, about half disconnected, with isolated vertices among
+    their ids and past them: each component sorted, ordered by least id."""
+    graphs = []
+    for _ in range(400):
+        g = random_graph(rand)
+        isolated = [-1 - i for i in range(rand.randint(0, 2))] + \
+            list(range(100, 100 + rand.randint(0, 2)))
+        graphs.append(build_graph([*g.vertices, *isolated], g.edges))
+    assert sum(1 for g in graphs if len(components(g)) > 2) > 100
+    for g in graphs:
+        nxg = nx.Graph(list(g.edges))
+        nxg.add_nodes_from(g.vertices)
+        want = sorted(tuple(sorted(c)) for c in nx.connected_components(nxg))
+        assert components(g) == want, sorted(g.edges)
+
+
 def test_components_partition_properties(rand):
     for _ in range(20):
         g = random_connected_graph(rand, rand.randint(2, 9))

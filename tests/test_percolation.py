@@ -15,14 +15,9 @@ from wforest.errors import (
     NotWeightPreserving,
 )
 from wforest.cli import main as cli_main
-from wforest.forest import (
-    _positions,
-    _root,
-    is_acyclic,
-    maximal_subforest,
-)
+from wforest.forest import _positions, is_acyclic, maximal_subforest
 from wforest.generators import cycle, free_product, gp_graph, lattice_box, windmill
-from wforest.graph import build_graph, components, spanned_subgraph, to_json
+from wforest.graph import _path, _root, build_graph, components, spanned_subgraph, to_json
 from wforest.percolation import (
     LabelAssignment,
     _tree_side_counts,
@@ -560,6 +555,33 @@ def test_sweep_raises_when_forest_trees_differ_from_clusters(monkeypatch):
     with pytest.raises(InvariantViolation,
                        match=rf"p=0\.6, seed={run_seed}, trial=0"):
         sweep(g, unit_potential(g), [0.6], 1, 5, ProxyParams())
+
+
+def test_sweep_raises_when_kept_edges_close_a_cycle(monkeypatch):
+    """A kept edge off a deleted edge's kept path swapped for that deleted
+    edge: the kept count, so trees == clusters, is unchanged, but the kept
+    set closes a cycle, and the violation names the run."""
+    import wforest.percolation as perc
+    real = perc._greedy
+
+    def swap_kept_for_deleted(g, edges):
+        kept, deleted = real(g, edges)
+        rooted = _root(g, kept)
+        for d in deleted:
+            on_path = set(_path(rooted, g.eu[d], g.ev[d]))
+            off = [f for f in kept if f not in on_path]
+            if off:
+                kept = [f for f in kept if f != off[0]] + [d]
+                deleted = [f for f in deleted if f != d] + [off[0]]
+                return kept, deleted
+        raise AssertionError("no kept edge off a deleted edge's path")
+
+    monkeypatch.setattr(perc, "_greedy", swap_kept_for_deleted)
+    g = lattice_box(4, 4)
+    run_seed = subseed(5, "run", 0, 0)
+    with pytest.raises(InvariantViolation,
+                       match=rf"kept edges close a cycle \(p=0\.9, seed={run_seed}, trial=0\)"):
+        sweep(g, unit_potential(g), [0.9], 1, 5, ProxyParams())
 
 
 def test_cut_witness_violation_names_its_run_and_edge(monkeypatch, tmp_path, capsys):

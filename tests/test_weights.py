@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from wforest.errors import CrossComponent, InvalidCocycle, NonPositiveWeight
+from wforest.errors import CrossComponent, InvalidCocycle, NonPositiveWeight, UnknownId
 from wforest.graph import build_graph, components, edge, induced_subgraph
 from wforest.weights import (
     Cocycle,
@@ -22,6 +22,7 @@ from conftest import (
     random_potential,
     random_tiebreak,
     tuple_key,
+    validate_cocycle_oracle,
 )
 
 
@@ -121,6 +122,19 @@ def test_compare_edges_cross_component():
     o = EdgeOrder(g, unit_potential(g))
     with pytest.raises(CrossComponent):
         compare_edges(o, (0, 1), (2, 3))
+
+
+@pytest.mark.parametrize("e1, e2, outside", [
+    ((1, 2), (7, 8), (7, 8)),
+    ((1, 2), (1, 3), (1, 3)),
+    ((7, 8), (1, 2), (7, 8)),
+    ((1, 2), (2, 9), (2, 9)),
+])
+def test_compare_edges_rejects_an_edge_outside_the_graph(e1, e2, outside):
+    g = build_graph([1, 2, 3], [(1, 2), (2, 3)])
+    o = EdgeOrder(g, unit_potential(g))
+    with pytest.raises(UnknownId, match=rf"edge \({outside[0]}, {outside[1]}\) not in graph"):
+        compare_edges(o, e1, e2)
 
 
 def test_order_invariant_under_rescaling(rand):
@@ -241,3 +255,45 @@ def test_worst_cycle_is_a_cycle_of_the_worst_defect(rand):
         # either orientation: the two products are exact inverses
         assert rep.worst_defect in {abs(math.log(float(x))) for x in (prod, 1 / prod)}
     assert inconsistent > 100
+
+
+def _perturbed(rand, g, ratios):
+    """`ratios` with one or two edges' ratios scaled: both directions by
+    inverse factors, or, at one edge in four, one direction only."""
+    ratios = dict(ratios)
+    for u, v in rand.sample(g.sorted_edges(), min(len(g.edges), rand.randint(1, 2))):
+        f = F(rand.randint(1, 5), rand.randint(1, 5))
+        ratios[u, v] *= f
+        if rand.random() < 0.75:
+            ratios[v, u] /= f
+    return Cocycle(ratios=ratios)
+
+
+def test_validate_cocycle_equals_id_keyed_oracle(rand):
+    """The whole report, the exact `worst_cycle` included, equals the
+    reading on a BFS forest keyed by id: connected and disconnected random
+    graphs on consecutive, scattered and negative ids, and GP(2,1,2)."""
+    inconsistent = 0
+    for case in range(400):
+        g = random_connected_graph(rand, rand.randint(2, 9))
+        if case % 3 == 0:   # a second component
+            h = random_connected_graph(rand, rand.randint(1, 5))
+            n = len(g.vertices)
+            g = build_graph(range(n + len(h.vertices)),
+                            list(g.edges) + [(u + n, v + n) for u, v in h.edges])
+        if case % 2:   # scattered ids, half of them negative
+            ids = rand.sample(range(-60, 60), len(g.vertices))
+            g = build_graph(ids, [(ids[u], ids[v]) for u, v in g.edges])
+        c = _perturbed(rand, g, cocycle_from_potential(g, random_potential(rand, g)).ratios)
+        rep = validate_cocycle(g, c)
+        assert rep == validate_cocycle_oracle(g, c), (sorted(g.edges), c.ratios)
+        inconsistent += not rep.ok
+    gp = gp_graph(2, 1, 2)
+    consistent = cocycle_from_potential(gp, level_potential(gp, F(1, 2)))
+    assert validate_cocycle(gp, consistent) == validate_cocycle_oracle(gp, consistent)
+    for _ in range(50):
+        c = _perturbed(rand, gp, consistent.ratios)
+        rep = validate_cocycle(gp, c)
+        assert rep == validate_cocycle_oracle(gp, c)
+        inconsistent += not rep.ok
+    assert inconsistent > 200
