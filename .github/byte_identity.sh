@@ -24,7 +24,8 @@ outputs=(gp.json box.json windmill.json tree.json cycle.json gnm.json fp.json
          windmill-analyze.json gp-analyze.json
          windmill66-collapse.json windmill66-family.json windmill66-analyze.json
          gp-collapse4.json gp-family4.json gp-analyze4.json
-         box-analyze.json fp-forest.json fp-collapse.json fp-family.json fp-analyze.json
+         box-analyze.json box-collapse.json box-family.json cycle-collapse.json
+         cycle-family.json fp-forest.json fp-collapse.json fp-family.json fp-analyze.json
          fp-sweep.jsonl fp-sweep.csv gnm-sweep.jsonl gnm-sweep.csv
          windmill66-sweep.jsonl windmill66-sweep.csv gp-forest.json windmill66-forest.json
          gpx.json gpx-forest.json gpx-collapse.json gpx-family.json gpx-analyze.json
@@ -96,6 +97,11 @@ run_tree() {
             -o gp-collapse4.json --family-out gp-family4.json
         wf analyze gp.json levels.json --smax 4 -o gp-analyze4.json
         wf analyze box.json unit.json -o box-analyze.json
+        # a 4-block family in a 144-vertex host, whose quotient edges are
+        # mostly host edges; and the 9-cycle, unflagged, whose family is
+        # empty and whose quotient is the host itself
+        wf collapse box.json unit.json -o box-collapse.json --family-out box-family.json
+        wf collapse cycle.json unit.json -o cycle-collapse.json --family-out cycle-family.json
         # a free product under level weights: a family in all three phases,
         # and lifts chosen among unequal potentials
         wf collapse fp.json levels.json -o fp-collapse.json --family-out fp-family.json

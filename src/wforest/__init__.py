@@ -16,12 +16,13 @@ _EXPORTS = {
         "outer_boundary", "spanned_subgraph", "to_json",
     ),
     "weights": (
-        "Cocycle", "EdgeOrder", "Potential", "cocycle_from_potential", "compare_edges",
-        "level_potential", "potential_from_cocycle", "unit_potential", "validate_cocycle",
+        "Cocycle", "EdgeOrder", "Potential", "ProxyParams", "cocycle_from_potential",
+        "compare_edges", "level_potential", "potential_from_cocycle", "unit_potential",
+        "validate_cocycle",
     ),
     "forest": ("ForestResult", "check_cut_witnesses", "maximal_subforest", "restrict_forest"),
     "ends": (
-        "CollapseResult", "FurcationFamily", "ProxyParams", "QuotientGraph",
+        "CollapseResult", "FurcationFamily", "QuotientGraph",
         "collapsed_maximal_subforest", "find_furcation_vertices",
         "maximal_disjoint_furcations", "qualifier", "quotient", "visibility_masses",
     ),

@@ -28,8 +28,8 @@ from .generators import SIZE_FIELDS, build_family
 from .graph import Edge, Graph, components, from_doc, id_pair, parse_json, to_json
 
 # Each command imports the layers it runs, so `gen` never compiles the
-# weights, forest, ends or percolation modules, and `forest` neither ends
-# nor percolation.
+# weights, forest, ends or percolation modules, `forest` neither ends nor
+# percolation, and `percolate` not ends.
 
 
 def _sha256(data: bytes) -> str:
@@ -313,8 +313,8 @@ def cmd_analyze(args, argv) -> int:
 
 
 def cmd_percolate(args, argv) -> int:
-    from .ends import ProxyParams
     from .percolation import records_to_jsonl, summary_csv, sweep
+    from .weights import ProxyParams
 
     g = load_graph(args.graph)
     potential = load_weights(args.weights, g)

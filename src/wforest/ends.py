@@ -6,12 +6,12 @@ proxy used throughout: a side is infinite-proxy when it reaches a flagged
 truncation-boundary vertex, and nonvanishing-proxy when it reaches one whose
 potential is at least ``nonvanish_delta`` (in the scale of the potential
 passed in, i.e. relative to its basepoint).  Every report carries the active
-ProxyParams so results stay honest about the approximation.
+ProxyParams (from `weights`) so results stay honest about the approximation.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import BadParams, MissingVertex, NotConnected, OverlappingBlocks
 from .forest import ForestResult, maximal_subforest
@@ -20,37 +20,18 @@ from .graph import (
     Graph,
     _bfs,
     _lowlink,
+    _side_counts,
     _subgraph,
     _vertex_set,
     components,
     edge,
 )
-from .weights import EdgeOrder, _positive_weight, exact_potential, ranked_potential
+from .weights import EdgeOrder, ProxyParams, _positive_weight, exact_potential, ranked_potential
 
 NONVANISHING = "nonvanishing"
 INFINITE = "infinite"
 FINITE = "finite"
 _KINDS = (NONVANISHING, INFINITE)  # the order of every per-kind count
-
-
-class _Thresholds(NamedTuple):
-    nonvanish_delta: Fraction
-    heavy_tau: Fraction
-
-
-class ProxyParams(_Thresholds):
-    """The proxy thresholds, checked at construction (and by `_replace`) to
-    be strictly positive."""
-    __slots__ = ()
-
-    def __new__(cls, nonvanish_delta=Fraction(1), heavy_tau=Fraction(4)):
-        if nonvanish_delta <= 0 or heavy_tau <= 0:
-            raise BadParams("proxy thresholds must be strictly positive")
-        return super().__new__(cls, nonvanish_delta, heavy_tau)
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
 
 def qualifier(g: Graph, potential: Mapping[int, object], params: ProxyParams,
@@ -439,6 +420,10 @@ def quotient(g: Graph, potential: Mapping[int, object],
     Block potential is the max over members; the lift picks, per quotient
     edge, the host edge with the largest endpoint potentials, ties broken by
     canonical edge order.
+
+    One pass over the vertices meets each block at its least member, so the
+    blocks come out sorted by id; one pass over the canonical edge order
+    keeps, per quotient edge, the first host edge with the greatest ranks.
     """
     fam = tuple(tuple(sorted(b)) for b in family)
     block_of: dict[int, int] = {}
@@ -455,41 +440,33 @@ def quotient(g: Graph, potential: Mapping[int, object],
             if v in block_of:
                 raise OverlappingBlocks(f"vertex {v} lies in two family blocks")
             block_of[v] = b[0]
+    merged = set(block_of)  # the vertices of the family's blocks
+    values, levels, rank = ranked_potential(g, potential)
+    lead = {b[0]: b for b in fam}
+    blocks, qpotential = [], {}
     for v in g.vertices:
-        block_of.setdefault(v, v)
-    ranked = ranked_potential(g, potential)
-    rank = ranked.rank
-
-    all_blocks: dict[int, list[int]] = {}
-    for v in g.vertices:
-        all_blocks.setdefault(block_of[v], []).append(v)
-
-    host_by_qedge: dict[Edge, list[Edge]] = {}
+        if block_of.setdefault(v, v) == v:  # v is its block's least member
+            b = lead.get(v)
+            blocks.append(b or (v,))
+            qpotential[v] = values[v] if b is None else levels[max(map(rank.__getitem__, b))]
+    lift, best = {}, {}  # per quotient edge, its host edge and that edge's end ranks
     for e in g.ordered_edges:
-        bu, bv = block_of[e[0]], block_of[e[1]]
-        if bu == bv:
+        u, v = e
+        if u not in merged and v not in merged:  # the one host edge of its quotient edge
+            lift[e] = e
             continue
-        host_by_qedge.setdefault(edge(bu, bv), []).append(e)
-
-    def pots(e: Edge) -> tuple[int, int]:  # e's end potential ranks, greater first
-        a, b = rank[e[0]], rank[e[1]]
-        return (a, b) if a > b else (b, a)
-
-    # the candidates are in canonical order and `max` keeps the first
-    # greatest, so a tie goes to the least edge
-    lift = {qe: max(cands, key=pots) for qe, cands in host_by_qedge.items()}
-    qpotential = {bid: ranked.levels[max(map(rank.__getitem__, members))]
-                  for bid, members in all_blocks.items()}
-
-    qboundary = frozenset(
-        bid for bid, members in all_blocks.items()
-        if any(g.is_boundary(v) for v in members)
-    )
-    qmeta = {"generator": "quotient", "boundary": qboundary}
+        bu, bv = block_of[u], block_of[v]
+        if bu != bv:
+            a, b = rank[u], rank[v]
+            pots, qe = ((a, b) if a > b else (b, a)), edge(bu, bv)  # greater rank first
+            if pots > best.get(qe, (-1,)):  # so a tie keeps the lesser edge
+                lift[qe], best[qe] = e, pots
+    qboundary = frozenset(block_of[v] for v in g.boundary_vertices() if v in block_of)
     # the block ids are vertices of g and the keys canonical edges: nothing to validate
-    qgraph = _subgraph(sorted(all_blocks), tuple(sorted(host_by_qedge)), qmeta)
+    qgraph = _subgraph(list(qpotential), tuple(sorted(lift)),
+                       {"generator": "quotient", "boundary": qboundary})
     return QuotientGraph(
-        blocks=tuple(tuple(sorted(m)) for _, m in sorted(all_blocks.items())),
+        blocks=tuple(blocks),
         family=fam,
         qgraph=qgraph,
         qpotential=qpotential,
@@ -587,35 +564,9 @@ def qualifying_side_counts(g: Graph, qualifies: Callable[[int], bool]) -> dict[i
     containing at least one vertex with qualifies(v) True.
 
     One low-link DFS over the neighbour positions g carries
-    (`_side_counts`).  Linear in the graph's size; used for
+    (`graph._side_counts`).  Linear in the graph's size; used for
     nonvanishing-proxy side counts on percolation clusters and forest
     trees.
     """
     own = [int(qualifies(v)) for v in g.vertices]
     return dict(zip(g.vertices, _side_counts(g.near, range(len(g.near)), own)))
-
-
-def _side_counts(adj: Sequence[Sequence[int]], roots: Iterable[int], own: list[int]) -> list[int]:
-    """`qualifying_side_counts` on positions, over the components of `roots`
-    (0 elsewhere), with `own` each position's 0/1 qualifying flag: one
-    low-link DFS, with qualifying counts summed up the DFS tree.  A child c
-    of x with low[c] >= disc[x] holds one side of its own, and everything
-    else outside x is one more side, counted by subtraction."""
-    order, parent, disc, low = _lowlink(adj, roots)
-    below = list(own)  # qualifying vertices in v's DFS subtree
-    apart = [0] * len(adj)  # ... in the child subtrees v cuts off
-    sides = [0] * len(adj)  # those child subtrees that qualify
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            below[p] += below[v]
-            if low[v] >= disc[p]:
-                apart[p] += below[v]
-                sides[p] += below[v] > 0
-    counts = [0] * len(adj)
-    total = 0
-    for v in order:  # each component's preorder starts at its root
-        if parent[v] < 0:
-            total = below[v]
-        counts[v] = sides[v] + (total - own[v] - apart[v] > 0)
-    return counts

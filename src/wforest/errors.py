@@ -37,6 +37,10 @@ class DuplicateVertexId(WForestError):
     pass
 
 
+class DuplicateEdge(WForestError):
+    pass
+
+
 class UnknownId(WForestError):
     pass
 

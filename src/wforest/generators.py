@@ -277,34 +277,97 @@ def windmill(blades: int, radius: int) -> Graph:
     return build_graph(range(n_vertices), tiebreak, meta=meta)
 
 
-# Each family's constructor and the FamilySpec fields it takes, in argument
-# order.  Every field is a JSON integer but free_product's factor specs.
+# The most vertices `build_family` generates, and the deepest it nests
+# free_product factors: both are checked on the spec, before anything is
+# built, so an absurd spec is `BadParams`, not a memory kill or a
+# RecursionError.
+MAX_VERTICES = 10**7
+MAX_NESTING = 32
+
+
+def _series(k: int, terms: int) -> int:
+    """1 + k + ... + k**(terms - 1), or `terms` for k <= 1.  For k >= 2 the
+    first 64 terms already pass MAX_VERTICES, so no more are summed."""
+    return terms if k <= 1 else (k ** min(terms, 64) - 1) // (k - 1)
+
+
+def _product_count(counts: list[int], max_word: int) -> int:
+    """free_product's vertex count from its factors' counts, by its own
+    recurrence: the first factor's copy at depth 0, then at each vertex made
+    at depth d < max_word a copy of every other factor, less the root it
+    shares.  Once depth 2 makes a vertex, every later depth does too, so the
+    count stops as soon as that floor passes MAX_VERTICES."""
+    made = counts[:1] + [0] * (len(counts) - 1)  # per factor, made at this depth
+    total = sum(made)
+    for depth in range(1, max_word + 1):
+        spread = sum(made)
+        made = [max(n - 1, 0) * (spread - m) for n, m in zip(counts, made)]
+        total += sum(made)
+        if not any(made):
+            break
+        if depth >= 2 and total + max_word - depth > MAX_VERTICES:
+            return total + max_word - depth
+    return total
+
+
+# Each family's constructor, the FamilySpec fields it takes, in argument
+# order, and its vertex count from those fields (None for free_product,
+# which counts its factors).  Every field is a JSON integer but
+# free_product's factor specs.
 _FAMILIES = {
-    "gp": (gp_graph, ("k", "up", "down")),
-    "regular_tree": (regular_tree, ("d", "radius")),
-    "lattice_box": (lattice_box, ("w", "h")),
-    "free_product": (free_product, ("factors", "max_word")),
-    "windmill": (windmill, ("blades", "radius")),
-    "cycle": (cycle, ("n",)),
-    "random_gnm": (random_gnm, ("n", "m", "seed")),
+    "gp": (gp_graph, ("k", "up", "down"), lambda k, up, down: _series(k, up + down + 1)),
+    "regular_tree": (regular_tree, ("d", "radius"), lambda d, r: 1 + d * _series(d - 1, r)),
+    "lattice_box": (lattice_box, ("w", "h"), lambda w, h: w * h),
+    "free_product": (free_product, ("factors", "max_word"), None),
+    "windmill": (windmill, ("blades", "radius"), lambda blades, r: blades * (r + 1) ** 2),
+    "cycle": (cycle, ("n",), lambda n: n),
+    "random_gnm": (random_gnm, ("n", "m", "seed"), lambda n, m, seed: n),
 }
 FAMILIES = tuple(_FAMILIES)
 # Every integer field of some family, once each.
 SIZE_FIELDS = tuple(dict.fromkeys(
-    key for _, fields in _FAMILIES.values() for key in fields if key != "factors"))
+    key for _, fields, _ in _FAMILIES.values() for key in fields if key != "factors"))
 
 
 def build_family(spec: dict) -> Graph:
-    """Dispatch a FamilySpec mapping to the matching constructor.
+    """Dispatch a FamilySpec mapping to the matching constructor, once its
+    vertex count is known to be at most MAX_VERTICES (`_vertex_count`).
 
     A missing field (but random_gnm's seed, which defaults to 0) or one the
     family does not take is `BadParams`; a field of the wrong JSON type is
     `MalformedDocument`, and no constructor sees it.
     """
+    _vertex_count(spec)
+    fam, args = _fields(spec)
+    return _FAMILIES[fam][0](*args)
+
+
+def _vertex_count(spec: dict, depth: int = 0) -> int:
+    """The vertex count of the graph a FamilySpec describes, from closed
+    forms, without building it: `BadParams` past MAX_VERTICES, or for
+    free_product factors nested past MAX_NESTING.  A value its constructor
+    refuses may count as anything, as the constructor then names it."""
+    fam, args = _fields(spec)
+    if fam == "free_product":
+        if depth == MAX_NESTING:
+            raise BadParams(f"free_product factors nest more than {MAX_NESTING} deep")
+        factors, max_word = args
+        n = _product_count([_vertex_count(f, depth + 1) for f in factors], max_word)
+    else:
+        n = max(_FAMILIES[fam][2](*args), 0)
+    if n > MAX_VERTICES:
+        raise BadParams(f"family {fam!r} would have at least {n} vertices, "
+                        f"more than the {MAX_VERTICES} allowed")
+    return n
+
+
+def _fields(spec: dict) -> tuple[str, list]:
+    """The family a FamilySpec names and its constructor's arguments, each
+    field checked as `build_family` documents."""
     fam = spec.get("family")
     if fam not in FAMILIES:
         raise BadParams(f"unknown family {fam!r}; expected one of {FAMILIES}")
-    make, fields = _FAMILIES[fam]
+    fields = _FAMILIES[fam][1]
     if fam == "random_gnm":
         spec = {"seed": 0, **spec}
     for key in spec:
@@ -321,4 +384,4 @@ def build_family(spec: dict) -> Graph:
         elif type(val) is not int:  # bools excluded
             raise MalformedDocument(f"{fam} field {key!r}={val!r} is not an integer")
         args.append(val)
-    return make(*args)
+    return fam, args

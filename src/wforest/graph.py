@@ -27,6 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DanglingEndpoint,
+    DuplicateEdge,
     DuplicateVertexId,
     MalformedDocument,
     SelfLoop,
@@ -85,7 +86,8 @@ class Graph(NamedTuple):
 
 def build_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]],
                 meta: dict | None = None) -> Graph:
-    """Validate and canonicalize a vertex/edge description into a Graph."""
+    """Validate and canonicalize a vertex/edge description into a Graph; an
+    edge listed twice, in either orientation, is `DuplicateEdge`."""
     vlist = list(vertices)
     vset = set(vlist)
     if len(vset) != len(vlist):
@@ -102,6 +104,8 @@ def build_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]],
         if e[0] not in vset or e[1] not in vset:
             missing = e[0] if e[0] not in vset else e[1]
             raise DanglingEndpoint(f"edge {e} references unknown vertex {missing}")
+        if e in eset:
+            raise DuplicateEdge(f"edge {e} listed twice")
         eset.add(e)
     return _subgraph(sorted(vset), tuple(sorted(eset)), dict(meta) if meta else {})
 
@@ -306,6 +310,33 @@ def _lowlink(adj: Sequence[Sequence[int]], roots: Iterable[int]):
                 if p >= 0 and low[v] < low[p]:
                     low[p] = low[v]
     return order, parent, disc, low
+
+
+def _side_counts(adj: Sequence[Sequence[int]], roots: Iterable[int], own: list[int]) -> list[int]:
+    """Per position, the sides of its component less it that hold a qualifying
+    position, over the components of `roots` (0 elsewhere), with `own` each
+    position's 0/1 qualifying flag (`ends.qualifying_side_counts`): one
+    low-link DFS, with qualifying counts summed up the DFS tree.  A child c
+    of x with low[c] >= disc[x] holds one side of its own, and everything
+    else outside x is one more side, counted by subtraction."""
+    order, parent, disc, low = _lowlink(adj, roots)
+    below = list(own)  # qualifying vertices in v's DFS subtree
+    apart = [0] * len(adj)  # ... in the child subtrees v cuts off
+    sides = [0] * len(adj)  # those child subtrees that qualify
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            below[p] += below[v]
+            if low[v] >= disc[p]:
+                apart[p] += below[v]
+                sides[p] += below[v] > 0
+    counts = [0] * len(adj)
+    total = 0
+    for v in order:  # each component's preorder starts at its root
+        if parent[v] < 0:
+            total = below[v]
+        counts[v] = sides[v] + (total - own[v] - apart[v] > 0)
+    return counts
 
 
 def _edge_blocks(g: Graph) -> dict[Edge, int]:

@@ -31,11 +31,11 @@ from .errors import (
     NotAutomorphism,
     NotWeightPreserving,
 )
-from .ends import ProxyParams, _side_counts
 from .forest import ForestResult, _greedy, _positions, _scan_witnesses
-from .graph import Edge, Graph, _components, _root, _Rooted, components, edge, spanned_subgraph
+from .graph import (Edge, Graph, _components, _root, _Rooted, _side_counts, components, edge,
+                    spanned_subgraph)
 from .rng import check_seed, subseed, threshold, u64s
-from .weights import RankedPotential, exact_potential, ranked_potential
+from .weights import ProxyParams, RankedPotential, exact_potential, ranked_potential
 
 # Clusters per sweep run whose heaviest vertex is a visibility basepoint.
 VISIBILITY_BASEPOINTS = 8
@@ -207,7 +207,7 @@ def _cluster_report(host: _Host, adj: list[list[int]], clusters: list[list[int]]
     nonvanishing vertex.
 
     Only the clusters with two or more nonvanishing vertices run the low-link
-    DFS for their side counts, all in one `ends._side_counts` call.  With
+    DFS for their side counts, all in one `graph._side_counts` call.  With
     none, every count is 0; with one, q, every other vertex has q on exactly
     one of its sides and q has none, so the greatest count is 1 unless q is
     alone.

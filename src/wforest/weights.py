@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
+    BadParams,
     CrossComponent,
     InvalidCocycle,
     MissingVertex,
@@ -205,6 +206,11 @@ class EdgeOrder:
         for e in g.edges:
             if e not in self.rank:
                 raise ValueError(f"tiebreak missing edge {e}")
+        if not isinstance(tiebreak, Mapping) and len(tiebreak) != len(g.edges):
+            # every edge is listed: so the sequence repeats one or lists a non-edge
+            extra = next((e for e in self.rank if e not in g.edges), None)
+            raise ValueError("tiebreak repeats an edge" if extra is None
+                             else f"tiebreak names {extra}, which is not an edge")
         used = [self.rank[e] for e in g.edges]
         if len(set(used)) != len(used):
             raise ValueError("tiebreak ranks are not injective")
@@ -265,3 +271,23 @@ def level_potential(g: Graph, base_ratio=Fraction(1, 2)) -> dict[int, Fraction]:
         out[v] = powers[level]
     return out
 
+
+class _Thresholds(NamedTuple):
+    nonvanish_delta: Fraction
+    heavy_tau: Fraction
+
+
+class ProxyParams(_Thresholds):
+    """The thresholds of the finite proxies for ends (see `ends`), checked at
+    construction (and by `_replace`) to be strictly positive.  Kept here, so
+    a percolation sweep reads them without loading `ends`."""
+    __slots__ = ()
+
+    def __new__(cls, nonvanish_delta=Fraction(1), heavy_tau=Fraction(4)):
+        if nonvanish_delta <= 0 or heavy_tau <= 0:
+            raise BadParams("proxy thresholds must be strictly positive")
+        return super().__new__(cls, nonvanish_delta, heavy_tau)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)

@@ -11,8 +11,9 @@ component (and by one search per neighbour of F), side orders of small
 sets by growing one search per neighbour of F, cycle-invariance by
 cycle enumeration, the furcation family by one side search per candidate
 per phase, a sweep run on edge and vertex ids with a fresh graph, order and
-search per stage, and the cocycle check on a BFS forest keyed by vertex
-id.  Most are exponential or quadratic, which is why they
+search per stage, the cocycle check on a BFS forest keyed by vertex id,
+and the quotient from a member list per block and a candidate list per
+quotient edge.  Most are exponential or quadratic, which is why they
 live here and not in the library.
 """
 
@@ -30,16 +31,33 @@ from wforest.ends import (
     NONVANISHING,
     FurcationFamily,
     ProxyParams,
+    QuotientGraph,
     _mark_totals,
     connected_subsets,
     qualifier,
     qualifying_side_counts,
 )
-from wforest.errors import NotConnected, UnknownId
+from wforest.errors import NotConnected, OverlappingBlocks, UnknownId
 from wforest.forest import CutWitnessReport, ForestResult
-from wforest.graph import Edge, Graph, _bfs, build_graph, components, edge, spanned_subgraph
+from wforest.graph import (
+    Edge,
+    Graph,
+    _bfs,
+    _subgraph,
+    _vertex_set,
+    build_graph,
+    components,
+    edge,
+    spanned_subgraph,
+)
 from wforest.rng import subseed, threshold, u64s
-from wforest.weights import Cocycle, CocycleReport, EdgeOrder, exact_potential
+from wforest.weights import (
+    Cocycle,
+    CocycleReport,
+    EdgeOrder,
+    exact_potential,
+    ranked_potential,
+)
 
 
 def random_connected_graph(rand: random.Random, n: int, extra=None) -> Graph:
@@ -640,6 +658,64 @@ def validate_cocycle_oracle(g: Graph, c: Cocycle) -> CocycleReport:
         if d > worst:
             worst, worst_cycle = d, tuple(_tree_walk(parent, depth, u, v))
     return CocycleReport(ok=worst == 0.0, worst_defect=worst, worst_cycle=worst_cycle)
+
+
+def quotient_oracle(g: Graph, potential, family) -> QuotientGraph:
+    """The quotient from a member list per block and a candidate list per
+    quotient edge, each lift the first greatest candidate by `max`.
+    Reference for `ends.quotient`, field by field and key order by key
+    order."""
+    fam = tuple(tuple(sorted(b)) for b in family)
+    block_of: dict[int, int] = {}
+    inner_trees: dict[int, frozenset[Edge]] = {}
+    for b in fam:
+        bset = _vertex_set(g, b)
+        tree = _bfs(g.adjacency, b[0], bset.__contains__) if b else {}
+        if not b or len(tree) != len(bset):
+            raise NotConnected(f"family block {b} is not connected")
+        inner_trees[b[0]] = frozenset(edge(p, y) for y, p in tree.items() if p is not None)
+        for v in b:
+            if v in block_of:
+                raise OverlappingBlocks(f"vertex {v} lies in two family blocks")
+            block_of[v] = b[0]
+    for v in g.vertices:
+        block_of.setdefault(v, v)
+    ranked = ranked_potential(g, potential)
+    rank = ranked.rank
+
+    all_blocks: dict[int, list[int]] = {}
+    for v in g.vertices:
+        all_blocks.setdefault(block_of[v], []).append(v)
+
+    host_by_qedge: dict[Edge, list[Edge]] = {}
+    for e in g.ordered_edges:
+        bu, bv = block_of[e[0]], block_of[e[1]]
+        if bu == bv:
+            continue
+        host_by_qedge.setdefault(edge(bu, bv), []).append(e)
+
+    def pots(e: Edge) -> tuple[int, int]:
+        a, b = rank[e[0]], rank[e[1]]
+        return (a, b) if a > b else (b, a)
+
+    lift = {qe: max(cands, key=pots) for qe, cands in host_by_qedge.items()}
+    qpotential = {bid: ranked.levels[max(map(rank.__getitem__, members))]
+                  for bid, members in all_blocks.items()}
+    qboundary = frozenset(
+        bid for bid, members in all_blocks.items()
+        if any(g.is_boundary(v) for v in members)
+    )
+    qmeta = {"generator": "quotient", "boundary": qboundary}
+    qgraph = _subgraph(sorted(all_blocks), tuple(sorted(host_by_qedge)), qmeta)
+    return QuotientGraph(
+        blocks=tuple(tuple(sorted(m)) for _, m in sorted(all_blocks.items())),
+        family=fam,
+        qgraph=qgraph,
+        qpotential=qpotential,
+        lift=lift,
+        inner_trees=inner_trees,
+        block_of=block_of,
+    )
 
 
 @pytest.fixture

@@ -251,6 +251,66 @@ def test_gen_refuses_missing_and_foreign_family_fields(tmp_path, capsys, field, 
     assert list(tmp_path.iterdir()) == []
 
 
+def nested_factors(levels: int) -> str:
+    """A cycle(3) inside `levels` free products, each beside a 1x1 box: a
+    graph of 3 vertices at any depth."""
+    box = {"family": "lattice_box", "w": 1, "h": 1}
+    spec = {"family": "cycle", "n": 3}
+    for _ in range(levels):
+        spec = {"family": "free_product", "max_word": 1, "factors": [spec, box]}
+    return json.dumps([spec, box])
+
+
+@pytest.mark.parametrize("flags", [
+    ("--family", "free_product", "--max-word", "1", "--factors", nested_factors(32)),
+    ("--family", "free_product", "--max-word", "1", "--factors", nested_factors(330)),
+    ("--family", "lattice_box", "--w", "100000000", "--h", "100000000"),
+    ("--family", "gp", "--k", "2", "--up", "3", "--down", "400"),
+    ("--family", "windmill", "--blades", "3", "--radius", "100000"),
+    ("--family", "free_product", "--max-word", "1000000000", "--factors",
+     '[{"family":"lattice_box","w":1,"h":2},{"family":"lattice_box","w":2,"h":1}]'),
+], ids=["nested-33", "nested-331", "box", "gp", "windmill", "fp-max-word"])
+def test_gen_refuses_deep_nesting_and_absurd_sizes(tmp_path, capsys, flags):
+    """Factors nested past the limit, and a family past the vertex bound
+    (each value refused from its closed form, before anything is built), are
+    BadParams: one JSON line, no traceback, nothing written."""
+    assert run(tmp_path, "gen", *flags, "-o", "g.json") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert json.loads(out.err)["error"] == "BadParams"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_nests_factors_up_to_the_limit(tmp_path):
+    assert run(tmp_path, "gen", "--family", "free_product", "--max-word", "1",
+               "--factors", nested_factors(31), "-o", "g.json") == 0
+    assert len(from_json((tmp_path / "g.json").read_text()).vertices) == 3
+
+
+TRIANGLE = '{"vertices":[{"id":0},{"id":1},{"id":2}],"edges":[[0,1],[1,2],[0,2]]'
+
+
+@pytest.mark.parametrize("graph, error", [
+    ('{"vertices":[{"id":0},{"id":1}],"edges":[[0,1],[1,0]]}', "DuplicateEdge"),
+    ('{"vertices":[{"id":0},{"id":1}],"edges":[[0,1],[0,1]]}', "DuplicateEdge"),
+    (TRIANGLE + ',"meta":{"tiebreak":[[0,1],[0,1],[1,2],[0,2],[5,6]]}}', "ValueError"),
+    (TRIANGLE + ',"meta":{"tiebreak":[[0,1],[1,0],[1,2],[0,2]]}}', "ValueError"),
+    (TRIANGLE + ',"meta":{"tiebreak":[[0,1],[1,2],[0,2],[5,6]]}}', "ValueError"),
+], ids=["edge-twice-reversed", "edge-twice", "tiebreak-both", "tiebreak-repeat",
+        "tiebreak-non-edge"])
+def test_repeated_edges_and_foreign_tiebreaks_exit_2(tmp_path, capsys, graph, error):
+    """A graph that lists an edge twice, and a meta tiebreak that repeats an
+    edge or names a non-edge, are refused: one JSON line, nothing written."""
+    (tmp_path / "g.json").write_text(graph)
+    (tmp_path / "unit.json").write_text('{"unit":true}')
+    assert run(tmp_path, "forest", "g.json", "unit.json", "--tiebreak", "meta",
+               "-o", "f.json") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert json.loads(out.err)["error"] == error
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_rerun_rejects_drifted_input_with_unchanged_output(tmp_path, capsys):
     run(tmp_path, "gen", "--family", "cycle", "--n", "4", "-o", "c.json")
     (tmp_path / "unit.json").write_text('{"unit":true}')

@@ -40,6 +40,7 @@ from conftest import (
     brute_visibility,
     furcation_family_oracle,
     is_heavy,
+    quotient_oracle,
     random_connected_graph,
     random_potential,
     side_pieces,
@@ -263,6 +264,60 @@ def test_quotient_follows_its_literal_rule(rand):
         assert q.qgraph == build_graph([b[0] for b in q.blocks], hosts,
                                        {"generator": "quotient", "boundary": qflags})
     assert several >= 100
+
+
+def random_blocks(rand, g):
+    """Disjoint connected blocks of 1 to 5 vertices, each grown from a
+    random free vertex through random free neighbours."""
+    used, family = set(), []
+    for root in rand.sample(g.vertices, len(g.vertices)):
+        if root in used or rand.random() < 0.5:
+            continue
+        block, size = [root], rand.randint(1, 5)
+        used.add(root)
+        while len(block) < size:
+            free = [y for x in block for y in g.adjacency[x] if y not in used]
+            if not free:
+                break
+            y = rand.choice(free)
+            used.add(y)
+            block.append(y)
+        family.append(tuple(rand.sample(block, len(block))))
+    return family
+
+
+def test_quotient_equals_its_oracle(rand):
+    """`quotient` is `==` to the member-list oracle in every field, and its
+    `lift`, `qpotential`, `block_of` and `inner_trees` list their keys in
+    the oracle's order: on random graphs with random flags, potentials and
+    blocks, and on the families' own furcation families."""
+    cases = []
+    for _ in range(200):
+        h = random_connected_graph(rand, rand.randint(1, 16))
+        if rand.random() < 0.3:  # a second component, on ids above the first
+            k = random_connected_graph(rand, rand.randint(1, 6))
+            shift = len(h.vertices) + rand.randint(0, 5)
+            h = build_graph([*h.vertices, *(v + shift for v in k.vertices)],
+                            [*h.edges, *((u + shift, v + shift) for u, v in k.edges)])
+        flags = frozenset(v for v in h.vertices if rand.random() < 0.3)
+        g = build_graph(h.vertices, h.edges, {"boundary": flags})
+        cases.append((g, random_potential(rand, g), random_blocks(rand, g)))
+    gp = gp_graph(2, 2, 4)
+    fp = free_product([{"family": "gp", "k": 2, "up": 1, "down": 2},
+                       {"family": "lattice_box", "w": 3, "h": 3}], 2)
+    for g, pot in ((gp, level_potential(gp)), (lattice_box(12, 12), None),
+                   (windmill(4, 3), None), (windmill(6, 6), None), (fp, level_potential(fp))):
+        pot = pot or unit_potential(g)
+        for s_max in (1, 3, 4):
+            cases.append((g, pot, maximal_disjoint_furcations(g, pot, ProxyParams(), s_max).blocks))
+        cases.append((g, pot, ()))
+        cases.append((g, pot, random_blocks(rand, g)))
+    assert sum(len(fam) > 1 for _, _, fam in cases) >= 150
+    for g, pot, fam in cases:
+        got, want = quotient(g, pot, fam), quotient_oracle(g, pot, fam)
+        assert got == want
+        for field in ("lift", "qpotential", "block_of", "inner_trees"):
+            assert list(getattr(got, field)) == list(getattr(want, field))
 
 
 def test_quotient_preserves_component_count(rand):

@@ -4,6 +4,8 @@ import pytest
 
 from wforest.errors import BadParams, MalformedDocument
 from wforest.generators import (
+    MAX_VERTICES,
+    _vertex_count,
     build_family,
     cycle,
     free_product,
@@ -220,3 +222,42 @@ def test_windmill_forest_three_rays_at_hubs():
         assert len(incident) == 3
         chain_edges = [e for e in incident if e[0] < 3 and e[1] < 3]
         assert len(chain_edges) == 2  # both chain directions plus one blade ray
+
+
+def test_vertex_count_is_the_built_count():
+    """`build_family`'s closed-form count is each family's vertex count,
+    for free products by their factors' counts, nested too, with 1- and
+    2-vertex factors whose copies add no vertex or one."""
+    box = lambda w, h: {"family": "lattice_box", "w": w, "h": h}
+    gp = {"family": "gp", "k": 3, "up": 1, "down": 2}
+    specs = [gp, {"family": "gp", "k": 2, "up": 2, "down": 1}, box(3, 4), box(1, 1),
+             {"family": "regular_tree", "d": 3, "radius": 3},
+             {"family": "regular_tree", "d": 2, "radius": 4},
+             {"family": "windmill", "blades": 4, "radius": 3}, {"family": "cycle", "n": 5},
+             {"family": "random_gnm", "n": 7, "m": 3}]
+    for max_word in (1, 2, 3):
+        for factors in ([gp, box(2, 2)], [box(1, 2), box(2, 1)], [box(1, 1), box(1, 2)],
+                        [box(1, 1), box(1, 1)], [box(1, 2), box(1, 1), box(2, 1)],
+                        [box(2, 2), {"family": "cycle", "n": 3}, box(1, 1)],
+                        [{"family": "free_product", "max_word": 1,
+                          "factors": [box(1, 2), box(2, 1)]}, box(2, 1)]):
+            specs.append({"family": "free_product", "max_word": max_word, "factors": factors})
+    for spec in specs:
+        assert _vertex_count(spec) == len(build_family(spec).vertices), spec
+
+
+def test_build_family_refuses_from_the_count_alone():
+    """Specs past the bounds are refused before anything is built: each
+    value here would take far more memory or time than any test allows."""
+    pair = [{"family": "lattice_box", "w": 1, "h": 2}, {"family": "lattice_box", "w": 2, "h": 1}]
+    for spec in ({"family": "lattice_box", "w": 10**8, "h": 10**8},
+                 {"family": "gp", "k": 2, "up": 3, "down": 10**18},
+                 {"family": "regular_tree", "d": 2, "radius": MAX_VERTICES},
+                 {"family": "cycle", "n": MAX_VERTICES + 1},
+                 {"family": "random_gnm", "n": 10**9, "m": 0},
+                 {"family": "free_product", "max_word": 10**18, "factors": pair},
+                 {"family": "free_product", "max_word": 1, "factors": [
+                     {"family": "lattice_box", "w": 5000, "h": 1000},
+                     {"family": "lattice_box", "w": 2, "h": 2}]}):
+        with pytest.raises(BadParams, match="vertices"):
+            build_family(spec)

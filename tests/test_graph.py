@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wforest.errors import (
     DanglingEndpoint,
+    DuplicateEdge,
     DuplicateVertexId,
     NotConnected,
     SelfLoop,
@@ -82,6 +83,9 @@ def test_build_graph_rejects_bad_input():
         build_graph([1, 2], [(1, 3)])
     with pytest.raises(DuplicateVertexId):
         build_graph([1, 1], [])
+    for edges in ([(1, 2), (2, 1)], [(1, 2), (1, 2)]):
+        with pytest.raises(DuplicateEdge, match=r"edge \(1, 2\) listed twice"):
+            build_graph([1, 2], edges)
 
 
 def test_components():

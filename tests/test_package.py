@@ -35,7 +35,7 @@ COMMANDS = {
     "analyze": (["analyze", "wm.json", "unit.json", "-o", "a.json"],
                 ("weights", "forest", "ends")),
     "percolate": (["percolate", "wm.json", "unit.json", "--p-grid", "0.5", "-o", "r.jsonl"],
-                  LAYERS),
+                  ("weights", "forest", "percolation")),
 }
 # Run one command through `main` in a fresh interpreter; print its exit code
 # and the modules it added to sys.modules.

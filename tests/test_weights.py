@@ -117,6 +117,19 @@ def test_compare_edges_basics():
         compare_edges(o, (1, 2), (1, 2))
 
 
+def test_sequence_tiebreak_lists_each_edge_once():
+    """A sequence tiebreak must list exactly the graph's edges: a missing
+    edge, a repeated edge and a non-edge are each a `ValueError`."""
+    tri = build_graph(range(3), [(0, 1), (1, 2), (0, 2)])
+    for tiebreak, why in (([(0, 1), (1, 2)], "missing edge"),
+                          ([(0, 1), (0, 1), (1, 2), (0, 2)], "repeats an edge"),
+                          ([(0, 1), (1, 2), (0, 2), (5, 6)], r"names \(5, 6\)"),
+                          ([(0, 1), (0, 1), (1, 2), (0, 2), (5, 6)], r"names \(5, 6\)")):
+        with pytest.raises(ValueError, match=why):
+            EdgeOrder(tri, unit_potential(tri), tiebreak)
+    assert EdgeOrder(tri, unit_potential(tri), [(0, 2), (0, 1), (1, 2)]).rank[(0, 2)] == 0
+
+
 def test_compare_edges_cross_component():
     g = build_graph(range(4), [(0, 1), (2, 3)])
     o = EdgeOrder(g, unit_potential(g))
