@@ -10,10 +10,11 @@ verifies byte-identical outputs.  All randomness flows from --seed flags.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
-from datetime import datetime, timezone
+import time
 
 from . import __version__
 from .errors import (
@@ -24,12 +25,11 @@ from .errors import (
     UsageError,
     WForestError,
 )
-from .generators import SIZE_FIELDS, build_family
 from .graph import Edge, Graph, components, from_doc, id_pair, parse_json, to_json
 
-# Each command imports the layers it runs, so `gen` never compiles the
-# weights, forest, ends or percolation modules, `forest` neither ends nor
-# percolation, and `percolate` not ends.
+# Each command imports the layers it runs, so `gen` alone compiles the
+# generators, `gen` and `forest` neither ends nor percolation, `analyze`
+# not forest, and `percolate` not ends.
 
 
 def _sha256(data: bytes) -> str:
@@ -84,9 +84,24 @@ def _write_with_manifest(command: str, argv: list[str], inputs: list[str],
         "inputs": input_hashes,
         "outputs": {p: _sha256(d.encode()) for p, d in outputs},
         "seed": seed,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": _utc_iso(time.time()),
     }
     _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+def _utc_iso(t: float) -> str:
+    """The text `datetime.fromtimestamp(t, timezone.utc).isoformat()` gives,
+    rounded to the microsecond as it rounds, without importing `datetime`."""
+    frac, whole = math.modf(t)
+    us = round(frac * 1e6)
+    if us >= 1000000:
+        whole, us = whole + 1, us - 1000000
+    elif us < 0:
+        whole, us = whole - 1, us + 1000000
+    tm = time.gmtime(whole)
+    text = (f"{tm.tm_year:04d}-{tm.tm_mon:02d}-{tm.tm_mday:02d}"
+            f"T{tm.tm_hour:02d}:{tm.tm_min:02d}:{tm.tm_sec:02d}")
+    return text + (f".{us:06d}" if us else "") + "+00:00"
 
 
 def _read_json(path: str):
@@ -192,6 +207,8 @@ def _forest_json(result, witness_report=None) -> str:
 
 
 def cmd_gen(args, argv) -> int:
+    from .generators import SIZE_FIELDS, build_family
+
     spec = {"family": args.family}
     for key in SIZE_FIELDS:
         val = getattr(args, key)
@@ -368,29 +385,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="wforest")
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
+def _gen_arguments(g) -> None:
+    from .generators import SIZE_FIELDS
 
-    g = sub.add_parser("gen", help="generate a graph family")
     g.add_argument("--family", required=True)
     for key in SIZE_FIELDS:
         g.add_argument("--" + key.replace("_", "-"), type=int, dest=key)
     g.add_argument("--factors", help="JSON list of factor FamilySpecs")
     g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=cmd_gen)
 
-    f = sub.add_parser("forest", help="weighted maximal subforest")
+
+def _forest_arguments(f) -> None:
     f.add_argument("graph")
     f.add_argument("weights")
     f.add_argument("--fixed")
     f.add_argument("--check-witnesses", action="store_true", dest="check_witnesses")
     f.add_argument("--tiebreak", default="canonical", choices=["canonical", "meta"])
     f.add_argument("-o", "--output", required=True)
-    f.set_defaults(func=cmd_forest)
 
-    c = sub.add_parser("collapse", help="furcation collapse pipeline")
+
+def _collapse_arguments(c) -> None:
     c.add_argument("graph")
     c.add_argument("weights")
     c.add_argument("--delta", default="1", type=_rational)
@@ -398,18 +412,18 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--tiebreak", default="canonical", choices=["canonical", "meta"])
     c.add_argument("-o", "--output", required=True)
     c.add_argument("--family-out", required=True, dest="family_out")
-    c.set_defaults(func=cmd_collapse)
 
-    a = sub.add_parser("analyze", help="furcation/visibility report")
+
+def _analyze_arguments(a) -> None:
     a.add_argument("graph")
     a.add_argument("weights")
     a.add_argument("--delta", default="1", type=_rational)
     a.add_argument("--smax", type=int, default=3)
     a.add_argument("--max-basepoints", type=int, default=512, dest="max_basepoints")
     a.add_argument("-o", "--output", required=True)
-    a.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("percolate", help="Bernoulli sweep")
+
+def _percolate_arguments(p) -> None:
     p.add_argument("graph")
     p.add_argument("weights")
     p.add_argument("--p-grid", required=True, dest="p_grid")
@@ -419,18 +433,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", default="4", type=_rational)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--summary")
-    p.set_defaults(func=cmd_percolate)
 
-    r = sub.add_parser("rerun", help="re-execute a manifest and verify outputs")
+
+def _rerun_arguments(r) -> None:
     r.add_argument("manifest")
-    r.set_defaults(func=cmd_rerun)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `wforest` parser, with every subcommand and its help line.
+
+    Only the subcommand that `command` names gets its arguments, as it is
+    the only one an argv starting with that name can reach; any other
+    `command` (None, an option, an unknown name) gives every subcommand its
+    arguments.  Either way an argv parses, and every help and usage message
+    reads, as under the full parser."""
+    commands = (
+        ("gen", "generate a graph family", _gen_arguments, cmd_gen),
+        ("forest", "weighted maximal subforest", _forest_arguments, cmd_forest),
+        ("collapse", "furcation collapse pipeline", _collapse_arguments, cmd_collapse),
+        ("analyze", "furcation/visibility report", _analyze_arguments, cmd_analyze),
+        ("percolate", "Bernoulli sweep", _percolate_arguments, cmd_percolate),
+        ("rerun", "re-execute a manifest and verify outputs", _rerun_arguments, cmd_rerun),
+    )
+    every = command not in [name for name, *_ in commands]
+    ap = _Parser(prog="wforest")
+    ap.add_argument("--version", action="version", version=__version__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, help_line, add_arguments, func in commands:
+        p = sub.add_parser(name, help=help_line)
+        if every or name == command:
+            add_arguments(p)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    ap = build_parser()
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
         return args.func(args, list(argv))

@@ -11,10 +11,9 @@ ProxyParams (from `weights`) so results stay honest about the approximation.
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import BadParams, MissingVertex, NotConnected, OverlappingBlocks
-from .forest import ForestResult, maximal_subforest
 from .graph import (
     Edge,
     Graph,
@@ -27,6 +26,9 @@ from .graph import (
     edge,
 )
 from .weights import EdgeOrder, ProxyParams, _positive_weight, exact_potential, ranked_potential
+
+if TYPE_CHECKING:  # `collapsed_maximal_subforest` imports forest, which `analyze` never runs
+    from .forest import ForestResult
 
 NONVANISHING = "nonvanishing"
 INFINITE = "infinite"
@@ -477,10 +479,10 @@ def quotient(g: Graph, potential: Mapping[int, object],
 
 
 class CollapseResult(NamedTuple):
-    forest: ForestResult          # on the host graph
+    forest: "ForestResult"        # on the host graph
     family: FurcationFamily
     quot: QuotientGraph
-    qforest: ForestResult         # on the quotient graph
+    qforest: "ForestResult"       # on the quotient graph
 
 
 def collapsed_maximal_subforest(g: Graph, potential: Mapping[int, object],
@@ -492,6 +494,8 @@ def collapsed_maximal_subforest(g: Graph, potential: Mapping[int, object],
     The quotient tiebreak is inherited from the host tiebreak through the
     lift map, so the whole pipeline is a pure function of its inputs.
     """
+    from .forest import ForestResult, maximal_subforest
+
     host_order = EdgeOrder(g, potential, tiebreak)
     family = maximal_disjoint_furcations(g, potential, params, s_max=s_max)
     quot = quotient(g, potential, family.blocks)

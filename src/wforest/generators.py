@@ -128,9 +128,10 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     check_seed(seed)
     if n < 1 or m < 0:
         raise BadParams("random_gnm requires n >= 1 and m >= 0")
+    total = _gnm_pairs(n)
+    if m > total:
+        raise BadParams(f"m={m} exceeds the {total} possible edges")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if m > len(pairs):
-        raise BadParams(f"m={m} exceeds the {len(pairs)} possible edges")
     # keyed Fisher-Yates: deterministic and platform-independent
     for i in range(len(pairs) - 1, 0, -1):
         j = u64(seed, "gnm", i) % (i + 1)
@@ -283,6 +284,20 @@ def windmill(blades: int, radius: int) -> Graph:
 # RecursionError.
 MAX_VERTICES = 10**7
 MAX_NESTING = 32
+# The most vertex pairs random_gnm shuffles.  Its keyed Fisher-Yates draws
+# over all n(n-1)/2 pairs whatever m is (a shorter shuffle would change its
+# output), so this bound, n <= 2000, is on n and not on m.
+MAX_PAIRS = 2 * 10**6
+
+
+def _gnm_pairs(n: int) -> int:
+    """random_gnm's n(n-1)/2 vertex pairs (0 for n < 1), or `BadParams`
+    past MAX_PAIRS."""
+    pairs = max(n, 0) * (n - 1) // 2
+    if pairs > MAX_PAIRS:
+        raise BadParams(f"random_gnm with n={n} would shuffle {pairs} vertex pairs, "
+                        f"more than the {MAX_PAIRS} allowed")
+    return pairs
 
 
 def _series(k: int, terms: int) -> int:
@@ -331,7 +346,7 @@ SIZE_FIELDS = tuple(dict.fromkeys(
 
 def build_family(spec: dict) -> Graph:
     """Dispatch a FamilySpec mapping to the matching constructor, once its
-    vertex count is known to be at most MAX_VERTICES (`_vertex_count`).
+    size is known to be within the bounds (`_vertex_count`).
 
     A missing field (but random_gnm's seed, which defaults to 0) or one the
     family does not take is `BadParams`; a field of the wrong JSON type is
@@ -344,9 +359,10 @@ def build_family(spec: dict) -> Graph:
 
 def _vertex_count(spec: dict, depth: int = 0) -> int:
     """The vertex count of the graph a FamilySpec describes, from closed
-    forms, without building it: `BadParams` past MAX_VERTICES, or for
-    free_product factors nested past MAX_NESTING.  A value its constructor
-    refuses may count as anything, as the constructor then names it."""
+    forms, without building it: `BadParams` past MAX_VERTICES, for a
+    random_gnm past MAX_PAIRS, or for free_product factors nested past
+    MAX_NESTING.  A value its constructor refuses may count as anything,
+    as the constructor then names it."""
     fam, args = _fields(spec)
     if fam == "free_product":
         if depth == MAX_NESTING:
@@ -358,6 +374,8 @@ def _vertex_count(spec: dict, depth: int = 0) -> int:
     if n > MAX_VERTICES:
         raise BadParams(f"family {fam!r} would have at least {n} vertices, "
                         f"more than the {MAX_VERTICES} allowed")
+    if fam == "random_gnm":
+        _gnm_pairs(n)
     return n
 
 

@@ -1,16 +1,19 @@
+import argparse
 import contextlib
 import copy
 import io
 import json
 import os
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wforest.cli import main
+from wforest.cli import _utc_iso, build_parser, main
+from wforest.errors import UsageError
 from wforest.graph import build_graph, from_json, to_json
 from wforest.generators import cycle, gp_graph
 from wforest.weights import EdgeOrder, unit_potential
@@ -149,12 +152,36 @@ def test_rerun_byte_identical(tmp_path):
 
 
 def test_manifest_contents(tmp_path):
+    from datetime import datetime
+
+    before = time.time()
     run(tmp_path, "gen", "--family", "cycle", "--n", "4", "-o", "c.json")
     man = json.loads((tmp_path / "c.json.manifest.json").read_text())
     assert man["command"] == "gen"
     assert man["argv"][0] == "gen"
     assert "c.json" in man["outputs"]
     assert man["outputs"]["c.json"].startswith("sha256:")
+    stamp = datetime.fromisoformat(man["timestamp"])
+    assert stamp.utcoffset().total_seconds() == 0
+    assert before - 1e-3 <= stamp.timestamp() <= time.time() + 1e-3
+
+
+@pytest.mark.parametrize("t", [
+    0.0, 1.5, -1.25, 951_782_400.5, 1_700_000_000.0, 1_700_000_000.25,
+    1_700_000_000.123456, 1_760_918_399.9999996, 1_760_918_400.0000004,
+    253_402_300_799.0])
+def test_manifest_timestamp_is_the_isoformat_of_datetime(t):
+    """The manifest's timestamp text is `datetime`'s, microsecond rounding
+    included; at a whole second `isoformat` leaves the fraction out."""
+    from datetime import datetime, timezone
+
+    assert _utc_iso(t) == datetime.fromtimestamp(t, timezone.utc).isoformat()
+
+
+def test_manifest_timestamp_leaves_out_a_zero_fraction():
+    assert _utc_iso(1_700_000_000.0) == "2023-11-14T22:13:20+00:00"
+    assert _utc_iso(1_700_000_000.25) == "2023-11-14T22:13:20.250000+00:00"
+    assert _utc_iso(1_760_918_399.9999996) == "2025-10-20T00:00:00+00:00"
 
 
 def test_validation_error_exit_code(tmp_path):
@@ -269,11 +296,17 @@ def nested_factors(levels: int) -> str:
     ("--family", "windmill", "--blades", "3", "--radius", "100000"),
     ("--family", "free_product", "--max-word", "1000000000", "--factors",
      '[{"family":"lattice_box","w":1,"h":2},{"family":"lattice_box","w":2,"h":1}]'),
-], ids=["nested-33", "nested-331", "box", "gp", "windmill", "fp-max-word"])
+    ("--family", "random_gnm", "--n", "2001", "--m", "1"),
+    ("--family", "random_gnm", "--n", "100000", "--m", "0"),
+    ("--family", "free_product", "--max-word", "1", "--factors",
+     '[{"family":"cycle","n":3},{"family":"random_gnm","n":3000,"m":1}]'),
+], ids=["nested-33", "nested-331", "box", "gp", "windmill", "fp-max-word", "gnm-2001",
+        "gnm-1e5", "fp-gnm"])
 def test_gen_refuses_deep_nesting_and_absurd_sizes(tmp_path, capsys, flags):
-    """Factors nested past the limit, and a family past the vertex bound
-    (each value refused from its closed form, before anything is built), are
-    BadParams: one JSON line, no traceback, nothing written."""
+    """Factors nested past the limit, a family past the vertex bound, and a
+    random_gnm past the pair bound, a factor too (each value refused from its
+    closed form, before anything is built), are BadParams: one JSON line, no
+    traceback, nothing written."""
     assert run(tmp_path, "gen", *flags, "-o", "g.json") == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("\n") == 1
@@ -453,6 +486,105 @@ def test_usage_errors_exit_2_with_json(tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             run(tmp_path, *argv)
         assert info.value.code == 0, argv
+
+
+# Argvs that together pass every flag of each command, in each of its
+# spellings, and each command with only what it requires.
+PARSER_ARGVS = {
+    "gen": [
+        ["gen", "--family", "cycle", "--n", "4", "-o", "g.json"],
+        ["gen", "--family", "gp", "--k", "2", "--up", "3", "--down", "4", "--output", "g.json"],
+        ["gen", "--family=lattice_box", "--w", "3", "--h=4", "-o", "g.json"],
+        ["gen", "--family", "regular_tree", "--d", "3", "--radius", "2", "-o", "g.json"],
+        ["gen", "--family", "windmill", "--blades", "3", "--radius", "2", "-o", "g.json"],
+        ["gen", "-o", "g.json", "--family", "random_gnm", "--n", "6", "--m", "7", "--seed", "4"],
+        ["gen", "--family", "free_product", "--max-word", "2", "--factors",
+         '[{"family":"cycle","n":3},{"family":"cycle","n":4}]', "-o", "g.json"],
+    ],
+    "forest": [
+        ["forest", "g.json", "w.json", "-o", "f.json"],
+        ["forest", "g.json", "w.json", "--fixed", "x.json", "--check-witnesses",
+         "--tiebreak", "meta", "--output", "f.json"],
+        ["forest", "--tiebreak=canonical", "g.json", "-o", "f.json", "w.json"],
+    ],
+    "collapse": [
+        ["collapse", "g.json", "w.json", "-o", "c.json", "--family-out", "fam.json"],
+        ["collapse", "g.json", "w.json", "--delta", "3/2", "--smax", "4", "--tiebreak", "meta",
+         "--output", "c.json", "--family-out=fam.json"],
+    ],
+    "analyze": [
+        ["analyze", "g.json", "w.json", "-o", "a.json"],
+        ["analyze", "g.json", "w.json", "--delta", "0.5", "--smax", "2",
+         "--max-basepoints", "7", "--output", "a.json"],
+    ],
+    "percolate": [
+        ["percolate", "g.json", "w.json", "--p-grid", "0.5", "-o", "r.jsonl"],
+        ["percolate", "g.json", "w.json", "--p-grid", "0.1,0.9", "--trials", "3", "--seed", "9",
+         "--delta", "1/3", "--tau", "7", "--output", "r.jsonl", "--summary", "s.csv"],
+    ],
+    "rerun": [["rerun", "m.json"]],
+}
+
+
+def _subcommands(parser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(PARSER_ARGVS))
+def test_a_command_parses_as_under_the_full_parser(tmp_path, capsys, monkeypatch, command):
+    """The parser `main` builds for one command gives the other commands no
+    arguments, yet parses every argv of that command to the Namespace, and
+    prints the help, of the parser that gives every command its arguments."""
+    monkeypatch.setenv("COLUMNS", "100")
+    full, named = build_parser(), build_parser(command)
+    assert sorted(_subcommands(full)) == sorted(PARSER_ARGVS)
+    flags = {s for a in _subcommands(full)[command]._actions for s in a.option_strings}
+    used = {tok.split("=")[0] for argv in PARSER_ARGVS[command] for tok in argv}
+    assert flags - {"-h", "--help"} <= used
+    for argv in PARSER_ARGVS[command]:
+        assert named.parse_args(argv) == full.parse_args(argv), argv
+    assert [name for name, sub in _subcommands(named).items()
+            if [a.dest for a in sub._actions] != ["help"]] == [command]
+    for argv in ([command, "--help"], ["--help"]):
+        helps = []
+        for parse in (full.parse_args, lambda argv: run(tmp_path, *argv)):
+            with pytest.raises(SystemExit) as info:
+                parse(argv)
+            assert info.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and helps[0].startswith("usage: wforest"), argv
+
+
+def test_usage_messages_are_the_full_parsers(tmp_path, capsys):
+    """No command, an unknown command, an unknown flag and a missing argument
+    are reported in the full parser's words, which are pinned here; an
+    unknown command is refused with every command named."""
+    cases = [
+        ([], "the following arguments are required: command"),
+        (["frobnicate", "x"], None),
+        (["forest", "g.json", "w.json", "--bogus", "-o", "f.json"],
+         "unrecognized arguments: --bogus"),
+        (["gen", "--family", "cycle", "--bogus", "3", "-o", "g.json"],
+         "unrecognized arguments: --bogus 3"),
+        (["collapse", "g.json", "w.json", "--tau", "4", "-o", "c.json", "--family-out", "f"],
+         "unrecognized arguments: --tau 4"),
+        (["analyze", "g.json"], "the following arguments are required: weights, -o/--output"),
+    ]
+    for argv, text in cases:
+        with pytest.raises(UsageError) as full:
+            build_parser().parse_args(argv)
+        message = str(full.value)
+        assert run(tmp_path, *argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {"error": "UsageError", "message": message}
+        if text is None:
+            assert "invalid choice: 'frobnicate'" in message
+            assert all(name in message for name in PARSER_ARGVS)
+        else:
+            assert message == text
+    assert list(tmp_path.iterdir()) == []
 
 
 COMMAND_ARGS = {

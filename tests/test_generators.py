@@ -4,7 +4,9 @@ import pytest
 
 from wforest.errors import BadParams, MalformedDocument
 from wforest.generators import (
+    MAX_PAIRS,
     MAX_VERTICES,
+    _gnm_pairs,
     _vertex_count,
     build_family,
     cycle,
@@ -261,3 +263,19 @@ def test_build_family_refuses_from_the_count_alone():
                      {"family": "lattice_box", "w": 2, "h": 2}]}):
         with pytest.raises(BadParams, match="vertices"):
             build_family(spec)
+
+
+def test_random_gnm_refuses_past_the_pair_bound():
+    """random_gnm shuffles all n(n-1)/2 pairs, so n is bounded by the pair
+    count, n = 2000 being the last n within MAX_PAIRS; each refused value
+    here is refused before a pair is made."""
+    assert _gnm_pairs(2000) == 1999000 <= MAX_PAIRS < 2001 * 2000 // 2
+    assert _vertex_count({"family": "random_gnm", "n": 2000, "m": 1}) == 2000
+    for n in (2001, 10**5, MAX_VERTICES):
+        with pytest.raises(BadParams, match="vertex pairs"):
+            random_gnm(n, 1, 0)
+        with pytest.raises(BadParams, match="vertex pairs"):
+            build_family({"family": "random_gnm", "n": n, "m": 1})
+        with pytest.raises(BadParams, match="vertex pairs"):
+            build_family({"family": "free_product", "max_word": 1, "factors": [
+                {"family": "cycle", "n": 3}, {"family": "random_gnm", "n": n, "m": 0}]})

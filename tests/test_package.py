@@ -23,19 +23,19 @@ from wforest.weights import (
     unit_potential,
 )
 
-# The layers a command may load beyond errors, graph, rng and generators,
-# which the command line needs for every command.
-LAYERS = ("weights", "forest", "ends", "percolation")
+# The modules a command may load beyond errors and graph, which every
+# command needs: only `gen` compiles the generators, and only `gen` and
+# `percolate`, which can draw at random, compile rng.
+LAYERS = ("generators", "rng", "weights", "forest", "ends", "percolation")
 COMMANDS = {
-    "gen": (["gen", "--family", "cycle", "--n", "4", "-o", "gen.json"], ()),
+    "gen": (["gen", "--family", "cycle", "--n", "4", "-o", "gen.json"], ("generators", "rng")),
     "forest": (["forest", "wm.json", "unit.json", "--check-witnesses", "-o", "f.json"],
                ("weights", "forest")),
     "collapse": (["collapse", "wm.json", "unit.json", "-o", "c.json",
                   "--family-out", "fam.json"], ("weights", "forest", "ends")),
-    "analyze": (["analyze", "wm.json", "unit.json", "-o", "a.json"],
-                ("weights", "forest", "ends")),
+    "analyze": (["analyze", "wm.json", "unit.json", "-o", "a.json"], ("weights", "ends")),
     "percolate": (["percolate", "wm.json", "unit.json", "--p-grid", "0.5", "-o", "r.jsonl"],
-                  ("weights", "forest", "percolation")),
+                  ("rng", "weights", "forest", "percolation")),
 }
 # Run one command through `main` in a fresh interpreter; print its exit code
 # and the modules it added to sys.modules.
@@ -58,7 +58,7 @@ def test_each_command_loads_only_its_layers(tmp_path, command):
                          capture_output=True, text=True, check=True).stdout
     rc, added = json.loads(out)
     assert rc == 0
-    assert "dataclasses" not in added
+    assert "dataclasses" not in added and "datetime" not in added
     assert [x for x in LAYERS if f"wforest.{x}" in added] == list(layers)
 
 
