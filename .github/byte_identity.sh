@@ -29,6 +29,7 @@ outputs=(gp.json box.json windmill.json tree.json cycle.json gnm.json fp.json
          fp-sweep.jsonl fp-sweep.csv gnm-sweep.jsonl gnm-sweep.csv
          windmill66-sweep.jsonl windmill66-sweep.csv gp-forest.json windmill66-forest.json
          gpx.json gpx-forest.json gpx-collapse.json gpx-family.json gpx-analyze.json
+         gpx-collapse4.json gpx-family4.json gpx-analyze4.json
          gpx-sweep.jsonl gpx-sweep.csv library.out)
 demos=(01_weighted_forest_basics 02_grandparent_weights 03_windmill_collapse
        04_percolation_sweep)
@@ -120,6 +121,10 @@ json.dump(doc, open("gpx.json", "w"))'
         wf forest gpx.json levels.json --check-witnesses -o gpx-forest.json
         wf collapse gpx.json levels.json -o gpx-collapse.json --family-out gpx-family.json
         wf analyze gpx.json levels.json -o gpx-analyze.json
+        # the candidate enumeration past size 3 on ids that are not positions
+        wf collapse gpx.json levels.json --smax 4 \
+            -o gpx-collapse4.json --family-out gpx-family4.json
+        wf analyze gpx.json levels.json --smax 4 -o gpx-analyze4.json
         wf percolate gpx.json levels.json --p-grid 0.5,0.9 --trials 2 --seed 8 \
             -o gpx-sweep.jsonl --summary gpx-sweep.csv
         # library paths no command reaches: the cocycle check on inconsistent

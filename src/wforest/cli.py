@@ -25,7 +25,7 @@ from .errors import (
     UsageError,
     WForestError,
 )
-from .graph import Edge, Graph, components, from_doc, id_pair, parse_json, to_json
+from .graph import Edge, Graph, components, edge, from_doc, id_pair, parse_json, to_json
 
 # Each command imports the layers it runs, so `gen` alone compiles the
 # generators, `gen` and `forest` neither ends nor percolation, `analyze`
@@ -115,12 +115,30 @@ def load_graph(path: str) -> Graph:
     return from_doc(_read_json(path))
 
 
+# The largest decimal exponent a rational may be written with, Python's
+# default limit on the digits of an int: `Fraction("1e-10000000")` alone
+# spends seconds building its power of ten.
+MAX_EXPONENT = 4300
+
+
+def _huge_exponent(text: str) -> bool:
+    """Whether text, as `Fraction` would read it, carries a decimal exponent
+    of magnitude past MAX_EXPONENT; checked before anything is parsed."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        return bool(e) and abs(int(exponent)) > MAX_EXPONENT
+    except ValueError:  # no exponent `Fraction` accepts either
+        return False
+
+
 def _fraction(value, what: str):
     """An exact rational from a JSON number or a string such as "3/2"."""
     from fractions import Fraction
 
     if type(value) not in (int, float, str):
         raise MalformedDocument(f"{what} {value!r} is not a number or fraction string")
+    if type(value) is str and _huge_exponent(value):
+        raise MalformedDocument(f"{what} {value!r} has a decimal exponent past {MAX_EXPONENT}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -169,12 +187,13 @@ def _vertex_key(key: str, path: str, g: Graph) -> int:
 
 
 def load_fixed(path: str) -> list[Edge]:
-    """Fixed-edge JSON: a list of [u, v] pairs, or an object with one under "edges"."""
+    """Fixed-edge JSON: a list of [u, v] pairs, or an object with one under
+    "edges"; each pair in either orientation, as in a graph document."""
     doc = _read_json(path)
     edges = doc.get("edges") if isinstance(doc, dict) else doc
     if not isinstance(edges, list):
         raise MalformedDocument(f"fixed-edge file {path} holds no list of edges")
-    return [id_pair(e, "fixed edge") for e in edges]
+    return [edge(*id_pair(e, "fixed edge")) for e in edges]
 
 
 def _tiebreak(g: Graph, choice: str):
@@ -245,6 +264,8 @@ def _rational(text: str):
     """argparse type of --delta and --tau: an exact rational such as "3/2"."""
     from fractions import Fraction
 
+    if _huge_exponent(text):
+        raise argparse.ArgumentTypeError(f"{text!r} has a decimal exponent past {MAX_EXPONENT}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

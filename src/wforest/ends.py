@@ -11,18 +11,18 @@ ProxyParams (from `weights`) so results stay honest about the approximation.
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParams, MissingVertex, NotConnected, OverlappingBlocks
 from .graph import (
     Edge,
     Graph,
     _bfs,
+    _components,
     _lowlink,
     _side_counts,
     _subgraph,
     _vertex_set,
-    components,
     edge,
 )
 from .weights import EdgeOrder, ProxyParams, _positive_weight, exact_potential, ranked_potential
@@ -63,37 +63,16 @@ def qualifier(g: Graph, potential: Mapping[int, object], params: ProxyParams,
     raise ValueError(f"unknown side kind {kind!r}")
 
 
-def _qualifying_marks(g: Graph, potential: Mapping[int, object], params: ProxyParams,
-                      vertices: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    """Each vertex that qualifies for some kind, mapped to its 0/1 flag per
-    kind, so `qualifier` runs once per vertex and never per visit."""
-    rules = [qualifier(g, potential, params, kind) for kind in _KINDS]
-    marks = {}
-    for v in vertices:
-        flags = tuple(int(rule(v)) for rule in rules)
-        if any(flags):
-            marks[v] = flags
-    return marks
-
-
-def _mark_totals(marks: Mapping[int, tuple[int, ...]], vertices: Iterable[int]) -> list[int]:
-    """Per kind, the number of qualifying vertices among `vertices`."""
-    total = [0] * len(_KINDS)
-    for v in vertices:
-        for k, flag in enumerate(marks.get(v, ())):
-            total[k] += flag
-    return total
-
-
 class _SideIndex:
     """The side orders of small connected sets, read off one low-link DFS
-    over the positions of the given components (`graph._lowlink`).
+    from each root position that no earlier one reached (`graph._lowlink`).
 
     Every non-tree edge of a DFS joins an ancestor to a descendant (Tarjan
     1972), so a vertex's lesser neighbours are its ancestors.  The DFS lays
     the components' preorders end to end and every array is indexed by
     preorder position, so the subtree of position i is the interval
-    [i, end[i]) and its children are i + 1, end[i + 1], ... below end[i].
+    [i, end[i]) and its children are i + 1, end[i + 1], ... below end[i];
+    `pos`, the DFS's `disc`, maps each graph position to its preorder one.
     `upto[k][i]` counts the vertices qualifying for kind k before position
     i.  `mins[0]` holds each vertex's least neighbour position, and
     `mins[j][i]` the least over [i, i + 2**j): a sparse table of range
@@ -102,9 +81,11 @@ class _SideIndex:
     neighbour positions of every position below it.
 
     `orders(F, total)` gives, per kind, the number of sides of a connected
-    F that hold a qualifying vertex; `total` counts the qualifying vertices
-    of F's component.  The tree less F falls into pieces: the one that holds
-    the root, unless F does, and under each kid, a child c outside F of a
+    F of graph positions that hold a qualifying vertex; `flags` holds per
+    kind each position's 0/1 flag, `marks` the flags of the few positions
+    that qualify for some kind, and `total` the flags' sums over F's
+    component.  The tree less F falls into pieces: the one that holds the
+    root, unless F does, and under each kid, a child c outside F of a
     vertex of F, the subtree of c less the subtrees of F inside it.
     - (a) F a subtree of the DFS tree, topped by t: each kid c with
       low[c] >= t is a side of its own, with its subtree's counts, and the
@@ -121,22 +102,19 @@ class _SideIndex:
       answers by bisection; a union-find over the pieces counts the sides.
     """
 
-    def __init__(self, g: Graph, comps: Iterable[tuple[int, ...]],
-                 marks: Mapping[int, tuple[int, ...]]):
-        self.marks = marks
-        ids, adj = g.vertices, g.near
-        order, parent, disc, low = _lowlink(adj, [bisect_left(ids, comp[0]) for comp in comps])
-        self.pos: dict[int, int] = {ids[v]: i for i, v in enumerate(order)}
+    def __init__(self, g: Graph, roots: Iterable[int], flags: list[list[int]]):
+        self.marks = {v: f for v, f in enumerate(zip(*flags)) if any(f)}
+        order, parent, disc, low = _lowlink(g.near, roots)
+        self.pos: list[int] = disc
         self.parent: list[int] = [-1 if parent[v] < 0 else disc[parent[v]] for v in order]
         self.low: list[int] = list(map(low.__getitem__, order))
         self.upto: list[list[int]] = [[0] for _ in _KINDS]
         least: list[int] = []
         lesser: list[list[int]] = []
-        zero = (0,) * len(_KINDS)
         for i, v in enumerate(order):
-            for upto, flag in zip(self.upto, marks.get(ids[v], zero)):
-                upto.append(upto[-1] + flag)
-            near = sorted(map(disc.__getitem__, adj[v]))
+            for upto, own in zip(self.upto, flags):
+                upto.append(upto[-1] + own[v])
+            near = sorted(map(disc.__getitem__, g.near[v]))
             least.append(near[0])
             lesser.append(near[:bisect_left(near, i)])
         self.end: list[int] = list(range(1, len(order) + 1))
@@ -276,12 +254,15 @@ def find_furcation_vertices(g: Graph, potential: Mapping[int, object], n: int,
 def connected_subsets(g: Graph, s_max: int) -> Iterator[tuple[int, ...]]:
     """All connected vertex sets of size <= s_max, yielded in (size, ids) order.
 
-    The sets are built one (size, least vertex) group at a time and sorted
-    within the group, so memory holds one group, never the whole family.
-    A bad `s_max` raises here, before any set is built.
+    The sets are built on positions, which follow the sorted ids, one
+    (size, least vertex) group at a time and sorted within the group, so
+    memory holds one group, never the whole family; each is named by its
+    ids as it is yielded.  A bad `s_max` raises here, before any set is
+    built.
     """
     _check_s_max(s_max)
-    return _subsets_by_size(g.adjacency, g.vertices, s_max)
+    ids = g.vertices
+    return (tuple([ids[v] for v in s]) for s in _subsets_by_size(g.near, range(len(ids)), s_max))
 
 
 def _check_s_max(s_max: int) -> None:
@@ -289,10 +270,11 @@ def _check_s_max(s_max: int) -> None:
         raise BadParams(f"s_max must be >= 1, got {s_max}")
 
 
-def _subsets_by_size(adj: Mapping[int, tuple[int, ...]], roots: Iterable[int],
+def _subsets_by_size(adj: Sequence[Sequence[int]], roots: Iterable[int],
                      s_max: int) -> Iterator[tuple[int, ...]]:
-    """The connected sets of size <= s_max whose least vertex is one of
-    `roots`, in (size, ids) order.  A root with no set of some size has
+    """The connected sets of positions of size <= s_max whose least position
+    is one of `roots`, in (size, positions) order, with `adj` each
+    position's neighbour positions.  A root with no set of some size has
     none larger (drop a non-cut vertex other than the root), so it leaves
     the scan."""
     live = list(roots)
@@ -309,9 +291,9 @@ def _subsets_by_size(adj: Mapping[int, tuple[int, ...]], roots: Iterable[int],
         live = rest
 
 
-def _sets_of_size(adj: Mapping[int, tuple[int, ...]], root: int,
+def _sets_of_size(adj: Sequence[Sequence[int]], root: int,
                   size: int) -> list[tuple[int, ...]]:
-    """The connected sets of exactly `size` vertices with least vertex root,
+    """The connected sets of exactly `size` positions with least position root,
     unsorted: exclusive-neighbour extension (Wernicke's ESU, 2006), each set
     built once, on an explicit stack, so no recursion limit bounds `size`.
     `seen` holds the chosen vertices and every extension offered on the
@@ -367,21 +349,24 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
     only grows, and a nonvanishing side is also infinite.  A component with
     fewer than 2 flagged vertices has no such candidate and is not enumerated.
 
-    Every candidate's side orders come from one `_SideIndex`.
+    Every candidate's side orders come from one `_SideIndex`.  The scan
+    runs on vertex positions, which follow the sorted ids, and a block is
+    named by its ids once the family is complete.
     """
     _check_s_max(s_max)
-    adj = g.adjacency
-    marks = _qualifying_marks(g, exact_potential(g, potential), params, g.vertices)
+    potential = exact_potential(g, potential)
+    # per kind, each position's 0/1 flag: `qualifier` runs once per vertex
+    flags = [list(map(int, map(qualifier(g, potential, params, kind), g.vertices)))
+             for kind in _KINDS]
     nv, inf = _KINDS.index(NONVANISHING), _KINDS.index(INFINITE)
-    total_of: dict[int, list[int]] = {}
-    comps = []
-    for comp in components(g):
-        total = _mark_totals(marks, comp)
+    total_of: dict[int, list[int]] = {}  # per position, its component's flag sums
+    for comp in _components(g.near):
+        total = [sum(map(own.__getitem__, comp)) for own in flags]
         if total[inf] >= 2:
             total_of.update(dict.fromkeys(comp, total))
-            comps.append(comp)
-    index = _SideIndex(g, comps, marks)
-    candidates = _subsets_by_size(adj, sorted(total_of), s_max)
+    roots = sorted(total_of)
+    index = _SideIndex(g, roots, flags)
+    candidates = _subsets_by_size(g.near, roots, s_max)
     used: set[int] = set()
     blocks: list[tuple[int, ...]] = []
     phases: list[int] = []
@@ -402,7 +387,9 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
                 blocks.append(cand)
                 phases.append(phase)
                 used.update(cand)
-    return FurcationFamily(blocks=tuple(blocks), phases=tuple(phases))
+    ids = g.vertices
+    return FurcationFamily(blocks=tuple(tuple([ids[v] for v in b]) for b in blocks),
+                           phases=tuple(phases))
 
 
 class QuotientGraph(NamedTuple):

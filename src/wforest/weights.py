@@ -248,11 +248,18 @@ def unit_potential(g: Graph) -> dict[int, Fraction]:
     return dict.fromkeys(g.vertices, Fraction(1))
 
 
+# The most bits |level| times the base ratio's bit length may reach in
+# `level_potential`, about the size of one power: GP(2,3,12)'s levels at
+# ratio 1/2 reach 24, and a level of 10**9 would spend seconds on one.
+MAX_LEVEL_BITS = 100_000
+
+
 def level_potential(g: Graph, base_ratio=Fraction(1, 2)) -> dict[int, Fraction]:
     """Potential base_ratio**level from per-vertex level metadata.
 
     With base_ratio 1/k this realizes the grandparent-family weights, where
-    the ratio across a parent->child edge is 1/k.
+    the ratio across a parent->child edge is 1/k.  A level whose power would
+    pass MAX_LEVEL_BITS is `BadParams`.
     """
     levels = g.meta.get("levels")
     if not levels:
@@ -260,6 +267,7 @@ def level_potential(g: Graph, base_ratio=Fraction(1, 2)) -> dict[int, Fraction]:
     r = Fraction(base_ratio)
     if r <= 0:
         raise NonPositiveWeight(f"base ratio {base_ratio} is not positive")
+    bits = max(r.numerator.bit_length(), r.denominator.bit_length())
     powers: dict[int, Fraction] = {}  # one power per distinct level
     out = {}
     for v in g.vertices:
@@ -267,6 +275,9 @@ def level_potential(g: Graph, base_ratio=Fraction(1, 2)) -> dict[int, Fraction]:
             raise MissingVertex(f"no level for vertex {v}")
         level = levels[v]
         if level not in powers:
+            if abs(level) * bits > MAX_LEVEL_BITS:
+                raise BadParams(f"level {level} of vertex {v} needs more than "
+                                f"{MAX_LEVEL_BITS} bits at base ratio {r}")
             powers[level] = r ** level
         out[v] = powers[level]
     return out

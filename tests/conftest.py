@@ -27,12 +27,12 @@ from typing import Iterable, Mapping, NamedTuple
 import pytest
 
 from wforest.ends import (
+    _KINDS,
     INFINITE,
     NONVANISHING,
     FurcationFamily,
     ProxyParams,
     QuotientGraph,
-    _mark_totals,
     connected_subsets,
     qualifier,
     qualifying_side_counts,
@@ -403,6 +403,19 @@ def sides_order(g: Graph, potential, F, params: ProxyParams, kind: str) -> int:
     return sum(1 for side in side_pieces(g, F) if any(map(qualifies, side)))
 
 
+def qualifying_marks(g: Graph, potential, params: ProxyParams) -> dict[int, tuple[int, ...]]:
+    """Each vertex id that qualifies for some kind, mapped to its 0/1 flag
+    per kind, in `_KINDS` order: the marks `_side_orders` reads."""
+    rules = [qualifier(g, potential, params, kind) for kind in _KINDS]
+    flags = {v: tuple(int(rule(v)) for rule in rules) for v in g.vertices}
+    return {v: f for v, f in flags.items() if any(f)}
+
+
+def mark_totals(marks: Mapping[int, tuple[int, ...]], vertices: Iterable[int]) -> list[int]:
+    """Per kind, the number of qualifying vertices among `vertices`."""
+    return [sum(marks[v][k] for v in vertices if v in marks) for k in range(len(_KINDS))]
+
+
 def _side_orders(adj: Mapping[int, tuple[int, ...]], F: Iterable[int],
                  marks: Mapping[int, tuple[int, ...]], total: list[int]) -> list[int]:
     """Per kind, the number of sides of the connected set F that hold a
@@ -464,7 +477,7 @@ def _side_orders(adj: Mapping[int, tuple[int, ...]], F: Iterable[int],
         growing = [s for s in growing if parent[s] == s and frontier[s]]
 
     finished = [counts[s] for s in range(len(parent)) if parent[s] == s and not frontier[s]]
-    own = _mark_totals(marks, fset)
+    own = mark_totals(marks, fset)
     orders = []
     for k in range(len(total)):
         rest = total[k] - own[k] - sum(c[k] for c in finished)

@@ -91,6 +91,26 @@ def test_forest_fixed_flag(tmp_path):
     assert [0, 1] in doc["kept"] and doc["fixed"] == [[0, 1]]
 
 
+def test_forest_fixed_edge_in_either_orientation(tmp_path, capsys):
+    """A fixed edge may be written either way round, as in a graph document;
+    a self-loop is refused with one JSON line."""
+    (tmp_path / "c4.json").write_text(to_json(cycle(4)))
+    (tmp_path / "unit.json").write_text('{"unit":true}')
+    for name, pairs in (("f01", "[[0,1]]"), ("f10", "[[1,0]]"), ("loop", "[[1,1]]")):
+        (tmp_path / f"{name}.json").write_text(pairs)
+    for name in ("f01", "f10"):
+        assert run(tmp_path, "forest", "c4.json", "unit.json", "--fixed", f"{name}.json",
+                   "-o", f"out-{name}.json") == 0
+    assert (tmp_path / "out-f10.json").read_text() == (tmp_path / "out-f01.json").read_text()
+    capsys.readouterr()
+    assert run(tmp_path, "forest", "c4.json", "unit.json", "--fixed", "loop.json",
+               "-o", "out-loop.json") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert json.loads(out.err)["error"] == "SelfLoop"
+    assert not (tmp_path / "out-loop.json").exists()
+
+
 def test_collapse_and_analyze(tmp_path):
     run(tmp_path, "gen", "--family", "windmill", "--blades", "3", "--radius", "2",
         "-o", "wm.json")
@@ -233,6 +253,43 @@ def test_noncanonical_weight_keys_exit_2(tmp_path, capsys, key):
     assert doc["error"] == "MalformedDocument" and repr(key) in doc["message"]
     assert not (tmp_path / "f.json").exists()
     assert not (tmp_path / "f.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("level, weights, flags, error", [
+    (0, '{"potential":{"0":"1e-100000000","1":1,"2":1,"3":1}}', [], "MalformedDocument"),
+    (0, '{"potential":{"0":"3/2","1":" 2E+4301 ","2":1,"3":1}}', [], "MalformedDocument"),
+    (0, '{"levels_from_meta":true,"base_ratio":"1e99999999999999999999"}', [],
+     "MalformedDocument"),
+    (0, '{"unit":true}', ["--delta", "1e-100000000"], "UsageError"),
+    (0, '{"unit":true}', ["--delta", "1e1_000_000"], "UsageError"),
+    (10**9, '{"levels_from_meta":true}', [], "BadParams"),  # ratio 1/2: two bits a level
+    (30_000, '{"levels_from_meta":true,"base_ratio":"1/1000"}', [], "BadParams"),  # ten bits
+], ids=["potential", "potential-spaced", "base-ratio", "delta", "delta-underscores",
+        "level", "level-ratio-1/1000"])
+def test_huge_exponents_and_levels_exit_2(tmp_path, capsys, level, weights, flags, error):
+    """A rational written with a decimal exponent past `MAX_EXPONENT`, in a
+    weight file or a flag, and a vertex level whose power would pass
+    `MAX_LEVEL_BITS`, are refused before any big integer is built: one JSON
+    line, exit 2, nothing written.  `analyze` reads both `--delta` and the
+    weights.  The graph is a 4-cycle with vertex 0 at `level`."""
+    g = build_graph(range(4), cycle(4).edges, {"levels": {0: level, 1: 0, 2: 0, 3: 0}})
+    (tmp_path / "g.json").write_text(to_json(g))
+    (tmp_path / "w.json").write_text(weights)
+    assert run(tmp_path, "analyze", "g.json", "w.json", *flags, "-o", "a.json") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert json.loads(out.err)["error"] == error
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_exponent_bound_is_inclusive():
+    """The shared rule of weight files and rational flags: an exponent of
+    magnitude `MAX_EXPONENT` passes it, one more does not; text that is no
+    decimal with an exponent is left to `Fraction`."""
+    from wforest.cli import MAX_EXPONENT, _huge_exponent
+    assert not _huge_exponent(f"1e{MAX_EXPONENT}") and not _huge_exponent(f"1E-{MAX_EXPONENT}")
+    assert _huge_exponent(f"1e{MAX_EXPONENT + 1}") and _huge_exponent(f"-2.5e-{MAX_EXPONENT + 1}")
+    assert not any(map(_huge_exponent, ["3/2", "0.5", "inf", "nan", "1e", "e99", "1/2e"]))
 
 
 def test_canonical_weight_keys_name_negative_and_large_ids(tmp_path):

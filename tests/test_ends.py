@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction as F
 
@@ -10,8 +11,6 @@ from wforest.ends import (
     INFINITE,
     NONVANISHING,
     ProxyParams,
-    _mark_totals,
-    _qualifying_marks,
     _SideIndex,
     collapsed_maximal_subforest,
     connected_subsets,
@@ -40,6 +39,8 @@ from conftest import (
     brute_visibility,
     furcation_family_oracle,
     is_heavy,
+    mark_totals,
+    qualifying_marks,
     quotient_oracle,
     random_connected_graph,
     random_potential,
@@ -523,8 +524,10 @@ def test_qualifier_rule():
 
 def test_connected_subsets_against_brute_force(rand):
     import itertools
-    for _ in range(15):
-        g = random_connected_graph(rand, rand.randint(3, 8))
+    graphs = [random_connected_graph(rand, rand.randint(3, 8)) for _ in range(15)]
+    for g in graphs[:5]:
+        graphs += [_relabelled(g, {}, to)[0] for to in _relabellings(rand, g)]
+    for g in graphs:
         from wforest.graph import is_connected_set
         brute = []
         for k in (1, 2, 3, 4, 5):
@@ -584,6 +587,26 @@ def _random_flagged_graph(rand):
         "boundary": frozenset(v for v in g.vertices if rand.random() < share)})
 
 
+def _relabellings(rand, g):
+    """Three renamings of g's ids, so that ids are not positions: random
+    scattered ids, random negative ids, and v -> 5000 - 7v, which reverses
+    their order."""
+    n = len(g.vertices)
+    return [dict(zip(g.vertices, rand.sample(range(10 * n), n))),
+            dict(zip(g.vertices, rand.sample(range(-10 * n, 0), n))),
+            {v: 5000 - 7 * v for v in g.vertices}]
+
+
+def _relabelled(g, pot, to):
+    """g and the potential pot with each vertex v renamed to[v], levels and
+    boundary flags carried along."""
+    meta = {"boundary": frozenset(to[v] for v in g.boundary_vertices())}
+    if "levels" in g.meta:
+        meta["levels"] = {to[v]: level for v, level in g.meta["levels"].items()}
+    h = build_graph([to[v] for v in g.vertices], [(to[u], to[v]) for u, v in g.edges], meta)
+    return h, {to[v]: x for v, x in pot.items()}
+
+
 def _random_params(rand):
     return ProxyParams(nonvanish_delta=F(rand.randint(1, 6), rand.randint(1, 6)))
 
@@ -606,6 +629,9 @@ def test_family_equals_sides_oracle(rand):
     for _ in range(400):
         g = _random_flagged_graph(rand)
         cases.append((g, random_potential(rand, g), _random_params(rand), 5))
+    # the same inputs on ids that are not positions, one renaming each
+    for i, (g, pot, params, top) in enumerate(cases[:8] + cases[8::2]):
+        cases.append((*_relabelled(g, pot, _relabellings(rand, g)[i % 3]), params, top))
     assert sum(1 for g, *_ in cases if len(components(g)) > 1) > 60
     for g, pot, params, top in cases:
         for s_max in range(1, top + 1):
@@ -614,27 +640,32 @@ def test_family_equals_sides_oracle(rand):
             assert got == want, (s_max, sorted(g.edges), g.boundary_vertices())
 
 
+def _positions(g, F):
+    """The positions in g of the vertex ids F."""
+    return tuple(bisect_left(g.vertices, v) for v in F)
+
+
 def _side_index(g, pot, params):
-    """The side index `maximal_disjoint_furcations` builds for g, its marks,
-    and each indexed vertex's component totals."""
-    marks = _qualifying_marks(g, pot, params, g.vertices)
-    total_of, comps = {}, []
+    """The side index `maximal_disjoint_furcations` builds for g, the
+    id-keyed marks, and each indexed vertex id's component totals."""
+    marks = qualifying_marks(g, pot, params)
+    total_of = {}
     for comp in components(g):
-        total = _mark_totals(marks, comp)
+        total = mark_totals(marks, comp)
         if total[1] >= 2:  # two flagged vertices: the family enumerates no other component
             total_of.update(dict.fromkeys(comp, total))
-            comps.append(comp)
-    return _SideIndex(g, comps, marks), marks, total_of
+    flags = [[marks.get(v, (0, 0))[k] for v in g.vertices] for k in range(2)]
+    return _SideIndex(g, _positions(g, sorted(total_of)), flags), marks, total_of
 
 
-def _rule(index, adj, cand):
-    """The rule of `_SideIndex.orders` that answers cand: (a) F a DFS
-    subtree; (b) every DFS piece's least neighbour outside F, one side;
-    (c) the pieces joined."""
-    at = sorted(index.pos[v] for v in cand)
+def _rule(index, g, F):
+    """The rule of `_SideIndex.orders` that answers the positions F: (a) F
+    a DFS subtree; (b) every DFS piece's least neighbour outside F, one
+    side; (c) the pieces joined."""
+    at = sorted(index.pos[v] for v in F)
     if sum(index.parent[i] not in at for i in at) == 1:
         return "a"
-    kids = [c for c in {index.pos[y] for v in cand for y in adj[v]}
+    kids = [c for c in {index.pos[y] for v in F for y in g.near[v]}
             if index.parent[c] in at and c not in at]
     if all(min(index._least(*span) for span in index._piece(c, at)) not in at for c in kids):
         return "b"
@@ -649,8 +680,9 @@ def _index_rules(g, pot, params, s_max, rules):
     for cand in connected_subsets(g, s_max):
         if cand[0] in total_of:
             total = total_of[cand[0]]
-            rule = _rule(index, g.adjacency, cand)
-            got = index.orders(cand, total)
+            F = _positions(g, cand)
+            rule = _rule(index, g, F)
+            got = index.orders(F, total)
             assert got == _side_orders(g.adjacency, cand, marks, total), \
                 (rule, cand, sorted(g.edges), marks)
             rules[rule] += 1
@@ -670,6 +702,8 @@ def test_side_index_equals_side_orders(rand):
     w = windmill(6, 6)
     for g, pot in _family_cases() + [(w, unit_potential(w))]:
         _index_rules(g, pot, ProxyParams(), 4, rules)
+        for to in _relabellings(rand, g):  # ids that are not positions
+            _index_rules(*_relabelled(g, pot, to), ProxyParams(), 3, rules)
     gp = gp_graph(2, 3, 5)  # true separators whose pieces nest: most of rule (c)'s work
     _index_rules(gp, level_potential(gp, F(1, 2)), ProxyParams(), 3, rules)
     assert min(rules[r] for r in "abc") > 0, rules
@@ -691,8 +725,9 @@ def test_side_index_joins_pieces(edges, boundary, cand, want):
     g = build_graph(range(1 + max(map(max, edges))), edges, meta={"boundary": frozenset(boundary)})
     pot, params = unit_potential(g), ProxyParams()
     index, marks, total_of = _side_index(g, pot, params)
-    assert _rule(index, g.adjacency, cand) == "c"
-    got = index.orders(cand, total_of[cand[0]])
+    F = _positions(g, cand)
+    assert _rule(index, g, F) == "c"
+    got = index.orders(F, total_of[cand[0]])
     assert got == _side_orders(g.adjacency, cand, marks, total_of[cand[0]])
     assert got == [sides_order(g, pot, cand, params, kind) for kind in _KINDS] == [want] * 2
 
@@ -703,10 +738,10 @@ def test_furcation_order_equals_sides_count(rand):
         g = _random_flagged_graph(rand)
         graphs.append((g, random_potential(rand, g), _random_params(rand)))
     for g, pot, params in graphs:
-        marks = _qualifying_marks(g, pot, params, g.vertices)
+        marks = qualifying_marks(g, pot, params)
         total_of = {}
         for comp in components(g):
-            total_of.update(dict.fromkeys(comp, _mark_totals(marks, comp)))
+            total_of.update(dict.fromkeys(comp, mark_totals(marks, comp)))
         for cand in connected_subsets(g, 3):
             orders = _side_orders(g.adjacency, cand, marks, total_of[cand[0]])
             for order, kind in zip(orders, _KINDS):
