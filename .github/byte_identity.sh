@@ -128,23 +128,50 @@ json.dump(doc, open("gpx.json", "w"))'
         wf percolate gpx.json levels.json --p-grid 0.5,0.9 --trials 2 --seed 8 \
             -o gpx-sweep.jsonl --summary gpx-sweep.csv
         # library paths no command reaches: the cocycle check on inconsistent
-        # ratios, which names its worst cycle, and the components of a graph
-        # that is not connected
+        # ratios, which names its worst cycle; the potential of a cocycle,
+        # the edge comparison and the vertex lookups, which find a vertex
+        # by its id; and the components and set queries of a graph that is
+        # not connected
         PYTHONPATH="$tree/src" python3 -c '
 from fractions import Fraction
-from wforest.graph import components, from_json, induced_subgraph
-from wforest.weights import Cocycle, cocycle_from_potential, level_potential, validate_cocycle
+from wforest.errors import InvalidCocycle
+from wforest.graph import (components, edge_boundary, from_json, induced_subgraph,
+                           inner_boundary, is_connected_set, outer_boundary)
+from wforest.weights import (Cocycle, EdgeOrder, cocycle_from_potential, compare_edges,
+                             level_potential, potential_from_cocycle, validate_cocycle)
 with open("library.out", "w") as out:
     for name in ("gp.json", "gpx.json"):
         g = from_json(open(name).read())
-        ratios = dict(cocycle_from_potential(g, level_potential(g)).ratios)
+        good = cocycle_from_potential(g, level_potential(g))
+        ratios = dict(good.ratios)
         for u, v in g.sorted_edges()[::7]:   # every 7th canonical edge
             ratios[u, v] *= Fraction(3, 2)
             ratios[v, u] /= Fraction(3, 2)
         print(name, validate_cocycle(g, Cocycle(ratios=ratios)), file=out)
+        base = g.vertices[len(g.vertices) // 2]
+        pot = potential_from_cocycle(g, good, base)
+        print(name, "potential from", base, *(f"{v}:{x}" for v, x in pot.values.items()),
+              file=out)
+        try:
+            potential_from_cocycle(g, Cocycle(ratios=ratios), base)
+        except InvalidCocycle as exc:
+            print(name, "InvalidCocycle:", exc, file=out)
+        order = EdgeOrder(g, level_potential(g))
+        es = g.sorted_edges()[::11]
+        print(name, "compare", [compare_edges(order, a, b) for a, b in zip(es, es[1:])],
+              [compare_edges(order, b, a) for a, b in zip(es, es[3:])], file=out)
+        for v in g.vertices[::37]:
+            print(name, v, g.neighbors(v), g.degree(v), file=out)
+        lo, hi = g.vertices[0], g.vertices[-1]
+        print(name, "in", [x for x in range(lo - 3, lo + 60) if x in g],
+              [x in g for x in (hi, hi + 1, lo - 1, "a", None)], file=out)
     box = from_json(open("box.json").read())   # 12 by 12, ids r * 12 + c
     cut = induced_subgraph(box, [v for v in box.vertices if v % 12 != 6])
-    print("box.json less column 6", components(cut), file=out)'
+    print("box.json less column 6", components(cut), file=out)
+    for cols in ((0, 1, 2, 3, 4, 5), (5, 7), (4, 5, 7, 8)):
+        A = [v for v in cut.vertices if v % 12 in cols and v // 12 < 9]
+        print("columns", cols, is_connected_set(cut, A), sorted(edge_boundary(cut, A)),
+              sorted(inner_boundary(cut, A)), sorted(outer_boundary(cut, A)), file=out)'
         for d in "${demos[@]}"; do
             PYTHONPATH="$tree/src" python3 "$tree/demos/$d.py" > "demo-$d.out"
         done

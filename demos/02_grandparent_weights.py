@@ -33,7 +33,7 @@ rep = validate_cocycle(g, cocycle)
 print(f"  level weights 2^(-level); cocycle exact: {rep.ok}, "
       f"defect {rep.worst_defect}")
 root = g.meta["root"]
-child = next(v for v in g.adjacency[root] if levels[v] == 1)
+child = next(v for v in g.neighbors(root) if levels[v] == 1)
 print(f"  ratio child-to-parent at the root: {cocycle.ratio(child, root)}")
 
 print("\n== Visibility from the root ==")

@@ -17,6 +17,7 @@ from .errors import BadParams, MissingVertex, NotConnected, OverlappingBlocks
 from .graph import (
     Edge,
     Graph,
+    _at,
     _bfs,
     _components,
     _lowlink,
@@ -417,14 +418,16 @@ def quotient(g: Graph, potential: Mapping[int, object],
     fam = tuple(tuple(sorted(b)) for b in family)
     block_of: dict[int, int] = {}
     inner_trees: dict[int, frozenset[Edge]] = {}
+    ids = g.vertices
     for b in fam:
-        bset = _vertex_set(g, b)
+        inside = {_at(g, v) for v in _vertex_set(g, b)}
         # one search from the least vertex: the block's connectivity and,
-        # on the sorted adjacency, the inner tree the induced subgraph gives
-        tree = _bfs(g.adjacency, b[0], bset.__contains__) if b else {}
-        if not b or len(tree) != len(bset):
+        # on the sorted neighbours, the inner tree the induced subgraph gives
+        tree = _bfs(g.near, min(inside), inside.__contains__) if b else {}
+        if not b or len(tree) != len(inside):
             raise NotConnected(f"family block {b} is not connected")
-        inner_trees[b[0]] = frozenset(edge(p, y) for y, p in tree.items() if p is not None)
+        inner_trees[b[0]] = frozenset(edge(ids[p], ids[y])
+                                      for y, p in tree.items() if p is not None)
         for v in b:
             if v in block_of:
                 raise OverlappingBlocks(f"vertex {v} lies in two family blocks")

@@ -14,8 +14,9 @@ positions and each vertex's neighbour positions.  Every low-link DFS,
 union-find and rooting in the package reads that layout, and this module
 owns the traversals on it: `_root`, the one breadth-first forest of a set
 of edge positions, with `_path` to climb it, and `_components`, the one
-breadth-first search of all components.  `_bfs` remains the one search on
-ids, from one source and within a vertex set.  Per-vertex
+breadth-first search of all components, with `_bfs`, one search from a
+position within a set.  ``near`` is the one neighbour structure, and `_at`
+finds an id's position by bisecting the sorted ids.  Per-vertex
 "level" integers and truncation-boundary flags are carried in
 ``Graph.meta`` (keys ``"levels"`` and ``"boundary"``) because only the
 generator that built a truncation knows which vertices are artifacts of
@@ -23,6 +24,7 @@ cutting off an infinite graph.
 """
 
 import json
+from bisect import bisect_left
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -47,26 +49,26 @@ def edge(u: int, v: int) -> Edge:
 class Graph(NamedTuple):
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
-    adjacency: dict[int, tuple[int, ...]]
     # the edges in canonical (sorted) order, the same tuple objects as
     # `edges`; derived from them, so comparing it decides no equality
     ordered_edges: tuple[Edge, ...]
     meta: dict
     # the layout on positions, derived like `ordered_edges`: per edge
     # position, the positions of its lesser and of its greater end, and per
-    # vertex position, its neighbours' positions in adjacency order
+    # vertex position, its neighbours' positions in increasing order
     eu: tuple[int, ...]
     ev: tuple[int, ...]
     near: tuple[tuple[int, ...], ...]
 
     def __contains__(self, v: int) -> bool:
-        return v in self.adjacency
+        return _at(self, v) >= 0
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        try:
-            return self.adjacency[v]
-        except KeyError:
-            raise UnknownId(f"vertex {v} not in graph") from None
+        """v's neighbours, in increasing order."""
+        i = _at(self, v)
+        if i < 0:
+            raise UnknownId(f"vertex {v} not in graph")
+        return tuple([self.vertices[w] for w in self.near[i]])
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -82,6 +84,17 @@ class Graph(NamedTuple):
 
     def boundary_vertices(self) -> frozenset[int]:
         return frozenset(self.meta.get("boundary", ()))
+
+
+def _at(g: Graph, v) -> int:
+    """The position of v in g, by bisecting the sorted ids; -1 when v is not
+    a vertex of g."""
+    ids = g.vertices
+    try:
+        i = bisect_left(ids, v)
+    except TypeError:  # v does not compare with ids, so it is none of them
+        return -1
+    return i if i < len(ids) and ids[i] == v else -1
 
 
 def build_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]],
@@ -137,16 +150,16 @@ def _components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-def _bfs(adjacency, root: int, keep=None) -> dict[int, int | None]:
-    """One breadth-first search from root: each reached vertex mapped to its
-    BFS parent (None at the root), in visit order.  Past the root, only the
-    vertices that `keep` accepts are entered.  Neighbours are scanned in
-    adjacency order, so on a graph's sorted adjacency the tree is canonical.
+def _bfs(adj: Sequence[Sequence[int]], root: int, keep=None) -> dict[int, int | None]:
+    """One breadth-first search from position root: each reached position
+    mapped to its BFS parent (None at the root), in visit order.  Past the
+    root, only the positions that `keep` accepts are entered.  Neighbours
+    are scanned in list order, so on a graph's `near` the tree is canonical.
     """
     parent: dict[int, int | None] = {root: None}
     queue = [root]
     for x in queue:
-        for y in adjacency[x]:
+        for y in adj[x]:
             if y not in parent and (keep is None or keep(y)):
                 parent[y] = x
                 queue.append(y)
@@ -226,17 +239,16 @@ def _path(rooted: _Rooted, u: int, v: int) -> list[int]:
 def _vertex_set(g: Graph, A: Iterable[int]) -> set[int]:
     """A as a set, checked to hold only vertices of g."""
     aset = set(A)
-    if not g.adjacency.keys() >= aset:
-        raise UnknownId(f"vertex {next(v for v in aset if v not in g.adjacency)} not in graph")
+    for v in aset:
+        if _at(g, v) < 0:
+            raise UnknownId(f"vertex {v} not in graph")
     return aset
 
 
 def is_connected_set(g: Graph, A: Iterable[int]) -> bool:
     """True iff the induced subgraph on A is connected (and A nonempty)."""
-    aset = _vertex_set(g, A)
-    if not aset:
-        return False
-    return len(_bfs(g.adjacency, min(aset), aset.__contains__)) == len(aset)
+    inside = {_at(g, v) for v in _vertex_set(g, A)}
+    return bool(inside) and len(_bfs(g.near, min(inside), inside.__contains__)) == len(inside)
 
 
 def edge_boundary(g: Graph, A: Iterable[int]) -> frozenset[Edge]:
@@ -248,14 +260,14 @@ def edge_boundary(g: Graph, A: Iterable[int]) -> frozenset[Edge]:
 def inner_boundary(g: Graph, A: Iterable[int]) -> frozenset[int]:
     """Vertices of A adjacent to the complement."""
     aset = _vertex_set(g, A)
-    return frozenset(v for v in aset if any(y not in aset for y in g.adjacency[v]))
+    return frozenset(v for v in aset if any(y not in aset for y in g.neighbors(v)))
 
 
 def outer_boundary(g: Graph, A: Iterable[int]) -> frozenset[int]:
     """Inner boundary of the complement: outside vertices adjacent to A."""
     aset = _vertex_set(g, A)
     return frozenset(
-        y for v in aset for y in g.adjacency[v] if y not in aset
+        y for v in aset for y in g.neighbors(v) if y not in aset
     )
 
 
@@ -362,12 +374,19 @@ def _edge_blocks(g: Graph) -> dict[Edge, int]:
     return blocks
 
 
-def _restrict_meta(meta: dict, keep: set[int]) -> dict:
+def _restrict_meta(meta: dict, keep: set[int] | None, kept: frozenset[Edge]) -> dict:
+    """`meta` on a subgraph with the vertices `keep` (None: all of them) and
+    the edges `kept`: the per-vertex entries and the edge lists lose what the
+    subgraph lacks, and each edge list keeps its order."""
     out = dict(meta)
-    if "levels" in out:
+    if keep is not None and "levels" in out:
         out["levels"] = {v: l for v, l in out["levels"].items() if v in keep}
-    if "boundary" in out:
+    if keep is not None and "boundary" in out:
         out["boundary"] = frozenset(v for v in out["boundary"] if v in keep)
+    if "tiebreak" in out:
+        out["tiebreak"] = [e for e in out["tiebreak"] if e in kept]
+    if "edge_factors" in out:
+        out["edge_factors"] = [t for t in out["edge_factors"] if (t[0], t[1]) in kept]
     return out
 
 
@@ -375,7 +394,7 @@ def induced_subgraph(g: Graph, A: Iterable[int]) -> Graph:
     """Restriction to a vertex set, preserving ids and meta annotations."""
     aset = _vertex_set(g, A)
     ordered = tuple(e for e in g.ordered_edges if e[0] in aset and e[1] in aset)
-    return _subgraph(sorted(aset), ordered, _restrict_meta(g.meta, aset))
+    return _subgraph(sorted(aset), ordered, _restrict_meta(g.meta, aset, frozenset(ordered)))
 
 
 def _host_edges(g: Graph, E: Iterable[Edge]) -> frozenset[Edge]:
@@ -390,7 +409,7 @@ def spanned_subgraph(g: Graph, E: Iterable[Edge]) -> Graph:
     """Subgraph on all vertices of g keeping only the given edges."""
     eset = _host_edges(g, E)
     ordered = tuple(e for e in g.ordered_edges if e in eset)
-    return _subgraph(g.vertices, ordered, dict(g.meta))
+    return _subgraph(g.vertices, ordered, _restrict_meta(g.meta, None, eset))
 
 
 def _subgraph(vertices, ordered: tuple[Edge, ...], meta: dict) -> Graph:
@@ -400,8 +419,8 @@ def _subgraph(vertices, ordered: tuple[Edge, ...], meta: dict) -> Graph:
 
     Positions follow the sorted ids.  Each edge is appended to the
     neighbours of both its ends in turn, so every vertex gets its lesser
-    neighbours and then its greater ones, each in increasing order: the
-    sorted adjacency, without sorting a list per vertex."""
+    neighbours and then its greater ones, each in increasing order, without
+    sorting a list per vertex."""
     vertices = tuple(vertices)
     at = {v: i for i, v in enumerate(vertices)}
     eu = tuple([at[u] for u, _ in ordered])
@@ -410,10 +429,8 @@ def _subgraph(vertices, ordered: tuple[Edge, ...], meta: dict) -> Graph:
     for a, b in zip(eu, ev):
         lists[a].append(b)
         lists[b].append(a)
-    near = tuple(map(tuple, lists))
-    adjacency = {v: tuple([vertices[w] for w in ns]) for v, ns in zip(vertices, near)}
-    return Graph(vertices=vertices, edges=frozenset(ordered), adjacency=adjacency,
-                 ordered_edges=ordered, meta=meta, eu=eu, ev=ev, near=near)
+    return Graph(vertices=vertices, edges=frozenset(ordered), ordered_edges=ordered,
+                 meta=meta, eu=eu, ev=ev, near=tuple(map(tuple, lists)))
 
 
 # JSON interchange (the contract used by the CLI)

@@ -20,7 +20,7 @@ from .errors import (
     MissingVertex,
     NonPositiveWeight,
 )
-from .graph import Edge, Graph, _bfs, _host_edges, _path, _root, edge
+from .graph import Edge, Graph, _at, _bfs, _host_edges, _path, _root, edge
 
 
 def exact_potential(g: Graph, potential: Mapping[int, object]) -> dict[int, Fraction]:
@@ -108,15 +108,29 @@ def validate_cocycle(g: Graph, c: Cocycle) -> CocycleReport:
     """Check the cocycle identity on every fundamental cycle of a BFS forest.
 
     Sufficient because every cycle is a symmetric difference of fundamental
-    cycles.  Also checks ratio(x,y) * ratio(y,x) = 1 per edge.  Report-only.
+    cycles.  Also checks ratio(x,y) * ratio(y,x) = 1 per edge.  Report-only,
+    except that a ratio <= 0 is `NonPositiveWeight`.
     """
     worst = 0.0
     worst_cycle: tuple[int, ...] = ()
 
     def defect_of(product) -> float:
-        return 0.0 if product == 1 else abs(math.log(float(product)))
+        if product == 1:
+            return 0.0
+        try:
+            f = float(product)
+        except OverflowError:
+            f = 0.0
+        if f:
+            return abs(math.log(f))
+        # past float range: the log of the exact ratio, from its two integers
+        return abs(math.log(product.numerator) - math.log(product.denominator))
 
     for u, v in g.ordered_edges:
+        for x, y in ((u, v), (v, u)):
+            if c.ratio(x, y) <= 0:
+                raise NonPositiveWeight(f"ratio {c.ratio(x, y)} of directed edge ({x}, {y}) "
+                                        "is not positive")
         d = defect_of(c.ratio(u, v) * c.ratio(v, u))
         if d > worst:
             worst, worst_cycle = d, (u, v, u)
@@ -164,12 +178,16 @@ def potential_from_cocycle(g: Graph, c: Cocycle, base: int) -> Potential:
 
     Raises InvalidCocycle if two paths disagree.
     """
-    if base not in g.adjacency:
+    root = _at(g, base)
+    if root < 0:
         raise MissingVertex(f"basepoint {base} not in graph")
+    ids, near = g.vertices, g.near
     values: dict[int, Fraction] = {base: Fraction(1)}
     # a vertex's first scan is from its BFS parent, which sets its value
-    for x in _bfs(g.adjacency, base):
-        for y in g.adjacency[x]:
+    for i in _bfs(near, root):
+        x = ids[i]
+        for j in near[i]:
+            y = ids[j]
             w = c.ratio(y, x) * values[x]
             if y not in values:
                 values[y] = w
@@ -239,7 +257,7 @@ def compare_edges(o: EdgeOrder, e1: Edge, e2: Edge) -> int:
     if e1 == e2:
         raise ValueError("compare_edges requires distinct edges")
     _host_edges(o.graph, (e1, e2))
-    if e2[0] not in _bfs(o.graph.adjacency, e1[0]):
+    if _at(o.graph, e2[0]) not in _bfs(o.graph.near, _at(o.graph, e1[0])):
         raise CrossComponent(f"{e1} and {e2} lie in different components")
     return -1 if o.key(e1) < o.key(e2) else 1
 

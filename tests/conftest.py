@@ -42,7 +42,6 @@ from wforest.forest import CutWitnessReport, ForestResult
 from wforest.graph import (
     Edge,
     Graph,
-    _bfs,
     _subgraph,
     _vertex_set,
     build_graph,
@@ -58,6 +57,27 @@ from wforest.weights import (
     exact_potential,
     ranked_potential,
 )
+
+
+def adjacency(g: Graph) -> dict[int, tuple[int, ...]]:
+    """Each vertex id mapped to its neighbours' ids, in increasing order: the
+    id-keyed view the oracles search."""
+    return {v: g.neighbors(v) for v in g.vertices}
+
+
+def _bfs(adjacency, root: int, keep=None) -> dict[int, int | None]:
+    """One breadth-first search on ids from root: each reached vertex mapped
+    to its BFS parent (None at the root), in visit order.  Past the root,
+    only the vertices that `keep` accepts are entered.  The oracles' own
+    search, beside the library's on positions."""
+    parent: dict[int, int | None] = {root: None}
+    queue = [root]
+    for x in queue:
+        for y in adjacency[x]:
+            if y not in parent and (keep is None or keep(y)):
+                parent[y] = x
+                queue.append(y)
+    return parent
 
 
 def random_connected_graph(rand: random.Random, n: int, extra=None) -> Graph:
@@ -120,7 +140,7 @@ def simple_cycles(g: Graph, limit: int = 100_000) -> list[list[Edge]]:
     so it stops with `CycleLimitExceeded` past `limit` cycles.
     """
     cycles: list[tuple[int, ...]] = []
-    adj = g.adjacency
+    adj = adjacency(g)
     for s in g.vertices:
         # DFS over paths s, v1, ..., vk with every vi > s; a cycle is closed
         # when vk is adjacent to s; reflections deduped by v1 < vk.
@@ -347,13 +367,14 @@ def sides_oracle(g: Graph, F) -> list[Side]:
     fset = set(F)
     if not fset:
         raise NotConnected("F is empty")
+    adj = adjacency(g)
     for v in fset:
-        if v not in g.adjacency:
+        if v not in adj:
             raise UnknownId(f"vertex {v} not in graph")
-    comp = _reach(g.adjacency, min(fset))
+    comp = _reach(adj, min(fset))
     if not fset <= comp:
         raise SpansComponents("F spans more than one component")
-    if _reach(g.adjacency, min(fset), allowed=fset) != fset:
+    if _reach(adj, min(fset), allowed=fset) != fset:
         raise NotConnected(f"F={sorted(fset)} is not connected")
     rest = comp - fset
     out = []
@@ -361,9 +382,9 @@ def sides_oracle(g: Graph, F) -> list[Side]:
     for v in sorted(rest):
         if v in seen:
             continue
-        piece = _reach(g.adjacency, v, blocked=fset)
+        piece = _reach(adj, v, blocked=fset)
         seen |= piece
-        contact = tuple(sorted(x for x in piece if any(y in fset for y in g.adjacency[x])))
+        contact = tuple(sorted(x for x in piece if any(y in fset for y in adj[x])))
         out.append(Side(tuple(sorted(piece)), contact))
     return out
 
@@ -387,11 +408,12 @@ def side_pieces(g: Graph, F) -> list[tuple[int, ...]]:
     F-avoiding search from each neighbour of F that no earlier one reached.
     Every side touches F, so nothing else is read."""
     fset = set(F)
+    adj = adjacency(g)
     seen, pieces = set(fset), []
     for x in fset:
-        for y in g.adjacency[x]:
+        for y in adj[x]:
             if y not in seen:
-                piece = _reach(g.adjacency, y, blocked=fset)
+                piece = _reach(adj, y, blocked=fset)
                 seen |= piece
                 pieces.append(tuple(sorted(piece)))
     return sorted(pieces)
@@ -511,7 +533,7 @@ def brute_visibility(g: Graph, pot_x, x: int) -> set[int]:
 
     def walk(v, on_path):
         reachable.add(v)
-        for y in g.adjacency[v]:
+        for y in g.neighbors(v):
             if y not in on_path and pot_x[y] <= 1:
                 walk(y, on_path | {y})
 
@@ -529,7 +551,7 @@ def visibility(g: Graph, potential, x: int) -> dict[int, Fraction]:
     too slow."""
     top = Fraction(potential[x])
     light = {y for y in g.vertices if potential[y] <= top}
-    return {y: potential[y] / top for y in _reach(g.adjacency, x, allowed=light)}
+    return {y: potential[y] / top for y in _reach(adjacency(g), x, allowed=light)}
 
 
 def is_heavy(g: Graph, params: ProxyParams, mass, rel) -> bool:
@@ -660,7 +682,7 @@ def validate_cocycle_oracle(g: Graph, c: Cocycle) -> CocycleReport:
         d = defect_of(c.ratio(u, v) * c.ratio(v, u))
         if d > worst:
             worst, worst_cycle = d, (u, v, u)
-    parent, depth, _ = _bfs_forest(g.adjacency, g.vertices)
+    parent, depth, _ = _bfs_forest(adjacency(g), g.vertices)
     value: dict[int, Fraction] = {}
     for y, x in parent.items():
         value[y] = Fraction(1) if x is None else c.ratio(y, x) * value[x]
@@ -681,9 +703,10 @@ def quotient_oracle(g: Graph, potential, family) -> QuotientGraph:
     fam = tuple(tuple(sorted(b)) for b in family)
     block_of: dict[int, int] = {}
     inner_trees: dict[int, frozenset[Edge]] = {}
+    adj = adjacency(g)
     for b in fam:
         bset = _vertex_set(g, b)
-        tree = _bfs(g.adjacency, b[0], bset.__contains__) if b else {}
+        tree = _bfs(adj, b[0], bset.__contains__) if b else {}
         if not b or len(tree) != len(bset):
             raise NotConnected(f"family block {b} is not connected")
         inner_trees[b[0]] = frozenset(edge(p, y) for y, p in tree.items() if p is not None)

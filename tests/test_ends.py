@@ -36,6 +36,7 @@ from wforest.weights import EdgeOrder, level_potential, unit_potential
 
 from conftest import (
     _side_orders,
+    adjacency,
     brute_visibility,
     furcation_family_oracle,
     is_heavy,
@@ -73,7 +74,7 @@ def test_classify_side_gp_directions():
     g, pot = gp_with_potential()
     root = g.meta["root"]
     lv = g.meta["levels"]
-    par = next(v for v in g.adjacency[root] if lv[v] == lv[root] - 1)
+    par = next(v for v in g.neighbors(root) if lv[v] == lv[root] - 1)
     params = ProxyParams(nonvanish_delta=F(1))
     tagged = {s: side_kind(g, pot, s, params)
               for s in side_pieces(g, [root, par])}
@@ -277,7 +278,7 @@ def random_blocks(rand, g):
         block, size = [root], rand.randint(1, 5)
         used.add(root)
         while len(block) < size:
-            free = [y for x in block for y in g.adjacency[x] if y not in used]
+            free = [y for x in block for y in g.neighbors(x) if y not in used]
             if not free:
                 break
             y = rand.choice(free)
@@ -677,13 +678,14 @@ def _index_rules(g, pot, params, s_max, rules):
     `_side_orders` on every connected candidate of g up to s_max that it
     would evaluate, and counts the rule that answers each."""
     index, marks, total_of = _side_index(g, pot, params)
+    adj = adjacency(g)
     for cand in connected_subsets(g, s_max):
         if cand[0] in total_of:
             total = total_of[cand[0]]
             F = _positions(g, cand)
             rule = _rule(index, g, F)
             got = index.orders(F, total)
-            assert got == _side_orders(g.adjacency, cand, marks, total), \
+            assert got == _side_orders(adj, cand, marks, total), \
                 (rule, cand, sorted(g.edges), marks)
             rules[rule] += 1
 
@@ -728,7 +730,7 @@ def test_side_index_joins_pieces(edges, boundary, cand, want):
     F = _positions(g, cand)
     assert _rule(index, g, F) == "c"
     got = index.orders(F, total_of[cand[0]])
-    assert got == _side_orders(g.adjacency, cand, marks, total_of[cand[0]])
+    assert got == _side_orders(adjacency(g), cand, marks, total_of[cand[0]])
     assert got == [sides_order(g, pot, cand, params, kind) for kind in _KINDS] == [want] * 2
 
 
@@ -742,8 +744,9 @@ def test_furcation_order_equals_sides_count(rand):
         total_of = {}
         for comp in components(g):
             total_of.update(dict.fromkeys(comp, mark_totals(marks, comp)))
+        adj = adjacency(g)
         for cand in connected_subsets(g, 3):
-            orders = _side_orders(g.adjacency, cand, marks, total_of[cand[0]])
+            orders = _side_orders(adj, cand, marks, total_of[cand[0]])
             for order, kind in zip(orders, _KINDS):
                 assert order == sides_order(g, pot, cand, params, kind), \
                     (cand, kind, sorted(g.edges))

@@ -18,11 +18,13 @@ from wforest.forest import (
     restrict_forest,
 )
 from wforest.generators import free_product, gp_graph, lattice_box, random_gnm, windmill
-from wforest.graph import _bfs, _edge_blocks, build_graph, components, induced_subgraph
+from wforest.graph import _edge_blocks, build_graph, components, induced_subgraph
 from wforest.percolation import PercolationConfig, assign_labels, bernoulli_sample, fwmsf
 from wforest.weights import EdgeOrder, level_potential, unit_potential
 
 from conftest import (
+    _bfs,
+    adjacency,
     cut_witnesses_oracle,
     fmsf,
     greedy_max_forest,
@@ -354,7 +356,7 @@ def _balls(g, radii):
     """The balls of growing `radii` around meta["root"], as induced subgraphs
     (within the root's component)."""
     dist = {}
-    for v, parent in _bfs(g.adjacency, g.meta["root"]).items():
+    for v, parent in _bfs(adjacency(g), g.meta["root"]).items():
         dist[v] = 0 if parent is None else dist[parent] + 1
     return [induced_subgraph(g, [v for v, d in dist.items() if d <= r]) for r in radii]
 

@@ -9,6 +9,7 @@ from wforest.errors import (
     DanglingEndpoint,
     DuplicateEdge,
     DuplicateVertexId,
+    MissingVertex,
     NotConnected,
     SelfLoop,
     UnknownId,
@@ -29,6 +30,7 @@ from wforest.generators import (
     windmill,
 )
 from wforest.graph import (
+    Graph,
     _edge_blocks,
     build_graph,
     components,
@@ -42,6 +44,12 @@ from wforest.graph import (
     outer_boundary,
     spanned_subgraph,
     to_json,
+)
+from wforest.weights import (
+    EdgeOrder,
+    cocycle_from_potential,
+    potential_from_cocycle,
+    unit_potential,
 )
 
 from conftest import (
@@ -72,7 +80,7 @@ def complete(n):
 def test_build_graph_path():
     g = build_graph([1, 2, 3], [(1, 2), (2, 3)])
     assert g.vertices == (1, 2, 3)
-    assert g.adjacency[2] == (1, 3)
+    assert g.neighbors(2) == (1, 3)
     assert g.edges == frozenset({(1, 2), (2, 3)})
 
 
@@ -121,7 +129,7 @@ def test_sides_equal_oracle(rand):
         g = random_graph(rand)
         F = {rand.choice(g.vertices)}
         for _ in range(rand.randint(0, 2)):
-            grow = sorted({y for x in F for y in g.adjacency[x]} - F)
+            grow = sorted({y for x in F for y in g.neighbors(x)} - F)
             if grow:
                 F.add(rand.choice(grow))
         pieces = sides_oracle(g, F)
@@ -290,7 +298,7 @@ def test_subgraphs():
 
 
 def test_subgraphs_equal_build_graph(rand):
-    """Both subgraphs filter the host's adjacency instead of rebuilding it;
+    """Both subgraphs filter the host's edges instead of rebuilding them;
     each must be the Graph `build_graph` gives on the same vertices, edges
     and meta.  Hosts: random graphs (disconnected and edgeless ones too, with
     random levels and boundary flags), the box and GP with their meta."""
@@ -318,9 +326,37 @@ def test_subgraphs_equal_build_graph(rand):
             assert induced_subgraph(g, A).meta.keys() == g.meta.keys()
 
 
+def test_subgraphs_restrict_the_meta_edge_lists(rand):
+    """A subgraph's meta lists only its own edges, in the host's order: the
+    windmill's tiebreak then sorts the subgraph's edges as the host order
+    restricted to it does, and a free product's edge factors name each edge
+    once.  The subgraph's document reads back to it."""
+    w = windmill(3, 2)
+    host = EdgeOrder(w, unit_potential(w), w.meta["tiebreak"])
+    fp = free_product([{"family": "gp", "k": 2, "up": 1, "down": 1},
+                       {"family": "lattice_box", "w": 3, "h": 3}], max_word=2)
+    subs = [induced_subgraph(w, w.vertices[:-1]), spanned_subgraph(w, w.ordered_edges[:-1])]
+    for g in (w, fp):
+        for _ in range(10):
+            subs.append(induced_subgraph(g, [v for v in g.vertices if rand.random() < 0.7]))
+            subs.append(spanned_subgraph(g, [e for e in g.edges if rand.random() < 0.7]))
+    for sub in subs:
+        if "tiebreak" in sub.meta:
+            own = EdgeOrder(sub, unit_potential(sub), sub.meta["tiebreak"])
+            want = sorted(sub.edges, key=host.restrict(sub).key)
+            assert sorted(sub.edges, key=own.key) == want
+            assert sub.meta["tiebreak"] == [e for e in w.meta["tiebreak"] if e in sub.edges]
+            assert from_json(to_json(sub)) == sub
+        else:
+            factors = sub.meta["edge_factors"]
+            assert factors == [t for t in fp.meta["edge_factors"] if t[:2] in sub.edges]
+            assert sorted(t[:2] for t in factors) == sub.sorted_edges()
+            assert to_json(from_json(to_json(sub))) == to_json(sub)
+
+
 def test_sorted_edges_are_the_canonical_order(rand):
     """However a graph is built, its edges are kept in canonical (sorted)
-    order beside a sorted adjacency: `build_graph` fed shuffled, reversed
+    order beside sorted neighbours: `build_graph` fed shuffled, reversed
     and flipped edges, `from_json`, every generator, both subgraphs and the
     quotient.  `sorted_edges` hands out a new list each call, so shuffling
     one leaves the next unchanged."""
@@ -346,8 +382,8 @@ def test_sorted_edges_are_the_canonical_order(rand):
     graphs.append(quotient(w, {v: 1 for v in w.vertices}, family.blocks).qgraph)
     for g in graphs:
         assert g.sorted_edges() == sorted(g.edges)
-        assert all(list(ns) == sorted(ns) for ns in g.adjacency.values())
-        assert sorted(edge(u, v) for u in g.vertices for v in g.adjacency[u]) == \
+        assert all(list(g.neighbors(v)) == sorted(g.neighbors(v)) for v in g.vertices)
+        assert sorted(edge(u, v) for u in g.vertices for v in g.neighbors(u)) == \
             sorted(e for e in g.edges for _ in range(2))
         handed = g.sorted_edges()
         rand.shuffle(handed)
@@ -357,8 +393,8 @@ def test_sorted_edges_are_the_canonical_order(rand):
 def test_every_builder_lays_the_graph_out_on_positions(rand):
     """A vertex's position is its index in the sorted `vertices` and an
     edge's its index in `ordered_edges`: each edge's `eu` and `ev` are its
-    lesser and greater end, and each vertex's `near` lists its neighbours
-    in adjacency order.  Builders: `build_graph` on scattered, negative and
+    lesser and greater end, and each vertex's `near` lists the positions of
+    the neighbours `ordered_edges` gives it, in increasing order.  Builders: `build_graph` on scattered, negative and
     non-monotone ids, `from_json(to_json(g))`, both subgraphs, the quotient
     and the empty graph."""
     graphs = [build_graph([], []),
@@ -382,17 +418,40 @@ def test_every_builder_lays_the_graph_out_on_positions(rand):
         for j, (a, b) in enumerate(zip(g.eu, g.ev)):
             assert (g.vertices[a], g.vertices[b]) == g.ordered_edges[j]
         assert len(g.near) == len(g.vertices)
+        named = {v: [] for v in g.vertices}
+        for u, v in g.ordered_edges:
+            named[u].append(v)
+            named[v].append(u)
         for i, ns in enumerate(g.near):
-            assert [g.vertices[w] for w in ns] == list(g.adjacency[g.vertices[i]])
+            assert [g.vertices[w] for w in ns] == sorted(named[g.vertices[i]])
 
 
 @pytest.mark.parametrize("query", [is_connected_set, edge_boundary, inner_boundary,
-                                   outer_boundary, is_cycle_invariant, induced_subgraph])
+                                   outer_boundary, is_cycle_invariant, induced_subgraph,
+                                   Graph.neighbors, Graph.degree])
 def test_set_queries_reject_unknown_ids(query):
-    """Every vertex-set query names the first id outside the graph."""
+    """Every vertex-set query names the first id outside the graph, and
+    every one-vertex query its vertex."""
     p = build_graph(range(3), [(0, 1), (1, 2)])
     with pytest.raises(UnknownId, match=r"^vertex 9 not in graph$"):
-        query(p, [1, 9])
+        query(p, 9 if query in (Graph.neighbors, Graph.degree) else [1, 9])
+
+
+def test_lookups_bisect_scattered_ids():
+    """A vertex is found by bisecting the sorted ids: an id below, between
+    or above them, or one that is not an integer, is no vertex, and each
+    vertex is found with its neighbours."""
+    g = build_graph([-40, -7, 3, 15, 1000], [(-40, 3), (3, 1000), (-7, 15), (15, 1000)])
+    for v in (-41, -8, -6, 0, 4, 999, 1001, "a", None):
+        assert v not in g
+        with pytest.raises(UnknownId, match=rf"^vertex {v} not in graph$"):
+            g.neighbors(v)
+        with pytest.raises(MissingVertex, match=rf"^basepoint {v} not in graph$"):
+            potential_from_cocycle(g, cocycle_from_potential(g, unit_potential(g)), v)
+    assert [(v in g, g.neighbors(v), g.degree(v)) for v in g.vertices] == [
+        (True, (3,), 1), (True, (15,), 1), (True, (-40, 1000), 2), (True, (-7, 1000), 2),
+        (True, (3, 15), 2)]
+    assert build_graph([], []).__contains__(0) is False
 
 
 def test_components_equal_networkx(rand):

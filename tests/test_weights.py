@@ -54,6 +54,16 @@ def test_validate_cocycle_detects_bad_triangle():
     bad = Cocycle(ratios=ratios)
     rep = validate_cocycle(g, bad)
     assert not rep.ok and rep.worst_defect > 0
+    # a product past float range, around the cycle or across one edge, is
+    # reported from its exact numerator and denominator
+    for k in (2000, -2000):
+        unit = dict.fromkeys(ratios, F(1))
+        for back in (F(2) ** -k, F(1)):
+            rep = validate_cocycle(g, Cocycle(ratios={**unit, (1, 2): F(2) ** k, (2, 1): back}))
+            assert not rep.ok and math.isclose(rep.worst_defect, 2000 * math.log(2))
+    for r in (F(0), F(-1)):
+        with pytest.raises(NonPositiveWeight, match=r"directed edge \(3, 2\)"):
+            validate_cocycle(g, Cocycle(ratios={**ratios, (3, 2): r}))
 
 
 def test_gp_level_cocycle_exact():
