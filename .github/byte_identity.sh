@@ -130,15 +130,23 @@ json.dump(doc, open("gpx.json", "w"))'
         # library paths no command reaches: the cocycle check on inconsistent
         # ratios, which names its worst cycle; the potential of a cocycle,
         # the edge comparison and the vertex lookups, which find a vertex
-        # by its id; and the components and set queries of a graph that is
-        # not connected
+        # by its id; the edge-set checks, which name a foreign edge, and the
+        # tiebreak checks; and the components and set queries of a graph
+        # that is not connected
         PYTHONPATH="$tree/src" python3 -c '
 from fractions import Fraction
-from wforest.errors import InvalidCocycle
+from wforest.errors import InvalidCocycle, UnknownId
+from wforest.forest import is_acyclic, maximal_subforest
 from wforest.graph import (components, edge_boundary, from_json, induced_subgraph,
-                           inner_boundary, is_connected_set, outer_boundary)
+                           inner_boundary, is_connected_set, outer_boundary, spanned_subgraph)
 from wforest.weights import (Cocycle, EdgeOrder, cocycle_from_potential, compare_edges,
                              level_potential, potential_from_cocycle, validate_cocycle)
+def refusal(f, *args, **kwargs):
+    try:
+        f(*args, **kwargs)
+    except (UnknownId, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "accepted"
 with open("library.out", "w") as out:
     for name in ("gp.json", "gpx.json"):
         g = from_json(open(name).read())
@@ -165,6 +173,17 @@ with open("library.out", "w") as out:
         lo, hi = g.vertices[0], g.vertices[-1]
         print(name, "in", [x for x in range(lo - 3, lo + 60) if x in g],
               [x in g for x in (hi, hi + 1, lo - 1, "a", None)], file=out)
+        es = g.sorted_edges()
+        far, off = (lo, hi), (lo - 2, lo - 1)   # two vertices, no edge; no vertices
+        u, v = es[3]
+        print(name, "refusals", refusal(spanned_subgraph, g, es[:5] + [far, off]),
+              refusal(spanned_subgraph, g, [es[0], (v, u)]),
+              refusal(maximal_subforest, g, order, fixed=[es[0], far]),
+              refusal(is_acyclic, g, es[:3] + [far]),
+              refusal(compare_edges, order, es[0], far), refusal(compare_edges, order, far, off),
+              refusal(EdgeOrder, g, level_potential(g), es + [far]),
+              refusal(EdgeOrder, g, level_potential(g), es[1:]), sep="\n  ", file=out)
+        print(name, "every 3rd edge", spanned_subgraph(g, es[::3]).ordered_edges[:20], file=out)
     box = from_json(open("box.json").read())   # 12 by 12, ids r * 12 + c
     cut = induced_subgraph(box, [v for v in box.vertices if v % 12 != 6])
     print("box.json less column 6", components(cut), file=out)

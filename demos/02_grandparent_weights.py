@@ -24,7 +24,7 @@ from wforest.weights import level_potential
 print("== GP(2), two ancestor levels, three descendant levels ==")
 g = gp_graph(2, 2, 3)
 levels = g.meta["levels"]
-print(f"  {len(g.vertices)} vertices, {len(g.edges)} edges "
+print(f"  {len(g.vertices)} vertices, {len(g.ordered_edges)} edges "
       f"(parent + grandparent), root id {g.meta['root']}")
 
 potential = level_potential(g, F(1, 2))
@@ -79,11 +79,11 @@ def forest_decisions(graph):
     sig = signatures(graph)
     pot = level_potential(graph, F(1, 2))
     rank = {e: i for i, e in enumerate(
-        sorted(graph.edges, key=lambda e: tuple(sorted((sig[e[0]], sig[e[1]])))))}
+        sorted(graph.ordered_edges, key=lambda e: tuple(sorted((sig[e[0]], sig[e[1]])))))}
     result = maximal_subforest(graph, EdgeOrder(graph, pot, rank))
     return {
         tuple(sorted((sig[u], sig[v]))): ((u, v) in result.kept)
-        for u, v in graph.edges
+        for u, v in graph.ordered_edges
     }
 
 

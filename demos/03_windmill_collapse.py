@@ -22,7 +22,7 @@ pot = unit_potential(g)
 params = ProxyParams()
 
 print(f"== windmill({B}, {R}) ==")
-print(f"  {len(g.vertices)} vertices, {len(g.edges)} edges; "
+print(f"  {len(g.vertices)} vertices, {len(g.ordered_edges)} edges; "
       f"hubs 0..{B - 1} on a line, one lattice-quadrant blade each")
 print(f"  trifurcation-proxy vertices: "
       f"{find_furcation_vertices(g, pot, 3, params)} (the interior hubs)")
@@ -52,10 +52,10 @@ for phase in sorted(by_phase):
 
 res = collapsed_maximal_subforest(g, pot, tiebreak, params)
 print(f"  quotient: {len(res.quot.qgraph.vertices)} blocks, "
-      f"{len(res.quot.qgraph.edges)} edges")
+      f"{len(res.quot.qgraph.ordered_edges)} edges")
 print(f"  lifted forest: {len(res.forest.kept)} kept edges, "
       f"acyclic = {is_acyclic(g, res.forest.kept)}")
-lifted = {qe for qe in res.quot.qgraph.edges
+lifted = {qe for qe in res.quot.qgraph.ordered_edges
           if res.quot.lift[qe] in res.forest.kept}
 print(f"  forest modulo family equals the quotient forest: "
       f"{lifted == set(res.qforest.kept)}")

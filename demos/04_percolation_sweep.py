@@ -21,7 +21,7 @@ print("== Free product GP(2) * Z^2 (truncated) ==")
 g = free_product([{"family": "gp", "k": 2, "up": 1, "down": 1},
                   {"family": "lattice_box", "w": 3, "h": 3}], max_word=2)
 pot = level_potential(g, F(1, 2))
-print(f"  {len(g.vertices)} vertices, {len(g.edges)} edges; gp edges carry "
+print(f"  {len(g.vertices)} vertices, {len(g.ordered_edges)} edges; gp edges carry "
       "ratios 1/4..4, lattice edges ratio 1")
 
 records = sweep(g, pot, [0.3, 0.6, 0.9], trials=5, seed=2024,

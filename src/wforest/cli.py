@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 
 from . import __version__
@@ -42,14 +41,19 @@ def _file_sha256(path: str) -> str:
 
 
 def _atomic_write(path: str, data: str) -> None:
-    """Write via a fresh temp file beside `path`, so concurrent writers of
-    one path never share a temp name; the temp file goes on failure."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    """Write via a fresh temp file beside `path`, named by this process's id
+    and the first free count, which `O_EXCL` takes atomically, so concurrent
+    writers of one path never share a temp name; it gets `open`'s mode (0666
+    less the umask) and goes on failure."""
+    n = 0
+    while True:
+        tmp = f"{path}.{os.getpid()}.{n}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            n += 1
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)  # mkstemp makes 0600; keep open()'s mode
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
         os.replace(tmp, path)
@@ -284,7 +288,7 @@ def cmd_collapse(args, argv) -> int:
         "blocks": [list(b) for b in res.family.blocks],
         "phases": list(res.family.phases),
         "quotient": {"vertices": len(res.quot.qgraph.vertices),
-                     "edges": len(res.quot.qgraph.edges)},
+                     "edges": len(res.quot.qgraph.ordered_edges)},
         "proxy_params": {"nonvanish_delta": str(params.nonvanish_delta),
                          "heavy_tau": str(params.heavy_tau)},
     }
@@ -339,7 +343,7 @@ def cmd_analyze(args, argv) -> int:
         "family": {"blocks": [list(b) for b in family.blocks],
                    "phases": list(family.phases)},
         "quotient": {"vertices": len(quot.qgraph.vertices),
-                     "edges": len(quot.qgraph.edges)},
+                     "edges": len(quot.qgraph.ordered_edges)},
         "visibility": {"basepoints": len(verts), "mass_quantiles": quantiles},
         "proxy_params": {"nonvanish_delta": str(params.nonvanish_delta),
                          "heavy_tau": str(params.heavy_tau)},

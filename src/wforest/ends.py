@@ -499,7 +499,7 @@ def collapsed_maximal_subforest(g: Graph, potential: Mapping[int, object],
         kept.add(quot.lift[qe])
     forest = ForestResult(
         kept=frozenset(kept),
-        deleted=frozenset(g.edges - kept),
+        deleted=frozenset(e for e in g.ordered_edges if e not in kept),
         fixed=frozenset(),
     )
     return CollapseResult(forest=forest, family=family, quot=quot, qforest=qforest)

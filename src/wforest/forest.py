@@ -33,6 +33,7 @@ from .errors import (
 from .graph import (
     Edge,
     Graph,
+    _edge_at,
     _host_edges,
     _path,
     _root,
@@ -65,13 +66,6 @@ class ForestResult(_ForestSets):
     @classmethod
     def _make(cls, fields):
         return cls(*fields)
-
-
-def _positions(g: Graph, edges: Iterable[Edge]) -> list[int]:
-    """The positions of `edges` in g's canonical order, increasing; an edge
-    outside g raises `UnknownId`."""
-    eset = _host_edges(g, edges)
-    return [i for i, e in enumerate(g.ordered_edges) if e in eset]
 
 
 def _greedy(g: Graph, edges: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -109,12 +103,15 @@ def maximal_subforest(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = ()) ->
     cycle.  Pure function of (graph, potentials, tiebreak, fixed).
     """
     h = frozenset(fixed)
+    pinned = []
     for e in h:
-        if e not in g.edges:
+        i = _edge_at(g, e)
+        if i < 0:
             raise UnknownId(f"fixed edge {e} not in graph")
+        pinned.append(i)
+    pinned.sort()
     edges = g.ordered_edges
     key = list(map(order.key, edges))
-    pinned = [i for i, e in enumerate(edges) if e in h]
     rest = sorted((i for i, e in enumerate(edges) if e not in h),
                   key=key.__getitem__, reverse=True)
     kept, deleted = _greedy(g, pinned + rest)
@@ -191,14 +188,14 @@ def check_cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder) -> Cut
     set with a cycle raises `InvariantViolation`.
     """
     names = g.ordered_edges
-    kept = _positions(g, result.kept)
+    kept = _host_edges(g, result.kept)
     rooted = _root(g, kept)
     # a forest with t trees on n vertices has exactly n - t edges
     if len(kept) != len(g.vertices) - rooted.trees:
         raise InvariantViolation("kept edges close a cycle")
     key = [None if e in result.fixed else order.key(e) for e in names]
     violations, witnesses = _scan_witnesses(
-        g, rooted, key, _positions(g, result.deleted), range(len(names)))
+        g, rooted, key, _host_edges(g, result.deleted), range(len(names)))
     return CutWitnessReport(
         violations=tuple((names[d], why) for d, why in violations),
         witnesses={names[d]: names[f] for d, f in witnesses.items()})
@@ -234,4 +231,4 @@ def is_acyclic(g: Graph, edges: Iterable[Edge]) -> bool:
     """Whether the set of `edges`, all edges of g, is a forest: `_greedy`
     deletes none of them.  A pair that is not an edge of g raises
     `UnknownId`."""
-    return not _greedy(g, _positions(g, edges))[1]
+    return not _greedy(g, _host_edges(g, edges))[1]

@@ -15,8 +15,10 @@ union-find and rooting in the package reads that layout, and this module
 owns the traversals on it: `_root`, the one breadth-first forest of a set
 of edge positions, with `_path` to climb it, and `_components`, the one
 breadth-first search of all components, with `_bfs`, one search from a
-position within a set.  ``near`` is the one neighbour structure, and `_at`
-finds an id's position by bisecting the sorted ids.  Per-vertex
+position within a set.  ``near`` is the one neighbour structure and
+``ordered_edges`` the one edge list: `_at` finds an id's position by
+bisecting the sorted ids, `_edge_at` an edge's by bisecting the edges, and
+`_host_edges` checks a whole edge set in one pass over them.  Per-vertex
 "level" integers and truncation-boundary flags are carried in
 ``Graph.meta`` (keys ``"levels"`` and ``"boundary"``) because only the
 generator that built a truncation knows which vertices are artifacts of
@@ -48,12 +50,11 @@ def edge(u: int, v: int) -> Edge:
 
 class Graph(NamedTuple):
     vertices: tuple[int, ...]
-    edges: frozenset[Edge]
-    # the edges in canonical (sorted) order, the same tuple objects as
-    # `edges`; derived from them, so comparing it decides no equality
+    # the canonical edges in increasing order, the one edge list a graph
+    # stores; `_edge_at` and `_host_edges` find edges in it
     ordered_edges: tuple[Edge, ...]
     meta: dict
-    # the layout on positions, derived like `ordered_edges`: per edge
+    # the layout on positions, derived from the two above: per edge
     # position, the positions of its lesser and of its greater end, and per
     # vertex position, its neighbours' positions in increasing order
     eu: tuple[int, ...]
@@ -86,15 +87,25 @@ class Graph(NamedTuple):
         return frozenset(self.meta.get("boundary", ()))
 
 
-def _at(g: Graph, v) -> int:
-    """The position of v in g, by bisecting the sorted ids; -1 when v is not
-    a vertex of g."""
-    ids = g.vertices
+def _index(items: Sequence, x) -> int:
+    """The index of x in the strictly increasing `items`, by bisection; -1
+    when x is none of them."""
     try:
-        i = bisect_left(ids, v)
-    except TypeError:  # v does not compare with ids, so it is none of them
+        i = bisect_left(items, x)
+    except TypeError:  # x does not compare with items, so it is none of them
         return -1
-    return i if i < len(ids) and ids[i] == v else -1
+    return i if i < len(items) and items[i] == x else -1
+
+
+def _at(g: Graph, v) -> int:
+    """The position of v in g.vertices; -1 when v is not a vertex of g."""
+    return _index(g.vertices, v)
+
+
+def _edge_at(g: Graph, e) -> int:
+    """The position of e in g.ordered_edges; -1 when e is not a canonical
+    edge of g (a reversed pair is not)."""
+    return _index(g.ordered_edges, e)
 
 
 def build_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]],
@@ -254,7 +265,7 @@ def is_connected_set(g: Graph, A: Iterable[int]) -> bool:
 def edge_boundary(g: Graph, A: Iterable[int]) -> frozenset[Edge]:
     """Edges with exactly one endpoint in A."""
     aset = _vertex_set(g, A)
-    return frozenset(e for e in g.edges if (e[0] in aset) != (e[1] in aset))
+    return frozenset(e for e in g.ordered_edges if (e[0] in aset) != (e[1] in aset))
 
 
 def inner_boundary(g: Graph, A: Iterable[int]) -> frozenset[int]:
@@ -374,19 +385,21 @@ def _edge_blocks(g: Graph) -> dict[Edge, int]:
     return blocks
 
 
-def _restrict_meta(meta: dict, keep: set[int] | None, kept: frozenset[Edge]) -> dict:
+def _restrict_meta(meta: dict, keep: set[int] | None, ordered: tuple[Edge, ...]) -> dict:
     """`meta` on a subgraph with the vertices `keep` (None: all of them) and
-    the edges `kept`: the per-vertex entries and the edge lists lose what the
-    subgraph lacks, and each edge list keeps its order."""
+    the edges `ordered`: the per-vertex entries and the edge lists lose what
+    the subgraph lacks, and each edge list keeps its order."""
     out = dict(meta)
     if keep is not None and "levels" in out:
         out["levels"] = {v: l for v, l in out["levels"].items() if v in keep}
     if keep is not None and "boundary" in out:
         out["boundary"] = frozenset(v for v in out["boundary"] if v in keep)
-    if "tiebreak" in out:
-        out["tiebreak"] = [e for e in out["tiebreak"] if e in kept]
-    if "edge_factors" in out:
-        out["edge_factors"] = [t for t in out["edge_factors"] if (t[0], t[1]) in kept]
+    if "tiebreak" in out or "edge_factors" in out:
+        kept = frozenset(ordered)
+        if "tiebreak" in out:
+            out["tiebreak"] = [e for e in out["tiebreak"] if e in kept]
+        if "edge_factors" in out:
+            out["edge_factors"] = [t for t in out["edge_factors"] if (t[0], t[1]) in kept]
     return out
 
 
@@ -394,22 +407,24 @@ def induced_subgraph(g: Graph, A: Iterable[int]) -> Graph:
     """Restriction to a vertex set, preserving ids and meta annotations."""
     aset = _vertex_set(g, A)
     ordered = tuple(e for e in g.ordered_edges if e[0] in aset and e[1] in aset)
-    return _subgraph(sorted(aset), ordered, _restrict_meta(g.meta, aset, frozenset(ordered)))
+    return _subgraph(sorted(aset), ordered, _restrict_meta(g.meta, aset, ordered))
 
 
-def _host_edges(g: Graph, E: Iterable[Edge]) -> frozenset[Edge]:
-    """E as a set, checked to hold only edges of g."""
+def _host_edges(g: Graph, E: Iterable[Edge]) -> list[int]:
+    """The positions of the edge set E in g.ordered_edges, increasing, from
+    one pass over them; an E holding a pair that is not a canonical edge of
+    g raises `UnknownId`, naming the first such pair E's set iterates."""
     eset = frozenset(E)
-    if not eset <= g.edges:
-        raise UnknownId(f"edge {next(e for e in eset if e not in g.edges)} not in graph")
-    return eset
+    found = [i for i, e in enumerate(g.ordered_edges) if e in eset]
+    if len(found) < len(eset):
+        raise UnknownId(f"edge {next(e for e in eset if _edge_at(g, e) < 0)} not in graph")
+    return found
 
 
 def spanned_subgraph(g: Graph, E: Iterable[Edge]) -> Graph:
     """Subgraph on all vertices of g keeping only the given edges."""
-    eset = _host_edges(g, E)
-    ordered = tuple(e for e in g.ordered_edges if e in eset)
-    return _subgraph(g.vertices, ordered, _restrict_meta(g.meta, None, eset))
+    ordered = tuple(map(g.ordered_edges.__getitem__, _host_edges(g, E)))
+    return _subgraph(g.vertices, ordered, _restrict_meta(g.meta, None, ordered))
 
 
 def _subgraph(vertices, ordered: tuple[Edge, ...], meta: dict) -> Graph:
@@ -429,8 +444,8 @@ def _subgraph(vertices, ordered: tuple[Edge, ...], meta: dict) -> Graph:
     for a, b in zip(eu, ev):
         lists[a].append(b)
         lists[b].append(a)
-    return Graph(vertices=vertices, edges=frozenset(ordered), ordered_edges=ordered,
-                 meta=meta, eu=eu, ev=ev, near=tuple(map(tuple, lists)))
+    return Graph(vertices=vertices, ordered_edges=ordered, meta=meta,
+                 eu=eu, ev=ev, near=tuple(map(tuple, lists)))
 
 
 # JSON interchange (the contract used by the CLI)
@@ -531,7 +546,7 @@ def from_doc(doc) -> Graph:
         factors = _json_list(meta["edge_factors"], "meta 'edge_factors'")
         if not all(isinstance(t, list) and len(t) == 3 for t in factors):
             raise MalformedDocument("meta 'edge_factors' entries are not [u, v, factor]")
-        meta["edge_factors"] = [list(t) for t in factors]
+        meta["edge_factors"] = [tuple(t) for t in factors]
     if levels:
         meta["levels"] = levels
     if boundary:

@@ -31,9 +31,9 @@ from .errors import (
     NotAutomorphism,
     NotWeightPreserving,
 )
-from .forest import ForestResult, _greedy, _positions, _scan_witnesses
-from .graph import (Edge, Graph, _components, _root, _Rooted, _side_counts, components, edge,
-                    spanned_subgraph)
+from .forest import ForestResult, _greedy, _scan_witnesses
+from .graph import (Edge, Graph, _components, _host_edges, _root, _Rooted, _side_counts,
+                    components, edge, spanned_subgraph)
 from .rng import check_seed, subseed, threshold, u64s
 from .weights import ProxyParams, RankedPotential, exact_potential, ranked_potential
 
@@ -67,7 +67,7 @@ def bernoulli_sample(g: Graph, p: float, seed: int) -> PercolationConfig:
 
 
 def full_config(g: Graph) -> PercolationConfig:
-    return PercolationConfig(host=g, open_edges=frozenset(g.edges), p=1.0, seed=0)
+    return PercolationConfig(host=g, open_edges=frozenset(g.ordered_edges), p=1.0, seed=0)
 
 
 def _by_label(label, items: Sequence) -> list:
@@ -149,7 +149,7 @@ def fwmsf(cfg: PercolationConfig, potential: Mapping[int, object],
     """Weighted maximal subforest of the open subgraph under the random
     tiebreak; the weighted generalization of the free minimal forest."""
     host = _host(cfg.host, ranked_potential(cfg.host, potential))
-    opened = _positions(cfg.host, cfg.open_edges)
+    opened = _host_edges(cfg.host, cfg.open_edges)
     names = cfg.host.ordered_edges
     _, desc = _keys(host, opened, {i: labels.labels[names[i]] for i in opened})
     kept, deleted = _greedy(cfg.host, desc)
@@ -261,7 +261,7 @@ def cluster_report(cfg: PercolationConfig, potential: Mapping[int, object],
     heaviest vertex, heavy/light proxy classes, and the max number of
     nonvanishing-proxy sides over single-vertex furcations."""
     host = _host(cfg.host, ranked_potential(cfg.host, potential))
-    clusters, tops, adj = _clusters(host, _positions(cfg.host, cfg.open_edges))
+    clusters, tops, adj = _clusters(host, _host_edges(cfg.host, cfg.open_edges))
     nonvanishing = _nonvanishing(host, clusters, tops, params.nonvanish_delta)
     stats, counts = _cluster_report(host, adj, clusters, tops, nonvanishing, params)
     ids = cfg.host.vertices
@@ -290,8 +290,8 @@ def equivariance_check(g: Graph, potential: Mapping[int, object],
     through sigma pushes the forest forward edge-for-edge."""
     if sorted(sigma) != list(g.vertices) or sorted(sigma.values()) != list(g.vertices):
         raise NotAutomorphism("sigma is not a vertex bijection of the graph")
-    image = {_apply_vertex_map(sigma, e) for e in g.edges}
-    if image != set(g.edges):
+    image = {_apply_vertex_map(sigma, e) for e in g.ordered_edges}
+    if image != set(g.ordered_edges):
         raise NotAutomorphism("sigma does not preserve the edge set")
     pot = exact_potential(g, potential)
     for comp in components(g):

@@ -19,8 +19,9 @@ from .errors import (
     InvalidCocycle,
     MissingVertex,
     NonPositiveWeight,
+    UnknownId,
 )
-from .graph import Edge, Graph, _at, _bfs, _host_edges, _path, _root, edge
+from .graph import Edge, Graph, _at, _bfs, _edge_at, _path, _root, edge
 
 
 def exact_potential(g: Graph, potential: Mapping[int, object]) -> dict[int, Fraction]:
@@ -92,7 +93,7 @@ def cocycle_from_potential(g: Graph, potential: Mapping[int, object]) -> Cocycle
     """ratio(x, y) := potential(x) / potential(y) on every edge."""
     vals = exact_potential(g, potential)
     ratios: dict[tuple[int, int], Fraction] = {}
-    for u, v in g.edges:
+    for u, v in g.ordered_edges:
         ratios[(u, v)] = vals[u] / vals[v]
         ratios[(v, u)] = vals[v] / vals[u]
     return Cocycle(ratios=ratios)
@@ -221,15 +222,15 @@ class EdgeOrder:
             self.rank = dict(tiebreak)
         else:
             self.rank = {e: i for i, e in enumerate(tiebreak)}
-        for e in g.edges:
+        for e in g.ordered_edges:
             if e not in self.rank:
                 raise ValueError(f"tiebreak missing edge {e}")
-        if not isinstance(tiebreak, Mapping) and len(tiebreak) != len(g.edges):
+        if not isinstance(tiebreak, Mapping) and len(tiebreak) != len(g.ordered_edges):
             # every edge is listed: so the sequence repeats one or lists a non-edge
-            extra = next((e for e in self.rank if e not in g.edges), None)
+            extra = next((e for e in self.rank if _edge_at(g, e) < 0), None)
             raise ValueError("tiebreak repeats an edge" if extra is None
                              else f"tiebreak names {extra}, which is not an edge")
-        used = [self.rank[e] for e in g.edges]
+        used = [self.rank[e] for e in g.ordered_edges]
         if len(set(used)) != len(used):
             raise ValueError("tiebreak ranks are not injective")
         # tiebreak ranks may be gapped or negative: shift to 0, scale by the range
@@ -246,18 +247,23 @@ class EdgeOrder:
     def restrict(self, sub: Graph) -> "EdgeOrder":
         """The same order on a subgraph (weights and ranks carried over)."""
         return EdgeOrder(sub, self.potential,
-                         {e: self.rank[e] for e in sub.edges})
+                         {e: self.rank[e] for e in sub.ordered_edges})
 
 
 def compare_edges(o: EdgeOrder, e1: Edge, e2: Edge) -> int:
     """-1 if e1 comes first, +1 if e2 does; never 0 for distinct edges.
     An edge outside the graph raises `UnknownId`, and edges in two
     components `CrossComponent`."""
+    g = o.graph
     e1, e2 = edge(*e1), edge(*e2)
     if e1 == e2:
         raise ValueError("compare_edges requires distinct edges")
-    _host_edges(o.graph, (e1, e2))
-    if _at(o.graph, e2[0]) not in _bfs(o.graph.near, _at(o.graph, e1[0])):
+    i1, i2 = _edge_at(g, e1), _edge_at(g, e2)
+    if min(i1, i2) < 0:
+        # the first foreign edge the pair's set iterates, as `graph._host_edges` names it
+        foreign = next(e for e in frozenset((e1, e2)) if _edge_at(g, e) < 0)
+        raise UnknownId(f"edge {foreign} not in graph")
+    if g.eu[i2] not in _bfs(g.near, g.eu[i1]):
         raise CrossComponent(f"{e1} and {e2} lie in different components")
     return -1 if o.key(e1) < o.key(e2) else 1
 

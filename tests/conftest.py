@@ -59,6 +59,12 @@ from wforest.weights import (
 )
 
 
+def edge_set(g: Graph) -> frozenset[Edge]:
+    """g's edges as a set, for membership tests: build it once per graph and
+    keep it, since each call makes a new one."""
+    return frozenset(g.ordered_edges)
+
+
 def adjacency(g: Graph) -> dict[int, tuple[int, ...]]:
     """Each vertex id mapped to its neighbours' ids, in increasing order: the
     id-keyed view the oracles search."""
@@ -173,19 +179,20 @@ def maximal_subforest_oracle(g: Graph, order: EdgeOrder, fixed=()) -> ForestResu
     marked: set[Edge] = set()
     for cyc in simple_cycles(g):
         marked.add(min((e for e in cyc if e not in h), key=order.key))
-    return ForestResult(kept=frozenset(g.edges - marked), deleted=frozenset(marked), fixed=h)
+    return ForestResult(kept=frozenset(edge_set(g) - marked), deleted=frozenset(marked), fixed=h)
 
 
 def fmsf(g: Graph, labels: dict) -> frozenset:
     """Classical free minimal spanning forest: delete the largest-label edge
     of each cycle, by one connectivity search per edge on the smaller-label
     subgraph.  Labels must be injective."""
-    vals = [labels[e] for e in g.edges]
+    edges = edge_set(g)
+    vals = [labels[e] for e in edges]
     if len(set(vals)) != len(vals):
         raise ValueError("edge labels are not injective")
     kept = set()
-    for e in sorted(g.edges):
-        below = [f for f in g.edges if f != e and labels[f] < labels[e]]
+    for e in sorted(edges):
+        below = [f for f in edges if f != e and labels[f] < labels[e]]
         adj: dict[int, list[int]] = {x: [] for x in g.vertices}
         for a, b in below:
             adj[a].append(b)
@@ -198,7 +205,7 @@ def fmsf(g: Graph, labels: dict) -> frozenset:
 def cycles_by_permutation(g: Graph) -> set[tuple[int, ...]]:
     """Every simple cycle as its canonical vertex tuple, by scanning all
     permutations of all vertex subsets.  Usable up to ~8 vertices."""
-    eset = g.edges
+    eset = edge_set(g)
     found = set()
     verts = list(g.vertices)
     for k in range(3, len(verts) + 1):
@@ -253,7 +260,7 @@ def greedy_max_forest(g: Graph, order: EdgeOrder, fixed=frozenset()) -> frozense
                     stack.append(y)
         return v in seen
 
-    for e in sorted((e for e in g.edges if e not in fixed),
+    for e in sorted((e for e in edge_set(g) if e not in fixed),
                     key=order.key, reverse=True):
         if not connected(*e):
             kept.add(e)
@@ -322,7 +329,7 @@ def cut_witnesses_oracle(g: Graph, result, order: EdgeOrder) -> CutWitnessReport
             continue
         comp = _kept_component(g, kept, e[0])
         partners = [
-            f for f in g.edges
+            f for f in edge_set(g)
             if f != e and f not in result.fixed
             and (f[0] in comp) != (f[1] in comp)
             and order.key(f) > order.key(e)

@@ -40,6 +40,7 @@ from wforest.weights import (
 
 from conftest import (
     brute_visibility,
+    edge_set,
     fmsf,
     greedy_max_forest,
     maximal_subforest_oracle,
@@ -121,7 +122,7 @@ def test_criterion_3_fmsf_specialization():
         independent = fmsf(sub, {e: labels.labels[e] for e in cfg.open_edges})
         assert weighted.kept == independent
         _remember(sub, EdgeOrder(sub, unit_potential(sub),
-                                 labels.ranks(sub.edges)), weighted)
+                                 labels.ranks(edge_set(sub))), weighted)
     print("\nACCEPTANCE 3 PASS: constant-potential fwmsf equals the "
           "independent fmsf on 200 random configurations")
 
@@ -139,7 +140,7 @@ def test_criterion_4_cut_witnesses():
         labels = assign_labels(fp, seed=trial)
         result = fwmsf(cfg, pot, labels)
         sub = spanned_subgraph(fp, cfg.open_edges)
-        order = EdgeOrder(sub, pot, labels.ranks(sub.edges))
+        order = EdgeOrder(sub, pot, labels.ranks(edge_set(sub)))
         violations += len(check_cut_witnesses(sub, result, order).violations)
     assert violations == 0
     print(f"\nACCEPTANCE 4 PASS: zero cut-witness violations across "
@@ -246,13 +247,13 @@ def test_criterion_10_collapse_pipeline():
     cases.append((w, unit_potential(w), w.meta["tiebreak"]))
     for _ in range(100):
         g = random_connected_graph(rand, rand.randint(4, 11))
-        g = build_graph(g.vertices, g.edges, meta={
+        g = build_graph(g.vertices, edge_set(g), meta={
             "boundary": frozenset(v for v in g.vertices if rand.random() < 0.4)})
         cases.append((g, random_potential(rand, g), None))
     for g, pot, tb in cases:
         res = collapsed_maximal_subforest(g, pot, tb, ProxyParams())
         assert is_acyclic(g, res.forest.kept)
-        lifted = {qe for qe in res.quot.qgraph.edges
+        lifted = {qe for qe in edge_set(res.quot.qgraph)
                   if res.quot.lift[qe] in res.forest.kept}
         assert lifted == set(res.qforest.kept)
     print("\nACCEPTANCE 10 PASS: collapsed forest modulo the family equals "

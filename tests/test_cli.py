@@ -18,7 +18,7 @@ from wforest.graph import build_graph, from_json, to_json
 from wforest.generators import cycle, gp_graph
 from wforest.weights import EdgeOrder, unit_potential
 
-from conftest import maximal_subforest_oracle
+from conftest import edge_set, maximal_subforest_oracle
 
 
 def run(tmp_path, *argv):
@@ -33,7 +33,7 @@ def run(tmp_path, *argv):
 def test_gen_roundtrip(tmp_path):
     assert run(tmp_path, "gen", "--family", "cycle", "--n", "3", "-o", "tri.json") == 0
     g = from_json((tmp_path / "tri.json").read_text())
-    assert g.edges == cycle(3).edges
+    assert edge_set(g) == edge_set(cycle(3))
     assert to_json(g) == (tmp_path / "tri.json").read_text()
 
 
@@ -272,7 +272,7 @@ def test_huge_exponents_and_levels_exit_2(tmp_path, capsys, level, weights, flag
     `MAX_LEVEL_BITS`, are refused before any big integer is built: one JSON
     line, exit 2, nothing written.  `analyze` reads both `--delta` and the
     weights.  The graph is a 4-cycle with vertex 0 at `level`."""
-    g = build_graph(range(4), cycle(4).edges, {"levels": {0: level, 1: 0, 2: 0, 3: 0}})
+    g = build_graph(range(4), edge_set(cycle(4)), {"levels": {0: level, 1: 0, 2: 0, 3: 0}})
     (tmp_path / "g.json").write_text(to_json(g))
     (tmp_path / "w.json").write_text(weights)
     assert run(tmp_path, "analyze", "g.json", "w.json", *flags, "-o", "a.json") == 2
@@ -452,6 +452,17 @@ def test_atomic_write_removes_its_temp_file_on_failure(tmp_path):
     (tmp_path / "out").mkdir()  # os.replace cannot put a file over a directory
     assert run(tmp_path, "forest", "c.json", "unit.json", "-o", "out") == 2
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_atomic_write_skips_a_taken_temp_name(tmp_path):
+    run(tmp_path, "gen", "--family", "cycle", "--n", "4", "-o", "c.json")
+    (tmp_path / "unit.json").write_text('{"unit":true}')
+    taken = tmp_path / f"f.json.{os.getpid()}.0.tmp"
+    taken.write_text("not ours")
+    assert run(tmp_path, "forest", "c.json", "unit.json", "-o", "f.json") == 0
+    assert json.loads((tmp_path / "f.json").read_text())["kept"]
+    assert taken.read_text() == "not ours"
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == [taken.name]
 
 
 def test_outputs_keep_the_default_file_mode(tmp_path):

@@ -38,6 +38,7 @@ from conftest import (
     _side_orders,
     adjacency,
     brute_visibility,
+    edge_set,
     furcation_family_oracle,
     is_heavy,
     mark_totals,
@@ -135,7 +136,7 @@ def test_gp_free_product_attachment_vertices():
 def test_furcation_monotonicity(rand):
     for _ in range(20):
         g = random_connected_graph(rand, rand.randint(4, 9))
-        g = build_graph(g.vertices, g.edges, meta={
+        g = build_graph(g.vertices, edge_set(g), meta={
             "boundary": frozenset(v for v in g.vertices if rand.random() < 0.4)})
         pot = random_potential(rand, g)
         params = ProxyParams(nonvanish_delta=F(1, 2))
@@ -177,7 +178,7 @@ def test_family_empty_without_boundary(rand):
 def test_family_disjoint_and_deterministic(rand):
     for _ in range(10):
         g = random_connected_graph(rand, rand.randint(5, 10))
-        g = build_graph(g.vertices, g.edges, meta={
+        g = build_graph(g.vertices, edge_set(g), meta={
             "boundary": frozenset(v for v in g.vertices if rand.random() < 0.5)})
         pot = random_potential(rand, g)
         fam = maximal_disjoint_furcations(g, pot, ProxyParams(nonvanish_delta=F(1, 3)))
@@ -193,11 +194,11 @@ def test_quotient_identity_and_path():
     g = build_graph(range(4), [(0, 1), (1, 2), (2, 3)])
     pot = unit_potential(g)
     q0 = quotient(g, pot, ())
-    assert q0.qgraph.edges == g.edges and q0.qgraph.vertices == g.vertices
-    assert all(q0.lift[e] == e for e in g.edges)
+    assert edge_set(q0.qgraph) == edge_set(g) and q0.qgraph.vertices == g.vertices
+    assert all(q0.lift[e] == e for e in edge_set(g))
     q = quotient(g, pot, [(1, 2)])
     assert q.qgraph.vertices == (0, 1, 3)
-    assert q.qgraph.edges == frozenset({(0, 1), (1, 3)})
+    assert edge_set(q.qgraph) == frozenset({(0, 1), (1, 3)})
 
 
 def test_quotient_block_potential_is_max():
@@ -242,16 +243,16 @@ def test_quotient_follows_its_literal_rule(rand):
     for _ in range(300):
         h = random_connected_graph(rand, rand.randint(2, 12))
         flags = frozenset(v for v in h.vertices if rand.random() < 0.3)
-        g = build_graph(h.vertices, h.edges, {"boundary": flags})
+        g = build_graph(h.vertices, edge_set(h), {"boundary": flags})
         pot = random_potential(rand, g)
         used, family = set(), []
-        for e in rand.sample(sorted(g.edges), len(g.edges)):
+        for e in rand.sample(sorted(edge_set(g)), len(edge_set(g))):
             if not used.intersection(e) and rand.random() < 0.5:
                 used.update(e)
                 family.append(e)
         q = quotient(g, pot, family)
         hosts = {}
-        for u, v in sorted(g.edges):
+        for u, v in sorted(edge_set(g)):
             if q.block_of[u] != q.block_of[v]:
                 hosts.setdefault(edge(q.block_of[u], q.block_of[v]), []).append((u, v))
         assert q.lift.keys() == hosts.keys()
@@ -300,9 +301,9 @@ def test_quotient_equals_its_oracle(rand):
             k = random_connected_graph(rand, rand.randint(1, 6))
             shift = len(h.vertices) + rand.randint(0, 5)
             h = build_graph([*h.vertices, *(v + shift for v in k.vertices)],
-                            [*h.edges, *((u + shift, v + shift) for u, v in k.edges)])
+                            [*edge_set(h), *((u + shift, v + shift) for u, v in edge_set(k))])
         flags = frozenset(v for v in h.vertices if rand.random() < 0.3)
-        g = build_graph(h.vertices, h.edges, {"boundary": flags})
+        g = build_graph(h.vertices, edge_set(h), {"boundary": flags})
         cases.append((g, random_potential(rand, g), random_blocks(rand, g)))
     gp = gp_graph(2, 2, 4)
     fp = free_product([{"family": "gp", "k": 2, "up": 1, "down": 2},
@@ -328,7 +329,7 @@ def test_quotient_preserves_component_count(rand):
         shift = max(a.vertices) + 1
         b = random_connected_graph(rand, rand.randint(3, 8))
         g = build_graph(list(a.vertices) + [v + shift for v in b.vertices],
-                        list(a.edges) + [(u + shift, v + shift) for u, v in b.edges])
+                        list(edge_set(a)) + [(u + shift, v + shift) for u, v in edge_set(b)])
         pot = random_potential(rand, g)
         fam = []
         for comp in components(g):
@@ -342,7 +343,7 @@ def test_quotient_boundary_correspondence(rand):
         g = random_connected_graph(rand, rand.randint(4, 9))
         pot = random_potential(rand, g)
         # blocks: one random edge contracted
-        e = sorted(g.edges)[rand.randrange(len(g.edges))]
+        e = sorted(edge_set(g))[rand.randrange(len(edge_set(g)))]
         q = quotient(g, pot, [e])
         blocks = {b[0]: set(b) for b in q.blocks}
         chosen = set(rand.sample(sorted(blocks), rand.randint(1, len(blocks))))
@@ -364,7 +365,7 @@ def test_collapse_windmill_and_random(rand):
     cases = [(w, unit_potential(w), w.meta["tiebreak"])]
     for _ in range(30):
         g = random_connected_graph(rand, rand.randint(4, 10))
-        g = build_graph(g.vertices, g.edges, meta={
+        g = build_graph(g.vertices, edge_set(g), meta={
             "boundary": frozenset(v for v in g.vertices if rand.random() < 0.4)})
         cases.append((g, random_potential(rand, g), None))
     for g, pot, tb in cases:
@@ -376,7 +377,7 @@ def test_collapse_windmill_and_random(rand):
         lifted = {res.quot.lift[qe] for qe in res.qforest.kept}
         assert res.forest.kept == frozenset(lifted | inner)
         # forest mod family equals the quotient forest, via the lift map
-        back = {qe for qe in res.quot.qgraph.edges
+        back = {qe for qe in edge_set(res.quot.qgraph)
                 if res.quot.lift[qe] in res.forest.kept}
         assert back == set(res.qforest.kept)
         # every family block internally spanned
@@ -488,7 +489,7 @@ def test_visibility_masses_equal_bfs(rand):
     for g, pot in cases:
         masses = visibility_masses(g, pot)
         assert masses == {x: sum(visibility(g, pot, x).values()) for x in g.vertices}, \
-            (sorted(g.edges), pot)
+            (sorted(edge_set(g)), pot)
 
 
 def test_side_count_dp_matches_naive(rand):
@@ -500,12 +501,12 @@ def test_side_count_dp_matches_naive(rand):
             g = spanned_subgraph(g, maximal_subforest(g, EdgeOrder(g, pot)).kept)
         cases.append((g, pot, _random_params(rand)))
     assert sum(1 for g, _, _ in cases if len(components(g)) > 1) > 40
-    assert sum(1 for g, _, _ in cases if is_acyclic(g, g.edges) and len(g.edges) > 3) > 50
+    assert sum(1 for g, _, _ in cases if is_acyclic(g, edge_set(g)) and len(edge_set(g)) > 3) > 50
     for g, pot, params in cases:
         for kind in (NONVANISHING, INFINITE):
             dp = qualifying_side_counts(g, qualifier(g, pot, params, kind))
             naive = {x: sides_order(g, pot, (x,), params, kind) for x in g.vertices}
-            assert dp == naive, (kind, sorted(g.edges))
+            assert dp == naive, (kind, sorted(edge_set(g)))
             for n in (1, 2, 3):
                 assert find_furcation_vertices(g, pot, n, params, kind) == \
                     tuple(x for x in g.vertices if naive[x] >= n)
@@ -580,7 +581,7 @@ def _random_flagged_graph(rand):
     """A random graph on 1-10 vertices, half the time with about a third
     of its edges dropped (often disconnected), with random boundary flags."""
     g = random_connected_graph(rand, rand.randint(1, 10))
-    edges = g.edges
+    edges = edge_set(g)
     if rand.random() < 0.5:
         edges = [e for e in g.sorted_edges() if rand.random() < 0.7]
     share = rand.random()
@@ -604,7 +605,7 @@ def _relabelled(g, pot, to):
     meta = {"boundary": frozenset(to[v] for v in g.boundary_vertices())}
     if "levels" in g.meta:
         meta["levels"] = {to[v]: level for v, level in g.meta["levels"].items()}
-    h = build_graph([to[v] for v in g.vertices], [(to[u], to[v]) for u, v in g.edges], meta)
+    h = build_graph([to[v] for v in g.vertices], [(to[u], to[v]) for u, v in edge_set(g)], meta)
     return h, {to[v]: x for v, x in pot.items()}
 
 
@@ -638,7 +639,7 @@ def test_family_equals_sides_oracle(rand):
         for s_max in range(1, top + 1):
             got = maximal_disjoint_furcations(g, pot, params, s_max=s_max)
             want = furcation_family_oracle(g, pot, params, s_max=s_max)
-            assert got == want, (s_max, sorted(g.edges), g.boundary_vertices())
+            assert got == want, (s_max, sorted(edge_set(g)), g.boundary_vertices())
 
 
 def _positions(g, F):
@@ -686,7 +687,7 @@ def _index_rules(g, pot, params, s_max, rules):
             rule = _rule(index, g, F)
             got = index.orders(F, total)
             assert got == _side_orders(adj, cand, marks, total), \
-                (rule, cand, sorted(g.edges), marks)
+                (rule, cand, sorted(edge_set(g)), marks)
             rules[rule] += 1
 
 
@@ -749,7 +750,7 @@ def test_furcation_order_equals_sides_count(rand):
             orders = _side_orders(adj, cand, marks, total_of[cand[0]])
             for order, kind in zip(orders, _KINDS):
                 assert order == sides_order(g, pot, cand, params, kind), \
-                    (cand, kind, sorted(g.edges))
+                    (cand, kind, sorted(edge_set(g)))
 
 
 def test_smax_below_one_is_rejected():

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -18,14 +19,17 @@ from wforest.forest import (
     restrict_forest,
 )
 from wforest.generators import free_product, gp_graph, lattice_box, random_gnm, windmill
-from wforest.graph import _edge_blocks, build_graph, components, induced_subgraph
-from wforest.percolation import PercolationConfig, assign_labels, bernoulli_sample, fwmsf
-from wforest.weights import EdgeOrder, level_potential, unit_potential
+from wforest.graph import (_edge_blocks, build_graph, components, induced_subgraph,
+                           spanned_subgraph)
+from wforest.percolation import (PercolationConfig, assign_labels, bernoulli_sample,
+                                 cluster_report, fwmsf)
+from wforest.weights import EdgeOrder, ProxyParams, level_potential, unit_potential
 
 from conftest import (
     _bfs,
     adjacency,
     cut_witnesses_oracle,
+    edge_set,
     fmsf,
     greedy_max_forest,
     maximal_subforest_oracle,
@@ -65,14 +69,14 @@ def test_triangle_deletes_least():
 def test_tree_keeps_everything(rand):
     g = random_connected_graph(rand, 8, extra=0)
     r = maximal_subforest(g, random_order(rand, g))
-    assert r.deleted == frozenset() and r.kept == g.edges
+    assert r.deleted == frozenset() and r.kept == edge_set(g)
 
 
 def test_fixed_must_be_acyclic():
     g = build_graph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
     o = EdgeOrder(g, unit_potential(g))
     with pytest.raises(FixedSetCyclic):
-        maximal_subforest(g, o, fixed=g.edges)
+        maximal_subforest(g, o, fixed=edge_set(g))
 
 
 def test_fixed_edges_survive(rand):
@@ -103,7 +107,7 @@ def test_is_acyclic_equals_networkx_and_rejects_non_edges(rand):
     answers = Counter()
     for _ in range(300):
         g = random_connected_graph(rand, rand.randint(2, 9))
-        es = frozenset(e for e in g.edges if rand.random() < 0.6)
+        es = frozenset(e for e in edge_set(g) if rand.random() < 0.6)
         ref = nx.Graph()
         ref.add_nodes_from(g.vertices)
         ref.add_edges_from(es)
@@ -158,11 +162,11 @@ def test_fmsf_single_cycle_and_tree(rand):
     assert fmsf(c4, labels) == g_edges_minus(c4, {(1, 2)})
     tree = random_connected_graph(rand, 7, extra=0)
     labels = {e: i for i, e in enumerate(tree.sorted_edges())}
-    assert fmsf(tree, labels) == tree.edges
+    assert fmsf(tree, labels) == edge_set(tree)
 
 
 def g_edges_minus(g, removed):
-    return frozenset(g.edges - set(removed))
+    return frozenset(edge_set(g) - set(removed))
 
 
 def test_fmsf_rejects_duplicate_labels():
@@ -174,8 +178,8 @@ def test_fmsf_rejects_duplicate_labels():
 def test_fmsf_equals_constant_weight_forest(rand):
     for _ in range(200):
         g = random_connected_graph(rand, rand.randint(2, 10))
-        labels = {e: rand.random() for e in g.edges}
-        tb = sorted(g.edges, key=lambda e: -labels[e])
+        labels = {e: rand.random() for e in edge_set(g)}
+        tb = sorted(edge_set(g), key=lambda e: -labels[e])
         o = EdgeOrder(g, unit_potential(g), tb)
         assert maximal_subforest(g, o).kept == fmsf(g, labels)
 
@@ -340,7 +344,7 @@ def test_cut_edge_without_greater_partner_is_a_violation():
 
 def test_cut_witnesses_reject_cyclic_kept_set():
     g, o = triangle_order()
-    r = ForestResult(kept=g.edges, deleted=frozenset(), fixed=frozenset())
+    r = ForestResult(kept=edge_set(g), deleted=frozenset(), fixed=frozenset())
     with pytest.raises(InvariantViolation, match="kept edges close a cycle"):
         check_cut_witnesses(g, r, o)
 
@@ -350,6 +354,30 @@ def test_cut_witnesses_reject_a_kept_edge_outside_the_graph():
     r = ForestResult(kept=frozenset({(1, 2), (1, 4)}), deleted=frozenset(), fixed=frozenset())
     with pytest.raises(UnknownId, match=r"edge \(1, 4\) not in graph"):
         check_cut_witnesses(g, r, o)
+
+
+def test_every_edge_set_check_names_a_foreign_edge():
+    """Every reader of an edge set raises `UnknownId` for a pair that is no
+    canonical edge of the graph (a reversed pair is none), naming the first
+    such pair the set iterates: the subgraph, the acyclicity test, the
+    witness check's kept edges, the fixed edges, and the open edges of
+    `fwmsf` and `cluster_report`."""
+    g = build_graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    pot, o, labels = unit_potential(g), EdgeOrder(g, unit_potential(g)), assign_labels(g, 0)
+    for edges in ({(0, 1), (1, 3)}, {(0, 1), (1, 0)}, {(2, 3), (3, 9)},
+                  {(1, 3), (0, 2), (3, 9), (1, 0)}):
+        edges = frozenset(edges)
+        foreign = re.escape(str(next(e for e in edges if e not in edge_set(g))))
+        cfg = PercolationConfig(g, edges, 0.5, 0)
+        for check in (lambda: spanned_subgraph(g, edges), lambda: is_acyclic(g, edges),
+                      lambda: check_cut_witnesses(g, ForestResult(edges, frozenset(),
+                                                                  frozenset()), o),
+                      lambda: fwmsf(cfg, pot, labels),
+                      lambda: cluster_report(cfg, pot, ProxyParams())):
+            with pytest.raises(UnknownId, match=rf"^edge {foreign} not in graph$"):
+                check()
+        with pytest.raises(UnknownId, match=rf"^fixed edge {foreign} not in graph$"):
+            maximal_subforest(g, o, fixed=edges)
 
 
 def _balls(g, radii):
@@ -400,8 +428,9 @@ def test_deletion_is_monotone_under_growing_truncations(rand):
         sample = bernoulli_sample(host, 0.7, seed).open_edges
         forests = [
             lambda sub: maximal_subforest(sub, order.restrict(sub)).deleted,
-            lambda sub: fwmsf(PercolationConfig(sub, sub.edges, 1.0, seed), pot, labels).deleted,
-            lambda sub: fwmsf(PercolationConfig(sub, sub.edges & sample, 0.7, seed),
+            lambda sub: fwmsf(PercolationConfig(sub, edge_set(sub), 1.0, seed),
+                              pot, labels).deleted,
+            lambda sub: fwmsf(PercolationConfig(sub, edge_set(sub) & sample, 0.7, seed),
                               pot, labels).deleted,
         ]
         for kind, deleted_on in enumerate(forests):
@@ -410,7 +439,7 @@ def test_deletion_is_monotone_under_growing_truncations(rand):
                 deleted = deleted_on(sub)
                 if smaller is not None:
                     assert smaller[1] <= deleted
-                    grown[case, kind] += len((smaller[0].edges - smaller[1]) & deleted)
+                    grown[case, kind] += len((edge_set(smaller[0]) - smaller[1]) & deleted)
                 smaller = (sub, deleted)
     # one case may show no growth: on GP at level weights, the potential
     # order can delete the same edges of each ball as of the whole graph
@@ -432,4 +461,4 @@ def test_forest_always_acyclic_and_spanning(seed, n):
     result = maximal_subforest(g, o)
     assert is_acyclic(g, result.kept)
     assert len(result.kept) == len(g.vertices) - 1  # spanning tree, g connected
-    assert result.kept | result.deleted == g.edges
+    assert result.kept | result.deleted == edge_set(g)

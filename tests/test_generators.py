@@ -4,6 +4,7 @@ import pytest
 
 from wforest.errors import BadParams, MalformedDocument
 from wforest.generators import (
+    FAMILIES,
     MAX_PAIRS,
     MAX_VERTICES,
     _gnm_pairs,
@@ -17,13 +18,15 @@ from wforest.generators import (
     regular_tree,
     windmill,
 )
-from wforest.graph import to_json
+from wforest.graph import from_json, to_json
 from wforest.weights import (
     cocycle_from_potential,
     level_potential,
     unit_potential,
     validate_cocycle,
 )
+
+from conftest import edge_set
 
 
 def test_determinism_byte_identical():
@@ -37,6 +40,24 @@ def test_determinism_byte_identical():
     ]
     for spec in specs:
         assert to_json(build_family(dict(spec))) == to_json(build_family(dict(spec)))
+
+
+def test_every_family_survives_its_json_round_trip():
+    """`from_json(to_json(g)) == g` for every family, nested free products
+    among them: the meta comes back as the generator stored it."""
+    gp = {"family": "gp", "k": 2, "up": 1, "down": 1}
+    box = {"family": "lattice_box", "w": 3, "h": 3}
+    specs = [gp, box, {"family": "regular_tree", "d": 3, "radius": 2},
+             {"family": "windmill", "blades": 3, "radius": 2}, {"family": "cycle", "n": 5},
+             {"family": "random_gnm", "n": 8, "m": 11, "seed": 2},
+             {"family": "free_product", "max_word": 2, "factors": [gp, box]},
+             {"family": "free_product", "max_word": 1, "factors": [
+                 {"family": "free_product", "max_word": 1, "factors": [gp, box]},
+                 {"family": "cycle", "n": 3}]}]
+    assert sorted({spec["family"] for spec in specs}) == sorted(FAMILIES)
+    for spec in specs:
+        g = build_family(spec)
+        assert from_json(to_json(g)) == g, spec
 
 
 def test_build_family_checks_every_field():
@@ -72,10 +93,10 @@ def test_gp_2_1_1_hand_audit():
     assert len(zeros) == 2 and len(ones) == 4
     # parent edges ancestor-row0 and row0-row1, grandparent edges ancestor-row1
     for z in zeros:
-        assert (min(a, z), max(a, z)) in g.edges
+        assert (min(a, z), max(a, z)) in edge_set(g)
     for o in ones:
-        assert (min(a, o), max(a, o)) in g.edges
-    assert len(g.edges) == 2 + 4 + 4
+        assert (min(a, o), max(a, o)) in edge_set(g)
+    assert len(edge_set(g)) == 2 + 4 + 4
 
 
 def test_gp_interior_degree_audit():
@@ -110,15 +131,15 @@ def test_gp_parent_child_ratio():
 
 def test_small_families():
     box = lattice_box(2, 2)
-    assert len(box.vertices) == 4 and len(box.edges) == 4
+    assert len(box.vertices) == 4 and len(edge_set(box)) == 4
     star = regular_tree(3, 1)
     assert len(star.vertices) == 4 and star.degree(0) == 3
     tri = cycle(3)
-    assert len(tri.edges) == 3
+    assert len(edge_set(tri)) == 3
     g = random_gnm(8, 11, seed=2)
-    assert len(g.edges) == 11
-    assert random_gnm(8, 11, seed=2).edges == g.edges
-    assert random_gnm(8, 11, seed=3).edges != g.edges
+    assert len(edge_set(g)) == 11
+    assert edge_set(random_gnm(8, 11, seed=2)) == edge_set(g)
+    assert edge_set(random_gnm(8, 11, seed=3)) != edge_set(g)
 
 
 def test_lattice_box_boundary():
@@ -163,14 +184,14 @@ def test_free_product_factor_recovery():
     base = gp_graph(2, 1, 1)
     gp_edges = {(u, v) for u, v, fidx in fp.meta["edge_factors"] if fidx == 0}
     # depth-0 copy keeps factor vertex ids, so its edges match the base graph
-    assert {e for e in gp_edges if max(e) < len(base.vertices)} == set(base.edges)
+    assert {e for e in gp_edges if max(e) < len(base.vertices)} == set(edge_set(base))
 
 
 def test_windmill_hand_audit():
     w = windmill(3, 2)
     assert len(w.vertices) == 3 + 3 * 8
-    assert len(w.edges) == 2 + 3 * 12
-    assert set(w.meta["tiebreak"]) == set(w.edges)
+    assert len(edge_set(w)) == 2 + 3 * 12
+    assert set(w.meta["tiebreak"]) == set(edge_set(w))
     # hubs 0 and 2 are chain ends, flagged; hub 1 interior
     assert w.is_boundary(0) and w.is_boundary(2) and not w.is_boundary(1)
 
@@ -178,7 +199,7 @@ def test_windmill_hand_audit():
 def test_windmill_emitted_order_shape():
     w = windmill(4, 3)
     rank = {e: i for i, e in enumerate(w.meta["tiebreak"])}
-    chain = [e for e in w.edges if e[0] < 4 and e[1] < 4]
+    chain = [e for e in edge_set(w) if e[0] < 4 and e[1] < 4]
     solid = []
     dotted_rows = {}
     R = 3
@@ -189,7 +210,7 @@ def test_windmill_emitted_order_shape():
         r = (vid - 4) % blade_cells + 1
         return i, r // (R + 1), r % (R + 1)
 
-    for e in w.edges:
+    for e in edge_set(w):
         if e in chain:
             continue
         u, v = e

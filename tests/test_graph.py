@@ -31,6 +31,7 @@ from wforest.generators import (
 )
 from wforest.graph import (
     Graph,
+    _edge_at,
     _edge_blocks,
     build_graph,
     components,
@@ -58,6 +59,7 @@ from conftest import (
     canonical_cycle_vertices,
     cycle_invariant_oracle,
     cycles_by_permutation,
+    edge_set,
     random_connected_graph,
     side_pieces,
     sides_oracle,
@@ -81,7 +83,7 @@ def test_build_graph_path():
     g = build_graph([1, 2, 3], [(1, 2), (2, 3)])
     assert g.vertices == (1, 2, 3)
     assert g.neighbors(2) == (1, 3)
-    assert g.edges == frozenset({(1, 2), (2, 3)})
+    assert edge_set(g) == frozenset({(1, 2), (2, 3)})
 
 
 def test_build_graph_rejects_bad_input():
@@ -169,7 +171,7 @@ def test_sides_errors_equal_oracle(rand):
         if rand.random() < 0.2:
             F.add(100)
         want = library_error(g, F)
-        assert error_of(g, F) is want, (sorted(g.edges), F)
+        assert error_of(g, F) is want, (sorted(edge_set(g)), F)
         cases += want is not None
     assert cases > 100
     two = build_graph([1, 2, 3, 4], [(1, 2), (3, 4)])
@@ -257,7 +259,7 @@ def test_cycle_invariance_equal_oracle(rand):
         keep = rand.random()
         Y = {v for v in g.vertices if rand.random() < keep}
         got = is_cycle_invariant(g, Y)
-        assert got == cycle_invariant_oracle(g, Y), (sorted(g.edges), sorted(Y))
+        assert got == cycle_invariant_oracle(g, Y), (sorted(edge_set(g)), sorted(Y))
         outcomes[got] += 1
     assert min(outcomes.values()) > 500
 
@@ -269,19 +271,19 @@ def test_edge_blocks_equal_networkx(rand):
     for _ in range(1500):
         g = random_graph(rand)
         isolated = range(100, 100 + rand.randint(0, 2))
-        graphs.append(build_graph([*g.vertices, *isolated], g.edges))
+        graphs.append(build_graph([*g.vertices, *isolated], edge_set(g)))
     assert sum(1 for g in graphs if len(components(g)) > 1) > 500
     for g in graphs:
         blocks = _edge_blocks(g)
-        assert set(blocks) == g.edges
+        assert set(blocks) == edge_set(g)
         by_block = {}
         for e, block in blocks.items():
             by_block.setdefault(block, []).append(e)
-        nxg = nx.Graph(list(g.edges))
+        nxg = nx.Graph(list(edge_set(g)))
         want_edges = [sorted(edge(*e) for e in es) for es in nx.biconnected_component_edges(nxg)]
         want_vertices = [sorted(vs) for vs in nx.biconnected_components(nxg)]
         assert sorted(sorted(es) for es in by_block.values()) == sorted(want_edges), \
-            sorted(g.edges)
+            sorted(edge_set(g))
         assert sorted(sorted({v for e in es for v in e}) for es in by_block.values()) == \
             sorted(want_vertices)
 
@@ -289,10 +291,10 @@ def test_edge_blocks_equal_networkx(rand):
 def test_subgraphs():
     p = path_graph(3)
     sub = induced_subgraph(p, [1, 2])
-    assert sub.edges == frozenset({(1, 2)})
+    assert edge_set(sub) == frozenset({(1, 2)})
     assert induced_subgraph(p, []).vertices == ()
     sp = spanned_subgraph(p, [])
-    assert sp.vertices == (1, 2, 3) and sp.edges == frozenset()
+    assert sp.vertices == (1, 2, 3) and edge_set(sp) == frozenset()
     with pytest.raises(UnknownId, match=r"^edge \(1, 3\) not in graph$"):
         spanned_subgraph(p, [(1, 2), (1, 3)])
 
@@ -306,7 +308,7 @@ def test_subgraphs_equal_build_graph(rand):
              gp_graph(2, 2, 3)]
     for _ in range(150):
         g = random_graph(rand)
-        hosts.append(build_graph(g.vertices, g.edges, meta={
+        hosts.append(build_graph(g.vertices, edge_set(g), meta={
             "boundary": frozenset(v for v in g.vertices if rand.random() < 0.3),
             "levels": {v: rand.randint(-2, 2) for v in g.vertices},
             "generator": "random",
@@ -321,7 +323,7 @@ def test_subgraphs_equal_build_graph(rand):
                 meta["levels"] = {v: l for v, l in meta["levels"].items() if v in A}
             if "boundary" in meta:
                 meta["boundary"] = meta["boundary"] & A
-            want = build_graph(A, [e for e in g.edges if e[0] in A and e[1] in A], meta)
+            want = build_graph(A, [e for e in edge_set(g) if e[0] in A and e[1] in A], meta)
             assert induced_subgraph(g, A) == want
             assert induced_subgraph(g, A).meta.keys() == g.meta.keys()
 
@@ -339,17 +341,18 @@ def test_subgraphs_restrict_the_meta_edge_lists(rand):
     for g in (w, fp):
         for _ in range(10):
             subs.append(induced_subgraph(g, [v for v in g.vertices if rand.random() < 0.7]))
-            subs.append(spanned_subgraph(g, [e for e in g.edges if rand.random() < 0.7]))
+            subs.append(spanned_subgraph(g, [e for e in edge_set(g) if rand.random() < 0.7]))
     for sub in subs:
+        kept = edge_set(sub)
         if "tiebreak" in sub.meta:
             own = EdgeOrder(sub, unit_potential(sub), sub.meta["tiebreak"])
-            want = sorted(sub.edges, key=host.restrict(sub).key)
-            assert sorted(sub.edges, key=own.key) == want
-            assert sub.meta["tiebreak"] == [e for e in w.meta["tiebreak"] if e in sub.edges]
+            want = sorted(kept, key=host.restrict(sub).key)
+            assert sorted(kept, key=own.key) == want
+            assert sub.meta["tiebreak"] == [e for e in w.meta["tiebreak"] if e in kept]
             assert from_json(to_json(sub)) == sub
         else:
             factors = sub.meta["edge_factors"]
-            assert factors == [t for t in fp.meta["edge_factors"] if t[:2] in sub.edges]
+            assert factors == [t for t in fp.meta["edge_factors"] if t[:2] in kept]
             assert sorted(t[:2] for t in factors) == sub.sorted_edges()
             assert to_json(from_json(to_json(sub))) == to_json(sub)
 
@@ -363,10 +366,10 @@ def test_sorted_edges_are_the_canonical_order(rand):
     graphs = []
     for _ in range(40):
         h = random_graph(rand)
-        pairs = [(v, u) if rand.random() < 0.5 else (u, v) for u, v in h.edges]
+        pairs = [(v, u) if rand.random() < 0.5 else (u, v) for u, v in edge_set(h)]
         rand.shuffle(pairs)
         graphs.append(build_graph(h.vertices[::-1], pairs))
-        graphs.append(build_graph(h.vertices, sorted(h.edges, reverse=True)))
+        graphs.append(build_graph(h.vertices, sorted(edge_set(h), reverse=True)))
         doc = {"vertices": [{"id": v} for v in h.vertices], "edges": [list(e) for e in pairs]}
         graphs.append(from_json(json.dumps(doc)))
     w = windmill(3, 2)
@@ -375,19 +378,48 @@ def test_sorted_edges_are_the_canonical_order(rand):
                free_product([{"family": "gp", "k": 2, "up": 1, "down": 1},
                              {"family": "lattice_box", "w": 3, "h": 3}], max_word=2)]
     for g in list(graphs):
-        graphs.append(spanned_subgraph(g, [e for e in g.edges if rand.random() < 0.5]))
+        graphs.append(spanned_subgraph(g, [e for e in edge_set(g) if rand.random() < 0.5]))
         graphs.append(induced_subgraph(g, [v for v in g.vertices if rand.random() < 0.6]))
     family = maximal_disjoint_furcations(w, {v: 1 for v in w.vertices}, ProxyParams())
     assert family.blocks
     graphs.append(quotient(w, {v: 1 for v in w.vertices}, family.blocks).qgraph)
     for g in graphs:
-        assert g.sorted_edges() == sorted(g.edges)
+        assert g.sorted_edges() == sorted(edge_set(g))
         assert all(list(g.neighbors(v)) == sorted(g.neighbors(v)) for v in g.vertices)
         assert sorted(edge(u, v) for u in g.vertices for v in g.neighbors(u)) == \
-            sorted(e for e in g.edges for _ in range(2))
+            sorted(e for e in edge_set(g) for _ in range(2))
         handed = g.sorted_edges()
         rand.shuffle(handed)
-        assert g.sorted_edges() == sorted(g.edges)
+        assert g.sorted_edges() == sorted(edge_set(g))
+
+
+def test_a_graph_stores_one_edge_list(rand):
+    """`ordered_edges` is a graph's only edge list: strictly increasing, and
+    each pair in it canonical, however the graph was built."""
+    assert Graph._fields == ("vertices", "ordered_edges", "meta", "eu", "ev", "near")
+    graphs = [build_graph([], []), build_graph([5, -3, 9], [(9, -3), (5, -3)]),
+              gp_graph(2, 1, 2), windmill(3, 2), random_gnm(12, 20, seed=5)]
+    for _ in range(20):
+        graphs.append(random_graph(rand))
+    for g in list(graphs):
+        graphs.append(from_json(to_json(g)))
+        graphs.append(spanned_subgraph(g, g.ordered_edges[::2]))
+        graphs.append(induced_subgraph(g, g.vertices[1:]))
+    for g in graphs:
+        es = g.ordered_edges
+        assert all(a < b for a, b in zip(es, es[1:])), es
+        assert all(u < v for u, v in es), es
+
+
+def test_edge_at_bisects_the_edges():
+    """`_edge_at` gives each edge's index in `ordered_edges`, and -1 for a
+    reversed pair, a non-edge and anything that is not an edge at all."""
+    g = build_graph([-40, -7, 3, 15, 1000], [(-40, 3), (3, 1000), (-7, 15), (15, 1000)])
+    assert [_edge_at(g, e) for e in g.ordered_edges] == list(range(len(g.ordered_edges)))
+    for e in ((3, -40), (1000, 15), (-40, -7), (3, 15), (-41, 0), (1000, 1001),
+              (1,), "a", None):
+        assert _edge_at(g, e) == -1, e
+    assert _edge_at(build_graph([], []), (0, 1)) == -1
 
 
 def test_every_builder_lays_the_graph_out_on_positions(rand):
@@ -408,7 +440,7 @@ def test_every_builder_lays_the_graph_out_on_positions(rand):
     for g in list(graphs):
         graphs.append(from_json(to_json(g)))
         graphs.append(induced_subgraph(g, [v for v in g.vertices if rand.random() < 0.6]))
-        graphs.append(spanned_subgraph(g, [e for e in g.edges if rand.random() < 0.5]))
+        graphs.append(spanned_subgraph(g, [e for e in edge_set(g) if rand.random() < 0.5]))
     w = windmill(3, 2)
     family = maximal_disjoint_furcations(w, {v: 1 for v in w.vertices}, ProxyParams())
     graphs.append(quotient(w, {v: 1 for v in w.vertices}, family.blocks).qgraph)
@@ -462,20 +494,20 @@ def test_components_equal_networkx(rand):
         g = random_graph(rand)
         isolated = [-1 - i for i in range(rand.randint(0, 2))] + \
             list(range(100, 100 + rand.randint(0, 2)))
-        graphs.append(build_graph([*g.vertices, *isolated], g.edges))
+        graphs.append(build_graph([*g.vertices, *isolated], edge_set(g)))
     assert sum(1 for g in graphs if len(components(g)) > 2) > 100
     for g in graphs:
-        nxg = nx.Graph(list(g.edges))
+        nxg = nx.Graph(list(edge_set(g)))
         nxg.add_nodes_from(g.vertices)
         want = sorted(tuple(sorted(c)) for c in nx.connected_components(nxg))
-        assert components(g) == want, sorted(g.edges)
+        assert components(g) == want, sorted(edge_set(g))
 
 
 def test_components_partition_properties(rand):
     for _ in range(20):
         g = random_connected_graph(rand, rand.randint(2, 9))
         extra = build_graph(
-            list(g.vertices) + [100, 101], list(g.edges) + [(100, 101)])
+            list(g.vertices) + [100, 101], list(edge_set(g)) + [(100, 101)])
         comps = components(extra)
         seen = [v for c in comps for v in c]
         assert sorted(seen) == list(extra.vertices)
@@ -483,7 +515,7 @@ def test_components_partition_properties(rand):
             assert len(set(c)) == len(c)
         # no edges between blocks
         where = {v: i for i, c in enumerate(comps) for v in c}
-        assert all(where[u] == where[v] for u, v in extra.edges)
+        assert all(where[u] == where[v] for u, v in edge_set(extra))
 
 
 def test_sides_partition_component(rand):
@@ -503,7 +535,7 @@ def test_json_round_trip():
     for g in (gp_graph(2, 1, 2), windmill(3, 2), path_graph(4)):
         back = from_json(to_json(g))
         assert back.vertices == g.vertices
-        assert back.edges == g.edges
+        assert edge_set(back) == edge_set(g)
         assert back.meta.get("levels") == g.meta.get("levels")
         assert back.boundary_vertices() == g.boundary_vertices()
         assert to_json(back) == to_json(g)

@@ -58,7 +58,7 @@ def test_each_command_loads_only_its_layers(tmp_path, command):
                          capture_output=True, text=True, check=True).stdout
     rc, added = json.loads(out)
     assert rc == 0
-    assert "dataclasses" not in added and "datetime" not in added
+    assert not {"dataclasses", "datetime", "tempfile"} & set(added)
     assert [x for x in LAYERS if f"wforest.{x}" in added] == list(layers)
 
 

@@ -15,9 +15,10 @@ from wforest.errors import (
     NotWeightPreserving,
 )
 from wforest.cli import main as cli_main
-from wforest.forest import _positions, is_acyclic, maximal_subforest
+from wforest.forest import is_acyclic, maximal_subforest
 from wforest.generators import cycle, free_product, gp_graph, lattice_box, windmill
-from wforest.graph import _path, _root, build_graph, components, spanned_subgraph, to_json
+from wforest.graph import (_host_edges, _path, _root, build_graph, components, spanned_subgraph,
+                           to_json)
 from wforest.percolation import (
     LabelAssignment,
     _tree_side_counts,
@@ -36,6 +37,7 @@ from wforest.rng import subseed, u64, u64s
 from wforest.weights import exact_potential, level_potential, unit_potential
 
 from conftest import (
+    edge_set,
     fmsf,
     is_heavy,
     random_connected_graph,
@@ -57,7 +59,7 @@ def test_u64s_equals_one_u64_per_counter():
 def test_bernoulli_degenerate_and_deterministic():
     g = lattice_box(5, 5)
     assert bernoulli_sample(g, 0.0, 7).open_edges == frozenset()
-    assert bernoulli_sample(g, 1.0, 7).open_edges == g.edges
+    assert bernoulli_sample(g, 1.0, 7).open_edges == edge_set(g)
     a = bernoulli_sample(g, 0.37, 123)
     b = bernoulli_sample(g, 0.37, 123)
     assert a.open_edges == b.open_edges
@@ -91,7 +93,7 @@ def test_labels_deterministic_with_collision_fallback():
     assert la.labels == assign_labels(g, 99).labels
     assert la.collisions == ()
     # planted collision: ranks fall back to canonical edge order
-    forced = LabelAssignment(labels={e: 1 for e in g.edges})
+    forced = LabelAssignment(labels={e: 1 for e in edge_set(g)})
     ranks = forced.ranks()
     assert [e for e, _ in sorted(ranks.items(), key=lambda kv: kv[1])] == g.sorted_edges()
 
@@ -104,7 +106,7 @@ def test_ranks_check_their_labels_for_ties(rand):
     for case in range(300):
         g = random_connected_graph(rand, rand.randint(2, 9))
         top = 4 if case % 2 else 1 << 64
-        labels = {e: rand.randrange(top) for e in g.edges}
+        labels = {e: rand.randrange(top) for e in edge_set(g)}
         la = LabelAssignment(labels=labels)
         tied += len(set(labels.values())) < len(labels)
         for edges in (None, [e for e in g.sorted_edges() if rand.random() < 0.6]):
@@ -135,7 +137,7 @@ def test_tree_side_counts_equal_qualifying_side_counts(rand):
         elif case % 2:
             kept = frozenset(e for e in kept if rand.random() < 0.7)
         q = frozenset(v for v in g.vertices if rand.random() < 0.4)
-        rooted = _root(g, _positions(g, kept))
+        rooted = _root(g, _host_edges(g, kept))
         at = {v: i for i, v in enumerate(g.vertices)}
         side = _tree_side_counts(rooted, frozenset(at[v] for v in q))
         assert dict(zip(g.vertices, side)) == \
@@ -205,7 +207,7 @@ def test_cluster_report_lists_the_open_components(rand):
     for seed in range(20):
         g = random_connected_graph(rand, rand.randint(1, 14))
         to = dict(zip(g.vertices, rand.sample(range(100), len(g.vertices))))
-        g = build_graph(to.values(), [(to[u], to[v]) for u, v in g.edges])
+        g = build_graph(to.values(), [(to[u], to[v]) for u, v in edge_set(g)])
         cfg = bernoulli_sample(g, 0.5, seed)
         report = cluster_report(cfg, unit_potential(g), ProxyParams())
         assert [c.vertices for c in report.clusters] == \
@@ -287,7 +289,7 @@ def test_equivariance_rejects_bad_potentials():
 def test_sweep_degenerate_grid():
     g = cycle(4)
     recs = sweep(g, unit_potential(g), [0.0, 1.0], 1, 5, ProxyParams())
-    assert recs[0]["open"] == 0 and recs[1]["open"] == len(g.edges)
+    assert recs[0]["open"] == 0 and recs[1]["open"] == len(edge_set(g))
     assert recs[0]["clusters"]["count"] == 4
     assert recs[1]["forest"]["deleted"] == 1
 
@@ -329,7 +331,7 @@ def test_sweep_basepoints_equal_visibility(rand):
     for _ in range(40):
         g = random_connected_graph(rand, rand.randint(2, 12))
         flagged = frozenset(v for v in g.vertices if rand.random() < 0.3)
-        g = build_graph(g.vertices, g.edges, meta={"boundary": flagged})
+        g = build_graph(g.vertices, edge_set(g), meta={"boundary": flagged})
         params = ProxyParams(nonvanish_delta=F(rand.randint(1, 4), 4),
                              heavy_tau=F(rand.randint(1, 6)))
         cases.append((g, random_potential(rand, g), params))
@@ -343,8 +345,8 @@ def test_sweep_basepoints_equal_visibility(rand):
                 mass = sum(rel.values())
                 heavy += is_heavy(sub, params, mass, rel)
                 masses.append(f"{mass.numerator}/{mass.denominator}")
-            assert rec["visibility"]["masses"] == masses, (sorted(g.edges), rec)
-            assert rec["visibility"]["heavy"] == heavy, (sorted(g.edges), rec)
+            assert rec["visibility"]["masses"] == masses, (sorted(edge_set(g)), rec)
+            assert rec["visibility"]["heavy"] == heavy, (sorted(edge_set(g)), rec)
             seen += len(masses)
             heavy_seen += heavy
     assert 0 < heavy_seen < seen
@@ -359,7 +361,7 @@ def _rank_rule_cases(rand):
     for _ in range(40):
         g = random_connected_graph(rand, rand.randint(2, 12))
         flagged = frozenset(v for v in g.vertices if rand.random() < 0.4)
-        g = build_graph(g.vertices, g.edges, meta={"boundary": flagged})
+        g = build_graph(g.vertices, edge_set(g), meta={"boundary": flagged})
         values = [F(rand.randint(1, 4), rand.randint(1, 4)) for _ in range(3)]
         graphs.append((g, {v: rand.choice(values) for v in g.vertices}))
     for g, pot in graphs:
@@ -419,7 +421,7 @@ def _scattered(rand, g):
     to = dict(zip(g.vertices, ids))
     meta = {"levels": {to[v]: lv for v, lv in g.meta["levels"].items()},
             "boundary": frozenset(to[v] for v in g.boundary_vertices())}
-    return build_graph(ids, [(to[u], to[v]) for u, v in g.edges], meta=meta)
+    return build_graph(ids, [(to[u], to[v]) for u, v in edge_set(g)], meta=meta)
 
 
 def _sweep_cases(rand):
@@ -428,7 +430,7 @@ def _sweep_cases(rand):
     for _ in range(12):
         g = random_connected_graph(rand, rand.randint(1, 12))
         flagged = frozenset(v for v in g.vertices if rand.random() < 0.4)
-        g = build_graph(g.vertices, g.edges, meta={"boundary": flagged})
+        g = build_graph(g.vertices, edge_set(g), meta={"boundary": flagged})
         yield g, random_potential(rand, g), ProxyParams(
             nonvanish_delta=F(rand.randint(1, 4), 4), heavy_tau=F(rand.randint(1, 6)))
     gp = _scattered(rand, gp_graph(2, 2, 3))
@@ -450,7 +452,7 @@ def test_sweep_equals_sweep_oracle(rand):
     for g, pot, params in _sweep_cases(rand):
         for seed in rand.sample(range(1000), 2):
             recs = sweep(g, pot, grid, 1, seed, params)
-            assert recs == sweep_oracle(g, pot, grid, 1, seed, params), (sorted(g.edges), seed)
+            assert recs == sweep_oracle(g, pot, grid, 1, seed, params), (sorted(edge_set(g)), seed)
             for r in recs:
                 seen["deleted"] += r["forest"]["deleted"] > 0
                 seen["3plus"] += r["forest"]["trees_with_3plus_nonvanishing_dirs"] > 0
@@ -492,14 +494,14 @@ def test_sweep_validates_the_potential_once_before_any_run(monkeypatch):
         return real(g, potential)
 
     def counted_host(g, ranked):
-        layouts.append(len(g.edges))
+        layouts.append(len(edge_set(g)))
         return real_host(g, ranked)
 
     monkeypatch.setattr(weights, "exact_potential", counted)
     monkeypatch.setattr(perc, "_host", counted_host)
     g = lattice_box(4, 4)
     recs = sweep(g, unit_potential(g), [0.3, 0.6, 0.9], 2, 4, ProxyParams())
-    assert len(recs) == 6 and calls == [len(g.vertices)] and layouts == [len(g.edges)]
+    assert len(recs) == 6 and calls == [len(g.vertices)] and layouts == [len(edge_set(g))]
 
     def no_runs(*args):
         raise AssertionError("a run started on a bad potential")
