@@ -131,8 +131,9 @@ json.dump(doc, open("gpx.json", "w"))'
         # ratios, which names its worst cycle; the potential of a cocycle,
         # the edge comparison and the vertex lookups, which find a vertex
         # by its id; the edge-set checks, which name a foreign edge, and the
-        # tiebreak checks; and the components and set queries of a graph
-        # that is not connected
+        # tiebreak checks; the edge order's least edges, also restricted
+        # and under a meta tiebreak; and the components and set queries of
+        # a graph that is not connected
         PYTHONPATH="$tree/src" python3 -c '
 from fractions import Fraction
 from wforest.errors import InvalidCocycle, UnknownId
@@ -184,6 +185,16 @@ with open("library.out", "w") as out:
               refusal(EdgeOrder, g, level_potential(g), es + [far]),
               refusal(EdgeOrder, g, level_potential(g), es[1:]), sep="\n  ", file=out)
         print(name, "every 3rd edge", spanned_subgraph(g, es[::3]).ordered_edges[:20], file=out)
+        # the order itself: its least edges, on g and restricted to an
+        # induced subgraph, under the canonical and the reversed tiebreak
+        sub = induced_subgraph(g, [v for i, v in enumerate(g.vertices) if i % 3])
+        for o in (order, EdgeOrder(g, level_potential(g), es[::-1])):
+            print(name, "least edges", sorted(g.ordered_edges, key=o.key)[:20],
+                  sorted(sub.ordered_edges, key=o.restrict(sub).key)[:20], file=out)
+    w = from_json(open("windmill.json").read())
+    meta = EdgeOrder(w, {v: 1 for v in w.vertices}, w.meta["tiebreak"])
+    print("windmill.json least edges, meta tiebreak",
+          sorted(w.ordered_edges, key=meta.key)[:20], file=out)
     box = from_json(open("box.json").read())   # 12 by 12, ids r * 12 + c
     cut = induced_subgraph(box, [v for v in box.vertices if v % 12 != 6])
     print("box.json less column 6", components(cut), file=out)

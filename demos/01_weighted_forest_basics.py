@@ -19,7 +19,7 @@ potential = {1: F(3), 2: F(2), 3: F(1)}
 order = EdgeOrder(g, potential, tiebreak=[(2, 3), (1, 3), (1, 2)])
 for e in g.sorted_edges():
     print(f"  edge {e}: weight min of endpoints = {order.weight(e)}, "
-          f"tiebreak rank {order.rank[e]}")
+          f"tiebreak rank {order.tiebreak.index(e)}")
 print("  order says (2,3) before (1,3):",
       compare_edges(order, (2, 3), (1, 3)) == -1)
 

@@ -78,9 +78,8 @@ def signatures(graph):
 def forest_decisions(graph):
     sig = signatures(graph)
     pot = level_potential(graph, F(1, 2))
-    rank = {e: i for i, e in enumerate(
-        sorted(graph.ordered_edges, key=lambda e: tuple(sorted((sig[e[0]], sig[e[1]])))))}
-    result = maximal_subforest(graph, EdgeOrder(graph, pot, rank))
+    tiebreak = sorted(graph.ordered_edges, key=lambda e: tuple(sorted((sig[e[0]], sig[e[1]]))))
+    result = maximal_subforest(graph, EdgeOrder(graph, pot, tiebreak))
     return {
         tuple(sorted((sig[u], sig[v]))): ((u, v) in result.kept)
         for u, v in graph.ordered_edges

@@ -481,27 +481,21 @@ def collapsed_maximal_subforest(g: Graph, potential: Mapping[int, object],
     """Full pipeline: furcation family, quotient, forest on the quotient,
     then lift back with a deterministic spanning tree inside each block.
 
-    The quotient tiebreak is inherited from the host tiebreak through the
-    lift map, so the whole pipeline is a pure function of its inputs.
+    The quotient tiebreak is the host tiebreak kept at the lifts and read
+    as their quotient edges, so the pipeline is a pure function of its inputs.
     """
     from .forest import ForestResult, maximal_subforest
 
     host_order = EdgeOrder(g, potential, tiebreak)
     family = maximal_disjoint_furcations(g, potential, params, s_max=s_max)
     quot = quotient(g, potential, family.blocks)
-    qrank = {qe: host_order.rank[lifted] for qe, lifted in quot.lift.items()}
-    qorder = EdgeOrder(quot.qgraph, quot.qpotential, qrank)
+    down = {lifted: qe for qe, lifted in quot.lift.items()}
+    qorder = EdgeOrder(quot.qgraph, quot.qpotential,
+                       [down[e] for e in host_order.tiebreak if e in down])
     qforest = maximal_subforest(quot.qgraph, qorder)
-    kept = set()
-    for tree in quot.inner_trees.values():
-        kept |= tree
-    for qe in qforest.kept:
-        kept.add(quot.lift[qe])
-    forest = ForestResult(
-        kept=frozenset(kept),
-        deleted=frozenset(e for e in g.ordered_edges if e not in kept),
-        fixed=frozenset(),
-    )
+    kept = frozenset().union(*quot.inner_trees.values(), map(quot.lift.__getitem__, qforest.kept))
+    forest = ForestResult(kept=kept, fixed=frozenset(),
+                          deleted=frozenset(e for e in g.ordered_edges if e not in kept))
     return CollapseResult(forest=forest, family=family, quot=quot, qforest=qforest)
 
 

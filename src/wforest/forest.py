@@ -14,8 +14,8 @@ they live with the test suite, which holds the greedy equal to both.
 Both run on the graph's dense integer positions: a vertex is its position
 in ``g.vertices`` and an edge its position in ``g.ordered_edges``, with
 each edge's end positions in ``g.eu`` and ``g.ev``, as the graph lays them
-out, and its int key in a list.  `_greedy` and `_scan_witnesses` are that
-array core, and the kept forest is rooted by `graph._root`;
+out, and its int key in `EdgeOrder.keys`.  `_greedy` and `_scan_witnesses`
+are that array core, and the kept forest is rooted by `graph._root`;
 `maximal_subforest` and `check_cut_witnesses` translate a graph and an
 `EdgeOrder` into it and its answer back into edges, and a percolation
 sweep calls it directly on every run.  Vertex ids appear only in messages.
@@ -110,8 +110,9 @@ def maximal_subforest(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = ()) ->
             raise UnknownId(f"fixed edge {e} not in graph")
         pinned.append(i)
     pinned.sort()
-    edges = g.ordered_edges
-    key = list(map(order.key, edges))
+    if order.graph is not g and order.graph.ordered_edges != g.ordered_edges:
+        raise ValueError("the edge order is on another graph")  # keys are by its positions
+    edges, key = g.ordered_edges, order.keys
     rest = sorted((i for i, e in enumerate(edges) if e not in h),
                   key=key.__getitem__, reverse=True)
     kept, deleted = _greedy(g, pinned + rest)
@@ -193,7 +194,9 @@ def check_cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder) -> Cut
     # a forest with t trees on n vertices has exactly n - t edges
     if len(kept) != len(g.vertices) - rooted.trees:
         raise InvariantViolation("kept edges close a cycle")
-    key = [None if e in result.fixed else order.key(e) for e in names]
+    if order.graph is not g and order.graph.ordered_edges != g.ordered_edges:
+        raise ValueError("the edge order is on another graph")  # keys are by its positions
+    key = [None if e in result.fixed else k for e, k in zip(names, order.keys)]
     violations, witnesses = _scan_witnesses(
         g, rooted, key, _host_edges(g, result.deleted), range(len(names)))
     return CutWitnessReport(
@@ -213,12 +216,8 @@ def restrict_forest(g: Graph, result: ForestResult, order: EdgeOrder,
         raise NotConnected("restriction set is empty or not connected")
     if not is_cycle_invariant(g, yset):
         raise NotCycleInvariant("restriction set is not cycle-invariant")
-    inside = lambda e: e[0] in yset and e[1] in yset
-    restricted = ForestResult(
-        kept=frozenset(e for e in result.kept if inside(e)),
-        deleted=frozenset(e for e in result.deleted if inside(e)),
-        fixed=frozenset(e for e in result.fixed if inside(e)),
-    )
+    restricted = ForestResult(*(frozenset(e for e in edges if e[0] in yset and e[1] in yset)
+                                for edges in result))
     sub = induced_subgraph(g, yset)
     recomputed = maximal_subforest(sub, order.restrict(sub), restricted.fixed)
     if recomputed.kept != restricted.kept:

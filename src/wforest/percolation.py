@@ -35,7 +35,8 @@ from .forest import ForestResult, _greedy, _scan_witnesses
 from .graph import (Edge, Graph, _components, _host_edges, _root, _Rooted, _side_counts,
                     components, edge, spanned_subgraph)
 from .rng import check_seed, subseed, threshold, u64s
-from .weights import ProxyParams, RankedPotential, exact_potential, ranked_potential
+from .weights import (ProxyParams, RankedPotential, _edge_keys, _lesser_ranks, exact_potential,
+                      ranked_potential)
 
 # Clusters per sweep run whose heaviest vertex is a visibility basepoint.
 VISIBILITY_BASEPOINTS = 8
@@ -120,28 +121,21 @@ class _Host(NamedTuple):
 
 def _host(g: Graph, ranked: RankedPotential) -> _Host:
     rank = list(map(ranked.rank.__getitem__, g.vertices))
-    low = list(map(min, map(rank.__getitem__, g.eu), map(rank.__getitem__, g.ev)))
     flags = g.boundary_vertices()
-    return _Host(g, low, rank, ranked.levels, [v in flags for v in g.vertices])
+    return _Host(g, _lesser_ranks(g, rank), rank, ranked.levels, [v in flags for v in g.vertices])
 
 
 def _keys(host: _Host, opened: list[int],
           label: Sequence[int] | Mapping[int, int]) -> tuple[list[int | None], list[int]]:
-    """The strict order on the open edges, whose labels `label` holds by
-    edge position: an edge's key is its lesser end rank times k, the number
-    of open edges, plus its label rank, the same int that `EdgeOrder.key`
-    gives under the tiebreak `LabelAssignment.ranks`.  Returns the keys by
-    edge position (None at a closed edge) and the open edges in decreasing
-    key order."""
-    low, k = host.low, len(opened)
-    key: list[int | None] = [None] * len(low)
+    """`weights._edge_keys` on the open edges by decreasing label `label`
+    (by edge position), as `EdgeOrder` keys the open subgraph under that
+    tiebreak, and the open edges in decreasing key order."""
     ranked = _by_label(label, opened)
-    for r, i in enumerate(ranked):
-        key[i] = low[i] * k + r
+    key = _edge_keys(host.low, ranked)
     # decreasing label rank, stably sorted by decreasing end rank: a sort
     # over the few distinct end ranks
     ranked.reverse()
-    return key, sorted(ranked, key=low.__getitem__, reverse=True)
+    return key, sorted(ranked, key=host.low.__getitem__, reverse=True)
 
 
 def fwmsf(cfg: PercolationConfig, potential: Mapping[int, object],

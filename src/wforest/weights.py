@@ -11,7 +11,7 @@ edge key is then one exact int and no ``Fraction`` is compared per edge.
 
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadParams,
@@ -198,56 +198,68 @@ def potential_from_cocycle(g: Graph, c: Cocycle, base: int) -> Potential:
     return Potential(base=base, values=values)
 
 
-class EdgeOrder:
-    """The strict total order: first by edge weight min of endpoint
-    potentials, then by an injective tiebreak rank.
+def _lesser_ranks(g: Graph, rank: Sequence[int]) -> list[int]:
+    """Per edge position, the lesser of its ends' ranks `rank` (by vertex position)."""
+    return list(map(min, map(rank.__getitem__, g.eu), map(rank.__getitem__, g.ev)))
 
-    ``key(e)`` is one int, min(rank of u, rank of v) * span + (tiebreak of
-    e - lo), where rank is the vertex's `ranked_potential` rank and lo, span
-    are the least tiebreak and the width of the tiebreak range; it orders
-    edges exactly as (weight, tiebreak) does.  Comparisons are invariant
-    under rescaling a component's potential by a positive constant, so the
-    order does not depend on basepoints.
+
+def _edge_keys(low: Sequence[int], sequence: Sequence[int]) -> list[int | None]:
+    """The int keys by edge position of the edges `sequence` lists, least first
+    by tiebreak: an edge's lesser end rank `low` times len(sequence), plus its
+    index there; so they order as (weight, tiebreak).  None off the sequence."""
+    k = len(sequence)
+    key: list[int | None] = [None] * len(low)
+    for r, i in enumerate(sequence):
+        key[i] = low[i] * k + r
+    return key
+
+
+class EdgeOrder:
+    """The strict total order: by edge weight min of endpoint potentials,
+    then by the tiebreak, one sequence of all of g's edges, least first
+    (default: canonical), read once into the tuple ``tiebreak``.  ``keys``
+    holds `_edge_keys` on the `ranked_potential` ranks, one int per edge
+    position.  Comparisons within a component are invariant under rescaling
+    its potential, so the order does not depend on basepoints.
     """
 
     def __init__(self, g: Graph, potential: Mapping[int, object],
-                 tiebreak: Sequence[Edge] | Mapping[Edge, int] | None = None):
+                 tiebreak: Iterable[Edge] | None = None):
+        if isinstance(tiebreak, Mapping):
+            raise TypeError("tiebreak is one sequence of the graph's edges, least first")
         ranked = ranked_potential(g, potential)
         self.graph = g
         self.potential = ranked.values
-        self._vertex_rank = ranked.rank
-        if tiebreak is None:
-            tiebreak = g.ordered_edges
-        if isinstance(tiebreak, Mapping):
-            self.rank = dict(tiebreak)
-        else:
-            self.rank = {e: i for i, e in enumerate(tiebreak)}
-        for e in g.ordered_edges:
-            if e not in self.rank:
-                raise ValueError(f"tiebreak missing edge {e}")
-        if not isinstance(tiebreak, Mapping) and len(tiebreak) != len(g.ordered_edges):
+        edges = g.ordered_edges
+        self.tiebreak: tuple[Edge, ...] = edges if tiebreak is None else tuple(tiebreak)
+        index = {e: i for i, e in enumerate(self.tiebreak)}
+        at = list(map(index.get, edges))  # each edge's index in the tiebreak
+        if None in at:
+            raise ValueError(f"tiebreak missing edge {edges[at.index(None)]}")
+        if len(self.tiebreak) != len(edges):
             # every edge is listed: so the sequence repeats one or lists a non-edge
-            extra = next((e for e in self.rank if _edge_at(g, e) < 0), None)
+            extra = next((e for e in index if _edge_at(g, e) < 0), None)
             raise ValueError("tiebreak repeats an edge" if extra is None
                              else f"tiebreak names {extra}, which is not an edge")
-        used = [self.rank[e] for e in g.ordered_edges]
-        if len(set(used)) != len(used):
-            raise ValueError("tiebreak ranks are not injective")
-        # tiebreak ranks may be gapped or negative: shift to 0, scale by the range
-        self._lo = min(used, default=0)
-        self._span = max(used, default=0) - self._lo + 1
+        sequence = [0] * len(at)
+        for i, r in enumerate(at):
+            sequence[r] = i
+        low = _lesser_ranks(g, list(map(ranked.rank.__getitem__, g.vertices)))
+        self.keys: list[int] = _edge_keys(low, sequence)
 
     def weight(self, e: Edge):
         return min(self.potential[e[0]], self.potential[e[1]])
 
     def key(self, e: Edge) -> int:
-        a, b = self._vertex_rank[e[0]], self._vertex_rank[e[1]]
-        return (a if a < b else b) * self._span + self.rank[e] - self._lo
+        i = _edge_at(self.graph, e)
+        if i < 0:
+            raise UnknownId(f"edge {e} not in graph")
+        return self.keys[i]
 
     def restrict(self, sub: Graph) -> "EdgeOrder":
-        """The same order on a subgraph (weights and ranks carried over)."""
-        return EdgeOrder(sub, self.potential,
-                         {e: self.rank[e] for e in sub.ordered_edges})
+        """The same order on a subgraph: its tiebreak filtered to sub's edges."""
+        inside = frozenset(sub.ordered_edges)
+        return EdgeOrder(sub, self.potential, [e for e in self.tiebreak if e in inside])
 
 
 def compare_edges(o: EdgeOrder, e1: Edge, e2: Edge) -> int:
@@ -265,7 +277,7 @@ def compare_edges(o: EdgeOrder, e1: Edge, e2: Edge) -> int:
         raise UnknownId(f"edge {foreign} not in graph")
     if g.eu[i2] not in _bfs(g.near, g.eu[i1]):
         raise CrossComponent(f"{e1} and {e2} lie in different components")
-    return -1 if o.key(e1) < o.key(e2) else 1
+    return -1 if o.keys[i1] < o.keys[i2] else 1
 
 
 def unit_potential(g: Graph) -> dict[int, Fraction]:

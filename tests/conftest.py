@@ -117,9 +117,20 @@ def random_order(rand: random.Random, g: Graph) -> EdgeOrder:
 
 
 def tuple_key(order: EdgeOrder):
-    """The edge key before integer ranks: (exact weight, tiebreak rank).
-    Reference for `EdgeOrder.key`."""
-    return lambda e: (order.weight(e), order.rank[e])
+    """The edge key before integer ranks: (exact weight, index in the
+    tiebreak).  Reference for `EdgeOrder.key`."""
+    index = {e: i for i, e in enumerate(order.tiebreak)}
+    return lambda e: (order.weight(e), index[e])
+
+
+def quotient_order_oracle(host_tiebreak: Iterable[Edge], quot: QuotientGraph):
+    """The quotient's edge key as a (weight, rank) pair: its weight under
+    the block potential, then the rank of its lift in the host tiebreak, a
+    gapped rank.  Reference for the quotient order of
+    `ends.collapsed_maximal_subforest`."""
+    rank = {e: i for i, e in enumerate(host_tiebreak)}
+    qpot, lift = quot.qpotential, quot.lift
+    return lambda qe: (min(qpot[qe[0]], qpot[qe[1]]), rank[lift[qe]])
 
 
 def relative_potential(g: Graph, potential) -> dict:

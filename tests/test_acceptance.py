@@ -122,7 +122,7 @@ def test_criterion_3_fmsf_specialization():
         independent = fmsf(sub, {e: labels.labels[e] for e in cfg.open_edges})
         assert weighted.kept == independent
         _remember(sub, EdgeOrder(sub, unit_potential(sub),
-                                 labels.ranks(edge_set(sub))), weighted)
+                                 list(labels.ranks(edge_set(sub)))), weighted)
     print("\nACCEPTANCE 3 PASS: constant-potential fwmsf equals the "
           "independent fmsf on 200 random configurations")
 
@@ -140,7 +140,7 @@ def test_criterion_4_cut_witnesses():
         labels = assign_labels(fp, seed=trial)
         result = fwmsf(cfg, pot, labels)
         sub = spanned_subgraph(fp, cfg.open_edges)
-        order = EdgeOrder(sub, pot, labels.ranks(edge_set(sub)))
+        order = EdgeOrder(sub, pot, list(labels.ranks(edge_set(sub))))
         violations += len(check_cut_witnesses(sub, result, order).violations)
     assert violations == 0
     print(f"\nACCEPTANCE 4 PASS: zero cut-witness violations across "

@@ -1,6 +1,7 @@
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -40,12 +41,15 @@ from conftest import (
     brute_visibility,
     edge_set,
     furcation_family_oracle,
+    greedy_max_forest,
     is_heavy,
     mark_totals,
     qualifying_marks,
     quotient_oracle,
+    quotient_order_oracle,
     random_connected_graph,
     random_potential,
+    random_tiebreak,
     side_pieces,
     sides_order,
     visibility,
@@ -384,6 +388,38 @@ def test_collapse_windmill_and_random(rand):
         for bid, tree in res.quot.inner_trees.items():
             block = next(b for b in res.quot.family if b[0] == bid)
             assert len(tree) == len(block) - 1
+
+
+def test_collapse_quotient_order_equals_its_oracle(rand):
+    """The quotient forest is the greedy forest under the (weight, host
+    tiebreak rank of the lift) order: on random graphs with random flags,
+    tiebreaks and potentials, on GP at delta 1 and 1/64, on windmills
+    under the meta tiebreak and on a free product, at s_max 1 to 4."""
+    cases = []
+    for _ in range(40):
+        g = random_connected_graph(rand, rand.randint(4, 12))
+        g = build_graph(g.vertices, edge_set(g), meta={
+            "boundary": frozenset(v for v in g.vertices if rand.random() < 0.4)})
+        cases.append((g, random_potential(rand, g), random_tiebreak(rand, g), ProxyParams()))
+    gp = gp_graph(2, 2, 4)
+    for delta in (F(1), F(1, 64)):
+        cases.append((gp, level_potential(gp), None, ProxyParams(nonvanish_delta=delta)))
+    for w in (windmill(4, 3), windmill(6, 6)):
+        cases.append((w, unit_potential(w), w.meta["tiebreak"], ProxyParams()))
+    fp = free_product([{"family": "gp", "k": 2, "up": 1, "down": 1},
+                       {"family": "lattice_box", "w": 3, "h": 3}], max_word=1)
+    cases.append((fp, level_potential(fp), random_tiebreak(rand, fp), ProxyParams()))
+    merged = 0
+    for g, pot, tb, params in cases:
+        for s_max in (1, 2, 3, 4):
+            res = collapsed_maximal_subforest(g, pot, tb, params, s_max)
+            key = quotient_order_oracle(g.ordered_edges if tb is None else tb, res.quot)
+            want = greedy_max_forest(res.quot.qgraph, SimpleNamespace(key=key))
+            assert res.qforest.kept == want
+            assert res.qforest.deleted == edge_set(res.quot.qgraph) - want
+            merged += len(res.quot.lift) < len(edge_set(g)) - sum(
+                len(t) for t in res.quot.inner_trees.values())
+    assert merged >= 30
 
 
 def test_collapse_with_empty_family_matches_plain(rand):

@@ -356,6 +356,23 @@ def test_cut_witnesses_reject_a_kept_edge_outside_the_graph():
         check_cut_witnesses(g, r, o)
 
 
+def test_an_order_on_another_graph_is_refused(rand):
+    """The forest and its certificate read the order's keys by edge position,
+    so an order on another edge set is a `ValueError`; one on an equal graph
+    object is read as it is."""
+    for _ in range(10):
+        g = random_connected_graph(rand, rand.randint(4, 9))
+        o = random_order(rand, g)
+        sub = induced_subgraph(g, g.vertices[1:])
+        with pytest.raises(ValueError, match="the edge order is on another graph"):
+            maximal_subforest(sub, o)
+        with pytest.raises(ValueError, match="the edge order is on another graph"):
+            check_cut_witnesses(sub, maximal_subforest(sub, o.restrict(sub)), o)
+        twin = build_graph(g.vertices, g.ordered_edges)
+        assert maximal_subforest(twin, o) == maximal_subforest(g, o)
+        assert check_cut_witnesses(twin, maximal_subforest(g, o), o).ok
+
+
 def test_every_edge_set_check_names_a_foreign_edge():
     """Every reader of an edge set raises `UnknownId` for a pair that is no
     canonical edge of the graph (a reversed pair is none), naming the first

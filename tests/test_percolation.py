@@ -34,7 +34,7 @@ from wforest.percolation import (
     sweep,
 )
 from wforest.rng import subseed, u64, u64s
-from wforest.weights import exact_potential, level_potential, unit_potential
+from wforest.weights import EdgeOrder, exact_potential, level_potential, unit_potential
 
 from conftest import (
     edge_set,
@@ -458,6 +458,39 @@ def test_sweep_equals_sweep_oracle(rand):
                 seen["3plus"] += r["forest"]["trees_with_3plus_nonvanishing_dirs"] > 0
                 seen["heavy"] += r["clusters"]["heavy"] > 0
     assert min(seen.values()) > 0, seen
+
+
+def test_sweep_keys_equal_edge_order_keys(rand, monkeypatch):
+    """Each sweep run's key at every open edge is the value `EdgeOrder`
+    gives the spanned open subgraph under the tiebreak of the open edges
+    by decreasing label (ties: the lesser edge first), on random graphs,
+    GP(2,3,5) and a box."""
+    import wforest.percolation as perc
+    runs, real = [], perc._keys
+
+    def recorded(host, opened, label):
+        out = real(host, opened, label)
+        runs.append((list(opened), list(label), out[0]))
+        return out
+
+    monkeypatch.setattr(perc, "_keys", recorded)
+    gp, box = gp_graph(2, 3, 5), lattice_box(12, 12)
+    cases = [(gp, level_potential(gp, F(1, 2))), (box, unit_potential(box)),
+             (box, random_potential(rand, box))]
+    for _ in range(20):
+        g = random_connected_graph(rand, rand.randint(2, 12))
+        cases.append((g, random_potential(rand, g)))
+    for g, pot in cases:
+        runs.clear()
+        sweep(g, pot, [0.3, 0.7, 1.0], 1, rand.randrange(1000), ProxyParams())
+        assert len(runs) == 3
+        names = g.ordered_edges
+        for opened, label, key in runs:
+            sub = spanned_subgraph(g, map(names.__getitem__, opened))
+            tiebreak = sorted(opened, key=lambda i: (-label[i], i))
+            order = EdgeOrder(sub, pot, map(names.__getitem__, tiebreak))
+            assert [key[i] for i in opened] == order.keys
+            assert all(key[i] is None for i in set(range(len(names))) - set(opened))
 
 
 def test_sweep_equals_sweep_oracle_on_colliding_labels(monkeypatch):

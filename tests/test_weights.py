@@ -138,16 +138,46 @@ def test_sequence_tiebreak_lists_each_edge_once():
                           ([(0, 1), (0, 1), (1, 2), (0, 2), (5, 6)], r"names \(5, 6\)")):
         with pytest.raises(ValueError, match=why):
             EdgeOrder(tri, unit_potential(tri), tiebreak)
-    assert EdgeOrder(tri, unit_potential(tri), [(0, 2), (0, 1), (1, 2)]).rank[(0, 2)] == 0
+    assert EdgeOrder(tri, unit_potential(tri), [(0, 2), (0, 1), (1, 2)]).tiebreak[0] == (0, 2)
 
 
 def test_tiebreak_missing_edges_name_the_least():
-    """With several edges missing, from a sequence or a mapping, the message
-    names the least of them in canonical order."""
+    """With several edges missing, the message names the least of them in
+    canonical order."""
     path = build_graph(range(11), [(i, i + 1) for i in range(10)])
-    for tiebreak in ([(0, 1)], {(0, 1): 0}, [(8, 9), (0, 1)]):
+    for tiebreak in ([(0, 1)], [(8, 9), (0, 1)]):
         with pytest.raises(ValueError, match=r"^tiebreak missing edge \(1, 2\)$"):
             EdgeOrder(path, unit_potential(path), tiebreak)
+
+
+def test_mapping_tiebreak_is_refused():
+    """A tiebreak is one edge sequence: a mapping of ranks is a `TypeError`
+    that names the accepted form, not an order read off its key order."""
+    tri = build_graph(range(3), [(0, 1), (1, 2), (0, 2)])
+    for tiebreak in ({(0, 1): 0, (1, 2): 1, (0, 2): 2}, {(0, 2): 5, (0, 1): -3, (1, 2): 9}):
+        with pytest.raises(TypeError, match="one sequence of the graph's edges, least first"):
+            EdgeOrder(tri, unit_potential(tri), tiebreak)
+
+
+def test_one_pass_tiebreak_gives_the_list_keys(rand):
+    """The tiebreak is read once: a generator or an iterator over the edges
+    gives the keys the same list gives."""
+    for _ in range(30):
+        g = random_connected_graph(rand, rand.randint(1, 9))
+        pot, tb = random_potential(rand, g), random_tiebreak(rand, g)
+        want = EdgeOrder(g, pot, tb)
+        for once in ((e for e in tb), iter(tb)):
+            got = EdgeOrder(g, pot, once)
+            assert got.keys == want.keys and got.tiebreak == tuple(tb)
+
+
+@pytest.mark.parametrize("e", [(5, 6), (1, 0), (0, 7), (3, 3)])
+def test_key_of_a_non_edge_is_unknown(e):
+    """`key` of a pair that is not a canonical edge (a non-edge, a reversed
+    edge, a pair with a foreign end) is `UnknownId`, as in `compare_edges`."""
+    tri = build_graph(range(3), [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(UnknownId, match=rf"^edge \({e[0]}, {e[1]}\) not in graph$"):
+        EdgeOrder(tri, unit_potential(tri)).key(e)
 
 
 def test_compare_edges_cross_component():
@@ -218,8 +248,7 @@ def test_strict_total_order_exhaustive(rand):
 
 def test_int_key_equals_tuple_key(rand):
     """The int key orders edges exactly as (exact weight, tiebreak) does:
-    potentials drawn from 1-3 values so weight ties are common, tiebreaks
-    gapped, negative or plain positions."""
+    potentials drawn from 1-3 values so weight ties are common."""
     graphs = [build_graph([], []), build_graph(range(4), [])]
     for _ in range(150):
         g = random_connected_graph(rand, rand.randint(2, 9))
@@ -234,14 +263,7 @@ def test_int_key_equals_tuple_key(rand):
                   for _ in range(rand.randint(1, 3))]
         pot = {v: rand.choice(values) for v in g.vertices}
         edges = random_tiebreak(rand, g)
-        if rand.random() < 0.25:
-            tiebreak = edges
-        else:
-            tiebreak, r = {}, rand.randint(-40, 10)
-            for e in edges:
-                r += rand.choice((1, 1, 3, 8))
-                tiebreak[e] = r
-        o = EdgeOrder(g, pot, tiebreak)
+        o = EdgeOrder(g, pot, edges)
         old = tuple_key(o)
         assert all(type(o.key(e)) is int for e in edges)
         assert sorted(edges, key=o.key) == sorted(edges, key=old)
