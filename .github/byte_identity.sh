@@ -30,7 +30,8 @@ outputs=(gp.json box.json windmill.json tree.json cycle.json gnm.json fp.json
          windmill66-sweep.jsonl windmill66-sweep.csv gp-forest.json windmill66-forest.json
          gpx.json gpx-forest.json gpx-collapse.json gpx-family.json gpx-analyze.json
          gpx-collapse4.json gpx-family4.json gpx-analyze4.json
-         gpx-sweep.jsonl gpx-sweep.csv library.out)
+         gpx-sweep.jsonl gpx-sweep.csv tree-sweep.jsonl tree-sweep.csv tree-analyze.json
+         library.out)
 demos=(01_weighted_forest_basics 02_grandparent_weights 03_windmill_collapse
        04_percolation_sweep)
 for d in "${demos[@]}"; do
@@ -76,6 +77,11 @@ run_tree() {
             -o gnm-sweep.jsonl --summary gnm-sweep.csv
         wf percolate windmill66.json unit.json --p-grid 0.6,0.8 --delta 1/2 --seed 6 \
             -o windmill66-sweep.jsonl --summary windmill66-sweep.csv
+        # a host that is a tree: each cluster is then one kept tree, so the
+        # cluster and tree side counts, on their two rootings, coincide at p = 1
+        wf percolate tree.json unit.json --p-grid 0.7,1 --seed 7 \
+            -o tree-sweep.jsonl --summary tree-sweep.csv
+        wf analyze tree.json unit.json -o tree-analyze.json
         wf forest box.json unit.json --check-witnesses -o box-forest.json
         wf forest gp.json levels.json --check-witnesses -o gp-forest.json
         wf forest windmill66.json unit.json --tiebreak meta --check-witnesses \

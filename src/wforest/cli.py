@@ -24,7 +24,8 @@ from .errors import (
     UsageError,
     WForestError,
 )
-from .graph import Edge, Graph, components, edge, from_doc, id_pair, parse_json, to_json
+from .graph import (Edge, Graph, compact_json, components, edge, from_doc, id_pair, parse_json,
+                    to_json)
 
 # Each command imports the layers it runs, so `gen` alone compiles the
 # generators, `gen` and `forest` neither ends nor percolation, `analyze`
@@ -206,19 +207,14 @@ def _tiebreak(g: Graph, choice: str):
     tb = g.meta.get("tiebreak")  # choice is "meta": argparse allows no other
     if not tb:
         raise BadParams("graph meta carries no tiebreak order")
-    return [tuple(e) for e in tb]
+    return tb  # `from_doc` made each edge canonical
 
 
-def _edges_json(edges) -> list[list[int]]:
-    return [list(e) for e in sorted(edges)]
-
-
-def _forest_json(result, witness_report=None) -> str:
-    doc = {
-        "kept": _edges_json(result.kept),
-        "deleted": _edges_json(result.deleted),
-        "fixed": _edges_json(result.fixed),
-    }
+def _forest_json(g: Graph, result, witness_report=None) -> str:
+    """The forest document of a result on g: each of its kept, deleted and
+    fixed edge sets listed in g's canonical edge order."""
+    doc = {name: [list(e) for e in g.ordered_edges if e in edges]
+           for name, edges in result._asdict().items()}
     if witness_report is not None:
         doc["cut_witnesses"] = {
             "ok": witness_report.ok,
@@ -226,7 +222,21 @@ def _forest_json(result, witness_report=None) -> str:
             "witnesses": [[list(e), list(w)]
                           for e, w in sorted(witness_report.witnesses.items())],
         }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return compact_json(doc)
+
+
+def _family_parts(family, quot, params) -> tuple[dict, dict]:
+    """What `collapse`'s family document and `analyze`'s report share: the
+    family's blocks and phases, and apart from them the quotient's sizes and
+    the proxy parameters."""
+    fam = {"blocks": [list(b) for b in family.blocks], "phases": list(family.phases)}
+    rest = {
+        "quotient": {"vertices": len(quot.qgraph.vertices),
+                     "edges": len(quot.qgraph.ordered_edges)},
+        "proxy_params": {"nonvanish_delta": str(params.nonvanish_delta),
+                         "heavy_tau": str(params.heavy_tau)},
+    }
+    return fam, rest
 
 
 def cmd_gen(args, argv) -> int:
@@ -260,7 +270,7 @@ def cmd_forest(args, argv) -> int:
     result = maximal_subforest(g, order, fixed)
     report = check_cut_witnesses(g, result, order) if args.check_witnesses else None
     _write_with_manifest("forest", argv, inputs,
-                         [(args.output, _forest_json(result, report))], None)
+                         [(args.output, _forest_json(g, result, report))], None)
     return 0
 
 
@@ -284,18 +294,10 @@ def cmd_collapse(args, argv) -> int:
     params = ProxyParams(nonvanish_delta=args.delta)
     res = collapsed_maximal_subforest(g, potential, _tiebreak(g, args.tiebreak),
                                       params, s_max=args.smax)
-    family_doc = {
-        "blocks": [list(b) for b in res.family.blocks],
-        "phases": list(res.family.phases),
-        "quotient": {"vertices": len(res.quot.qgraph.vertices),
-                     "edges": len(res.quot.qgraph.ordered_edges)},
-        "proxy_params": {"nonvanish_delta": str(params.nonvanish_delta),
-                         "heavy_tau": str(params.heavy_tau)},
-    }
+    fam, rest = _family_parts(res.family, res.quot, params)
     _write_with_manifest("collapse", argv, [args.graph, args.weights], [
-        (args.output, _forest_json(res.forest)),
-        (args.family_out, json.dumps(family_doc, sort_keys=True,
-                                     separators=(",", ":")) + "\n"),
+        (args.output, _forest_json(g, res.forest)),
+        (args.family_out, compact_json({**fam, **rest})),
     ], None)
     return 0
 
@@ -338,18 +340,15 @@ def cmd_analyze(args, argv) -> int:
     for q in (0.0, 0.25, 0.5, 0.75, 1.0):
         idx = min(len(masses) - 1, int(q * (len(masses) - 1) + 0.5))
         quantiles[str(q)] = masses[idx] if masses else 0.0
+    fam, rest = _family_parts(family, quot, params)
     report = {
         "components": comps,
-        "family": {"blocks": [list(b) for b in family.blocks],
-                   "phases": list(family.phases)},
-        "quotient": {"vertices": len(quot.qgraph.vertices),
-                     "edges": len(quot.qgraph.ordered_edges)},
+        "family": fam,
         "visibility": {"basepoints": len(verts), "mass_quantiles": quantiles},
-        "proxy_params": {"nonvanish_delta": str(params.nonvanish_delta),
-                         "heavy_tau": str(params.heavy_tau)},
+        **rest,
     }
     _write_with_manifest("analyze", argv, [args.graph, args.weights], [
-        (args.output, json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"),
+        (args.output, compact_json(report)),
     ], None)
     return 0
 
@@ -505,7 +504,7 @@ def main(argv=None) -> int:
     except WForestError as exc:
         _err(type(exc).__name__, exc)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         _err(type(exc).__name__, exc)
         return 2
 

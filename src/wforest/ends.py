@@ -551,10 +551,11 @@ def qualifying_side_counts(g: Graph, qualifies: Callable[[int], bool]) -> dict[i
     """For every vertex x, the number of components of (component minus x)
     containing at least one vertex with qualifies(v) True.
 
-    One low-link DFS over the neighbour positions g carries
-    (`graph._side_counts`).  Linear in the graph's size; used for
-    nonvanishing-proxy side counts on percolation clusters and forest
-    trees.
+    One low-link DFS over the neighbour positions g carries, and one
+    `graph._side_counts` pass over its forest.  Linear in the graph's size;
+    `analyze` reports these counts and `find_furcation_vertices` reads them.
+    The sweep runs the same pass on positions, over its clusters and its
+    kept forest, and does not call this.
     """
     own = [int(qualifies(v)) for v in g.vertices]
-    return dict(zip(g.vertices, _side_counts(g.near, range(len(g.near)), own)))
+    return dict(zip(g.vertices, _side_counts(*_lowlink(g.near, range(len(g.near))), own)))

@@ -15,7 +15,9 @@ union-find and rooting in the package reads that layout, and this module
 owns the traversals on it: `_root`, the one breadth-first forest of a set
 of edge positions, with `_path` to climb it, and `_components`, the one
 breadth-first search of all components, with `_bfs`, one search from a
-position within a set.  ``near`` is the one neighbour structure and
+position within a set.  `_side_counts` is the one side count: a pass over
+a rooted spanning forest, which `_lowlink` gives of any graph and `_root`
+of a forest.  ``near`` is the one neighbour structure and
 ``ordered_edges`` the one edge list: `_at` finds an id's position by
 bisecting the sorted ids, `_edge_at` an edge's by bisecting the edges, and
 `_host_edges` checks a whole edge set in one pass over them.  Per-vertex
@@ -335,17 +337,24 @@ def _lowlink(adj: Sequence[Sequence[int]], roots: Iterable[int]):
     return order, parent, disc, low
 
 
-def _side_counts(adj: Sequence[Sequence[int]], roots: Iterable[int], own: list[int]) -> list[int]:
+def _side_counts(order: Sequence[int], parent: Sequence[int], disc: Sequence[int],
+                 low: Sequence[int], own: Sequence[int]) -> list[int]:
     """Per position, the sides of its component less it that hold a qualifying
-    position, over the components of `roots` (0 elsewhere), with `own` each
-    position's 0/1 qualifying flag (`ends.qualifying_side_counts`): one
-    low-link DFS, with qualifying counts summed up the DFS tree.  A child c
-    of x with low[c] >= disc[x] holds one side of its own, and everything
-    else outside x is one more side, counted by subtraction."""
-    order, parent, disc, low = _lowlink(adj, roots)
-    below = list(own)  # qualifying vertices in v's DFS subtree
-    apart = [0] * len(adj)  # ... in the child subtrees v cuts off
-    sides = [0] * len(adj)  # those child subtrees that qualify
+    position (`ends.qualifying_side_counts`), with `own` each position's 0/1
+    qualifying flag, over a rooted spanning forest of some components (0
+    elsewhere): `order` lists each tree's root first, in one run, and every
+    parent before its children; `parent` is -1 at a root; and the subtree
+    of a child c of x is a side of x's own exactly when low[c] >= disc[x].
+
+    `_lowlink` gives such a forest of any graph.  On a forest, every child
+    subtree is a side of its own, so a rooting of it with its depth as both
+    `disc` and `low` (`_root`) serves too.  Qualifying counts are summed up
+    the tree; everything outside x but in no side of its own is one more
+    side, counted by subtraction."""
+    n = len(parent)
+    below = list(own)  # qualifying vertices in v's subtree
+    apart = [0] * n  # ... in the child subtrees that are sides of v's own
+    sides = [0] * n  # those child subtrees that qualify
     for v in reversed(order):
         p = parent[v]
         if p >= 0:
@@ -353,9 +362,9 @@ def _side_counts(adj: Sequence[Sequence[int]], roots: Iterable[int], own: list[i
             if low[v] >= disc[p]:
                 apart[p] += below[v]
                 sides[p] += below[v] > 0
-    counts = [0] * len(adj)
+    counts = [0] * n
     total = 0
-    for v in order:  # each component's preorder starts at its root
+    for v in order:  # each tree's run starts at its root
         if parent[v] < 0:
             total = below[v]
         counts[v] = sides[v] + (total - own[v] - apart[v] > 0)
@@ -450,6 +459,12 @@ def _subgraph(vertices, ordered: tuple[Edge, ...], meta: dict) -> Graph:
 
 # JSON interchange (the contract used by the CLI)
 
+def compact_json(doc) -> str:
+    """The one form of every JSON output but a manifest: sorted keys, no
+    spaces, one closing newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def to_json(g: Graph) -> str:
     levels = g.meta.get("levels", {})
     boundary = set(g.meta.get("boundary", ()))
@@ -467,7 +482,7 @@ def to_json(g: Graph) -> str:
         "edges": [list(e) for e in g.ordered_edges],
         "meta": meta,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return compact_json(doc)
 
 
 def _jsonable(v):

@@ -13,12 +13,13 @@ on positions once (`_Host`); each run then keeps its open edges, label
 ranks, keys, clusters, union-find forest and rooting in lists, and names a
 vertex by its id only in a record's basepoints and in a message.  The
 clusters and the rooting are `graph`'s two breadth-first traversals on
-positions, `_components` and `_root`.
+positions, `_components` and `_root`, and both the clusters' and the
+kept trees' side counts are `graph._side_counts`, over the low-link forest
+of the clusters and over the rooting.
 `bernoulli_sample`, `assign_labels`, `fwmsf` and `cluster_report` translate
 edges and vertices into that same core and back.
 """
 
-import json
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -32,8 +33,8 @@ from .errors import (
     NotWeightPreserving,
 )
 from .forest import ForestResult, _greedy, _scan_witnesses
-from .graph import (Edge, Graph, _components, _host_edges, _root, _Rooted, _side_counts,
-                    components, edge, spanned_subgraph)
+from .graph import (Edge, Graph, _components, _host_edges, _lowlink, _root, _side_counts,
+                    compact_json, components, edge, spanned_subgraph)
 from .rng import check_seed, subseed, threshold, u64s
 from .weights import (ProxyParams, RankedPotential, _edge_keys, _lesser_ranks, exact_potential,
                       ranked_potential)
@@ -167,9 +168,10 @@ def _clusters(host: _Host, opened: list[int]
 
 
 def _nonvanishing(host: _Host, clusters: list[list[int]], tops: list[int],
-                  delta: Fraction) -> frozenset[int]:
-    """The flagged vertices whose potential is at least delta times their
-    cluster's greatest, `ends.qualifier` at cluster-relative potentials.
+                  delta: Fraction) -> list[int]:
+    """Per vertex, 1 when it is flagged and its potential is at least delta
+    times its cluster's greatest, `ends.qualifier` at cluster-relative
+    potentials, and 0 otherwise.
 
     potential >= delta * top is rank >= the first level position not below
     delta * top (`bisect_left`): one multiplication per distinct top, then
@@ -177,13 +179,15 @@ def _nonvanishing(host: _Host, clusters: list[list[int]], tops: list[int],
     """
     levels, rank, flagged = host.levels, host.rank, host.flagged
     cuts: dict[int, int] = {}  # by top rank: one bisection per distinct top
-    out = []
+    own = [0] * len(rank)
     for comp, top in zip(clusters, tops):
         if top not in cuts:
             cuts[top] = bisect_left(levels, delta * levels[top])
         cut = cuts[top]
-        out.extend(v for v in comp if flagged[v] and rank[v] >= cut)
-    return frozenset(out)
+        for v in comp:
+            if flagged[v] and rank[v] >= cut:
+                own[v] = 1
+    return own
 
 
 class _ClusterStat(NamedTuple):
@@ -193,25 +197,23 @@ class _ClusterStat(NamedTuple):
 
 
 def _cluster_report(host: _Host, adj: list[list[int]], clusters: list[list[int]],
-                    tops: list[int], nonvanishing: frozenset[int],
+                    tops: list[int], own: list[int],
                     params: ProxyParams) -> tuple[list[_ClusterStat], dict]:
     """`cluster_report` on positions: each cluster's mass, class and side
-    count, and the counts.  A cluster is heavy when its mass relative to
-    its heaviest vertex is at least heavy_tau, or when it holds a
-    nonvanishing vertex.
+    count, and the counts, with `own` the 0/1 nonvanishing flags.  A
+    cluster is heavy when its mass relative to its heaviest vertex is at
+    least heavy_tau, or when it holds a nonvanishing vertex.
 
     Only the clusters with two or more nonvanishing vertices run the low-link
-    DFS for their side counts, all in one `graph._side_counts` call.  With
+    DFS for their side counts, all in one `graph._side_counts` pass.  With
     none, every count is 0; with one, q, every other vertex has q on exactly
     one of its sides and q has none, so the greatest count is 1 unless q is
     alone.
     """
     levels, rank = host.levels, host.rank
-    hits = [len(nonvanishing.intersection(comp)) for comp in clusters]
-    own = [0] * len(rank)
-    for v in nonvanishing:
-        own[v] = 1
-    side = _side_counts(adj, [comp[0] for comp, h in zip(clusters, hits) if h >= 2], own)
+    hits = [sum(map(own.__getitem__, comp)) for comp in clusters]
+    side = _side_counts(*_lowlink(adj, [comp[0] for comp, h in zip(clusters, hits) if h >= 2]),
+                        own)
     stats = []
     n_heavy = 0
     for comp, top, h in zip(clusters, tops, hits):
@@ -256,8 +258,8 @@ def cluster_report(cfg: PercolationConfig, potential: Mapping[int, object],
     nonvanishing-proxy sides over single-vertex furcations."""
     host = _host(cfg.host, ranked_potential(cfg.host, potential))
     clusters, tops, adj = _clusters(host, _host_edges(cfg.host, cfg.open_edges))
-    nonvanishing = _nonvanishing(host, clusters, tops, params.nonvanish_delta)
-    stats, counts = _cluster_report(host, adj, clusters, tops, nonvanishing, params)
+    own = _nonvanishing(host, clusters, tops, params.nonvanish_delta)
+    stats, counts = _cluster_report(host, adj, clusters, tops, own, params)
     ids = cfg.host.vertices
     infos = tuple(ClusterInfo(vertices=tuple(sorted(map(ids.__getitem__, comp))), mass=s.mass,
                               cls=s.cls, nonvanishing_side_count_max=s.side_max)
@@ -347,8 +349,9 @@ def _run_once(host: _Host, params: ProxyParams, job: tuple[float, int, int]) -> 
         raise InvariantViolation(
             f"forest has {trees} trees but the open subgraph has "
             f"{len(clusters)} clusters (p={p}, seed={run_seed}, trial={trial})")
-    nonvanishing = _nonvanishing(host, clusters, tops, params.nonvanish_delta)
-    stats, counts = _cluster_report(host, adj, clusters, tops, nonvanishing, params)
+    # the 0/1 nonvanishing flags, read by the cluster and the tree counts
+    own = _nonvanishing(host, clusters, tops, params.nonvanish_delta)
+    stats, counts = _cluster_report(host, adj, clusters, tops, own, params)
 
     # the kept forest, rooted once for its side counts and its witnesses
     rooted = _root(g, kept)
@@ -356,8 +359,10 @@ def _run_once(host: _Host, params: ProxyParams, job: tuple[float, int, int]) -> 
         raise InvariantViolation(
             f"kept edges close a cycle (p={p}, seed={run_seed}, trial={trial})")
     # count the trees whose internal structure shows >= 3 nonvanishing-proxy
-    # directions; a tree's vertices and relative weights are its cluster's
-    tree_side = _tree_side_counts(rooted, nonvanishing)
+    # directions; a tree's vertices and relative weights are its cluster's.
+    # Every child subtree of a tree is a side of its own, and with the depth
+    # as both disc and low, low[c] >= disc[parent] always holds
+    tree_side = _side_counts(rooted.order, rooted.parent, rooted.depth, rooted.depth, own)
     trees_3plus = len({rooted.root[v] for v, s in enumerate(tree_side) if s >= 3})
 
     violations, _ = _scan_witnesses(g, rooted, key, sorted(deleted), opened)
@@ -405,30 +410,8 @@ def _run_once(host: _Host, params: ProxyParams, job: tuple[float, int, int]) -> 
     }
 
 
-def _tree_side_counts(rooted: _Rooted, qualifying: frozenset[int]) -> list[int]:
-    """`qualifying_side_counts` on the forest that `graph._root` rooted, by
-    vertex position.  In a tree every child subtree is one side of its
-    parent, and the rest of the tree is one more: each vertex's qualifying
-    count below it is summed up the breadth-first order, and the rest is
-    the tree's total less it.
-    """
-    parent, root = rooted.parent, rooted.root
-    n = len(parent)
-    below = [0] * n
-    for v in qualifying:
-        below[v] = 1
-    sides = [0] * n
-    for v in reversed(rooted.order):
-        p = parent[v]
-        if p >= 0:
-            below[p] += below[v]
-            sides[p] += below[v] > 0
-    return [s + (below[r] > b) for s, r, b in zip(sides, root, below)]
-
-
 def records_to_jsonl(records: list[dict]) -> str:
-    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                   for r in records)
+    return "".join(map(compact_json, records))
 
 
 def summary_csv(records: list[dict]) -> str:

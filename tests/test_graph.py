@@ -33,6 +33,9 @@ from wforest.graph import (
     Graph,
     _edge_at,
     _edge_blocks,
+    _lowlink,
+    _root,
+    _side_counts,
     build_graph,
     components,
     edge,
@@ -528,6 +531,39 @@ def test_sides_partition_component(rand):
         # in the library's counts, every other vertex lies on exactly one side
         for v in g.vertices:
             assert qualifying_side_counts(g, {v}.__contains__)[x] == (v != x)
+
+
+def test_side_counts_agree_on_both_rootings_of_a_forest(rand):
+    """The one side-count pass gives the same counts on a forest of host
+    edges whether the forest is rooted by the low-link DFS over its own
+    neighbour lists or by `_root` with its depth as disc and low, and those
+    are the forest's side counts by definition (`side_pieces`): the empty
+    graph, the empty forest, isolated vertices and several trees, under
+    random flags."""
+    shapes = set()
+    for case in range(400):
+        g = build_graph([], []) if case == 0 else random_connected_graph(rand, rand.randint(1, 14))
+        kept = [i for i, e in enumerate(g.ordered_edges) if rand.random() < 0.6]
+        if case % 7 == 1:
+            kept = []
+        adj: list[list[int]] = [[] for _ in g.vertices]
+        for i in kept:
+            adj[g.eu[i]].append(g.ev[i])
+            adj[g.ev[i]].append(g.eu[i])
+        rooted = _root(g, kept)
+        if len(kept) != len(g.vertices) - rooted.trees:
+            continue  # the edges close a cycle
+        own = [int(rand.random() < 0.4) for _ in g.vertices]
+        by_dfs = _side_counts(*_lowlink(adj, range(len(adj))), own)
+        by_root = _side_counts(rooted.order, rooted.parent, rooted.depth, rooted.depth, own)
+        assert by_dfs == by_root
+        forest = build_graph(g.vertices, map(g.ordered_edges.__getitem__, kept))
+        flagged = {v for v, f in zip(g.vertices, own) if f}
+        assert by_root == [sum(1 for side in side_pieces(forest, [x]) if flagged.intersection(side))
+                           for x in g.vertices]
+        shapes.add((len(g.vertices) == 0, not kept, not all(adj), rooted.trees >= 3))
+    assert {(True, True, False, False), (False, True, True, True)} <= shapes
+    assert any(not bare and isolated and trees for _, bare, isolated, trees in shapes)
 
 
 def test_json_round_trip():

@@ -16,12 +16,11 @@ from wforest.errors import (
 )
 from wforest.cli import main as cli_main
 from wforest.forest import is_acyclic, maximal_subforest
-from wforest.generators import cycle, free_product, gp_graph, lattice_box, windmill
-from wforest.graph import (_host_edges, _path, _root, build_graph, components, spanned_subgraph,
-                           to_json)
+from wforest.generators import cycle, free_product, gp_graph, lattice_box, regular_tree, windmill
+from wforest.graph import (_host_edges, _path, _root, _side_counts, build_graph, components,
+                           spanned_subgraph, to_json)
 from wforest.percolation import (
     LabelAssignment,
-    _tree_side_counts,
     assign_labels,
     bernoulli_sample,
     cluster_report,
@@ -126,9 +125,10 @@ def test_assign_labels_lists_colliding_neighbours(monkeypatch):
 
 
 def test_tree_side_counts_equal_qualifying_side_counts(rand):
-    """The tree DP over one rooting of the kept forest gives the side counts
-    of the forest as a graph: random forests (with isolated vertices, and
-    the empty forest) and random qualifying sets."""
+    """The one side-count pass over the `_root` rooting of the kept forest,
+    with its depth as both disc and low, as the sweep runs it, gives the
+    side counts of the forest as a graph: random forests (with isolated
+    vertices, and the empty forest) and random qualifying sets."""
     for case in range(500):
         g = random_connected_graph(rand, rand.randint(1, 12))
         kept = maximal_subforest(g, random_order(rand, g)).kept
@@ -138,10 +138,36 @@ def test_tree_side_counts_equal_qualifying_side_counts(rand):
             kept = frozenset(e for e in kept if rand.random() < 0.7)
         q = frozenset(v for v in g.vertices if rand.random() < 0.4)
         rooted = _root(g, _host_edges(g, kept))
-        at = {v: i for i, v in enumerate(g.vertices)}
-        side = _tree_side_counts(rooted, frozenset(at[v] for v in q))
+        own = [int(v in q) for v in g.vertices]
+        side = _side_counts(rooted.order, rooted.parent, rooted.depth, rooted.depth, own)
         assert dict(zip(g.vertices, side)) == \
             qualifying_side_counts(spanned_subgraph(g, kept), q.__contains__)
+
+
+def test_sweep_cluster_and_tree_counts_agree_on_tree_hosts(rand):
+    """On a host that is a forest, p = 1 opens every edge and keeps them all,
+    so each cluster is one kept tree: the cluster side counts (low-link
+    rooting) and the tree side counts (breadth-first rooting) must agree.
+    Regular trees, whose leaves are flagged, and random trees and forests
+    with random flags, at unit and random potentials."""
+    hosts = [regular_tree(3, 4), regular_tree(4, 3), regular_tree(2, 6)]
+    for _ in range(30):
+        tree = random_connected_graph(rand, rand.randint(1, 30), extra=0)
+        kept = [e for e in tree.ordered_edges if rand.random() < 0.85]
+        flags = frozenset(v for v in tree.vertices if rand.random() < 0.4)
+        hosts.append(build_graph(tree.vertices, rand.choice([tree.ordered_edges, kept]),
+                                 {"boundary": flags}))
+    for g in hosts:
+        for pot in (unit_potential(g), random_potential(rand, g)):
+            for delta in (F(1), F(1, 4)):
+                rec = sweep(g, pot, [1.0], 1, rand.randrange(1000), ProxyParams(delta))[0]
+                assert rec["forest"]["kept"] == len(g.ordered_edges)
+                assert rec["clusters"]["clusters_with_3plus_sides"] == \
+                    rec["forest"]["trees_with_3plus_nonvanishing_dirs"]
+    tree = regular_tree(3, 4)
+    rec = sweep(tree, unit_potential(tree), [1.0], 1, 7, ProxyParams())[0]
+    assert rec["clusters"]["max_nonvanishing_sides"] == 3
+    assert rec["forest"]["trees_with_3plus_nonvanishing_dirs"] == 1
 
 
 def test_fwmsf_open_forest_kept_whole():
