@@ -31,7 +31,8 @@ outputs=(gp.json box.json windmill.json tree.json cycle.json gnm.json fp.json
          gpx.json gpx-forest.json gpx-collapse.json gpx-family.json gpx-analyze.json
          gpx-collapse4.json gpx-family4.json gpx-analyze4.json
          gpx-sweep.jsonl gpx-sweep.csv tree-sweep.jsonl tree-sweep.csv tree-analyze.json
-         library.out)
+         multi-collapse.json multi-family.json multi-analyze.json multi-sweep.jsonl
+         multi-sweep.csv library.out)
 demos=(01_weighted_forest_basics 02_grandparent_weights 03_windmill_collapse
        04_percolation_sweep)
 for d in "${demos[@]}"; do
@@ -82,6 +83,19 @@ run_tree() {
         wf percolate tree.json unit.json --p-grid 0.7,1 --seed 7 \
             -o tree-sweep.jsonl --summary tree-sweep.csv
         wf analyze tree.json unit.json -o tree-analyze.json
+        # six components, holding 2, 1, 0, 3, 1 and 0 flagged vertices: a
+        # 4-cycle with a pendant, a path flagged at one end, a triangle, a
+        # star flagged at its leaves, and two isolated vertices, one flagged
+        printf '%s' '{"vertices":[{"id":0},{"id":1},{"id":2,"boundary":true},{"id":3},' \
+            '{"id":4,"boundary":true},{"id":5},{"id":6},{"id":7,"boundary":true},{"id":8},' \
+            '{"id":9},{"id":10},{"id":11},{"id":12,"boundary":true},' \
+            '{"id":13,"boundary":true},{"id":14,"boundary":true},{"id":15,"boundary":true},' \
+            '{"id":16}],"edges":[[0,1],[1,2],[2,3],[0,3],[3,4],[5,6],[6,7],[8,9],[9,10],' \
+            '[8,10],[11,12],[11,13],[11,14]],"meta":{}}' > multi.json
+        wf collapse multi.json unit.json -o multi-collapse.json --family-out multi-family.json
+        wf analyze multi.json unit.json -o multi-analyze.json
+        wf percolate multi.json unit.json --p-grid 0.5,1 --seed 9 \
+            -o multi-sweep.jsonl --summary multi-sweep.csv
         wf forest box.json unit.json --check-witnesses -o box-forest.json
         wf forest gp.json levels.json --check-witnesses -o gp-forest.json
         wf forest windmill66.json unit.json --tiebreak meta --check-witnesses \

@@ -24,8 +24,7 @@ from .errors import (
     UsageError,
     WForestError,
 )
-from .graph import (Edge, Graph, compact_json, components, edge, from_doc, id_pair, parse_json,
-                    to_json)
+from .graph import Edge, Graph, compact_json, edge, from_doc, id_pair, parse_json, to_json
 
 # Each command imports the layers it runs, so `gen` alone compiles the
 # generators, `gen` and `forest` neither ends nor percolation, `analyze`
@@ -136,18 +135,28 @@ def _huge_exponent(text: str) -> bool:
         return False
 
 
-def _fraction(value, what: str):
-    """An exact rational from a JSON number or a string such as "3/2"."""
+def _exact(value):
+    """An exact rational from a number or a string such as "3/2"; a
+    `ValueError` naming value when it is none, or carries a decimal
+    exponent past MAX_EXPONENT."""
     from fractions import Fraction
 
-    if type(value) not in (int, float, str):
-        raise MalformedDocument(f"{what} {value!r} is not a number or fraction string")
     if type(value) is str and _huge_exponent(value):
-        raise MalformedDocument(f"{what} {value!r} has a decimal exponent past {MAX_EXPONENT}")
+        raise ValueError(f"{value!r} has a decimal exponent past {MAX_EXPONENT}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise MalformedDocument(f"{what} {value!r} is not a finite rational") from None
+        raise ValueError(f"{value!r} is not a finite rational") from None
+
+
+def _fraction(value, what: str):
+    """An exact rational from a JSON number or a string such as "3/2"."""
+    if type(value) not in (int, float, str):
+        raise MalformedDocument(f"{what} {value!r} is not a number or fraction string")
+    try:
+        return _exact(value)
+    except ValueError as exc:
+        raise MalformedDocument(f"{what} {exc}") from None
 
 
 def load_weights(path: str, g: Graph) -> dict:
@@ -276,14 +285,10 @@ def cmd_forest(args, argv) -> int:
 
 def _rational(text: str):
     """argparse type of --delta and --tau: an exact rational such as "3/2"."""
-    from fractions import Fraction
-
-    if _huge_exponent(text):
-        raise argparse.ArgumentTypeError(f"{text!r} has a decimal exponent past {MAX_EXPONENT}")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite rational") from None
+        return _exact(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_collapse(args, argv) -> int:
@@ -305,9 +310,9 @@ def cmd_collapse(args, argv) -> int:
 def cmd_analyze(args, argv) -> int:
     from .ends import (
         ProxyParams,
+        _component_rows,
         maximal_disjoint_furcations,
         qualifier,
-        qualifying_side_counts,
         quotient,
         visibility_masses,
     )
@@ -318,16 +323,7 @@ def cmd_analyze(args, argv) -> int:
     params = ProxyParams(nonvanish_delta=args.delta)
     if args.max_basepoints < 1:
         raise BadParams(f"--max-basepoints must be >= 1, got {args.max_basepoints}")
-    counts = qualifying_side_counts(g, qualifier(g, potential, params))
-    comps = []
-    for comp in components(g):
-        comps.append({
-            "size": len(comp),
-            "least_vertex": comp[0],
-            "furcation_vertex_counts": {
-                str(n): sum(1 for v in comp if counts[v] >= n) for n in (1, 2, 3)
-            },
-        })
+    comps = _component_rows(g, qualifier(g, potential, params))
     family = maximal_disjoint_furcations(g, potential, params, s_max=args.smax)
     quot = quotient(g, potential, family.blocks)
     verts = list(g.vertices)

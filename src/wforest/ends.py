@@ -19,8 +19,8 @@ from .graph import (
     Graph,
     _at,
     _bfs,
-    _components,
     _lowlink,
+    _runs,
     _side_counts,
     _subgraph,
     _vertex_set,
@@ -79,15 +79,17 @@ class _SideIndex:
     `mins[j][i]` the least over [i, i + 2**j): a sparse table of range
     minima.  `lesser` is a merge-sort tree (Bentley 1979) on the iterative
     segment tree over the positions: node j holds, sorted, the lesser
-    neighbour positions of every position below it.
+    neighbour positions of every position below it.  `total[i]` holds per
+    kind the qualifying vertices of the component of position i, read off
+    `upto` over its root r's interval [r, end[r]).
 
-    `orders(F, total)` gives, per kind, the number of sides of a connected
-    F of graph positions that hold a qualifying vertex; `flags` holds per
-    kind each position's 0/1 flag, `marks` the flags of the few positions
-    that qualify for some kind, and `total` the flags' sums over F's
-    component.  The tree less F falls into pieces: the one that holds the
-    root, unless F does, and under each kid, a child c outside F of a
-    vertex of F, the subtree of c less the subtrees of F inside it.
+    `orders(F)` gives, per kind, the number of sides of a connected F of
+    graph positions, in a component the DFS reached, that hold a qualifying
+    vertex; `flags` holds per kind each position's 0/1 flag, and `marks`
+    the flags of the few positions that qualify for some kind.  The tree
+    less F falls into pieces: the one that holds the root, unless F does,
+    and under each kid, a child c outside F of a vertex of F, the subtree of
+    c less the subtrees of F inside it.
     - (a) F a subtree of the DFS tree, topped by t: each kid c with
       low[c] >= t is a side of its own, with its subtree's counts, and the
       rest of the component is one more, by subtraction.
@@ -116,13 +118,18 @@ class _SideIndex:
             for upto, own in zip(self.upto, flags):
                 upto.append(upto[-1] + own[v])
             near = sorted(map(disc.__getitem__, g.near[v]))
-            least.append(near[0])
+            # an isolated vertex lies in no piece, so its entry is never read
+            least.append(near[0] if near else i)
             lesser.append(near[:bisect_left(near, i)])
         self.end: list[int] = list(range(1, len(order) + 1))
         for i in range(len(order) - 1, 0, -1):
             p = self.parent[i]
             if p >= 0:
                 self.end[p] = max(self.end[p], self.end[i])
+        self.total: list[list[int]] = []
+        for i, p in enumerate(self.parent):
+            self.total.append(self.total[p] if p >= 0 else
+                              [upto[self.end[i]] - upto[i] for upto in self.upto])
         self.mins = [least]
         while 1 << len(self.mins) <= len(least):
             row, half = self.mins[-1], 1 << (len(self.mins) - 1)
@@ -167,7 +174,7 @@ class _SideIndex:
             spans.append((lo, end[c]))
         return spans
 
-    def orders(self, F: tuple[int, ...], total: list[int]) -> list[int]:
+    def orders(self, F: tuple[int, ...]) -> list[int]:
         at = sorted(map(self.pos.__getitem__, F))
         parent, end, low = self.parent, self.end, self.low
         tops = [i for i in at if parent[i] not in at]
@@ -178,7 +185,7 @@ class _SideIndex:
                 if c not in at:
                     kids.append(c)
                 c = end[c]
-        rest = list(total)  # per kind, the qualifying vertices outside F
+        rest = list(self.total[at[0]])  # per kind, the qualifying vertices outside F
         for v in F:
             if v in self.marks:
                 rest = [r - f for r, f in zip(rest, self.marks[v])]
@@ -250,20 +257,6 @@ def find_furcation_vertices(g: Graph, potential: Mapping[int, object], n: int,
     rule = qualifier(g, exact_potential(g, potential), params, kind)
     counts = qualifying_side_counts(g, rule)
     return tuple(x for x in g.vertices if counts[x] >= n)
-
-
-def connected_subsets(g: Graph, s_max: int) -> Iterator[tuple[int, ...]]:
-    """All connected vertex sets of size <= s_max, yielded in (size, ids) order.
-
-    The sets are built on positions, which follow the sorted ids, one
-    (size, least vertex) group at a time and sorted within the group, so
-    memory holds one group, never the whole family; each is named by its
-    ids as it is yielded.  A bad `s_max` raises here, before any set is
-    built.
-    """
-    _check_s_max(s_max)
-    ids = g.vertices
-    return (tuple([ids[v] for v in s]) for s in _subsets_by_size(g.near, range(len(ids)), s_max))
 
 
 def _check_s_max(s_max: int) -> None:
@@ -350,9 +343,11 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
     only grows, and a nonvanishing side is also infinite.  A component with
     fewer than 2 flagged vertices has no such candidate and is not enumerated.
 
-    Every candidate's side orders come from one `_SideIndex`.  The scan
-    runs on vertex positions, which follow the sorted ids, and a block is
-    named by its ids once the family is complete.
+    Every candidate's side orders come from one `_SideIndex`, searched from
+    the flagged vertices, so it covers exactly the components that hold
+    one, and its flag sums pick the components to enumerate.  The scan runs
+    on vertex positions, which follow the sorted ids, and a block is named
+    by its ids once the family is complete.
     """
     _check_s_max(s_max)
     potential = exact_potential(g, potential)
@@ -360,13 +355,8 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
     flags = [list(map(int, map(qualifier(g, potential, params, kind), g.vertices)))
              for kind in _KINDS]
     nv, inf = _KINDS.index(NONVANISHING), _KINDS.index(INFINITE)
-    total_of: dict[int, list[int]] = {}  # per position, its component's flag sums
-    for comp in _components(g.near):
-        total = [sum(map(own.__getitem__, comp)) for own in flags]
-        if total[inf] >= 2:
-            total_of.update(dict.fromkeys(comp, total))
-    roots = sorted(total_of)
-    index = _SideIndex(g, roots, flags)
+    index = _SideIndex(g, [v for v, f in enumerate(flags[inf]) if f], flags)
+    roots = [v for v, i in enumerate(index.pos) if i >= 0 and index.total[i][inf] >= 2]
     candidates = _subsets_by_size(g.near, roots, s_max)
     used: set[int] = set()
     blocks: list[tuple[int, ...]] = []
@@ -375,7 +365,7 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
     for cand in candidates:
         if any(v in used for v in cand):
             continue
-        orders = index.orders(cand, total_of[cand[0]])
+        orders = index.orders(cand)
         if orders[nv] >= 3:
             blocks.append(cand)
             phases.append(1)
@@ -553,9 +543,26 @@ def qualifying_side_counts(g: Graph, qualifies: Callable[[int], bool]) -> dict[i
 
     One low-link DFS over the neighbour positions g carries, and one
     `graph._side_counts` pass over its forest.  Linear in the graph's size;
-    `analyze` reports these counts and `find_furcation_vertices` reads them.
-    The sweep runs the same pass on positions, over its clusters and its
-    kept forest, and does not call this.
+    `find_furcation_vertices` reads these counts, and `analyze` reports
+    them per component (`_component_rows`).  The sweep runs the same pass
+    on positions, over its clusters and its kept forest, and does not call
+    this.
     """
     own = [int(qualifies(v)) for v in g.vertices]
     return dict(zip(g.vertices, _side_counts(*_lowlink(g.near, range(len(g.near))), own)))
+
+
+def _component_rows(g: Graph, qualifies: Callable[[int], bool]) -> list[dict]:
+    """`analyze`'s row per component, ordered by least vertex: its size, its
+    least vertex, and for n = 1, 2, 3 how many of its vertices x have n or
+    more qualifying sides.  The rows are the runs (`graph._runs`) of the
+    one low-link DFS whose forest gives the side counts, as in
+    `qualifying_side_counts`."""
+    own = [int(qualifies(v)) for v in g.vertices]
+    order, parent, disc, low = _lowlink(g.near, range(len(g.near)))
+    counts = _side_counts(order, parent, disc, low, own)
+    ids = g.vertices
+    return [{"size": len(run), "least_vertex": ids[run[0]],
+             "furcation_vertex_counts": {str(n): sum(1 for v in run if counts[v] >= n)
+                                         for n in (1, 2, 3)}}
+            for run in _runs(order, parent)]

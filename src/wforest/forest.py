@@ -95,6 +95,13 @@ def _greedy(g: Graph, edges: Iterable[int]) -> tuple[list[int], list[int]]:
     return kept, deleted
 
 
+def _keys_on(g: Graph, order: EdgeOrder) -> list[int]:
+    """`order.keys`, which are by edge position, checked to be on g's edges."""
+    if order.graph is not g and order.graph.ordered_edges != g.ordered_edges:
+        raise ValueError("the edge order is on another graph")
+    return order.keys
+
+
 def maximal_subforest(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = ()) -> ForestResult:
     """Delete from each simple cycle its order-least edge outside `fixed`.
 
@@ -110,9 +117,7 @@ def maximal_subforest(g: Graph, order: EdgeOrder, fixed: Iterable[Edge] = ()) ->
             raise UnknownId(f"fixed edge {e} not in graph")
         pinned.append(i)
     pinned.sort()
-    if order.graph is not g and order.graph.ordered_edges != g.ordered_edges:
-        raise ValueError("the edge order is on another graph")  # keys are by its positions
-    edges, key = g.ordered_edges, order.keys
+    edges, key = g.ordered_edges, _keys_on(g, order)
     rest = sorted((i for i, e in enumerate(edges) if e not in h),
                   key=key.__getitem__, reverse=True)
     kept, deleted = _greedy(g, pinned + rest)
@@ -194,9 +199,7 @@ def check_cut_witnesses(g: Graph, result: ForestResult, order: EdgeOrder) -> Cut
     # a forest with t trees on n vertices has exactly n - t edges
     if len(kept) != len(g.vertices) - rooted.trees:
         raise InvariantViolation("kept edges close a cycle")
-    if order.graph is not g and order.graph.ordered_edges != g.ordered_edges:
-        raise ValueError("the edge order is on another graph")  # keys are by its positions
-    key = [None if e in result.fixed else k for e, k in zip(names, order.keys)]
+    key = [None if e in result.fixed else k for e, k in zip(names, _keys_on(g, order))]
     violations, witnesses = _scan_witnesses(
         g, rooted, key, _host_edges(g, result.deleted), range(len(names)))
     return CutWitnessReport(

@@ -13,14 +13,15 @@ out on dense integer positions once: a vertex is its index in the sorted
 positions and each vertex's neighbour positions.  Every low-link DFS,
 union-find and rooting in the package reads that layout, and this module
 owns the traversals on it: `_root`, the one breadth-first forest of a set
-of edge positions, with `_path` to climb it, and `_components`, the one
-breadth-first search of all components, with `_bfs`, one search from a
-position within a set.  `_side_counts` is the one side count: a pass over
-a rooted spanning forest, which `_lowlink` gives of any graph and `_root`
-of a forest.  ``near`` is the one neighbour structure and
-``ordered_edges`` the one edge list: `_at` finds an id's position by
-bisecting the sorted ids, `_edge_at` an edge's by bisecting the edges, and
-`_host_edges` checks a whole edge set in one pass over them.  Per-vertex
+of edge positions, with `_path` to climb it, `_bfs`, one search from a
+position within a set, and `_lowlink`, the one search of all components: a
+depth-first search whose preorder `_runs` splits into the components.
+`_side_counts` is the one side count: a pass over a rooted spanning
+forest, which `_lowlink` gives of any graph and `_root` of a forest.
+``near`` is the one neighbour structure and ``ordered_edges`` the one edge
+list: `_at` finds an id's position by bisecting the sorted ids, `_edge_at`
+an edge's by bisecting the edges, and `_host_edges` checks a whole edge
+set in one pass over them.  Per-vertex
 "level" integers and truncation-boundary flags are carried in
 ``Graph.meta`` (keys ``"levels"`` and ``"boundary"``) because only the
 generator that built a truncation knows which vertices are artifacts of
@@ -139,28 +140,8 @@ def build_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]],
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by least id."""
     ids = g.vertices
-    return [tuple([ids[v] for v in sorted(comp)]) for comp in _components(g.near)]
-
-
-def _components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The components of the graph on positions 0..n-1 with neighbour lists
-    `adj`, by one breadth-first search each: in search order from their
-    least position, and ordered by it."""
-    n = len(adj)
-    seen = [False] * n
-    out = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        for x in comp:
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-        out.append(comp)
-    return out
+    order, parent, _, _ = _lowlink(g.near, range(len(ids)))
+    return [tuple([ids[v] for v in sorted(run)]) for run in _runs(order, parent)]
 
 
 def _bfs(adj: Sequence[Sequence[int]], root: int, keep=None) -> dict[int, int | None]:
@@ -335,6 +316,18 @@ def _lowlink(adj: Sequence[Sequence[int]], roots: Iterable[int]):
                 if p >= 0 and low[v] < low[p]:
                     low[p] = low[v]
     return order, parent, disc, low
+
+
+def _runs(order: Sequence[int], parent: Sequence[int]) -> list[list[int]]:
+    """The trees of a `_lowlink` forest, each the run of its preorder that
+    starts at its root; from roots taken in increasing position, a root is
+    its component's least position."""
+    runs: list[list[int]] = []
+    for v in order:
+        if parent[v] < 0:
+            runs.append([])
+        runs[-1].append(v)
+    return runs
 
 
 def _side_counts(order: Sequence[int], parent: Sequence[int], disc: Sequence[int],

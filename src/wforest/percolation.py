@@ -12,12 +12,12 @@ carries each edge's end positions.  A sweep ranks its host's potential
 on positions once (`_Host`); each run then keeps its open edges, label
 ranks, keys, clusters, union-find forest and rooting in lists, and names a
 vertex by its id only in a record's basepoints and in a message.  The
-clusters and the rooting are `graph`'s two breadth-first traversals on
-positions, `_components` and `_root`, and both the clusters' and the
-kept trees' side counts are `graph._side_counts`, over the low-link forest
-of the clusters and over the rooting.
-`bernoulli_sample`, `assign_labels`, `fwmsf` and `cluster_report` translate
-edges and vertices into that same core and back.
+clusters are the runs of one `graph._lowlink` search of the open subgraph
+and the rooting is `graph._root`, and both the clusters' and the kept
+trees' side counts are `graph._side_counts`, over that search's forest and
+over the rooting.  `bernoulli_sample`, `assign_labels` and `cluster_report`
+translate edges and vertices into that same core and back, and `fwmsf` is
+`forest.maximal_subforest` on the open subgraph under the label tiebreak.
 """
 
 from bisect import bisect_left
@@ -32,12 +32,12 @@ from .errors import (
     NotAutomorphism,
     NotWeightPreserving,
 )
-from .forest import ForestResult, _greedy, _scan_witnesses
-from .graph import (Edge, Graph, _components, _host_edges, _lowlink, _root, _side_counts,
+from .forest import ForestResult, _greedy, _scan_witnesses, maximal_subforest
+from .graph import (Edge, Graph, _host_edges, _lowlink, _root, _runs, _side_counts,
                     compact_json, components, edge, spanned_subgraph)
 from .rng import check_seed, subseed, threshold, u64s
-from .weights import (ProxyParams, RankedPotential, _edge_keys, _lesser_ranks, exact_potential,
-                      ranked_potential)
+from .weights import (EdgeOrder, ProxyParams, RankedPotential, _edge_keys, _lesser_ranks,
+                      exact_potential, ranked_potential)
 
 # Clusters per sweep run whose heaviest vertex is a visibility basepoint.
 VISIBILITY_BASEPOINTS = 8
@@ -127,7 +127,7 @@ def _host(g: Graph, ranked: RankedPotential) -> _Host:
 
 
 def _keys(host: _Host, opened: list[int],
-          label: Sequence[int] | Mapping[int, int]) -> tuple[list[int | None], list[int]]:
+          label: Sequence[int]) -> tuple[list[int | None], list[int]]:
     """`weights._edge_keys` on the open edges by decreasing label `label`
     (by edge position), as `EdgeOrder` keys the open subgraph under that
     tiebreak, and the open edges in decreasing key order."""
@@ -143,28 +143,25 @@ def fwmsf(cfg: PercolationConfig, potential: Mapping[int, object],
           labels: LabelAssignment) -> ForestResult:
     """Weighted maximal subforest of the open subgraph under the random
     tiebreak; the weighted generalization of the free minimal forest."""
-    host = _host(cfg.host, ranked_potential(cfg.host, potential))
-    opened = _host_edges(cfg.host, cfg.open_edges)
-    names = cfg.host.ordered_edges
-    _, desc = _keys(host, opened, {i: labels.labels[names[i]] for i in opened})
-    kept, deleted = _greedy(cfg.host, desc)
-    return ForestResult(kept=frozenset(map(names.__getitem__, kept)),
-                        deleted=frozenset(map(names.__getitem__, deleted)), fixed=frozenset())
+    sub = spanned_subgraph(cfg.host, cfg.open_edges)
+    return maximal_subforest(sub, EdgeOrder(sub, potential,
+                                            _by_label(labels.labels, sub.ordered_edges)))
 
 
-def _clusters(host: _Host, opened: list[int]
-              ) -> tuple[list[list[int]], list[int], list[list[int]]]:
-    """The clusters of the open subgraph, by `graph._components` over its
-    adjacency lists, in search order from their least vertex and ordered by
-    it.  Returns them, each one's greatest vertex rank, and the adjacency
-    lists."""
+def _clusters(host: _Host, opened: list[int]) -> tuple[list[list[int]], list[int], tuple]:
+    """The clusters of the open subgraph, from one `graph._lowlink` search
+    over its adjacency lists from every vertex in turn: each the run of the
+    search's preorder from its least vertex, and ordered by it.  Returns
+    them, each one's greatest vertex rank, and the search's (order, parent,
+    disc, low)."""
     eu, ev, rank = host.g.eu, host.g.ev, host.rank
     adj: list[list[int]] = [[] for _ in rank]
     for i in opened:
         adj[eu[i]].append(ev[i])
         adj[ev[i]].append(eu[i])
-    clusters = _components(adj)
-    return clusters, [max(map(rank.__getitem__, comp)) for comp in clusters], adj
+    dfs = _lowlink(adj, range(len(adj)))
+    clusters = _runs(dfs[0], dfs[1])
+    return clusters, [max(map(rank.__getitem__, comp)) for comp in clusters], dfs
 
 
 def _nonvanishing(host: _Host, clusters: list[list[int]], tops: list[int],
@@ -196,7 +193,7 @@ class _ClusterStat(NamedTuple):
     side_max: int
 
 
-def _cluster_report(host: _Host, adj: list[list[int]], clusters: list[list[int]],
+def _cluster_report(host: _Host, dfs: tuple, clusters: list[list[int]],
                     tops: list[int], own: list[int],
                     params: ProxyParams) -> tuple[list[_ClusterStat], dict]:
     """`cluster_report` on positions: each cluster's mass, class and side
@@ -204,30 +201,23 @@ def _cluster_report(host: _Host, adj: list[list[int]], clusters: list[list[int]]
     cluster is heavy when its mass relative to its heaviest vertex is at
     least heavy_tau, or when it holds a nonvanishing vertex.
 
-    Only the clusters with two or more nonvanishing vertices run the low-link
-    DFS for their side counts, all in one `graph._side_counts` pass.  With
-    none, every count is 0; with one, q, every other vertex has q on exactly
-    one of its sides and q has none, so the greatest count is 1 unless q is
-    alone.
+    The side counts of every cluster come from one `graph._side_counts`
+    pass over `dfs`, the (order, parent, disc, low) of the search that
+    found the clusters (`_clusters`).
     """
     levels, rank = host.levels, host.rank
-    hits = [sum(map(own.__getitem__, comp)) for comp in clusters]
-    side = _side_counts(*_lowlink(adj, [comp[0] for comp, h in zip(clusters, hits) if h >= 2]),
-                        own)
+    side = _side_counts(*dfs, own)
     stats = []
     n_heavy = 0
-    for comp, top, h in zip(clusters, tops, hits):
-        if h >= 2:
-            side_max = max(map(side.__getitem__, comp))
-        else:
-            side_max = int(h == 1 and len(comp) > 1)
+    for comp, top in zip(clusters, tops):
+        side_max = max(map(side.__getitem__, comp))
         if len(comp) == 1:
             mass = Fraction(1)  # a vertex relative to itself
         else:
             # the exact potential sum, one Fraction product per distinct value
             per_level = Counter(map(rank.__getitem__, comp))
             mass = sum(levels[r] * n for r, n in per_level.items()) / levels[top]
-        heavy = mass >= params.heavy_tau or h > 0
+        heavy = mass >= params.heavy_tau or any(map(own.__getitem__, comp))
         n_heavy += heavy
         stats.append(_ClusterStat(mass, "heavy" if heavy else "light", side_max))
     counts = {
@@ -257,9 +247,9 @@ def cluster_report(cfg: PercolationConfig, potential: Mapping[int, object],
     heaviest vertex, heavy/light proxy classes, and the max number of
     nonvanishing-proxy sides over single-vertex furcations."""
     host = _host(cfg.host, ranked_potential(cfg.host, potential))
-    clusters, tops, adj = _clusters(host, _host_edges(cfg.host, cfg.open_edges))
+    clusters, tops, dfs = _clusters(host, _host_edges(cfg.host, cfg.open_edges))
     own = _nonvanishing(host, clusters, tops, params.nonvanish_delta)
-    stats, counts = _cluster_report(host, adj, clusters, tops, own, params)
+    stats, counts = _cluster_report(host, dfs, clusters, tops, own, params)
     ids = cfg.host.vertices
     infos = tuple(ClusterInfo(vertices=tuple(sorted(map(ids.__getitem__, comp))), mass=s.mass,
                               cls=s.cls, nonvanishing_side_count_max=s.side_max)
@@ -340,7 +330,7 @@ def _run_once(host: _Host, params: ProxyParams, job: tuple[float, int, int]) -> 
     labels = u64s(run_seed, "label", m)
     key, desc = _keys(host, opened, labels)
     kept, deleted = _greedy(g, desc)
-    clusters, tops, adj = _clusters(host, opened)
+    clusters, tops, dfs = _clusters(host, opened)
     # a forest has n - |kept| trees; kept is one (checked once it is rooted),
     # so its trees are exactly the clusters iff the counts agree, and the
     # tree stages below rely on it
@@ -351,7 +341,7 @@ def _run_once(host: _Host, params: ProxyParams, job: tuple[float, int, int]) -> 
             f"{len(clusters)} clusters (p={p}, seed={run_seed}, trial={trial})")
     # the 0/1 nonvanishing flags, read by the cluster and the tree counts
     own = _nonvanishing(host, clusters, tops, params.nonvanish_delta)
-    stats, counts = _cluster_report(host, adj, clusters, tops, own, params)
+    stats, counts = _cluster_report(host, dfs, clusters, tops, own, params)
 
     # the kept forest, rooted once for its side counts and its witnesses
     rooted = _root(g, kept)

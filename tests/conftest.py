@@ -22,7 +22,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import pytest
 
@@ -33,7 +33,8 @@ from wforest.ends import (
     FurcationFamily,
     ProxyParams,
     QuotientGraph,
-    connected_subsets,
+    _check_s_max,
+    _subsets_by_size,
     qualifier,
     qualifying_side_counts,
 )
@@ -523,6 +524,17 @@ def _side_orders(adj: Mapping[int, tuple[int, ...]], F: Iterable[int],
         rest = total[k] - own[k] - sum(c[k] for c in finished)
         orders.append(sum(1 for c in finished if c[k]) + (rest > 0))
     return orders
+
+
+def connected_subsets(g: Graph, s_max: int) -> Iterator[tuple[int, ...]]:
+    """All connected vertex sets of size <= s_max, yielded in (size, ids)
+    order: the enumeration `ends.maximal_disjoint_furcations` streams, from
+    every vertex, each set named by its ids.  A bad `s_max` raises here,
+    before any set is built.  The tests hold it equal to a brute-force scan
+    of vertex combinations."""
+    _check_s_max(s_max)
+    ids = g.vertices
+    return (tuple([ids[v] for v in s]) for s in _subsets_by_size(g.near, range(len(ids)), s_max))
 
 
 def furcation_family_oracle(g: Graph, potential, params: ProxyParams,

@@ -14,7 +14,6 @@ from wforest.ends import (
     ProxyParams,
     _SideIndex,
     collapsed_maximal_subforest,
-    connected_subsets,
     find_furcation_vertices,
     maximal_disjoint_furcations,
     qualifier,
@@ -39,6 +38,7 @@ from conftest import (
     _side_orders,
     adjacency,
     brute_visibility,
+    connected_subsets,
     edge_set,
     furcation_family_oracle,
     greedy_max_forest,
@@ -684,8 +684,11 @@ def _positions(g, F):
 
 
 def _side_index(g, pot, params):
-    """The side index `maximal_disjoint_furcations` builds for g, the
-    id-keyed marks, and each indexed vertex id's component totals."""
+    """A side index of g's components with two or more flagged vertices,
+    each searched from its least vertex, the id-keyed marks, and each
+    indexed vertex id's component totals.  `maximal_disjoint_furcations`
+    searches from the flagged vertices instead; the index answers the same
+    from any roots."""
     marks = qualifying_marks(g, pot, params)
     total_of = {}
     for comp in components(g):
@@ -721,7 +724,7 @@ def _index_rules(g, pot, params, s_max, rules):
             total = total_of[cand[0]]
             F = _positions(g, cand)
             rule = _rule(index, g, F)
-            got = index.orders(F, total)
+            got = index.orders(F)
             assert got == _side_orders(adj, cand, marks, total), \
                 (rule, cand, sorted(edge_set(g)), marks)
             rules[rule] += 1
@@ -766,9 +769,61 @@ def test_side_index_joins_pieces(edges, boundary, cand, want):
     index, marks, total_of = _side_index(g, pot, params)
     F = _positions(g, cand)
     assert _rule(index, g, F) == "c"
-    got = index.orders(F, total_of[cand[0]])
+    got = index.orders(F)
     assert got == _side_orders(adjacency(g), cand, marks, total_of[cand[0]])
     assert got == [sides_order(g, pot, cand, params, kind) for kind in _KINDS] == [want] * 2
+
+
+def test_side_index_roots_at_flagged_vertices(monkeypatch):
+    """The family's side index is searched from the flagged vertices only:
+    it covers every component that holds one, among them an isolated
+    flagged vertex and a path flagged at one end, and no other; its counts
+    there equal the oracle's on every candidate, and the family asks it
+    about none in a component with fewer than two flagged vertices."""
+    import wforest.ends as ends
+
+    built = []
+
+    class Recorded(ends._SideIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.asked = []
+            built.append(self)
+
+        def orders(self, F):
+            self.asked.append(F)
+            return super().orders(F)
+
+    monkeypatch.setattr(ends, "_SideIndex", Recorded)
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4),  # a 4-cycle and a pendant, 2 flags
+             (5, 6), (6, 7),                          # a path flagged at its end 7
+             (8, 9), (9, 10), (8, 10),                # a triangle, no flag
+             (11, 12), (11, 13), (11, 14)]            # a star flagged at its leaves
+    boundary = {2, 4, 7, 12, 13, 14, 15}              # and 15 flagged alone, 16 not
+    g = build_graph(range(17), edges, meta={"boundary": frozenset(boundary)})
+    comps = components(g)
+    assert [sum(v in boundary for v in c) for c in comps] == [2, 1, 0, 3, 1, 0]
+    light = {v: F(1, 2) if v in (4, 13) else 1 for v in g.vertices}
+    # at unit weights the star's centre has three nonvanishing sides and
+    # the cycle's 3 two; two light leaves move both a phase down
+    for pot, phases in ((unit_potential(g), (1, 2)), (light, (2, 3))):
+        for s_max in (1, 2, 3):
+            built.clear()
+            got = maximal_disjoint_furcations(g, pot, ProxyParams(), s_max=s_max)
+            assert got == furcation_family_oracle(g, pot, ProxyParams(), s_max=s_max)
+            assert got.blocks == ((11,), (3,)) and got.phases == phases
+            (index,) = built
+            covered = {v for v, i in zip(g.vertices, index.pos) if i >= 0}
+            assert covered == {v for c in comps if set(c) & boundary for v in c}
+            enumerated = {v for c in comps if len(set(c) & boundary) >= 2 for v in c}
+            assert index.asked and all(set(F) <= enumerated for F in index.asked)
+        marks = qualifying_marks(g, pot, ProxyParams())
+        adj = adjacency(g)
+        for cand in connected_subsets(g, 3):
+            if cand[0] in covered:
+                comp = next(c for c in comps if cand[0] in c)
+                assert index.orders(_positions(g, cand)) == \
+                    _side_orders(adj, cand, marks, mark_totals(marks, comp)), cand
 
 
 def test_furcation_order_equals_sides_count(rand):
