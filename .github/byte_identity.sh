@@ -32,7 +32,8 @@ outputs=(gp.json box.json windmill.json tree.json cycle.json gnm.json fp.json
          gpx-collapse4.json gpx-family4.json gpx-analyze4.json
          gpx-sweep.jsonl gpx-sweep.csv tree-sweep.jsonl tree-sweep.csv tree-analyze.json
          multi-collapse.json multi-family.json multi-analyze.json multi-sweep.jsonl
-         multi-sweep.csv library.out)
+         multi-sweep.csv gp-collapse-d16.json gp-family-d16.json gp-analyze-d16.json
+         gp-collapse-d3_64.json gp-family-d3_64.json gp-analyze-d3_64.json library.out)
 demos=(01_weighted_forest_basics 02_grandparent_weights 03_windmill_collapse
        04_percolation_sweep)
 for d in "${demos[@]}"; do
@@ -118,6 +119,15 @@ run_tree() {
             -o gp-collapse4.json --family-out gp-family4.json
         wf analyze gp.json levels.json --smax 4 -o gp-analyze4.json
         wf analyze box.json unit.json -o box-analyze.json
+        # the nonvanishing cut at a delta that is a level value, 1/16, so the
+        # vertices at exactly delta qualify, and at one strictly between two
+        # levels, 3/64
+        wf collapse gp.json levels.json --delta 1/16 \
+            -o gp-collapse-d16.json --family-out gp-family-d16.json
+        wf analyze gp.json levels.json --delta 1/16 -o gp-analyze-d16.json
+        wf collapse gp.json levels.json --delta 3/64 \
+            -o gp-collapse-d3_64.json --family-out gp-family-d3_64.json
+        wf analyze gp.json levels.json --delta 3/64 -o gp-analyze-d3_64.json
         # a 4-block family in a 144-vertex host, whose quotient edges are
         # mostly host edges; and the 9-cycle, unflagged, whose family is
         # empty and whose quotient is the host itself

@@ -308,29 +308,22 @@ def cmd_collapse(args, argv) -> int:
 
 
 def cmd_analyze(args, argv) -> int:
-    from .ends import (
-        ProxyParams,
-        _component_rows,
-        maximal_disjoint_furcations,
-        qualifier,
-        quotient,
-        visibility_masses,
-    )
-    from .weights import exact_potential
+    from .ends import ProxyParams, _component_rows, _family, _quotient, _visibility_masses
+    from .weights import _host
 
     g = load_graph(args.graph)
-    potential = exact_potential(g, load_weights(args.weights, g))
+    host = _host(g, load_weights(args.weights, g))  # read by every stage below
     params = ProxyParams(nonvanish_delta=args.delta)
     if args.max_basepoints < 1:
         raise BadParams(f"--max-basepoints must be >= 1, got {args.max_basepoints}")
-    comps = _component_rows(g, qualifier(g, potential, params))
-    family = maximal_disjoint_furcations(g, potential, params, s_max=args.smax)
-    quot = quotient(g, potential, family.blocks)
+    comps = _component_rows(host, params)
+    family = _family(host, params, args.smax)
+    quot = _quotient(host, family.blocks)
     verts = list(g.vertices)
     if len(verts) > args.max_basepoints:
         stride = len(verts) / args.max_basepoints
         verts = [verts[int(i * stride)] for i in range(args.max_basepoints)]
-    mass_of = visibility_masses(g, potential)
+    mass_of = _visibility_masses(host)
     masses = sorted(float(mass_of[x]) for x in verts)
     quantiles = {}
     for q in (0.0, 0.25, 0.5, 0.75, 1.0):

@@ -7,6 +7,9 @@ truncation-boundary vertex, and nonvanishing-proxy when it reaches one whose
 potential is at least ``nonvanish_delta`` (in the scale of the potential
 passed in, i.e. relative to its basepoint).  Every report carries the active
 ProxyParams (from `weights`) so results stay honest about the approximation.
+Each public function prepares its input once (`weights._host`) and runs a
+private core on it, which `analyze` and the collapse call on the one host
+they prepare; `_flags` is `qualifier` as a rank cut on positions.
 """
 
 from bisect import bisect_left
@@ -26,7 +29,7 @@ from .graph import (
     _vertex_set,
     edge,
 )
-from .weights import EdgeOrder, ProxyParams, _positive_weight, exact_potential, ranked_potential
+from .weights import EdgeOrder, ProxyParams, _host, _Host, _positive_weight
 
 if TYPE_CHECKING:  # `collapsed_maximal_subforest` imports forest, which `analyze` never runs
     from .forest import ForestResult
@@ -48,20 +51,31 @@ def qualifier(g: Graph, potential: Mapping[int, object], params: ProxyParams,
     about a flagged vertex it lacks.
     """
     flagged = g.boundary_vertices()
-    if kind == NONVANISHING:
-        delta = params.nonvanish_delta
-        values = {v: _positive_weight(x) for v, x in potential.items()}
-
-        def rule(v: int) -> bool:
-            if v not in flagged:
-                return False
-            if v not in values:
-                raise MissingVertex(f"potential missing flagged vertex {v}")
-            return values[v] >= delta
-        return rule
+    values = {v: _positive_weight(x) for v, x in potential.items()}
     if kind == INFINITE:
         return flagged.__contains__
-    raise ValueError(f"unknown side kind {kind!r}")
+    if kind != NONVANISHING:
+        raise ValueError(f"unknown side kind {kind!r}")
+
+    def rule(v: int) -> bool:
+        if v not in flagged:
+            return False
+        if v not in values:
+            raise MissingVertex(f"potential missing flagged vertex {v}")
+        return values[v] >= params.nonvanish_delta
+    return rule
+
+
+def _flags(host: _Host, params: ProxyParams, kind: str) -> list[int]:
+    """Each position's 0/1 `qualifier` flag of `kind` on a prepared host: a
+    value is at least nonvanish_delta exactly when its rank is at least the
+    first level position not below it (`bisect_left`)."""
+    if kind == INFINITE:
+        return list(map(int, host.flagged))
+    if kind != NONVANISHING:
+        raise ValueError(f"unknown side kind {kind!r}")
+    cut = bisect_left(host.levels, params.nonvanish_delta)
+    return [int(f and r >= cut) for f, r in zip(host.flagged, host.rank)]
 
 
 class _SideIndex:
@@ -254,9 +268,9 @@ def find_furcation_vertices(g: Graph, potential: Mapping[int, object], n: int,
                             params: ProxyParams,
                             kind: str = NONVANISHING) -> tuple[int, ...]:
     """Vertices x whose singleton {x} has at least n qualifying sides."""
-    rule = qualifier(g, exact_potential(g, potential), params, kind)
-    counts = qualifying_side_counts(g, rule)
-    return tuple(x for x in g.vertices if counts[x] >= n)
+    own = _flags(_host(g, potential), params, kind)
+    counts = _side_counts(*_lowlink(g.near, range(len(g.near))), own)
+    return tuple(x for x, c in zip(g.vertices, counts) if c >= n)
 
 
 def _check_s_max(s_max: int) -> None:
@@ -349,13 +363,15 @@ def maximal_disjoint_furcations(g: Graph, potential: Mapping[int, object],
     on vertex positions, which follow the sorted ids, and a block is named
     by its ids once the family is complete.
     """
+    return _family(_host(g, potential), params, s_max)
+
+
+def _family(host: _Host, params: ProxyParams, s_max: int) -> FurcationFamily:
+    """`maximal_disjoint_furcations` on a prepared host."""
     _check_s_max(s_max)
-    potential = exact_potential(g, potential)
-    # per kind, each position's 0/1 flag: `qualifier` runs once per vertex
-    flags = [list(map(int, map(qualifier(g, potential, params, kind), g.vertices)))
-             for kind in _KINDS]
+    g, flags = host.g, [_flags(host, params, kind) for kind in _KINDS]
     nv, inf = _KINDS.index(NONVANISHING), _KINDS.index(INFINITE)
-    index = _SideIndex(g, [v for v, f in enumerate(flags[inf]) if f], flags)
+    index = _SideIndex(g, [v for v, f in enumerate(host.flagged) if f], flags)
     roots = [v for v, i in enumerate(index.pos) if i >= 0 and index.total[i][inf] >= 2]
     candidates = _subsets_by_size(g.near, roots, s_max)
     used: set[int] = set()
@@ -405,9 +421,16 @@ def quotient(g: Graph, potential: Mapping[int, object],
     blocks come out sorted by id; one pass over the canonical edge order
     keeps, per quotient edge, the first host edge with the greatest ranks.
     """
+    return _quotient(_host(g, potential), family)
+
+
+def _quotient(host: _Host, family: Iterable[tuple[int, ...]]) -> QuotientGraph:
+    """`quotient` on a prepared host."""
+    g, levels, rank = host.g, host.levels, host.rank
     fam = tuple(tuple(sorted(b)) for b in family)
     block_of: dict[int, int] = {}
     inner_trees: dict[int, frozenset[Edge]] = {}
+    lead = {}  # per family block's least member, the block and its greatest rank
     ids = g.vertices
     for b in fam:
         inside = {_at(g, v) for v in _vertex_set(g, b)}
@@ -418,32 +441,31 @@ def quotient(g: Graph, potential: Mapping[int, object],
             raise NotConnected(f"family block {b} is not connected")
         inner_trees[b[0]] = frozenset(edge(ids[p], ids[y])
                                       for y, p in tree.items() if p is not None)
+        lead[b[0]] = b, max(map(rank.__getitem__, inside))
         for v in b:
             if v in block_of:
                 raise OverlappingBlocks(f"vertex {v} lies in two family blocks")
             block_of[v] = b[0]
     merged = set(block_of)  # the vertices of the family's blocks
-    values, levels, rank = ranked_potential(g, potential)
-    lead = {b[0]: b for b in fam}
     blocks, qpotential = [], {}
-    for v in g.vertices:
+    for i, v in enumerate(ids):
         if block_of.setdefault(v, v) == v:  # v is its block's least member
-            b = lead.get(v)
-            blocks.append(b or (v,))
-            qpotential[v] = values[v] if b is None else levels[max(map(rank.__getitem__, b))]
+            b, r = lead.get(v, ((v,), rank[i]))
+            blocks.append(b)
+            qpotential[v] = levels[r]
     lift, best = {}, {}  # per quotient edge, its host edge and that edge's end ranks
-    for e in g.ordered_edges:
+    for i, e in enumerate(g.ordered_edges):
         u, v = e
         if u not in merged and v not in merged:  # the one host edge of its quotient edge
             lift[e] = e
             continue
         bu, bv = block_of[u], block_of[v]
         if bu != bv:
-            a, b = rank[u], rank[v]
+            a, b = rank[g.eu[i]], rank[g.ev[i]]
             pots, qe = ((a, b) if a > b else (b, a)), edge(bu, bv)  # greater rank first
             if pots > best.get(qe, (-1,)):  # so a tie keeps the lesser edge
                 lift[qe], best[qe] = e, pots
-    qboundary = frozenset(block_of[v] for v in g.boundary_vertices() if v in block_of)
+    qboundary = frozenset(block_of[ids[v]] for v, f in enumerate(host.flagged) if f)
     # the block ids are vertices of g and the keys canonical edges: nothing to validate
     qgraph = _subgraph(list(qpotential), tuple(sorted(lift)),
                        {"generator": "quotient", "boundary": qboundary})
@@ -473,12 +495,13 @@ def collapsed_maximal_subforest(g: Graph, potential: Mapping[int, object],
 
     The quotient tiebreak is the host tiebreak kept at the lifts and read
     as their quotient edges, so the pipeline is a pure function of its inputs.
+    The family and the quotient read the host order's prepared host.
     """
     from .forest import ForestResult, maximal_subforest
 
     host_order = EdgeOrder(g, potential, tiebreak)
-    family = maximal_disjoint_furcations(g, potential, params, s_max=s_max)
-    quot = quotient(g, potential, family.blocks)
+    family = _family(host_order.host, params, s_max)
+    quot = _quotient(host_order.host, family.blocks)
     down = {lifted: qe for qe, lifted in quot.lift.items()}
     qorder = EdgeOrder(quot.qgraph, quot.qpotential,
                        [down[e] for e in host_order.tiebreak if e in down])
@@ -501,20 +524,23 @@ def visibility_masses(g: Graph, potential: Mapping[int, object]) -> dict[int, Fr
     the group is its set's sum over potential[x].  This is the component
     tree of Najman and Couprie (2006) on Tarjan's union-find (1975), a list
     over vertex positions, by size with path halving, as in
-    `forest._greedy`.  The groups are the potential's `ranked_potential`
-    ranks, so no `Fraction` is hashed or sorted here.
+    `forest._greedy`.  The groups are the prepared host's ranks (`_host`),
+    so no `Fraction` is hashed or sorted here.
     """
-    ranked = ranked_potential(g, potential)
-    ids, adj = g.vertices, g.near
-    rank = list(map(ranked.rank.__getitem__, ids))
-    groups: list[list[int]] = [[] for _ in ranked.levels]
+    return _visibility_masses(_host(g, potential))
+
+
+def _visibility_masses(host: _Host) -> dict[int, Fraction]:
+    """`visibility_masses` on a prepared host."""
+    ids, adj, levels, rank = host.g.vertices, host.g.near, host.levels, host.rank
+    groups: list[list[int]] = [[] for _ in levels]
     for v, r in enumerate(rank):
         groups[r].append(v)
     parent = list(range(len(ids)))
     size = [1] * len(ids)
-    total = list(map(ranked.levels.__getitem__, rank))  # per root, its set's sum
+    total = list(map(levels.__getitem__, rank))  # per root, its set's sum
     masses = {}
-    for r, (level, group) in enumerate(zip(ranked.levels, groups)):
+    for r, (level, group) in enumerate(zip(levels, groups)):
         for v in group:
             for y in adj[v]:
                 if rank[y] <= r:  # y has joined
@@ -543,25 +569,23 @@ def qualifying_side_counts(g: Graph, qualifies: Callable[[int], bool]) -> dict[i
 
     One low-link DFS over the neighbour positions g carries, and one
     `graph._side_counts` pass over its forest.  Linear in the graph's size;
-    `find_furcation_vertices` reads these counts, and `analyze` reports
-    them per component (`_component_rows`).  The sweep runs the same pass
-    on positions, over its clusters and its kept forest, and does not call
-    this.
+    `find_furcation_vertices` and `analyze`'s per-component rows
+    (`_component_rows`) run the same pass on their `_flags`, and the sweep
+    runs it over its clusters and its kept forest.
     """
     own = [int(qualifies(v)) for v in g.vertices]
     return dict(zip(g.vertices, _side_counts(*_lowlink(g.near, range(len(g.near))), own)))
 
 
-def _component_rows(g: Graph, qualifies: Callable[[int], bool]) -> list[dict]:
-    """`analyze`'s row per component, ordered by least vertex: its size, its
-    least vertex, and for n = 1, 2, 3 how many of its vertices x have n or
-    more qualifying sides.  The rows are the runs (`graph._runs`) of the
-    one low-link DFS whose forest gives the side counts, as in
-    `qualifying_side_counts`."""
-    own = [int(qualifies(v)) for v in g.vertices]
-    order, parent, disc, low = _lowlink(g.near, range(len(g.near)))
-    counts = _side_counts(order, parent, disc, low, own)
-    ids = g.vertices
+def _component_rows(host: _Host, params: ProxyParams) -> list[dict]:
+    """`analyze`'s row per component of a prepared host, ordered by least
+    vertex: its size, its least vertex, and for n = 1, 2, 3 how many of its
+    vertices x have n or more nonvanishing sides.  The rows are the runs
+    (`graph._runs`) of the one low-link DFS whose forest gives the side
+    counts, as in `qualifying_side_counts`."""
+    order, parent, disc, low = _lowlink(host.g.near, range(len(host.rank)))
+    counts = _side_counts(order, parent, disc, low, _flags(host, params, NONVANISHING))
+    ids = host.g.vertices
     return [{"size": len(run), "least_vertex": ids[run[0]],
              "furcation_vertex_counts": {str(n): sum(1 for v in run if counts[v] >= n)
                                          for n in (1, 2, 3)}}

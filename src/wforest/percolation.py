@@ -8,14 +8,15 @@ configurations across p, and records are byte-reproducible.
 Every stage runs on the host graph's dense integer positions, as `forest`
 does: a vertex is its position in ``g.vertices`` and an edge its position
 in ``g.ordered_edges``, the index its draws are keyed by, and the graph
-carries each edge's end positions.  A sweep ranks its host's potential
-on positions once (`_Host`); each run then keeps its open edges, label
-ranks, keys, clusters, union-find forest and rooting in lists, and names a
-vertex by its id only in a record's basepoints and in a message.  The
-clusters are the runs of one `graph._lowlink` search of the open subgraph
-and the rooting is `graph._root`, and both the clusters' and the kept
-trees' side counts are `graph._side_counts`, over that search's forest and
-over the rooting.  `bernoulli_sample`, `assign_labels` and `cluster_report`
+carries each edge's end positions.  A sweep prepares its host once
+(`weights._host`: the potential validated and ranked on positions, and the
+boundary flags); each run then keeps its open edges, label ranks, keys,
+clusters, union-find forest and rooting in lists, and names a vertex by
+its id only in a record's basepoints and in a message.  The clusters are
+the runs of one `graph._lowlink` search of the open subgraph and the
+rooting is `graph._root`, and both the clusters' and the kept trees' side
+counts are `graph._side_counts`, over that search's forest and over the
+rooting.  `bernoulli_sample`, `assign_labels` and `cluster_report`
 translate edges and vertices into that same core and back, and `fwmsf` is
 `forest.maximal_subforest` on the open subgraph under the label tiebreak.
 """
@@ -36,8 +37,7 @@ from .forest import ForestResult, _greedy, _scan_witnesses, maximal_subforest
 from .graph import (Edge, Graph, _host_edges, _lowlink, _root, _runs, _side_counts,
                     compact_json, components, edge, spanned_subgraph)
 from .rng import check_seed, subseed, threshold, u64s
-from .weights import (EdgeOrder, ProxyParams, RankedPotential, _edge_keys, _lesser_ranks,
-                      exact_potential, ranked_potential)
+from .weights import EdgeOrder, ProxyParams, _edge_keys, _host, _Host, exact_potential
 
 # Clusters per sweep run whose heaviest vertex is a visibility basepoint.
 VISIBILITY_BASEPOINTS = 8
@@ -107,23 +107,6 @@ def assign_labels(g: Graph, seed: int) -> LabelAssignment:
             es.sort()
             collisions.extend((es[i], es[i + 1]) for i in range(len(es) - 1))
     return LabelAssignment(labels=labels, collisions=tuple(collisions))
-
-
-class _Host(NamedTuple):
-    """A graph and a ranked potential on its positions, built once per
-    sweep: the open subgraph of every run has the host's vertex set, so the
-    host's ranks serve it unchanged."""
-    g: Graph
-    low: list[int]           # per edge, the lesser potential rank of its ends
-    rank: list[int]          # per vertex, its potential rank
-    levels: list[Fraction]   # the distinct potential values, increasing
-    flagged: list[bool]      # per vertex, its truncation-boundary flag
-
-
-def _host(g: Graph, ranked: RankedPotential) -> _Host:
-    rank = list(map(ranked.rank.__getitem__, g.vertices))
-    flags = g.boundary_vertices()
-    return _Host(g, _lesser_ranks(g, rank), rank, ranked.levels, [v in flags for v in g.vertices])
 
 
 def _keys(host: _Host, opened: list[int],
@@ -246,7 +229,7 @@ def cluster_report(cfg: PercolationConfig, potential: Mapping[int, object],
     """Clusters of the open subgraph with masses relative to each cluster's
     heaviest vertex, heavy/light proxy classes, and the max number of
     nonvanishing-proxy sides over single-vertex furcations."""
-    host = _host(cfg.host, ranked_potential(cfg.host, potential))
+    host = _host(cfg.host, potential)
     clusters, tops, dfs = _clusters(host, _host_edges(cfg.host, cfg.open_edges))
     own = _nonvanishing(host, clusters, tops, params.nonvanish_delta)
     stats, counts = _cluster_report(host, dfs, clusters, tops, own, params)
@@ -316,9 +299,8 @@ def sweep(g: Graph, potential: Mapping[int, object], p_grid, trials: int,
     check_seed(seed)
     jobs = [(float(p), t, subseed(seed, "run", pi, t))
             for pi, p in enumerate(p_grid) for t in range(trials)]
-    # validated, ranked and laid out once, here, so a bad potential fails
-    # before any run
-    host = _host(g, ranked_potential(g, potential))
+    # prepared once, here, so a bad potential fails before any run
+    host = _host(g, potential)
     return [_run_once(host, params, job) for job in jobs]
 
 

@@ -3,10 +3,10 @@ strict total order on edges that drives the cycle-cutting algorithm.
 
 All arithmetic is exact (``Fraction``): the generated families only ever
 produce ratios that are powers of small integers, and the edge order must be
-deterministic — float ties would corrupt the forest.  The order reads the
-potential only through comparisons, so ``ranked_potential`` sorts its
-distinct values once and replaces each vertex's value by its rank; every
-edge key is then one exact int and no ``Fraction`` is compared per edge.
+deterministic — float ties would corrupt the forest.  Every stage reads the
+potential only through comparisons, so `_host` validates it once and ranks
+its distinct values on positions; every edge key is then one exact int and
+no ``Fraction`` is compared per edge.
 """
 
 import math
@@ -21,7 +21,7 @@ from .errors import (
     NonPositiveWeight,
     UnknownId,
 )
-from .graph import Edge, Graph, _at, _bfs, _edge_at, _path, _root, edge
+from .graph import Edge, Graph, _at, _bfs, _edge_at, _path, _root, _vertex_set, edge
 
 
 def exact_potential(g: Graph, potential: Mapping[int, object]) -> dict[int, Fraction]:
@@ -43,24 +43,28 @@ def _positive_weight(value: object) -> Fraction:
     return val
 
 
-class RankedPotential(NamedTuple):
-    """An exact positive potential with every vertex's rank among its
-    distinct values: ``levels[rank[v]] == values[v]``."""
-    values: dict[int, Fraction]
+class _Host(NamedTuple):
+    """A graph and its potential, validated and ranked once on its positions
+    (`_host`), read by the edge order, the sweep and every `ends` stage: the
+    value at position v is ``levels[rank[v]]``, and a sweep's open subgraphs,
+    on the host's vertex set, read the host's ranks unchanged."""
+    g: Graph
     levels: list[Fraction]   # the distinct values, increasing
-    rank: dict[int, int]
+    rank: list[int]          # per vertex, its value's index in levels
+    low: list[int]           # per edge, the lesser rank of its ends
+    flagged: list[bool]      # per vertex, its truncation-boundary flag
 
 
-def ranked_potential(g: Graph, potential: Mapping[int, object]) -> RankedPotential:
-    """Validate the potential on g (`exact_potential`) and rank its values.
+def _host(g: Graph, potential: Mapping[int, object]) -> _Host:
+    """Validate the potential on g (`exact_potential`), rank its values and
+    read g's boundary flags, once.
 
-    Rank preserves order and ties, so comparing ranks is comparing values.
-    The value objects are told apart by identity first (a generated
-    potential shares one per value), and only they are grouped by
-    (numerator, denominator), which names a normalised ``Fraction`` exactly
-    and hashes faster than the ``Fraction`` itself.
+    Rank preserves order and ties.  The value objects are told apart by
+    identity first (a generated potential shares one per value), and only
+    they are grouped by (numerator, denominator), which names a normalised
+    ``Fraction`` exactly and hashes faster than the ``Fraction`` itself.
     """
-    exact = exact_potential(g, potential)
+    exact = exact_potential(g, potential)  # in position order
     objects = {id(x): x for x in exact.values()}
     groups: dict[tuple[int, int], Fraction] = {}
     for x in objects.values():
@@ -68,11 +72,10 @@ def ranked_potential(g: Graph, potential: Mapping[int, object]) -> RankedPotenti
     levels = sorted(groups.values())
     index = {(x.numerator, x.denominator): i for i, x in enumerate(levels)}
     of_object = {i: index[x.numerator, x.denominator] for i, x in objects.items()}
-    rank = {v: of_object[id(x)] for v, x in exact.items()}
-    # one shared Fraction per distinct value: a sweep holds this for the
-    # whole host through all of its runs
-    values = {v: levels[r] for v, r in rank.items()}
-    return RankedPotential(values=values, levels=levels, rank=rank)
+    rank = [of_object[id(x)] for x in exact.values()]
+    low = list(map(min, map(rank.__getitem__, g.eu), map(rank.__getitem__, g.ev)))
+    flags = g.boundary_vertices()
+    return _Host(g, levels, rank, low, [v in flags for v in g.vertices])
 
 
 class Cocycle(NamedTuple):
@@ -198,11 +201,6 @@ def potential_from_cocycle(g: Graph, c: Cocycle, base: int) -> Potential:
     return Potential(base=base, values=values)
 
 
-def _lesser_ranks(g: Graph, rank: Sequence[int]) -> list[int]:
-    """Per edge position, the lesser of its ends' ranks `rank` (by vertex position)."""
-    return list(map(min, map(rank.__getitem__, g.eu), map(rank.__getitem__, g.ev)))
-
-
 def _edge_keys(low: Sequence[int], sequence: Sequence[int]) -> list[int | None]:
     """The int keys by edge position of the edges `sequence` lists, least first
     by tiebreak: an edge's lesser end rank `low` times len(sequence), plus its
@@ -217,19 +215,19 @@ def _edge_keys(low: Sequence[int], sequence: Sequence[int]) -> list[int | None]:
 class EdgeOrder:
     """The strict total order: by edge weight min of endpoint potentials,
     then by the tiebreak, one sequence of all of g's edges, least first
-    (default: canonical), read once into the tuple ``tiebreak``.  ``keys``
-    holds `_edge_keys` on the `ranked_potential` ranks, one int per edge
-    position.  Comparisons within a component are invariant under rescaling
-    its potential, so the order does not depend on basepoints.
+    (default: canonical), read once into the tuple ``tiebreak``.  ``host``
+    is g's prepared input (`_host`), and ``keys`` holds `_edge_keys` on its
+    ranks, one int per edge position.  Comparisons within a component are
+    invariant under rescaling its potential, so the order does not depend
+    on basepoints.
     """
 
     def __init__(self, g: Graph, potential: Mapping[int, object],
                  tiebreak: Iterable[Edge] | None = None):
         if isinstance(tiebreak, Mapping):
             raise TypeError("tiebreak is one sequence of the graph's edges, least first")
-        ranked = ranked_potential(g, potential)
         self.graph = g
-        self.potential = ranked.values
+        self.host = _host(g, potential)
         edges = g.ordered_edges
         self.tiebreak: tuple[Edge, ...] = edges if tiebreak is None else tuple(tiebreak)
         index = {e: i for i, e in enumerate(self.tiebreak)}
@@ -244,11 +242,12 @@ class EdgeOrder:
         sequence = [0] * len(at)
         for i, r in enumerate(at):
             sequence[r] = i
-        low = _lesser_ranks(g, list(map(ranked.rank.__getitem__, g.vertices)))
-        self.keys: list[int] = _edge_keys(low, sequence)
+        self.keys: list[int] = _edge_keys(self.host.low, sequence)
 
     def weight(self, e: Edge):
-        return min(self.potential[e[0]], self.potential[e[1]])
+        """The lesser potential of e's ends; an end outside g is `UnknownId`."""
+        _vertex_set(self.graph, e)
+        return self.host.levels[min(self.host.rank[_at(self.graph, v)] for v in e)]
 
     def key(self, e: Edge) -> int:
         i = _edge_at(self.graph, e)
@@ -259,7 +258,9 @@ class EdgeOrder:
     def restrict(self, sub: Graph) -> "EdgeOrder":
         """The same order on a subgraph: its tiebreak filtered to sub's edges."""
         inside = frozenset(sub.ordered_edges)
-        return EdgeOrder(sub, self.potential, [e for e in self.tiebreak if e in inside])
+        levels, rank = self.host.levels, self.host.rank
+        return EdgeOrder(sub, dict(zip(self.graph.vertices, map(levels.__getitem__, rank))),
+                         [e for e in self.tiebreak if e in inside])
 
 
 def compare_edges(o: EdgeOrder, e1: Edge, e2: Edge) -> int:

@@ -56,7 +56,6 @@ from wforest.weights import (
     CocycleReport,
     EdgeOrder,
     exact_potential,
-    ranked_potential,
 )
 
 
@@ -746,8 +745,10 @@ def quotient_oracle(g: Graph, potential, family) -> QuotientGraph:
             block_of[v] = b[0]
     for v in g.vertices:
         block_of.setdefault(v, v)
-    ranked = ranked_potential(g, potential)
-    rank = ranked.rank
+    exact = exact_potential(g, potential)
+    levels = sorted(set(exact.values()))  # the distinct values, ranked here
+    index = {x: i for i, x in enumerate(levels)}
+    rank = {v: index[x] for v, x in exact.items()}
 
     all_blocks: dict[int, list[int]] = {}
     for v in g.vertices:
@@ -765,7 +766,7 @@ def quotient_oracle(g: Graph, potential, family) -> QuotientGraph:
         return (a, b) if a > b else (b, a)
 
     lift = {qe: max(cands, key=pots) for qe, cands in host_by_qedge.items()}
-    qpotential = {bid: ranked.levels[max(map(rank.__getitem__, members))]
+    qpotential = {bid: levels[max(map(rank.__getitem__, members))]
                   for bid, members in all_blocks.items()}
     qboundary = frozenset(
         bid for bid, members in all_blocks.items()

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from wforest.cli import _utc_iso, build_parser, main
 from wforest.errors import UsageError
 from wforest.graph import build_graph, from_json, to_json
-from wforest.generators import cycle, gp_graph
+from wforest.generators import cycle, gp_graph, windmill
 from wforest.weights import EdgeOrder, unit_potential
 
 from conftest import edge_set, maximal_subforest_oracle
@@ -122,6 +122,77 @@ def test_collapse_and_analyze(tmp_path):
     assert run(tmp_path, "analyze", "wm.json", "unit.json", "-o", "rep.json") == 0
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert rep["components"][0]["furcation_vertex_counts"]["3"] == 1
+
+
+@pytest.mark.parametrize("g, weights", [
+    (windmill(6, 6), {"unit": True}),
+    (gp_graph(2, 3, 5), {"levels_from_meta": True, "base_ratio": "1/2"})])
+def test_each_command_prepares_its_host_once(tmp_path, monkeypatch, g, weights):
+    """`collapse`, `analyze` and `percolate` each validate and rank the host
+    potential once, inside the one prepared input (`weights._host`) they
+    build on it, and never call `ends.qualifier`; `collapse` prepares one
+    more input, on its quotient.  The whole-graph low-link search runs once
+    in `collapse` (the family's side index) and twice in `analyze` (the
+    rows, then the side index)."""
+    import wforest.ends as ends
+    import wforest.graph as graph
+    import wforest.percolation as perc
+    import wforest.weights as wts
+    real_host, real_exact, real_value = wts._host, wts.exact_potential, wts._positive_weight
+    real_lowlink = graph._lowlink
+    builds, loose, values, searches, inside = [], [], [0], [0], [0]
+
+    def host(h, potential):
+        builds.append(len(h.vertices))
+        inside[0] += 1
+        try:
+            return real_host(h, potential)
+        finally:
+            inside[0] -= 1
+
+    def exact(h, potential):
+        if not inside[0]:
+            loose.append(len(h.vertices))
+        return real_exact(h, potential)
+
+    def value(x):
+        values[0] += 1
+        return real_value(x)
+
+    def lowlink(adj, roots):
+        searches[0] += 1
+        return real_lowlink(adj, roots)
+
+    def qualifier(*args):
+        raise AssertionError("ends.qualifier called on a library path")
+
+    for module in (wts, ends, perc):
+        monkeypatch.setattr(module, "_host", host)
+    monkeypatch.setattr(wts, "exact_potential", exact)
+    monkeypatch.setattr(wts, "_positive_weight", value)
+    monkeypatch.setattr(ends, "qualifier", qualifier)
+    for module in (graph, ends):
+        monkeypatch.setattr(module, "_lowlink", lowlink)
+    (tmp_path / "g.json").write_text(to_json(g))
+    (tmp_path / "w.json").write_text(json.dumps(weights))
+    n = len(g.vertices)
+    commands = (
+        ("collapse", "-o", "c.json", "--family-out", "fam.json"),
+        ("analyze", "-o", "a.json"),
+        ("percolate", "--p-grid", "0.5,0.9", "--seed", "1", "-o", "r.jsonl"),
+    )
+    for name, *rest in commands:
+        builds.clear()
+        values[0] = searches[0] = 0
+        assert run(tmp_path, name, "g.json", "w.json", *rest) == 0
+        if name == "collapse":
+            q = json.loads((tmp_path / "fam.json").read_text())["quotient"]["vertices"]
+            assert builds == [n, q] and values[0] == n + q and searches[0] == 1
+        else:
+            assert builds == [n] and values[0] == n
+        if name == "analyze":
+            assert searches[0] == 2
+    assert loose == []
 
 
 def test_percolate_degenerate_grid(tmp_path):

@@ -12,6 +12,7 @@ from wforest.ends import (
     INFINITE,
     NONVANISHING,
     ProxyParams,
+    _component_rows,
     _SideIndex,
     collapsed_maximal_subforest,
     find_furcation_vertices,
@@ -32,7 +33,7 @@ from wforest.errors import (
 from wforest.forest import is_acyclic, maximal_subforest
 from wforest.generators import free_product, gp_graph, lattice_box, regular_tree, windmill
 from wforest.graph import build_graph, components, edge, edge_boundary, spanned_subgraph
-from wforest.weights import EdgeOrder, level_potential, unit_potential
+from wforest.weights import EdgeOrder, _host, level_potential, unit_potential
 
 from conftest import (
     _side_orders,
@@ -548,6 +549,36 @@ def test_side_count_dp_matches_naive(rand):
                     tuple(x for x in g.vertices if naive[x] >= n)
 
 
+def test_component_rows_match_one_side_search_per_vertex(rand):
+    """`analyze`'s per-component rows, on the prepared host: on random
+    graphs of several components, with ids interleaved across them, random
+    flags, potentials and delta (often a value the potential takes), and an
+    isolated vertex flagged and one not, each row is its component's
+    (`components`) size, least vertex and counts of vertices with n or
+    more nonvanishing sides by one side search per singleton (`sides_order`)."""
+    for _ in range(200):
+        vertices, edges = [], []
+        for _ in range(rand.randint(1, 4)):
+            h, base = random_connected_graph(rand, rand.randint(1, 7)), len(vertices)
+            vertices += [v + base for v in h.vertices]
+            edges += [(u + base, v + base) for u, v in h.ordered_edges]
+        lone = [len(vertices), len(vertices) + 1]  # isolated; the first is flagged
+        to = dict(zip(vertices + lone, rand.sample(range(3 * len(vertices) + 6), len(vertices) + 2)))
+        flags = {to[v] for v in vertices if rand.random() < 0.4} | {to[lone[0]]}
+        g = build_graph(to.values(), [(to[u], to[v]) for u, v in edges],
+                        {"boundary": frozenset(flags)})
+        pot = random_potential(rand, g)
+        delta = rand.choice([*pot.values(), F(rand.randint(1, 6), rand.randint(1, 6))])
+        params = ProxyParams(nonvanish_delta=delta)
+        want = []
+        for comp in components(g):
+            sides = [sides_order(g, pot, (x,), params, NONVANISHING) for x in comp]
+            want.append({"size": len(comp), "least_vertex": comp[0],
+                         "furcation_vertex_counts": {str(n): sum(1 for c in sides if c >= n)
+                                                     for n in (1, 2, 3)}})
+        assert _component_rows(_host(g, pot), params) == want, (sorted(edge_set(g)), flags)
+
+
 def test_qualifier_rule():
     g = build_graph(range(3), [(0, 1), (1, 2)], meta={"boundary": frozenset({0, 2})})
     pot = {0: F(1), 1: F(5), 2: F(1, 3)}
@@ -856,9 +887,9 @@ def test_smax_below_one_is_rejected():
 def test_bad_potential_raises_library_errors():
     """`visibility_masses`, `quotient` and both furcation entry points read
     the potential through `exact_potential`, and `qualifier` checks the
-    values it is given and the flagged vertices it is asked about: a
-    nonpositive or missing value is a `WForestError`, never accepted
-    silently nor a raw ZeroDivisionError or KeyError."""
+    values it is given, for either kind, and the flagged vertices it is
+    asked about: a nonpositive or missing value is a `WForestError`, never
+    accepted silently nor a raw ZeroDivisionError or KeyError."""
     path = build_graph(range(3), [(0, 1), (1, 2)])
     with pytest.raises(NonPositiveWeight):
         visibility_masses(path, {0: 1, 1: 0, 2: 1})
@@ -871,7 +902,11 @@ def test_bad_potential_raises_library_errors():
                        ({v: 1 for v in w.vertices if v != 5}, MissingVertex)):
         with pytest.raises(error):
             maximal_disjoint_furcations(w, bad, ProxyParams())
-        with pytest.raises(error):
-            find_furcation_vertices(w, bad, 3, ProxyParams())
+        for kind in _KINDS:
+            with pytest.raises(error):
+                find_furcation_vertices(w, bad, 3, ProxyParams(), kind)
         with pytest.raises(error):
             qualifying_side_counts(w, qualifier(w, bad, ProxyParams()))
+    # the INFINITE rule reads no value, but a value it is given must be positive
+    with pytest.raises(NonPositiveWeight):
+        qualifier(w, {**unit_potential(w), 5: -2}, ProxyParams(), INFINITE)

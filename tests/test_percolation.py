@@ -541,20 +541,20 @@ def test_sweep_equals_sweep_oracle_on_colliding_labels(monkeypatch):
 
 
 def test_sweep_validates_the_potential_once_before_any_run(monkeypatch):
-    """A sweep validates its potential and lays its host out as positions
-    once, and a bad potential fails before any run starts."""
+    """A sweep validates its potential and prepares its host on positions
+    once (`weights._host`), and a bad potential fails before any run starts."""
     import wforest.percolation as perc
     import wforest.weights as weights
     calls, layouts = [], []
-    real, real_host = weights.exact_potential, perc._host
+    real, real_host = weights.exact_potential, weights._host
 
     def counted(g, potential):
         calls.append(len(g.vertices))
         return real(g, potential)
 
-    def counted_host(g, ranked):
+    def counted_host(g, potential):
         layouts.append(len(edge_set(g)))
-        return real_host(g, ranked)
+        return real_host(g, potential)
 
     monkeypatch.setattr(weights, "exact_potential", counted)
     monkeypatch.setattr(perc, "_host", counted_host)
